@@ -11,6 +11,37 @@ parameter (the matching changes as detections enter the selected list), so
 the sweeps replace them on the fly with their running suprema over all larger
 confidence parameters; the sweep visits confidence breakpoints in decreasing
 order, which makes the running maximum exactly that supremum.
+
+Both steps run on one array kernel, ``_PrefixKernel``, built once per call:
+
+* **Prefix matchings.** A confidence threshold always keeps a prefix of an
+  image's detections (they are stored by descending confidence). All ground
+  truths of all images form the rows of one (ground truth x detection)
+  distance array, padded with +inf past each image's last detection. A
+  ground truth's match under prefix k is a running argmin over the first k
+  columns that takes a new column only on a strict ``<``, which is
+  ``match()``'s lowest-index tie-break, so every prefix is matched at once.
+* **Requirement tables.** Every (image, prefix) the sweep can reach is a row.
+  For each row and ground truth the kernel gathers what the matched detection
+  requires: the smallest margin that covers the ground truth
+  (``margin_to_cover``), the smallest label-set parameter that contains its
+  class (``class_miss_cutoff``; APS via a stable descending argsort and a
+  sequential ``cumsum``) and, for the pixelwise loss, the matched box. A loss
+  at any parameter is then a comparison against these tables.
+* **Step 1** looks up each row's losses at the loosest second-step
+  parameters and walks the breakpoints in visit order.
+* **Step 2** keeps its bisection over the parameter and scores each
+  candidate over all visited rows at once: a per-image maximum
+  (``np.maximum.reduceat``) and a Python ``sum`` in image order. The
+  tables would also give the exact infimum, but that returns different
+  (exact instead of bisected) parameters, so it is left to its own change.
+
+The kernel returns the same floats as evaluating each loss one image at a
+time: sums run in the same order (step 1's deltas in visit-then-image order,
+pixelwise coverage ground truth by ground truth, never a numpy pairwise sum),
+and every loss is computed with the same operations. That matters because
+the guarantee is about the returned parameters: a last-ulp change in a sum
+can move a parameter across a feasibility boundary.
 """
 
 from __future__ import annotations
@@ -18,17 +49,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from operator import attrgetter
 from typing import Optional, Sequence
 
-from .losses import ImageSample, LossSpec, aggregate
-from .matching import MatchDistanceSpec, match
-from .predsets import (
-    PredSetSpec,
-    apply_margin,
-    class_miss_cutoff,
-    margin_to_cover,
-)
-from .geometry import area, contains, intersect
+import numpy as np
+
+from .losses import ImageSample, LossSpec
+from .matching import MatchDistanceSpec
+from .predsets import PredSetSpec
 
 __all__ = [
     "CalibrationPreconditionError",
@@ -170,6 +199,8 @@ class CalibrationConfig:
             if bounds is not None:
                 object.__setattr__(self, name, (float(bounds[0]), float(bounds[1])))
                 lo, hi = getattr(self, name)
+                if not math.isfinite(hi):
+                    raise ValueError(f"{name} must be finite, got {bounds}")
                 if not 0.0 <= lo < hi:
                     raise ValueError(f"{name} must satisfy 0 <= lower < upper, got {bounds}")
         if self.lambda_cls_bounds[1] > 1.0:
@@ -219,6 +250,8 @@ def default_lambda_loc_bounds(
             lo = min(lo, box.left, box.top)
     if not seen:
         return (0.0, 1.0)
+    if not math.isfinite(hi - lo):
+        raise ValueError("calibration boxes must have finite coordinates")
     return (0.0, (hi - lo) + 1.0)
 
 
@@ -233,171 +266,318 @@ def resolve_config(
 
 
 # --------------------------------------------------------------------------
-# Sweep engine
+# Prefix kernel
 # --------------------------------------------------------------------------
 
+#: Cells per block of the (ground truth x detection) distance array and of
+#: the APS probability table; blocks keep the temporaries small however many
+#: ground truths, detections or classes there are.
+_BLOCK_CELLS = 1 << 14
 
-class _ImageState:
-    """Cached per-image arrays for the breakpoint sweeps."""
-
-    __slots__ = ("gts", "det_boxes", "det_probs", "req_lams", "n_gt", "n_det")
-
-    def __init__(self, sample: ImageSample) -> None:
-        self.gts = sample.ground_truths
-        self.det_boxes = tuple(d.box for d in sample.detections)
-        self.det_probs = tuple(d.probs for d in sample.detections)
-        # Detections are sorted by descending confidence, so the per-detection
-        # selection requirement 1 - confidence is ascending and a threshold
-        # always keeps a prefix.
-        self.req_lams = tuple(1.0 - d.confidence for d in sample.detections)
-        self.n_gt = len(self.gts)
-        self.n_det = len(self.det_boxes)
+_CORNERS = attrgetter("left", "top", "right", "bottom")
 
 
-class _SweepEngine:
-    """Shared state for the confidence sweep and the second-step searches.
+def _coords(boxes: list) -> np.ndarray:
+    """``(4, m)`` array of left, top, right and bottom coordinates."""
+    flat = np.fromiter(chain.from_iterable(map(_CORNERS, boxes)), dtype=float, count=4 * len(boxes))
+    return flat.reshape(-1, 4).T
 
-    Matchings and the per-ground-truth coverage/membership cutoffs they
-    induce depend only on the selected prefix length, so they are cached per
-    (image, prefix length) and reused across all parameter evaluations.
+
+def _first_bad(mask: np.ndarray, owner: np.ndarray, samples, what: str) -> None:
+    """Raise ``ValueError`` naming the image of the first flagged item."""
+    if mask.any():
+        image_id = samples[int(owner[int(np.argmax(mask))])].image_id
+        raise ValueError(f"image {image_id!r}: {what}")
+
+
+def _pair_distances(kind: str, tau: float, gt, det, lac: Optional[np.ndarray]) -> np.ndarray:
+    """``pair_distance`` on arrays: ``gt`` and ``det`` are broadcastable
+    ``(left, top, right, bottom)`` coordinates and ``lac`` holds the LAC
+    distances (None for the kinds that do not use them). The same operations
+    in the same order as the scalar functions, so the same floats."""
+    gl, gtop, gr, gb = gt
+    pl, ptop, pr, pb = det
+    if kind == "giou":
+        a1 = (gr - gl) * (gb - gtop)
+        a2 = (pr - pl) * (pb - ptop)
+        left = np.maximum(gl, pl)
+        top = np.maximum(gtop, ptop)
+        right = np.minimum(gr, pr)
+        bottom = np.minimum(gb, pb)
+        inter = np.where((left > right) | (top > bottom), 0.0, (right - left) * (bottom - top))
+        union = a1 + a2 - inter
+        hull = (np.maximum(gr, pr) - np.minimum(gl, pl)) * (np.maximum(gb, pb) - np.minimum(gtop, ptop))
+        return 1.0 - inter / union + (hull - union) / hull
+    if kind == "lac":
+        return lac
+    hausdorff = _margin_to_cover(gt, det, "additive")
+    if kind == "hausdorff":
+        return hausdorff
+    return tau * lac + (1.0 - tau) * hausdorff
+
+
+def _margin_to_cover(gt, det, kind: str) -> np.ndarray:
+    """``predsets.margin_to_cover`` on arrays of coordinates."""
+    gl, gtop, gr, gb = gt
+    pl, ptop, pr, pb = det
+    if kind == "additive":
+        return np.maximum(np.maximum(np.maximum(pl - gl, ptop - gtop), gr - pr), gb - pb)
+    w = pr - pl
+    h = pb - ptop
+    need = np.zeros(gl.shape)
+    for deficit, extent in ((pl - gl, w), (gr - pr, w), (ptop - gtop, h), (gb - pb, h)):
+        ratio = np.divide(deficit, extent, out=np.zeros(gl.shape), where=extent > 0.0)
+        ratio[(extent <= 0.0) & (deficit > 0.0)] = math.inf
+        need = np.maximum(need, ratio)
+    return need
+
+
+def _class_cutoffs(probs, dets: np.ndarray, labels: np.ndarray, kind: str) -> np.ndarray:
+    """``predsets.class_miss_cutoff`` of each (detection, label) pair.
+
+    APS orders classes by a stable argsort of the negated probabilities (ties
+    by ascending class index) and accumulates them with a sequential
+    ``cumsum``, the same additions in the same order as the scalar version.
+    """
+    k = len(probs[0]) if probs else 1
+    keys, inverse = np.unique(dets * k + labels, return_inverse=True)
+    if kind == "lac":
+        return np.array([1.0 - probs[key // k][key % k] for key in keys.tolist()])[inverse]
+    out = np.empty(len(keys))
+    step = max(1, _BLOCK_CELLS // k)
+    for lo in range(0, len(keys), step):
+        block = keys[lo : lo + step]
+        table = np.array([probs[d] for d in (block // k).tolist()], dtype=float).reshape(-1, k)
+        order = np.argsort(-table, axis=1, kind="stable")
+        ahead = np.zeros_like(table)
+        np.cumsum(np.take_along_axis(table, order, axis=1)[:, :-1], axis=1, out=ahead[:, 1:])
+        rank = np.argsort(order, axis=1)
+        rows = np.arange(len(block))
+        out[lo : lo + step] = ahead[rows, rank[rows, block % k]]
+    return out[inverse]
+
+
+def _prefix_matches(
+    spec: MatchDistanceSpec, gt_box, labels, gt_img, det_box, probs, n_gt, n_det
+) -> np.ndarray:
+    """Column ``k - 1`` holds each ground truth's match under its image's
+    first ``k`` detections, as an index into those detections.
+
+    A running argmin over the first k columns that moves only on a strict
+    ``<``, which is ``match()``'s lowest-index tie-break; columns past an
+    image's last detection are +inf.
+    """
+    kind = spec.kind
+    if kind == "giou":
+        det_img = np.repeat(np.arange(len(n_det)), n_det)
+        gt_area = (gt_box[2] - gt_box[0]) * (gt_box[3] - gt_box[1])
+        det_area = (det_box[2] - det_box[0]) * (det_box[3] - det_box[1])
+        if ((gt_area <= 0.0) & (n_det[gt_img] > 0)).any() or (
+            (det_area <= 0.0) & (n_gt[det_img] > 0)
+        ).any():
+            raise ValueError("giou_distance requires boxes with positive area")
+    det_start = np.concatenate(([0], np.cumsum(n_det)))
+    width = int(n_det.max())
+    cols = np.arange(width)
+    best = np.zeros((len(labels), width), dtype=np.int64)
+    step = max(1, _BLOCK_CELLS // max(width, 1))
+    for lo in range(0, len(labels), step):
+        g = np.arange(lo, min(lo + step, len(labels)))
+        valid = cols < n_det[gt_img[g]][:, None]
+        d = np.where(valid, det_start[gt_img[g]][:, None] + cols, 0)
+        lac = None
+        if kind in ("lac", "mix"):
+            cells = zip(d[valid].tolist(), np.broadcast_to(labels[g, None], d.shape)[valid].tolist())
+            lac = np.zeros(d.shape)
+            lac[valid] = 1.0 - np.array([probs[a][b] for a, b in cells], dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dist = _pair_distances(kind, spec.tau, gt_box[:, g, None], det_box[:, d], lac)
+        dist = np.where(valid, dist, math.inf)
+        moved = np.ones(dist.shape, dtype=bool)
+        moved[:, 1:] = dist[:, 1:] < np.minimum.accumulate(dist, axis=1)[:, :-1]
+        best[g] = np.maximum.accumulate(np.where(moved, cols, 0), axis=1)
+    return best
+
+
+def _sweep_rows(req: np.ndarray, n_det: np.ndarray):
+    """Breakpoints of the downward confidence sweep and the rows it reaches.
+
+    ``req`` holds ``1 - confidence`` of every detection, image by image.
+    Equal values form one group; an image's group drops out at the next
+    lower breakpoint of the whole set (or at 0), which moves the image to
+    the prefix before the group. Returns ``(visit_lams, row_img, row_k,
+    visit_end)``: the breakpoints in decreasing order, the image and prefix
+    length of every row (full prefixes first, then in visit-then-image
+    order) and, per visit, the number of rows reached by its end.
+    """
+    n = len(n_det)
+    det_img = np.repeat(np.arange(n), n_det)
+    values, group = np.unique(req, return_inverse=True)
+    top = int(len(values) > 0 and values[-1] >= 1.0)
+    tail = [0.0] if len(values) and values[0] > 0.0 else []
+    visit_lams = [float(v) for v in values[::-1][top:]] + tail
+    col = np.arange(len(req)) - np.concatenate(([0], np.cumsum(n_det)))[det_img]
+    first = np.flatnonzero((col == 0) | (req != np.roll(req, 1)))
+    pos = group[first]
+    keep = (pos > 0) | bool(tail)
+    ev_visit = (len(values) - top - pos)[keep]
+    ev_img, ev_k = det_img[first][keep], col[first][keep]
+    order = np.lexsort((ev_img, ev_visit))
+    row_img = np.concatenate((np.arange(n), ev_img[order]))
+    row_k = np.concatenate((n_det, ev_k[order]))
+    visit_end = n + np.searchsorted(ev_visit[order], np.arange(len(visit_lams)), side="right")
+    return visit_lams, row_img, row_k, visit_end.tolist()
+
+
+class _PrefixKernel:
+    """Matchings and loss requirements of every (image, prefix) a sweep visits.
+
+    A row is one image at one selected prefix length; rows ``0..n-1`` are the
+    full prefixes of images ``0..n-1`` and the rest follow in sweep order, so
+    the rows reached by the end of visit ``v`` are the first
+    ``visit_end[v]``. For every row with a detection and a ground truth there
+    is one *entry* per ground truth, pointing at the (ground truth, matched
+    detection) pair whose requirements on the second-step parameters it
+    carries. The loss methods score the first ``rows`` rows at one parameter.
     """
 
     def __init__(self, samples: Sequence[ImageSample], config: CalibrationConfig) -> None:
         if config.lambda_loc_bounds is None:
             raise ValueError("config must have resolved lambda_loc_bounds")
         self.config = config
-        self.images = [_ImageState(s) for s in samples]
-        self.n = len(self.images)
-        self._match_cache: dict[tuple[int, int], tuple] = {}
-        self._loc_req_cache: dict[tuple[int, int], tuple] = {}
-        self._loc_boxes_cache: dict[tuple[int, int], tuple] = {}
-        self._cls_cutoff_cache: dict[tuple[int, int], tuple] = {}
-        self.visits = self._build_visits()
-
-    # -- sweep structure ----------------------------------------------------
-
-    def _build_visits(self) -> tuple:
-        """Confidence breakpoints in decreasing parameter order.
-
-        Each visit is ``(lam, affected)``: evaluating at ``lam`` changes the
-        selected prefix only of the ``affected`` images (those whose
-        detections drop out between the previous breakpoint and this one).
-        Duplicate confidence values are merged into a single visit so ties
-        are always evaluated jointly.
-        """
-        owners: dict[float, list[int]] = {}
-        for i, img in enumerate(self.images):
-            for s in set(img.req_lams):
-                owners.setdefault(s, []).append(i)
-        values = sorted(owners)
-        visits: list[tuple[float, tuple[int, ...]]] = []
-        for idx in range(len(values) - 1, -1, -1):
-            lam = values[idx]
-            if lam >= 1.0:
-                continue  # coincides with the initial evaluation at 1
-            dropped = values[idx + 1] if idx + 1 < len(values) else None
-            affected = tuple(owners[dropped]) if dropped is not None else ()
-            visits.append((lam, affected))
-        if values and values[0] > 0.0:
-            visits.append((0.0, tuple(owners[values[0]])))
-        return tuple(visits)
-
-    def count_at(self, i: int, lam: float) -> int:
-        """Selected prefix length of image ``i`` at confidence parameter ``lam``."""
-        return bisect_right(self.images[i].req_lams, lam)
-
-    # -- cached matchings and loss ingredients -------------------------------
-
-    def _matching(self, i: int, k: int) -> tuple:
-        key = (i, k)
-        got = self._match_cache.get(key)
-        if got is None:
-            img = self.images[i]
-            preds = [(img.det_boxes[j], img.det_probs[j]) for j in range(k)]
-            got = match(img.gts, preds, self.config.match_spec)
-            self._match_cache[key] = got
-        return got
-
-    def _loc_requirements(self, i: int, k: int) -> tuple:
-        key = (i, k)
-        got = self._loc_req_cache.get(key)
-        if got is None:
-            img = self.images[i]
-            assignment = self._matching(i, k)
-            kind = self.config.predset_spec.localization_kind
-            got = tuple(
-                margin_to_cover(gt_box, img.det_boxes[assignment[j]], kind)
-                for j, (gt_box, _) in enumerate(img.gts)
+        n = self.n = len(samples)
+        n_gt = np.array([len(s.ground_truths) for s in samples], dtype=np.int64)
+        n_det = np.array([len(s.detections) for s in samples], dtype=np.int64)
+        self._gt_start = np.concatenate(([0], np.cumsum(n_gt)))
+        gt_img = np.repeat(np.arange(n), n_gt)
+        det_img = np.repeat(np.arange(n), n_det)
+        gt_box = _coords([box for s in samples for box, _ in s.ground_truths])
+        labels = np.array([label for s in samples for _, label in s.ground_truths], dtype=np.int64)
+        dets = [d for s in samples for d in s.detections]
+        det_box = _coords([d.box for d in dets])
+        probs = [d.probs for d in dets]
+        _first_bad(~np.isfinite(gt_box).all(axis=0), gt_img, samples, "non-finite ground-truth box")
+        _first_bad(~np.isfinite(det_box).all(axis=0), det_img, samples, "non-finite detection box")
+        if probs:
+            n_classes = len(probs[0])
+            if any(len(p) != n_classes for p in probs):
+                raise ValueError("all probability vectors must have the same length")
+            _first_bad(
+                ((labels < 0) | (labels >= n_classes)) & (n_det[gt_img] > 0),
+                gt_img, samples, f"class label outside [0, {n_classes})",
             )
-            self._loc_req_cache[key] = got
-        return got
 
-    def _matched_boxes(self, i: int, k: int) -> tuple:
-        key = (i, k)
-        got = self._loc_boxes_cache.get(key)
-        if got is None:
-            img = self.images[i]
-            assignment = self._matching(i, k)
-            got = tuple(img.det_boxes[assignment[j]] for j in range(img.n_gt))
-            self._loc_boxes_cache[key] = got
-        return got
+        self._best = _prefix_matches(
+            config.match_spec, gt_box, labels, gt_img, det_box, probs, n_gt, n_det
+        )
+        req = 1.0 - np.array([d.confidence for d in dets], dtype=float)
+        self.visit_lams, self.row_img, self.row_k, self.visit_end = _sweep_rows(req, n_det)
+        self.n_rows = len(self.row_img)
 
-    def _cls_cutoffs(self, i: int, k: int) -> tuple:
-        key = (i, k)
-        got = self._cls_cutoff_cache.get(key)
-        if got is None:
-            img = self.images[i]
-            assignment = self._matching(i, k)
-            kind = self.config.predset_spec.classification_kind
-            got = tuple(
-                class_miss_cutoff(img.det_probs[assignment[j]], label, kind)
-                for j, (_, label) in enumerate(img.gts)
+        # Entries: (row, ground truth) for rows with a detection and a ground
+        # truth, grouped by row in ground-truth order. Each points at its
+        # (ground truth, matched detection) pair; a pair recurs in many rows,
+        # so the requirements are computed once per distinct pair.
+        row_gt = self._row_gt = n_gt[self.row_img]
+        self._base = np.where(row_gt > 0, 1.0, 0.0)
+        self._vrows = np.flatnonzero((self.row_k > 0) & (row_gt > 0))
+        self._vgt = row_gt[self._vrows]
+        self._vstart = np.concatenate(([0], np.cumsum(self._vgt)))
+        owner = np.repeat(np.arange(len(self._vrows)), self._vgt)
+        img = self.row_img[self._vrows][owner]
+        eg = self._gt_start[img] + np.arange(len(owner)) - self._vstart[owner]
+        det_start = np.concatenate(([0], np.cumsum(n_det)))
+        ed = det_start[img] + self._best[eg, self.row_k[self._vrows][owner] - 1]
+        stride = max(len(dets), 1)
+        pairs, self._pair = np.unique(eg * stride + ed, return_inverse=True)
+        pg, pd = np.divmod(pairs, stride)
+        self._cutoff = _class_cutoffs(probs, pd, labels[pg], config.predset_spec.classification_kind)
+        if config.loss_spec.localization_kind == "pixelwise":
+            self._gt = gt_box[:, pg]
+            self._det = det_box[:, pd]
+            self._gt_area = (self._gt[2] - self._gt[0]) * (self._gt[3] - self._gt[1])
+        else:
+            self._loc_req = _margin_to_cover(
+                gt_box[:, pg], det_box[:, pd], config.predset_spec.localization_kind
             )
-            self._cls_cutoff_cache[key] = got
-        return got
 
-    # -- per-image losses as functions of (prefix length, parameter) ---------
-
-    def conf_loss_at(self, i: int, k: int) -> float:
-        img = self.images[i]
-        if img.n_gt == 0:
-            return 0.0
-        if self.config.loss_spec.confidence_kind == "box_count_threshold":
-            return 0.0 if k >= img.n_gt else 1.0
-        return max(0, img.n_gt - k) / img.n_gt
-
-    def loc_loss_at(self, i: int, k: int, lam: float) -> float:
-        img = self.images[i]
-        if img.n_gt == 0:
-            return 0.0
+    def assignment(self, i: int, k: int) -> tuple:
+        """``match(gts, preds[:k])`` of image ``i``, read from the table."""
+        lo, hi = self._gt_start[i], self._gt_start[i + 1]
         if k == 0:
-            return 1.0
+            return tuple(None for _ in range(hi - lo))
+        return tuple(self._best[lo:hi, k - 1].tolist())
+
+    def conf_losses(self) -> np.ndarray:
+        k = self.row_k
+        n_gt = self._row_gt
+        if self.config.loss_spec.confidence_kind == "box_count_threshold":
+            loss = np.where(k >= n_gt, 0.0, 1.0)
+        else:
+            loss = np.maximum(0, n_gt - k) / np.maximum(n_gt, 1)
+        return np.where(n_gt > 0, loss, 0.0)
+
+    def _per_row(self, hits: np.ndarray, nv: int) -> np.ndarray:
+        return np.add.reduceat(hits, self._vstart[:nv], dtype=np.int64)
+
+    def loc_losses(self, lam: float, rows: int) -> np.ndarray:
+        out = self._base[:rows].copy()
+        nv = int(np.searchsorted(self._vrows, rows))
+        if nv == 0:
+            return out
+        e = self._vstart[nv]
+        n_gt = self._vgt[:nv]
         spec = self.config.loss_spec
         if spec.localization_kind == "pixelwise":
-            kind = self.config.predset_spec.localization_kind
-            total = 0.0
-            for (gt_box, _), box in zip(img.gts, self._matched_boxes(i, k)):
-                margined = apply_margin(box, lam, kind)
-                denom = area(gt_box)
-                if denom <= 0.0:
-                    total += 1.0 if contains(margined, gt_box) else 0.0
-                else:
-                    total += area(intersect(gt_box, margined)) / denom
-            return 1.0 - total / img.n_gt
-        covered = sum(1 for req in self._loc_requirements(i, k) if lam >= req)
+            # Sum column by column, in ground-truth order, as the scalar loss
+            # does; numpy's pairwise sums would round differently.
+            fractions = self._covered_fractions(lam)[self._pair[:e]]
+            total = np.zeros(nv)
+            starts = self._vstart[:nv]
+            for j in range(int(n_gt.max())):
+                have = np.flatnonzero(n_gt > j)
+                total[have] += fractions[starts[have] + j]
+            out[self._vrows[:nv]] = 1.0 - total / n_gt
+            return out
+        covered = self._per_row((lam >= self._loc_req)[self._pair[:e]], nv) / n_gt
         if spec.localization_kind == "boxwise":
-            return 1.0 - covered / img.n_gt
-        return 0.0 if covered / img.n_gt >= spec.localization_tau else 1.0
+            out[self._vrows[:nv]] = 1.0 - covered
+        else:
+            out[self._vrows[:nv]] = np.where(covered >= spec.localization_tau, 0.0, 1.0)
+        return out
 
-    def cls_loss_at(self, i: int, k: int, lam: float) -> float:
-        img = self.images[i]
-        if img.n_gt == 0:
-            return 0.0
-        if k == 0:
-            return 1.0
+    def _covered_fractions(self, lam: float) -> np.ndarray:
+        """Covered area fraction of each pair's ground truth at margin ``lam``."""
+        gl, gtop, gr, gb = self._gt
+        pl, ptop, pr, pb = self._det
+        if self.config.predset_spec.localization_kind == "additive":
+            dx = dy = lam
+        else:
+            dx = lam * (pr - pl)
+            dy = lam * (pb - ptop)
+        ml, mt, mr, mb = pl - dx, ptop - dy, pr + dx, pb + dy
+        area = self._gt_area
+        inside = (gl >= ml) & (gtop >= mt) & (gr <= mr) & (gb <= mb)
+        # intersect(): a negative extent is the empty box, of area 0
+        width = np.minimum(gr, mr) - np.maximum(gl, ml)
+        height = np.minimum(gb, mb) - np.maximum(gtop, mt)
+        inter = np.where((width < 0.0) | (height < 0.0), 0.0, width * height)
+        return np.divide(inter, area, out=np.where(inside, 1.0, 0.0), where=area > 0.0)
+
+    def cls_losses(self, lam: float, rows: int) -> np.ndarray:
+        out = self._base[:rows].copy()
+        nv = int(np.searchsorted(self._vrows, rows))
+        if nv == 0:
+            return out
+        misses = self._per_row((lam < self._cutoff)[self._pair[: self._vstart[nv]]], nv)
         spec = self.config.loss_spec
-        misses = [1.0 if lam < cutoff else 0.0 for cutoff in self._cls_cutoffs(i, k)]
-        return aggregate(misses, spec.classification_aggregation, spec.aggregation_tau)
+        if spec.classification_aggregation == "max":
+            out[self._vrows[:nv]] = np.where(misses > 0, 1.0, 0.0)
+        elif spec.classification_aggregation == "average":
+            out[self._vrows[:nv]] = misses / self._vgt[:nv]
+        else:
+            out[self._vrows[:nv]] = np.where(misses / self._vgt[:nv] > spec.aggregation_tau, 1.0, 0.0)
+        return out
 
 
 # --------------------------------------------------------------------------
@@ -405,7 +585,7 @@ class _SweepEngine:
 # --------------------------------------------------------------------------
 
 
-def _sweep_confidence(engine: _SweepEngine):
+def _sweep_confidence(kernel: _PrefixKernel):
     """Walk the confidence breakpoints downward and locate both stop points.
 
     Returns ``(lam_plus, lam_minus, trace)`` where the trace holds the
@@ -413,17 +593,21 @@ def _sweep_confidence(engine: _SweepEngine):
     parameter uses the worst-case correction for the unseen test loss, the
     optimistic one omits it. Exhausting the sweep returns the domain minimum
     0; failing already at the top returns the domain maximum 1.
+
+    The running sums take the per-row losses in visit order, image by image,
+    so they are the same floats as summing the losses one call at a time.
     """
-    cfg = engine.config
-    n = engine.n
+    cfg = kernel.config
+    n = kernel.n
     alpha = cfg.alpha_cnf
     b_tilde = 1.0 if cfg.finite_sample_correction else 0.0
-    lam_loc_bar = cfg.lambda_loc_bounds[1]
-    lam_cls_bar = cfg.lambda_cls_bounds[1]
+    rows = kernel.n_rows
+    conf = kernel.conf_losses().tolist()
+    loc = kernel.loc_losses(cfg.lambda_loc_bounds[1], rows).tolist()
+    cls = kernel.cls_losses(cfg.lambda_cls_bounds[1], rows).tolist()
+    row_img = kernel.row_img.tolist()
 
-    l_cnf = [engine.conf_loss_at(i, engine.images[i].n_det) for i in range(n)]
-    l_loc = [engine.loc_loss_at(i, engine.images[i].n_det, lam_loc_bar) for i in range(n)]
-    l_cls = [engine.cls_loss_at(i, engine.images[i].n_det, lam_cls_bar) for i in range(n)]
+    l_cnf, l_loc, l_cls = conf[:n], loc[:n], cls[:n]
     s_cnf = sum(l_cnf)
     s_loc = sum(l_loc)
     s_cls = sum(l_cls)
@@ -435,22 +619,24 @@ def _sweep_confidence(engine: _SweepEngine):
     lam_minus = 1.0 if n * risk > bound else None
 
     prev = 1.0
-    for lam, affected in engine.visits:
+    start = n
+    for lam, end in zip(kernel.visit_lams, kernel.visit_end):
         if lam_plus is not None and lam_minus is not None:
             break
-        for i in affected:
-            k = engine.count_at(i, lam)
-            new = engine.conf_loss_at(i, k)
+        for r in range(start, end):
+            i = row_img[r]
+            new = conf[r]
             s_cnf += new - l_cnf[i]
             l_cnf[i] = new
-            new = engine.loc_loss_at(i, k, lam_loc_bar)
+            new = loc[r]
             if new > l_loc[i]:
                 s_loc += new - l_loc[i]
                 l_loc[i] = new
-            new = engine.cls_loss_at(i, k, lam_cls_bar)
+            new = cls[r]
             if new > l_cls[i]:
                 s_cls += new - l_cls[i]
                 l_cls[i] = new
+        start = end
         risk = max(s_cnf, s_loc, s_cls) / n
         if risk < trace[-1][1] - 1e-9:
             raise AssertionError("monotonized risk decreased along the confidence sweep")
@@ -472,7 +658,7 @@ def _sweep_confidence(engine: _SweepEngine):
 # --------------------------------------------------------------------------
 
 
-def _second_step(engine: _SweepEngine, lambda_cnf_minus: float, task: str):
+def _second_step(kernel: _PrefixKernel, lambda_cnf_minus: float, task: str):
     """Binary search for the smallest feasible second-step parameter.
 
     Each candidate is scored with the monotonized risk: per image, the
@@ -480,39 +666,36 @@ def _second_step(engine: _SweepEngine, lambda_cnf_minus: float, task: str):
     from 1 until the first breakpoint at or below ``lambda_cnf_minus``.
     Returns ``(parameter, risk_at_parameter)``.
     """
-    cfg = engine.config
-    n = engine.n
+    cfg = kernel.config
+    n = kernel.n
     if task == "loc":
         alpha = cfg.alpha_loc
         lo, hi = cfg.lambda_loc_bounds
-        loss_at = engine.loc_loss_at
+        loss_at = kernel.loc_losses
     elif task == "cls":
         alpha = cfg.alpha_cls
         lo, hi = cfg.lambda_cls_bounds
-        loss_at = engine.cls_loss_at
+        loss_at = kernel.cls_losses
     else:
         raise ValueError(f"unknown task {task!r}")
     b = 1.0 if cfg.finite_sample_correction else 0.0
     bound = alpha * (n + 1)
 
-    full_prefix = [(i, engine.images[i].n_det) for i in range(n)]
-    updates: list[list[tuple[int, int]]] = []
-    for lam, affected in engine.visits:
-        updates.append([(i, engine.count_at(i, lam)) for i in affected])
+    rows = n
+    for lam, end in zip(kernel.visit_lams, kernel.visit_end):
+        rows = end
         if lam <= lambda_cnf_minus:
             break
+    by_image = np.argsort(kernel.row_img[:rows], kind="stable")
+    starts = np.searchsorted(kernel.row_img[:rows][by_image], np.arange(n))
 
     feasible = None
     feasible_risk = math.nan
     for _ in range(cfg.binary_search_steps):
         cand = (lo + hi) / 2.0
-        losses = [loss_at(i, k, cand) for i, k in full_prefix]
-        for ups in updates:
-            for i, k in ups:
-                value = loss_at(i, k, cand)
-                if value > losses[i]:
-                    losses[i] = value
-        risk = sum(losses) / n
+        losses = np.maximum.reduceat(loss_at(cand, rows)[by_image], starts)
+        # Python's sum in image order; numpy's pairwise sum would round differently.
+        risk = sum(losses.tolist()) / n
         if n * risk + b <= bound:
             feasible = cand
             feasible_risk = risk
@@ -522,7 +705,7 @@ def _second_step(engine: _SweepEngine, lambda_cnf_minus: float, task: str):
     if feasible is None:
         raise InfeasibleRiskError(
             f"no feasible {task} parameter within "
-            f"{engine.config.binary_search_steps} search steps; "
+            f"{cfg.binary_search_steps} search steps; "
             f"alpha_{task}={alpha} is too small for this data and loss"
         )
     return feasible, feasible_risk
@@ -557,8 +740,8 @@ def seqcrc_step1(
     if not samples:
         raise ValueError("empty calibration set")
     config = resolve_config(config, samples)
-    engine = _SweepEngine(samples, config)
-    plus, minus, _ = _sweep_confidence(engine)
+    kernel = _PrefixKernel(samples, config)
+    plus, minus, _ = _sweep_confidence(kernel)
     return plus, minus
 
 
@@ -573,8 +756,8 @@ def seqcrc_step2(
     if not samples:
         raise ValueError("empty calibration set")
     config = resolve_config(config, samples)
-    engine = _SweepEngine(samples, config)
-    lam, _ = _second_step(engine, lambda_cnf_minus, task)
+    kernel = _PrefixKernel(samples, config)
+    lam, _ = _second_step(kernel, lambda_cnf_minus, task)
     return lam
 
 
@@ -594,16 +777,16 @@ def calibrate(
         raise ValueError("empty calibration set")
     config = resolve_config(config, samples)
     _check_precondition(config, n)
-    engine = _SweepEngine(samples, config)
-    plus, minus, trace = _sweep_confidence(engine)
-    lam_loc, loc_risk = _second_step(engine, minus, "loc")
-    lam_cls, cls_risk = _second_step(engine, minus, "cls")
+    kernel = _PrefixKernel(samples, config)
+    plus, minus, trace = _sweep_confidence(kernel)
+    lam_loc, loc_risk = _second_step(kernel, minus, "loc")
+    lam_cls, cls_risk = _second_step(kernel, minus, "cls")
     cnf_risk = next((r for lam, r in reversed(trace) if lam >= plus), trace[0][1])
     diagnostics = {
         "cnf_monotonized_risk": cnf_risk,
         "loc_monotonized_risk": loc_risk,
         "cls_monotonized_risk": cls_risk,
-        "n_confidence_breakpoints": float(len(engine.visits)),
+        "n_confidence_breakpoints": float(len(kernel.visit_lams)),
     }
     return CalibrationResult(
         lambda_cnf_plus=plus,

@@ -95,6 +95,10 @@ def _parse_box(raw, where: str) -> BoundingBox:
     )
     left, top, right, bottom = (float(v) for v in raw)
     _require(
+        all(math.isfinite(v) for v in (left, top, right, bottom)),
+        f"{where}: box coordinates must be finite",
+    )
+    _require(
         left <= right and top <= bottom,
         f"{where}: box corners out of order (left<=right, top<=bottom required)",
     )
@@ -277,6 +281,15 @@ def import_coco(gt_path: PathLike, det_path: PathLike) -> DatasetFile:
         raise DataFormatError(f"malformed COCO input ({gt_path}, {det_path}): {exc!r}") from exc
 
 
+def _coco_bbox(raw, where: str) -> tuple[float, float, float, float]:
+    x, y, w, h = (float(v) for v in raw)
+    _require(
+        all(math.isfinite(v) for v in (x, y, w, h)), f"{where}: bbox values must be finite"
+    )
+    _require(w >= 0.0 and h >= 0.0, f"{where}: bbox width and height must be >= 0")
+    return x, y, w, h
+
+
 def _import_coco_parsed(gt, det, gt_path, det_path, categories) -> DatasetFile:
     cat_ids = sorted(c["id"] for c in categories)
     cat_index = {cid: k for k, cid in enumerate(cat_ids)}
@@ -296,7 +309,7 @@ def _import_coco_parsed(gt, det, gt_path, det_path, categories) -> DatasetFile:
         image_id = str(ann["image_id"])
         cat = ann.get("category_id")
         _require(cat in cat_index, f"{gt_path}: annotation #{j} has unknown category id {cat!r}")
-        x, y, w, h = (float(v) for v in ann["bbox"])
+        x, y, w, h = _coco_bbox(ann["bbox"], f"{gt_path}: annotation #{j}")
         gts_by_image.setdefault(image_id, []).append(
             (BoundingBox.from_xywh(x, y, w, h), cat_index[cat])
         )
@@ -314,8 +327,9 @@ def _import_coco_parsed(gt, det, gt_path, det_path, categories) -> DatasetFile:
         image_id = str(rec["image_id"])
         cat = rec.get("category_id")
         _require(cat in cat_index, f"{det_path}: detection #{j} has unknown category id {cat!r}")
-        x, y, w, h = (float(v) for v in rec["bbox"])
+        x, y, w, h = _coco_bbox(rec["bbox"], f"{det_path}: detection #{j}")
         score = float(rec.get("score", 0.0))
+        _require(math.isfinite(score), f"{det_path}: detection #{j}: score must be finite")
         scores = rec.get("scores")
         if scores is not None:
             _require(
@@ -323,6 +337,10 @@ def _import_coco_parsed(gt, det, gt_path, det_path, categories) -> DatasetFile:
                 f"{det_path}: detection #{j} scores must have length {num_classes}",
             )
             probs = tuple(float(p) for p in scores)
+            _require(
+                all(math.isfinite(p) for p in probs),
+                f"{det_path}: detection #{j}: scores must be finite",
+            )
         else:
             synthesized += 1
             if num_classes == 1:

@@ -24,7 +24,6 @@ __all__ = [
     "ConformalPrediction",
     "EvaluationReport",
     "infer",
-    "image_losses",
     "evaluate",
 ]
 
@@ -152,22 +151,6 @@ def _image_outcome(
         stretches.append(math.sqrt(area(mbox) / original))
     set_sizes = [len(s) for s in class_sets]
     return cnf, loc, cls, len(sel), stretches, set_sizes, skipped
-
-
-def image_losses(
-    sample: ImageSample,
-    lambda_cnf: float,
-    lambda_loc: float,
-    lambda_cls: float,
-    loss_spec: LossSpec,
-    predset_spec: PredSetSpec,
-    match_spec: MatchDistanceSpec,
-) -> tuple[float, float, float]:
-    """Raw (confidence, localization, classification) losses of one image."""
-    outcome = _image_outcome(
-        sample, lambda_cnf, lambda_loc, lambda_cls, loss_spec, predset_spec, match_spec
-    )
-    return outcome[0], outcome[1], outcome[2]
 
 
 def evaluate(

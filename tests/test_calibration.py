@@ -20,7 +20,8 @@ from condet import (
     seqcrc_step1,
     seqcrc_step2,
 )
-from condet.calibration import _SweepEngine, _sweep_confidence, resolve_config
+from condet.calibration import _PrefixKernel, _sweep_confidence, resolve_config
+from condet.predsets import select_confident
 from helpers import random_probs, random_sample
 from oracles import grid_step1_oracle, grid_step2_oracle, pure_image_losses
 
@@ -200,8 +201,8 @@ class TestStep1:
         for _ in range(50):
             samples = tuple(random_dataset(rng, int(rng.integers(1, 6)), min_dets=1))
             config = resolve_config(random_config(rng, len(samples)), samples)
-            engine = _SweepEngine(samples, config)
-            _, _, trace = _sweep_confidence(engine)
+            kernel = _PrefixKernel(samples, config)
+            _, _, trace = _sweep_confidence(kernel)
             lams = [lam for lam, _ in trace]
             risks = [r for _, r in trace]
             assert lams == sorted(lams, reverse=True)
@@ -326,6 +327,23 @@ class TestCalibrate:
         b = calibrate(samples, config)
         assert a == b
 
+    def test_non_finite_bounds_rejected(self):
+        with pytest.raises(ValueError, match="lambda_loc_bounds must be finite"):
+            basic_config(lambda_loc_bounds=(0.0, math.inf))
+
+    def test_non_finite_box_names_image(self):
+        gt = BoundingBox(10, 10, 30, 30)
+        samples = [
+            ImageSample(f"i{j}", ((gt, 0),), (covering_detection(gt, 0.8),)) for j in range(3)
+        ]
+        samples.append(
+            ImageSample("bad", ((gt, 0),), (covering_detection(BoundingBox(0, 0, math.inf, 5), 0.8),))
+        )
+        with pytest.raises(ValueError, match="image 'bad': non-finite detection box"):
+            calibrate(samples, basic_config(alpha_cnf=0.1, alpha_loc=0.8, alpha_cls=0.8))
+        with pytest.raises(ValueError, match="finite coordinates"):
+            calibrate(samples, basic_config(alpha_cnf=0.1, alpha_loc=0.8, alpha_cls=0.8, lambda_loc_bounds=None))
+
     def test_result_fields_and_domains(self):
         rng = np.random.default_rng(7)
         samples = random_dataset(rng, 10, min_dets=1)
@@ -368,16 +386,19 @@ class TestEngineMatchesPurePath:
             n = int(rng.integers(1, 5))
             samples = tuple(random_dataset(rng, n))
             config = resolve_config(random_config(rng, n), samples)
-            engine = _SweepEngine(samples, config)
+            kernel = _PrefixKernel(samples, config)
+            rows = list(zip(kernel.row_img.tolist(), kernel.row_k.tolist()))
+            conf = kernel.conf_losses()
             for i in range(n):
                 lam_cnf = float(rng.uniform(0, 1))
                 lam_loc = float(rng.uniform(0, config.lambda_loc_bounds[1]))
                 lam_cls = float(rng.uniform(0, 1))
-                k = engine.count_at(i, lam_cnf)
+                # every prefix a threshold selects is a row of the kernel
+                r = rows.index((i, len(select_confident(samples[i], lam_cnf))))
                 pure = pure_image_losses(samples[i], lam_cnf, lam_loc, lam_cls, config)
-                assert engine.conf_loss_at(i, k) == pure[0]
-                assert engine.loc_loss_at(i, k, lam_loc) == pytest.approx(pure[1], abs=1e-12)
-                assert engine.cls_loss_at(i, k, lam_cls) == pytest.approx(pure[2], abs=1e-12)
+                assert conf[r] == pure[0]
+                assert kernel.loc_losses(lam_loc, kernel.n_rows)[r] == pure[1]
+                assert kernel.cls_losses(lam_cls, kernel.n_rows)[r] == pure[2]
 
 
 class TestOracleAgreementSmoke:

@@ -1,0 +1,167 @@
+"""Property tests of the calibration kernel against the set-based functions.
+
+Boxes lie on a small pixel lattice and confidences and probabilities take a
+few values, so equal distances, duplicate confidences, images without
+detections or without ground truths and single-image sets are all common.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from condet import (
+    BoundingBox,
+    CalibrationConfig,
+    CalibrationPreconditionError,
+    Detection,
+    ImageSample,
+    InfeasibleRiskError,
+    LossSpec,
+    MatchDistanceSpec,
+    PredSetSpec,
+    calibrate,
+    match,
+)
+from condet.calibration import _PrefixKernel
+from condet.matching import MATCH_KINDS
+from condet.predsets import select_confident
+from oracles import pure_image_losses
+
+K = 3
+
+
+@st.composite
+def boxes(draw, min_extent=1):
+    left = draw(st.integers(0, 6))
+    top = draw(st.integers(0, 6))
+    width = draw(st.integers(min_extent, 4))
+    height = draw(st.integers(min_extent, 4))
+    return BoundingBox(float(left), float(top), float(left + width), float(top + height))
+
+
+@st.composite
+def probs(draw):
+    weights = draw(st.lists(st.integers(0, 3), min_size=K, max_size=K).filter(any))
+    return tuple(w / sum(weights) for w in weights)
+
+
+@st.composite
+def images(draw, min_extent=1):
+    gts = draw(st.lists(st.tuples(boxes(min_extent), st.integers(0, K - 1)), max_size=4))
+    dets = draw(
+        st.lists(
+            st.builds(
+                Detection,
+                boxes(min_extent),
+                probs(),
+                st.sampled_from([0.0, 0.2, 0.5, 0.5, 0.9, 1.0]),
+            ),
+            max_size=5,
+        )
+    )
+    return gts, dets
+
+
+def datasets(min_extent=1):
+    return st.lists(images(min_extent), min_size=1, max_size=4).map(
+        lambda rows: [ImageSample(f"img{i}", tuple(g), tuple(d)) for i, (g, d) in enumerate(rows)]
+    )
+
+
+def config_for(kind, loc_loss="boxwise", loc_set="additive", cls_set="lac", agg="average"):
+    return CalibrationConfig(
+        alpha_cnf=0.1,
+        alpha_loc=0.9,
+        alpha_cls=0.9,
+        loss_spec=LossSpec(localization_kind=loc_loss, classification_aggregation=agg),
+        predset_spec=PredSetSpec(localization_kind=loc_set, classification_kind=cls_set),
+        match_spec=MatchDistanceSpec(kind, tau=0.25),
+        lambda_loc_bounds=(0.0, 16.0),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(datasets(), st.sampled_from(MATCH_KINDS))
+def test_prefix_assignment_equals_match(samples, kind):
+    kernel = _PrefixKernel(samples, config_for(kind))
+    spec = MatchDistanceSpec(kind, tau=0.25)
+    for i, sample in enumerate(samples):
+        preds = [(d.box, d.probs) for d in sample.detections]
+        for k in range(len(preds) + 1):
+            assert kernel.assignment(i, k) == match(sample.ground_truths, preds[:k], spec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    datasets(),
+    st.sampled_from(MATCH_KINDS),
+    st.sampled_from(["boxwise", "pixelwise", "thresholded"]),
+    st.sampled_from(["additive", "multiplicative"]),
+    st.sampled_from(["lac", "aps"]),
+    st.sampled_from(["average", "max", "thresholded"]),
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 3.0]),
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+)
+def test_row_losses_equal_set_based_losses(samples, kind, loc_loss, loc_set, cls_set, agg, lam_loc, lam_cls):
+    config = config_for(kind, loc_loss, loc_set, cls_set, agg)
+    kernel = _PrefixKernel(samples, config)
+    conf = kernel.conf_losses()
+    loc = kernel.loc_losses(lam_loc, kernel.n_rows)
+    cls = kernel.cls_losses(lam_cls, kernel.n_rows)
+    for r, (i, k) in enumerate(zip(kernel.row_img.tolist(), kernel.row_k.tolist())):
+        # the largest confidence parameter that selects exactly k detections
+        reqs = [1.0 - d.confidence for d in samples[i].detections]
+        lam_cnf = reqs[k - 1] if k else 0.0
+        assert len(select_confident(samples[i], lam_cnf)) == k
+        assert (conf[r], loc[r], cls[r]) == pure_image_losses(samples[i], lam_cnf, lam_loc, lam_cls, config)
+
+
+def _match_raises(samples):
+    spec = MatchDistanceSpec("giou")
+    for sample in samples:
+        if sample.ground_truths and sample.detections:
+            try:
+                match(sample.ground_truths, [(d.box, d.probs) for d in sample.detections], spec)
+            except ValueError:
+                return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(datasets(min_extent=0))
+def test_giou_zero_area_raises_exactly_when_matching_would(samples):
+    # calibrate matches every image under its full prefix first, so it fails
+    # exactly when one of those matchings meets a zero-area box
+    try:
+        calibrate(samples, config_for("giou"))
+        raised = False
+    except CalibrationPreconditionError:  # pragma: no cover - alphas satisfy it
+        raise
+    except ValueError as exc:
+        assert "positive area" in str(exc)
+        raised = True
+    except InfeasibleRiskError:
+        raised = False
+    assert raised == _match_raises(samples)
+
+
+def test_single_image_without_detections():
+    sample = ImageSample("only", ((BoundingBox(0, 0, 2, 2), 1),), ())
+    kernel = _PrefixKernel([sample], config_for("hausdorff"))
+    assert kernel.visit_lams == []
+    assert kernel.assignment(0, 0) == (None,)
+    assert kernel.loc_losses(math.inf, kernel.n_rows).tolist() == [1.0]
+
+
+@pytest.mark.parametrize("kind", MATCH_KINDS)
+def test_duplicate_confidences_share_one_visit(kind):
+    gt = (BoundingBox(0, 0, 4, 4), 0)
+    dets = tuple(
+        Detection(BoundingBox(float(j), 0, float(j) + 4, 4), (1.0, 0.0, 0.0), c)
+        for j, c in enumerate((0.9, 0.5, 0.5, 0.2))
+    )
+    kernel = _PrefixKernel([ImageSample("a", (gt,), dets)], config_for(kind))
+    assert kernel.visit_lams == pytest.approx([0.8, 0.5, 0.1, 0.0])
+    assert sorted(kernel.row_k.tolist()) == [0, 1, 3, 4]

@@ -76,6 +76,18 @@ class TestCalibrateCommand:
         assert code == 1
         assert "code=1" in capsys.readouterr().err
 
+    def test_non_finite_box_exit_1(self, dataset_paths, tmp_path, capsys):
+        cal, _ = dataset_paths
+        payload = json.loads(cal.read_text())
+        payload["images"][2]["ground_truths"][0]["box"][3] = float("inf")
+        cal.write_text(json.dumps(payload))
+        out = tmp_path / "r.json"
+        code = run(["calibrate", "--dataset", cal, "--out", out, "--alpha-cnf", "0.05"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "ground truth #0: box coordinates must be finite" in err and "code=1" in err
+        assert not out.exists()
+
     def test_config_file_with_flag_override(self, dataset_paths, tmp_path):
         cal, _ = dataset_paths
         cfg = tmp_path / "cfg.json"

@@ -84,6 +84,14 @@ class TestDatasetFile:
         with pytest.raises(DataFormatError, match="corners out of order"):
             read_dataset_file(write_payload(tmp_path, payload))
 
+    def test_non_finite_box_names_record(self, tmp_path):
+        payload = two_image_payload()
+        payload["images"][0]["detections"][1]["box"] = [0, 0, float("inf"), 5]
+        path = write_payload(tmp_path, payload)
+        assert "Infinity" in path.read_text()
+        with pytest.raises(DataFormatError, match="image 'a' detection #1: box coordinates must be finite"):
+            read_dataset_file(path)
+
     def test_class_index_range(self, tmp_path):
         payload = two_image_payload()
         payload["images"][0]["ground_truths"][0]["class_id"] = 3
@@ -179,6 +187,33 @@ class TestCocoImport:
         det[0]["category_id"] = 999
         det_path.write_text(json.dumps(det))
         with pytest.raises(DataFormatError, match="unknown category"):
+            import_coco(gt_path, det_path)
+
+    @pytest.mark.parametrize("records", ["annotations", "detections"])
+    @pytest.mark.parametrize(
+        "width, message", [(float("inf"), "must be finite"), (-5.0, "must be >= 0")]
+    )
+    def test_invalid_bbox_names_record(self, tmp_path, records, width, message):
+        gt_path, det_path = self.coco_pair(tmp_path)
+        path = gt_path if records == "annotations" else det_path
+        raw = json.loads(path.read_text())
+        rows = raw["annotations"] if records == "annotations" else raw
+        rows[1]["bbox"][2] = width
+        path.write_text(json.dumps(raw))
+        record = "annotation #1" if records == "annotations" else "detection #1"
+        with pytest.raises(DataFormatError, match=f"{record}: bbox .*{message}"):
+            import_coco(gt_path, det_path)
+
+    @pytest.mark.parametrize("field", ["score", "scores"])
+    def test_non_finite_score_names_record(self, tmp_path, field):
+        gt_path, det_path = self.coco_pair(tmp_path, with_scores=True)
+        det = json.loads(det_path.read_text())
+        if field == "score":
+            det[2]["score"] = float("nan")
+        else:
+            det[2]["scores"][0] = float("inf")
+        det_path.write_text(json.dumps(det))
+        with pytest.raises(DataFormatError, match=f"detection #2: {field} must be finite"):
             import_coco(gt_path, det_path)
 
     def test_imported_dataset_is_loadable(self, tmp_path):
