@@ -46,6 +46,7 @@ can move a parameter across a feasibility boundary.
 
 from __future__ import annotations
 
+import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
@@ -72,6 +73,9 @@ __all__ = [
     "seqcrc_step2",
     "calibrate",
 ]
+
+
+log = logging.getLogger(__name__)
 
 
 class CalibrationPreconditionError(ValueError):
@@ -592,7 +596,10 @@ def _sweep_confidence(kernel: _PrefixKernel):
     monotonized combined risk at every visited breakpoint; the conservative
     parameter uses the worst-case correction for the unseen test loss, the
     optimistic one omits it. Exhausting the sweep returns the domain minimum
-    0; failing already at the top returns the domain maximum 1.
+    0; failing already at the top returns the domain maximum 1, which carries
+    no guarantee, and logs a warning when that happens to the conservative
+    parameter (always the case when ``alpha_cnf * (n + 1) < 1`` with the
+    correction on).
 
     The running sums take the per-row losses in visit order, image by image,
     so they are the same floats as summing the losses one call at a time.
@@ -617,6 +624,13 @@ def _sweep_confidence(kernel: _PrefixKernel):
     bound = alpha * (n + 1)
     lam_plus = 1.0 if n * risk + b_tilde > bound else None
     lam_minus = 1.0 if n * risk > bound else None
+    if lam_plus is not None:
+        log.warning(
+            "the corrected step-1 constraint fails already at lambda_cnf = 1 "
+            "(alpha_cnf=%r, n=%d, alpha_cnf*(n+1)=%.6g < n*risk + %g = %.6g): "
+            "lambda_cnf_plus = 1.0 is returned but carries no guarantee",
+            alpha, n, bound, b_tilde, n * risk + b_tilde,
+        )
 
     prev = 1.0
     start = n
@@ -735,6 +749,11 @@ def seqcrc_step1(
     ``alpha_cnf``, where the combined risk is the maximum of the confidence
     risk and the monotonized localization/classification risks evaluated at
     their loosest second-step parameters.
+
+    When the constraint fails already at ``lambda_cnf = 1``, the top of the
+    domain, that parameter is returned as 1.0 anyway and a warning is logged:
+    it then carries no guarantee. With the finite-sample correction on this
+    always happens when ``alpha_cnf * (n + 1) < 1``.
     """
     samples = tuple(samples)
     if not samples:
@@ -769,7 +788,9 @@ def calibrate(
     Deterministic given identical inputs. Raises
     ``CalibrationPreconditionError`` when the error levels cannot carry the
     guarantee, and ``InfeasibleRiskError`` when a second-step search finds no
-    feasible parameter.
+    feasible parameter. A first step that fails already at the top of its
+    domain returns ``lambda_cnf_plus = 1.0`` with a logged warning, as in
+    ``seqcrc_step1``.
     """
     samples = tuple(samples)
     n = len(samples)

@@ -88,6 +88,11 @@ def _require(condition: bool, message: str) -> None:
         raise DataFormatError(message)
 
 
+def _is_number(value, kind=(int, float)) -> bool:
+    # JSON ``true``/``false`` load as ``bool``, a subclass of ``int``.
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _parse_box(raw, where: str) -> BoundingBox:
     _require(
         isinstance(raw, (list, tuple)) and len(raw) == 4,
@@ -110,7 +115,8 @@ def read_dataset_file(path: PathLike) -> DatasetFile:
 
     Raises ``DataFormatError`` naming the offending image and record on any
     schema violation, including probability vectors that do not sum to one
-    within 1e-4.
+    within 1e-4 and JSON booleans in ``num_classes``, ``class_id`` or
+    ``confidence``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -125,7 +131,10 @@ def read_dataset_file(path: PathLike) -> DatasetFile:
             f"(expected {DATASET_SCHEMA_VERSION})"
         )
     num_classes = raw.get("num_classes")
-    _require(isinstance(num_classes, int) and num_classes >= 1, f"{path}: num_classes must be a positive integer")
+    _require(
+        _is_number(num_classes, int) and num_classes >= 1,
+        f"{path}: num_classes must be a positive integer, got {num_classes!r}",
+    )
     class_names = tuple(raw.get("class_names") or (f"class_{k}" for k in range(num_classes)))
     _require(
         len(class_names) == num_classes,
@@ -150,8 +159,8 @@ def read_dataset_file(path: PathLike) -> DatasetFile:
             box = _parse_box(g.get("box"), where)
             label = g.get("class_id")
             _require(
-                isinstance(label, int) and 0 <= label < num_classes,
-                f"{where}: class_id {label!r} outside [0, {num_classes})",
+                _is_number(label, int) and 0 <= label < num_classes,
+                f"{where}: class_id {label!r} is not an integer in [0, {num_classes})",
             )
             gts.append((box, label))
         dets = []
@@ -161,8 +170,8 @@ def read_dataset_file(path: PathLike) -> DatasetFile:
             box = _parse_box(d.get("box"), where)
             confidence = d.get("confidence")
             _require(
-                isinstance(confidence, (int, float)) and 0.0 <= confidence <= 1.0,
-                f"{where}: confidence {confidence!r} outside [0, 1]",
+                _is_number(confidence) and 0.0 <= confidence <= 1.0,
+                f"{where}: confidence {confidence!r} is not a number in [0, 1]",
             )
             probs = d.get("probs")
             _require(

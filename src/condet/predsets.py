@@ -101,8 +101,9 @@ def cls_set_lac(probs: Sequence[float], lambda_cls: float) -> set[int]:
 
 
 def _aps_order(probs: Sequence[float]) -> list[int]:
-    # Descending probability, ties broken by ascending class index.
-    return sorted(range(len(probs)), key=lambda k: (-probs[k], k))
+    # Descending probability, ties broken by ascending class index: a
+    # reverse sort is still stable, so equal keys keep their index order.
+    return sorted(range(len(probs)), key=probs.__getitem__, reverse=True)
 
 
 def cls_set_aps(probs: Sequence[float], lambda_cls: float) -> set[int]:

@@ -7,6 +7,13 @@ informative, and every image carries at least one detection (and at least as
 many as it has objects), which keeps the losses vanishing at the loosest
 parameters.
 
+``generate``'s output is a fixed function of the spec, down to the last bit:
+the benchmark inputs, the seeded tests and every Monte Carlo trial rely on
+it. The order of the random draws and the float arithmetic are pinned by
+``tests/test_synth_golden.py``. Each detection makes only the draws whose
+stream order matters; the class-noise softmax runs once per block of
+detections, reducing each row in the order numpy reduces a lone vector.
+
 ``monte_carlo_validate`` repeatedly draws calibration/test splits from the
 same distribution, calibrates, and averages the test risks across trials:
 the across-trial mean of each risk must stay below its target level.
@@ -79,36 +86,39 @@ class SynthSpec:
 _CONF_FLOOR = 0.01
 _CONF_CEIL = 0.999
 _MIN_EXTENT = 1.0
+#: Probability cells per softmax block; a block is flushed at the first image
+#: boundary after it fills, so it also holds the rest of that image.
+_BLOCK_CELLS = 1 << 14
 
 
-def _sigmoid(x: float) -> float:
-    return 1.0 / (1.0 + math.exp(-x))
+def _softmax_rows(spec: SynthSpec, noise: np.ndarray, labels: list[int]) -> list[list[float]]:
+    """Class probabilities of a block of detections, one row per detection.
 
-
-def _softmax_probs(spec: SynthSpec, rng: np.random.Generator, label: int) -> tuple[float, ...]:
-    logits = np.zeros(spec.num_classes)
-    logits[label] = 1.0
-    if spec.box_noise_std > 0.0:
-        logits = logits + rng.normal(0.0, 0.35, spec.num_classes)
+    Row ``i`` is the softmax of ``(onehot(labels[i]) + 0.35 * noise[i]) / T``
+    after subtracting the row max (``noise`` is all zeros for a noiseless
+    spec). Every step is elementwise or a reduction along one contiguous row,
+    so each row gets the bits it would get alone.
+    """
+    logits = noise * 0.35
+    logits[np.arange(len(labels)), labels] += 1.0
     logits /= spec.softmax_temperature
-    logits -= logits.max()
-    weights = np.exp(logits)
-    probs = weights / weights.sum()
-    return tuple(float(p) for p in probs)
+    logits -= logits.max(axis=1, keepdims=True)
+    weights = np.exp(logits, out=logits)
+    weights /= weights.sum(axis=1, keepdims=True)
+    return weights.tolist()
 
 
-def _random_gt_box(spec: SynthSpec, rng: np.random.Generator) -> BoundingBox:
-    w = rng.uniform(0.12, 0.35) * spec.image_width
-    h = rng.uniform(0.12, 0.35) * spec.image_height
-    x = rng.uniform(0.0, spec.image_width - w)
-    y = rng.uniform(0.0, spec.image_height - h)
+def _box_from_uniforms(spec: SynthSpec, u: list[float]) -> BoundingBox:
+    # numpy's ``uniform(low, high)`` is ``low + (high - low) * u``; with low 0,
+    # that is ``high * u`` exactly.
+    w = (0.12 + (0.35 - 0.12) * u[0]) * spec.image_width
+    h = (0.12 + (0.35 - 0.12) * u[1]) * spec.image_height
+    x = (spec.image_width - w) * u[2]
+    y = (spec.image_height - h) * u[3]
     return BoundingBox(x, y, x + w, y + h)
 
 
-def _noisy_copy(spec: SynthSpec, rng: np.random.Generator, box: BoundingBox):
-    if spec.box_noise_std <= 0.0:
-        return box, 0.0
-    noise = rng.normal(0.0, spec.box_noise_std, 4)
+def _noisy_copy(spec: SynthSpec, box: BoundingBox, noise: list[float]) -> BoundingBox:
     # Clip to one image-size beyond the canvas: keeps every required margin
     # below a fixed bound (three image sizes), so losses provably vanish at
     # the loosest parameters no matter what the noise draws.
@@ -127,61 +137,85 @@ def _noisy_copy(spec: SynthSpec, rng: np.random.Generator, box: BoundingBox):
     if y_hi - y_lo < _MIN_EXTENT:
         mid = (y_lo + y_hi) / 2.0
         y_lo, y_hi = mid - _MIN_EXTENT / 2.0, mid + _MIN_EXTENT / 2.0
-    err = float(np.abs(noise).mean()) / spec.box_noise_std
-    return BoundingBox(x_lo, y_lo, x_hi, y_hi), err
-
-
-def _confidence(spec: SynthSpec, rng: np.random.Generator, err: float) -> float:
-    logit = spec.confidence_base - spec.confidence_noise_coupling * err
-    if spec.box_noise_std > 0.0:
-        logit += rng.normal(0.0, 0.3)
-    return min(max(_sigmoid(logit), _CONF_FLOOR), _CONF_CEIL)
+    return BoundingBox(x_lo, y_lo, x_hi, y_hi)
 
 
 def generate(spec: SynthSpec) -> list[ImageSample]:
-    """Draw a dataset; identical specs produce identical datasets."""
+    """Draw a dataset; identical specs produce identical datasets.
+
+    Per image: the object count; per object its box (four uniforms), class,
+    box noise (four normals), label flip, class noise (``num_classes``
+    normals) and confidence noise; then the false-positive count and per
+    false positive its class, box, class noise, error level and confidence
+    noise. The class-noise softmax runs per block of detections.
+    """
     rng = np.random.default_rng(spec.seed)
+    k = spec.num_classes
+    std = spec.box_noise_std
+    noisy = std > 0.0
+    flip = spec.label_flip_probability
+    class_noise = np.zeros((max(1, _BLOCK_CELLS // k), k))
+    labels: list[int] = []  # class of each row of class_noise in use
+    pending = []  # (image id, ground truths, [(box, confidence), ...]) awaiting probabilities
     samples = []
+
+    def add_class_noise(label: int) -> None:
+        nonlocal class_noise
+        if len(labels) == len(class_noise):
+            class_noise = np.concatenate((class_noise, np.zeros_like(class_noise)))
+        if noisy:
+            rng.standard_normal(out=class_noise[len(labels)])
+        labels.append(label)
+
+    def confidence(err: float) -> float:
+        logit = spec.confidence_base - spec.confidence_noise_coupling * err
+        if noisy:
+            logit += rng.normal(0.0, 0.3)
+        return min(max(1.0 / (1.0 + math.exp(-logit)), _CONF_FLOOR), _CONF_CEIL)
+
+    def flush() -> None:
+        probs = iter(_softmax_rows(spec, class_noise[: len(labels)], labels))
+        for image_id, gts, dets in pending:
+            detections = tuple(Detection(box, next(probs), conf) for box, conf in dets)
+            samples.append(ImageSample(image_id, gts, detections))
+        pending.clear()
+        labels.clear()
+
     for i in range(spec.n_images):
         n_obj = int(rng.integers(spec.objects_min, spec.objects_max + 1))
         gts = []
         dets = []
         for _ in range(n_obj):
-            box = _random_gt_box(spec, rng)
-            label = int(rng.integers(spec.num_classes))
+            box = _box_from_uniforms(spec, rng.random(4).tolist())
+            label = int(rng.integers(k))
             gts.append((box, label))
-            det_box, err = _noisy_copy(spec, rng, box)
+            det_box, err = box, 0.0
+            if noisy:
+                noise = rng.normal(0.0, std, 4).tolist()
+                det_box = _noisy_copy(spec, box, noise)
+                # Mean |noise| summed left to right, the order numpy uses for
+                # fewer than 8 elements; the golden test pins these bits.
+                err = (abs(noise[0]) + abs(noise[1]) + abs(noise[2]) + abs(noise[3])) / 4 / std
             det_label = label
-            if spec.label_flip_probability > 0.0 and rng.random() < spec.label_flip_probability:
-                det_label = int((label + 1 + rng.integers(spec.num_classes - 1)) % spec.num_classes)
-            dets.append(
-                Detection(
-                    box=det_box,
-                    probs=_softmax_probs(spec, rng, det_label),
-                    confidence=_confidence(spec, rng, err),
-                )
-            )
+            if flip > 0.0 and rng.random() < flip:
+                det_label = (label + 1 + int(rng.integers(k - 1))) % k
+            add_class_noise(det_label)
+            dets.append((det_box, confidence(err)))
         n_fp = int(rng.poisson(spec.false_positive_rate))
         if n_obj == 0 and n_fp == 0:
             n_fp = 1
         for _ in range(n_fp):
-            label = int(rng.integers(spec.num_classes))
-            dets.append(
-                Detection(
-                    box=_random_gt_box(spec, rng),
-                    probs=_softmax_probs(spec, rng, label),
-                    confidence=_confidence(spec, rng, float(rng.uniform(1.5, 3.5))),
-                )
-            )
+            label = int(rng.integers(k))
+            box = _box_from_uniforms(spec, rng.random(4).tolist())
+            add_class_noise(label)
+            err = 1.5 + (3.5 - 1.5) * rng.random()  # numpy's uniform(1.5, 3.5)
+            dets.append((box, confidence(err)))
         # Loosest-parameter losses vanish only when something is predicted.
         assert len(dets) >= max(1, n_obj)
-        samples.append(
-            ImageSample(
-                image_id=f"synth-{spec.seed}-{i:05d}",
-                ground_truths=tuple(gts),
-                detections=tuple(dets),
-            )
-        )
+        pending.append((f"synth-{spec.seed}-{i:05d}", tuple(gts), dets))
+        if len(labels) * k >= _BLOCK_CELLS:
+            flush()
+    flush()
     return samples
 
 

@@ -1,3 +1,4 @@
+import logging
 import math
 from dataclasses import replace
 
@@ -150,6 +151,27 @@ class TestStep1:
         plus, minus = seqcrc_step1([sample], basic_config(alpha_cnf=0.3))
         assert plus == 1.0
         assert minus == 1.0
+
+    def test_infeasible_top_is_logged(self, caplog):
+        # alpha_cnf * (n + 1) = 0.55 < 1: the correction alone fails the top.
+        gt = BoundingBox(10, 10, 30, 30)
+        samples = [ImageSample(f"i{j}", ((gt, 0),), (covering_detection(gt, 1.0),)) for j in range(10)]
+        with caplog.at_level(logging.WARNING, logger="condet.calibration"):
+            result = calibrate(samples, basic_config(alpha_cnf=0.05))
+        assert result.lambda_cnf_plus == 1.0
+        [record] = [r for r in caplog.records if r.name == "condet.calibration"]
+        message = record.getMessage()
+        assert record.levelno == logging.WARNING
+        assert "alpha_cnf=0.05, n=10, alpha_cnf*(n+1)=0.55 <" in message
+        assert "carries no guarantee" in message
+
+    def test_feasible_top_is_not_logged(self, caplog):
+        gt = BoundingBox(10, 10, 30, 30)
+        samples = [ImageSample(f"i{j}", ((gt, 0),), (covering_detection(gt, 1.0),)) for j in range(4)]
+        with caplog.at_level(logging.WARNING, logger="condet.calibration"):
+            plus, _ = seqcrc_step1(samples, basic_config())
+        assert plus == 0.0
+        assert not [r for r in caplog.records if r.name == "condet.calibration"]
 
     def test_minus_never_exceeds_plus(self):
         rng = np.random.default_rng(1)

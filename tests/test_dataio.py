@@ -98,6 +98,21 @@ class TestDatasetFile:
         with pytest.raises(DataFormatError, match="class_id"):
             read_dataset_file(write_payload(tmp_path, payload))
 
+    @pytest.mark.parametrize("field", ["num_classes", "class_id", "confidence"])
+    def test_json_boolean_rejected(self, tmp_path, field):
+        payload = two_image_payload()
+        if field == "num_classes":
+            payload["num_classes"], payload["class_names"] = True, ["cat"]
+            record = "num_classes must be a positive integer, got True"
+        elif field == "class_id":
+            payload["images"][0]["ground_truths"][0]["class_id"] = False
+            record = "image 'a' ground truth #0: class_id False is not an integer"
+        else:
+            payload["images"][0]["detections"][1]["confidence"] = True
+            record = "image 'a' detection #1: confidence True is not a number"
+        with pytest.raises(DataFormatError, match=record):
+            read_dataset_file(write_payload(tmp_path, payload))
+
     def test_unknown_schema_version(self, tmp_path):
         payload = two_image_payload()
         payload["schema_version"] = 99

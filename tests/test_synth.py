@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from condet import (
     CalibrationConfig,
@@ -88,6 +92,57 @@ class TestGenerate:
                     close += 1
         assert close / total_gts >= 0.99
         assert injective / images >= 0.95
+
+
+@st.composite
+def synth_specs(draw):
+    # Images of at least 10 px keep every ground-truth box (12-35% of a side)
+    # at least 1 px wide, so every detection box must be too.
+    objects_max = draw(st.integers(0, 5))
+    return SynthSpec(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        n_images=draw(st.integers(1, 8)),
+        num_classes=draw(st.integers(2, 40) | st.sampled_from([80, 1000, 3000])),
+        image_width=draw(st.floats(10.0, 700.0)),
+        image_height=draw(st.floats(10.0, 700.0)),
+        objects_min=draw(st.integers(0, objects_max)),
+        objects_max=objects_max,
+        box_noise_std=draw(st.just(0.0) | st.floats(0.0, 60.0)),
+        confidence_base=draw(st.floats(-5.0, 5.0)),
+        confidence_noise_coupling=draw(st.floats(0.0, 3.0)),
+        false_positive_rate=draw(st.just(0.0) | st.floats(0.0, 20.0)),
+        label_flip_probability=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        softmax_temperature=draw(st.floats(0.05, 2.0)),
+    )
+
+
+class TestGenerateProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(synth_specs())
+    @example(SynthSpec(seed=1, n_images=20, num_classes=2))
+    @example(SynthSpec(seed=2, n_images=20, objects_min=0, objects_max=0, false_positive_rate=0.0))
+    @example(SynthSpec(seed=3, n_images=20, label_flip_probability=0.0))
+    @example(SynthSpec(seed=4, n_images=20, label_flip_probability=1.0))
+    @example(SynthSpec(seed=5, n_images=20, box_noise_std=0.0))
+    @example(SynthSpec(seed=6, n_images=20, box_noise_std=0.0, num_classes=2,
+                       objects_min=0, objects_max=0, false_positive_rate=0.0,
+                       label_flip_probability=1.0))
+    def test_invariants(self, spec):
+        samples = generate(spec)
+        assert len(samples) == spec.n_images
+        for sample in samples:
+            assert spec.objects_min <= sample.n_ground_truths <= spec.objects_max
+            assert len(sample.detections) >= max(1, sample.n_ground_truths)
+            confidences = [d.confidence for d in sample.detections]
+            assert confidences == sorted(confidences, reverse=True)
+            for det in sample.detections:
+                assert 0.01 <= det.confidence <= 0.999
+                assert len(det.probs) == spec.num_classes
+                assert min(det.probs) >= 0.0
+                assert abs(math.fsum(det.probs) - 1.0) <= 1e-9
+                assert det.box.width >= 1.0 - 1e-9 and det.box.height >= 1.0 - 1e-9
+            if spec.objects_max == 0 and spec.false_positive_rate == 0.0:
+                assert len(sample.detections) == 1  # the forced false positive
 
 
 def quick_config(**kw):
