@@ -198,6 +198,10 @@ class CalibrationConfig:
                 raise ValueError(f"{name} must lie in (0, 1), got {value}")
         if self.binary_search_steps < 1:
             raise ValueError("binary_search_steps must be >= 1")
+        if not 0.0 <= self.prefilter_threshold <= 1.0:
+            raise ValueError(
+                f"prefilter_threshold must lie in [0, 1], got {self.prefilter_threshold}"
+            )
         for name in ("lambda_loc_bounds", "lambda_cls_bounds"):
             bounds = getattr(self, name)
             if bounds is not None:

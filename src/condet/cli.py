@@ -21,6 +21,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .calibration import (
@@ -32,6 +33,7 @@ from .calibration import (
 from .dataio import (
     DataFormatError,
     DigestMismatchError,
+    _load_json,
     config_digest,
     config_from_dict,
     config_to_dict,
@@ -42,6 +44,9 @@ from .dataio import (
     write_dataset_file,
 )
 from .inference_metrics import evaluate, infer
+from .losses import AGGREGATION_KINDS, CONF_LOSS_KINDS, LOC_LOSS_KINDS
+from .matching import MATCH_KINDS
+from .predsets import CLS_SET_KINDS, LOC_SET_KINDS
 from .synth import (
     SynthSpec,
     format_report_table,
@@ -72,61 +77,55 @@ def _fail(code: int, kind: str, exc: BaseException) -> int:
     return code
 
 
-def _read_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+#: CLI defaults of the error levels, below the config file and the flags.
+_DEFAULT_ALPHAS = {"alpha_cnf": 0.02, "alpha_loc": 0.05, "alpha_cls": 0.05}
 
-
-_CONFIG_FLAG_MAP = {
-    "alpha_cnf": "alpha_cnf",
-    "alpha_loc": "alpha_loc",
-    "alpha_cls": "alpha_cls",
-    "binary_search_steps": "binary_search_steps",
-    "prefilter": "prefilter_threshold",
-}
+#: Each config flag in help order: its config key path (``spec.field`` for a
+#: nested spec) and its argparse keywords. Its dest is argparse's default.
+_CONFIG_FLAGS = (
+    ("--alpha-cnf", "alpha_cnf", {"type": float}),
+    ("--alpha-loc", "alpha_loc", {"type": float}),
+    ("--alpha-cls", "alpha_cls", {"type": float}),
+    ("--loss-confidence", "loss_spec.confidence_kind", {"choices": CONF_LOSS_KINDS}),
+    ("--loss-localization", "loss_spec.localization_kind", {"choices": LOC_LOSS_KINDS}),
+    ("--loss-localization-tau", "loss_spec.localization_tau", {"type": float}),
+    ("--loss-classification-aggregation", "loss_spec.classification_aggregation",
+     {"choices": AGGREGATION_KINDS}),
+    ("--predset-localization", "predset_spec.localization_kind", {"choices": LOC_SET_KINDS}),
+    ("--predset-classification", "predset_spec.classification_kind", {"choices": CLS_SET_KINDS}),
+    ("--match", "match_spec.kind", {"choices": MATCH_KINDS}),
+    ("--tau", "match_spec.tau",
+     {"type": float, "help": "mixing weight for the mix matching distance"}),
+    ("--prefilter", "prefilter_threshold",
+     {"type": float, "help": "confidence floor applied at ingestion"}),
+    ("--binary-search-steps", "binary_search_steps", {"type": int}),
+)
 
 
 def _build_config(args: argparse.Namespace, raw: dict | None = None) -> CalibrationConfig:
-    """Merge config-file values with command-line overrides (flags win)."""
+    """Merge the CLI defaults, then config-file values, then flags (flags win)."""
     if raw is None:
-        raw = {}
-        if getattr(args, "config", None):
-            raw = _read_json(args.config)
+        raw = _load_json(args.config) if args.config else {}
+        if isinstance(raw, dict):
             raw = raw.get("calibration", raw)
-    raw = dict(raw)
-    raw.setdefault("alpha_cnf", 0.02)
-    raw.setdefault("alpha_loc", 0.05)
-    raw.setdefault("alpha_cls", 0.05)
-    for flag, key in _CONFIG_FLAG_MAP.items():
-        value = getattr(args, flag, None)
+    if not isinstance(raw, dict):
+        raise DataFormatError("calibration config must be a JSON object")
+    raw = {**_DEFAULT_ALPHAS, **raw}
+    for flag, path, _ in _CONFIG_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
-            raw[key] = value
-    loss = raw.setdefault("loss_spec", {})
-    if getattr(args, "loss_confidence", None):
-        loss["confidence_kind"] = args.loss_confidence
-    if getattr(args, "loss_localization", None):
-        loss["localization_kind"] = args.loss_localization
-    if getattr(args, "loss_localization_tau", None) is not None:
-        loss["localization_tau"] = args.loss_localization_tau
-    if getattr(args, "loss_classification_aggregation", None):
-        loss["classification_aggregation"] = args.loss_classification_aggregation
-    predset = raw.setdefault("predset_spec", {})
-    if getattr(args, "predset_localization", None):
-        predset["localization_kind"] = args.predset_localization
-    if getattr(args, "predset_classification", None):
-        predset["classification_kind"] = args.predset_classification
-    match = raw.setdefault("match_spec", {"kind": "hausdorff"})
-    if getattr(args, "match", None):
-        match["kind"] = args.match
-    if getattr(args, "tau", None) is not None:
-        match["tau"] = args.tau
-    if getattr(args, "lambda_loc_min", None) is not None or getattr(args, "lambda_loc_max", None) is not None:
+            spec, _, key = path.rpartition(".")
+            if spec:
+                raw[spec] = {**raw.get(spec, {}), key: value}
+            else:
+                raw[key] = value
+    if args.lambda_loc_min is not None or args.lambda_loc_max is not None:
         lo = args.lambda_loc_min if args.lambda_loc_min is not None else 0.0
         hi = args.lambda_loc_max
         if hi is None:
             raise DataFormatError("--lambda-loc-max is required when --lambda-loc-min is given")
         raw["lambda_loc_bounds"] = [lo, hi]
-    if getattr(args, "no_finite_sample_correction", False):
+    if args.no_finite_sample_correction:
         raw["finite_sample_correction"] = False
     return config_from_dict(raw)
 
@@ -224,18 +223,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         payload = {
             "schema_version": 1,
             "config": config_to_dict(result.config),
-            "report": {
-                "cnf_risk": report.cnf_risk,
-                "loc_risk": report.loc_risk,
-                "cls_risk": report.cls_risk,
-                "global_risk": report.global_risk,
-                "cnf_set_size": report.cnf_set_size,
-                "loc_set_size": report.loc_set_size,
-                "cls_set_size": report.cls_set_size,
-                "n_test": report.n_test,
-                "n_images_without_selection": report.n_images_without_selection,
-                "n_zero_area_boxes_skipped": report.n_zero_area_boxes_skipped,
-            },
+            "report": asdict(report),
         }
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
@@ -254,7 +242,9 @@ def cmd_import_coco(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    raw = _read_json(args.spec) if args.spec else {}
+    raw = _load_json(args.spec) if args.spec else {}
+    if not isinstance(raw, dict):
+        raise DataFormatError(f"{args.spec}: validation spec must be a JSON object")
     synth_raw = dict(raw.get("synth", {}))
     if args.seed is not None:
         synth_raw["seed"] = args.seed
@@ -299,39 +289,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file (flags override its values)")
-    parser.add_argument("--alpha-cnf", dest="alpha_cnf", type=float)
-    parser.add_argument("--alpha-loc", dest="alpha_loc", type=float)
-    parser.add_argument("--alpha-cls", dest="alpha_cls", type=float)
-    parser.add_argument(
-        "--loss-confidence",
-        choices=("box_count_threshold", "box_count_recall"),
-        dest="loss_confidence",
-    )
-    parser.add_argument(
-        "--loss-localization",
-        choices=("thresholded", "boxwise", "pixelwise"),
-        dest="loss_localization",
-    )
-    parser.add_argument("--loss-localization-tau", dest="loss_localization_tau", type=float)
-    parser.add_argument(
-        "--loss-classification-aggregation",
-        choices=("average", "max", "thresholded"),
-        dest="loss_classification_aggregation",
-    )
-    parser.add_argument(
-        "--predset-localization",
-        choices=("additive", "multiplicative"),
-        dest="predset_localization",
-    )
-    parser.add_argument(
-        "--predset-classification", choices=("lac", "aps"), dest="predset_classification"
-    )
-    parser.add_argument("--match", choices=("hausdorff", "lac", "giou", "mix"))
-    parser.add_argument("--tau", type=float, help="mixing weight for the mix matching distance")
-    parser.add_argument("--prefilter", type=float, help="confidence floor applied at ingestion")
-    parser.add_argument("--binary-search-steps", dest="binary_search_steps", type=int)
-    parser.add_argument("--lambda-loc-min", dest="lambda_loc_min", type=float)
-    parser.add_argument("--lambda-loc-max", dest="lambda_loc_max", type=float)
+    for flag, _, keywords in _CONFIG_FLAGS:
+        parser.add_argument(flag, **keywords)
+    parser.add_argument("--lambda-loc-min", type=float)
+    parser.add_argument("--lambda-loc-max", type=float)
     parser.add_argument(
         "--no-finite-sample-correction",
         action="store_true",

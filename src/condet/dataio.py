@@ -12,15 +12,13 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Union
+from typing import Union, get_args, get_origin, get_type_hints
 
 from .calibration import CalibrationConfig, CalibrationResult
 from .geometry import BoundingBox
-from .losses import Detection, ImageSample, LossSpec
-from .matching import MatchDistanceSpec
-from .predsets import PredSetSpec
+from .losses import Detection, ImageSample
 
 __all__ = [
     "DATASET_SCHEMA_VERSION",
@@ -93,12 +91,18 @@ def _is_number(value, kind=(int, float)) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _all_numbers(values) -> bool:
+    # A JSON number loads as exactly ``int`` or ``float``; comparing the
+    # types as a set keeps the check cheap on long probability vectors.
+    return {*map(type, values)} <= {int, float}
+
+
 def _parse_box(raw, where: str) -> BoundingBox:
     _require(
-        isinstance(raw, (list, tuple)) and len(raw) == 4,
-        f"{where}: box must be a 4-element [left, top, right, bottom] array",
+        isinstance(raw, (list, tuple)) and len(raw) == 4 and _all_numbers(raw),
+        f"{where}: box must be a 4-element [left, top, right, bottom] array of numbers",
     )
-    left, top, right, bottom = (float(v) for v in raw)
+    left, top, right, bottom = map(float, raw)
     _require(
         all(math.isfinite(v) for v in (left, top, right, bottom)),
         f"{where}: box coordinates must be finite",
@@ -178,7 +182,8 @@ def read_dataset_file(path: PathLike) -> DatasetFile:
                 isinstance(probs, (list, tuple)) and len(probs) == num_classes,
                 f"{where}: probs must be a length-{num_classes} array",
             )
-            probs = tuple(float(p) for p in probs)
+            _require(_all_numbers(probs), f"{where}: probs must be numbers")
+            probs = tuple(map(float, probs))
             _require(all(p >= 0.0 for p in probs), f"{where}: probs must be non-negative")
             total = math.fsum(probs)
             _require(
@@ -291,6 +296,10 @@ def import_coco(gt_path: PathLike, det_path: PathLike) -> DatasetFile:
 
 
 def _coco_bbox(raw, where: str) -> tuple[float, float, float, float]:
+    _require(
+        isinstance(raw, list) and len(raw) == 4 and _all_numbers(raw),
+        f"{where}: bbox must be an array of 4 numbers",
+    )
     x, y, w, h = (float(v) for v in raw)
     _require(
         all(math.isfinite(v) for v in (x, y, w, h)), f"{where}: bbox values must be finite"
@@ -337,7 +346,11 @@ def _import_coco_parsed(gt, det, gt_path, det_path, categories) -> DatasetFile:
         cat = rec.get("category_id")
         _require(cat in cat_index, f"{det_path}: detection #{j} has unknown category id {cat!r}")
         x, y, w, h = _coco_bbox(rec["bbox"], f"{det_path}: detection #{j}")
-        score = float(rec.get("score", 0.0))
+        score = rec.get("score", 0.0)
+        _require(
+            _is_number(score), f"{det_path}: detection #{j}: score must be a number, got {score!r}"
+        )
+        score = float(score)
         _require(math.isfinite(score), f"{det_path}: detection #{j}: score must be finite")
         scores = rec.get("scores")
         if scores is not None:
@@ -345,7 +358,8 @@ def _import_coco_parsed(gt, det, gt_path, det_path, categories) -> DatasetFile:
                 isinstance(scores, list) and len(scores) == num_classes,
                 f"{det_path}: detection #{j} scores must have length {num_classes}",
             )
-            probs = tuple(float(p) for p in scores)
+            _require(_all_numbers(scores), f"{det_path}: detection #{j}: scores must be numbers")
+            probs = tuple(map(float, scores))
             _require(
                 all(math.isfinite(p) for p in probs),
                 f"{det_path}: detection #{j}: scores must be finite",
@@ -408,51 +422,78 @@ def _import_coco_parsed(gt, det, gt_path, det_path, categories) -> DatasetFile:
 
 
 def config_to_dict(config: CalibrationConfig) -> dict:
-    return {
-        "alpha_cnf": config.alpha_cnf,
-        "alpha_loc": config.alpha_loc,
-        "alpha_cls": config.alpha_cls,
-        "loss_spec": {
-            "confidence_kind": config.loss_spec.confidence_kind,
-            "localization_kind": config.loss_spec.localization_kind,
-            "localization_tau": config.loss_spec.localization_tau,
-            "classification_aggregation": config.loss_spec.classification_aggregation,
-            "aggregation_tau": config.loss_spec.aggregation_tau,
-        },
-        "predset_spec": {
-            "localization_kind": config.predset_spec.localization_kind,
-            "classification_kind": config.predset_spec.classification_kind,
-        },
-        "match_spec": {"kind": config.match_spec.kind, "tau": config.match_spec.tau},
-        "lambda_loc_bounds": list(config.lambda_loc_bounds)
-        if config.lambda_loc_bounds is not None
-        else None,
-        "lambda_cls_bounds": list(config.lambda_cls_bounds),
-        "binary_search_steps": config.binary_search_steps,
-        "prefilter_threshold": config.prefilter_threshold,
-        "finite_sample_correction": config.finite_sample_correction,
-    }
+    """The configuration as JSON-ready data: one key per dataclass field."""
+    return asdict(config)
 
 
 def config_from_dict(raw: dict) -> CalibrationConfig:
+    """Inverse of ``config_to_dict``, checked field by field.
+
+    A missing key takes the dataclass default (inside a nested spec, the
+    default spec's value). Unknown keys, missing ``alpha_*`` values, JSON
+    booleans in numeric fields, a non-boolean ``finite_sample_correction``
+    and every other type mismatch raise ``DataFormatError``; integers are
+    valid in float fields and are kept as given.
+    """
     try:
-        return CalibrationConfig(
-            alpha_cnf=raw["alpha_cnf"],
-            alpha_loc=raw["alpha_loc"],
-            alpha_cls=raw["alpha_cls"],
-            loss_spec=LossSpec(**raw.get("loss_spec", {})),
-            predset_spec=PredSetSpec(**raw.get("predset_spec", {})),
-            match_spec=MatchDistanceSpec(**raw.get("match_spec", {"kind": "hausdorff"})),
-            lambda_loc_bounds=tuple(raw["lambda_loc_bounds"])
-            if raw.get("lambda_loc_bounds") is not None
-            else None,
-            lambda_cls_bounds=tuple(raw.get("lambda_cls_bounds", (0.0, 1.0))),
-            binary_search_steps=raw.get("binary_search_steps", 32),
-            prefilter_threshold=raw.get("prefilter_threshold", 1e-3),
-            finite_sample_correction=raw.get("finite_sample_correction", True),
+        return _from_json(CalibrationConfig, raw, "")
+    except DataFormatError as exc:
+        raise DataFormatError(f"invalid calibration config: {exc}") from None
+
+
+_JSON_SCALARS = {
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: _is_number(v, int)),
+    float: ("a number", _is_number),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def _from_json(tp, value, where: str, base=None):
+    """``value`` checked against the type annotation ``tp``; ``where`` is its
+    dotted key path. A dataclass is built from its own fields; a key missing
+    from ``value`` takes its value from ``base`` if given, else the field's
+    default."""
+    if is_dataclass(tp):
+        label = where or "config"
+        _require(isinstance(value, dict), f"{label} must be an object")
+        known = {f.name: f for f in fields(tp)}
+        unknown = sorted(set(value) - set(known))
+        _require(not unknown, f"unknown keys {unknown} in {label}")
+        if base is None:
+            missing = [
+                name for name, f in known.items()
+                if name not in value and f.default is MISSING and f.default_factory is MISSING
+            ]
+            _require(not missing, f"missing keys {missing} in {label}")
+        hints = get_type_hints(tp)
+        kwargs = {
+            name: _from_json(
+                hints[name], v, f"{where}.{name}".lstrip("."), _default_instance(known[name])
+            )
+            for name, v in value.items()
+        }
+        return replace(base, **kwargs) if base is not None else tp(**kwargs)
+    if get_origin(tp) is Union:  # Optional[...]
+        if value is None:
+            return None
+        (tp,) = (arg for arg in get_args(tp) if arg is not type(None))
+        return _from_json(tp, value, where)
+    if get_origin(tp) is tuple:
+        args = get_args(tp)
+        _require(
+            isinstance(value, (list, tuple)) and len(value) == len(args),
+            f"{where} must be an array of {len(args)} values, got {value!r}",
         )
-    except (KeyError, TypeError) as exc:
-        raise DataFormatError(f"invalid calibration config: {exc}") from exc
+        return tuple(_from_json(arg, v, where) for arg, v in zip(args, value))
+    name, check = _JSON_SCALARS[tp]
+    _require(check(value), f"{where} must be {name}, got {value!r}")
+    return value
+
+
+def _default_instance(f):
+    """A nested spec's default, which a partial object in a file starts from."""
+    return f.default_factory() if f.default_factory is not MISSING else None
 
 
 def config_digest(config: CalibrationConfig) -> str:
@@ -465,13 +506,7 @@ def save_result(result: CalibrationResult, path: PathLike) -> None:
     """Write a calibration result with its config echo and digest."""
     payload = {
         "schema_version": RESULT_SCHEMA_VERSION,
-        "lambda_cnf_plus": result.lambda_cnf_plus,
-        "lambda_cnf_minus": result.lambda_cnf_minus,
-        "lambda_loc_plus": result.lambda_loc_plus,
-        "lambda_cls_plus": result.lambda_cls_plus,
-        "n_calibration": result.n_calibration,
-        "diagnostics": dict(result.diagnostics),
-        "config": config_to_dict(result.config),
+        **asdict(result),
         "config_digest": config_digest(result.config),
     }
     with open(path, "w", encoding="utf-8") as fh:

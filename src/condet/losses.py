@@ -96,8 +96,10 @@ class LossSpec:
             raise ValueError(
                 f"unknown classification aggregation {self.classification_aggregation!r}"
             )
-        if not 0.0 <= self.localization_tau <= 1.0:
-            raise ValueError(f"localization_tau must lie in [0, 1], got {self.localization_tau}")
+        for name in ("localization_tau", "aggregation_tau"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
 def conf_loss(sample: ImageSample, selected_count: int, kind: str) -> float:

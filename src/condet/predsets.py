@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .geometry import BoundingBox
+from .geometry import BoundingBox, hausdorff_distance
 
 if TYPE_CHECKING:  # pragma: no cover
     from .losses import ImageSample
@@ -142,12 +142,7 @@ def margin_to_cover(gt: BoundingBox, pred: BoundingBox, kind: str) -> float:
     cover.
     """
     if kind == "additive":
-        return max(
-            pred.left - gt.left,
-            pred.top - gt.top,
-            gt.right - pred.right,
-            gt.bottom - pred.bottom,
-        )
+        return hausdorff_distance(gt, pred)
     if kind != "multiplicative":
         raise ValueError(f"unknown localization set kind {kind!r}")
     w = pred.width

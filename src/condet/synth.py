@@ -22,7 +22,7 @@ the across-trial mean of each risk must stay below its target level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -301,25 +301,15 @@ def monte_carlo_validate(
     )
 
 
-def report_to_dict(report: ValidationReport) -> dict:
-    def task(summary: TaskSummary) -> dict:
-        return {
-            "alpha": summary.alpha,
-            "mean_risk": summary.mean_risk,
-            "stderr": summary.stderr,
-            "frac_trials_above_alpha": summary.frac_trials_above_alpha,
-        }
+#: ``report_to_dict``'s key for each task summary field of ``ValidationReport``.
+_TASK_KEYS = {
+    "cnf": "confidence", "loc": "localization", "cls": "classification", "global_": "global"
+}
 
-    return {
-        "trials": report.trials,
-        "n_cal": report.n_cal,
-        "n_test": report.n_test,
-        "confidence": task(report.cnf),
-        "localization": task(report.loc),
-        "classification": task(report.cls),
-        "global": task(report.global_),
-        "per_trial_risks": [list(row) for row in report.per_trial_risks],
-    }
+
+def report_to_dict(report: ValidationReport) -> dict:
+    """The report as JSON-ready data, task summaries under their task names."""
+    return {_TASK_KEYS.get(key, key): value for key, value in asdict(report).items()}
 
 
 def format_report_table(report: ValidationReport) -> str:

@@ -353,6 +353,11 @@ class TestCalibrate:
         with pytest.raises(ValueError, match="lambda_loc_bounds must be finite"):
             basic_config(lambda_loc_bounds=(0.0, math.inf))
 
+    @pytest.mark.parametrize("threshold", [float("nan"), 2.0, -1.0])
+    def test_prefilter_threshold_validated(self, threshold):
+        with pytest.raises(ValueError, match="prefilter_threshold must lie in"):
+            basic_config(prefilter_threshold=threshold)
+
     def test_non_finite_box_names_image(self):
         gt = BoundingBox(10, 10, 30, 30)
         samples = [

@@ -100,6 +100,50 @@ class TestCalibrateCommand:
         assert "ground truth #0: class_id False is not an integer" in err and "code=1" in err
         assert not out.exists()
 
+    def test_non_number_box_exit_1(self, dataset_paths, tmp_path, capsys):
+        cal, _ = dataset_paths
+        payload = json.loads(cal.read_text())
+        payload["images"][1]["detections"][0]["box"] = ["1", True, "10", 12]
+        cal.write_text(json.dumps(payload))
+        out = tmp_path / "r.json"
+        code = run(["calibrate", "--dataset", cal, "--out", out, "--alpha-cnf", "0.05"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "detection #0: box must be a 4-element [left, top, right, bottom] array of numbers" in err and "code=1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "calibration, message",
+        [
+            ({"finite_sample_correction": "no"}, "finite_sample_correction must be true or false"),
+            ({"binary_search_steps": True}, "binary_search_steps must be an integer"),
+            ({"loss_spec": {"classification_aggregation": "thresholded",
+                            "aggregation_tau": float("nan")}}, "aggregation_tau must lie in"),
+        ],
+    )
+    def test_invalid_config_file_exit_1(self, dataset_paths, tmp_path, capsys, calibration, message):
+        cal, _ = dataset_paths
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"calibration": {
+            "alpha_cnf": 0.05, "alpha_loc": 0.4, "alpha_cls": 0.4, **calibration,
+        }}))
+        out = tmp_path / "r.json"
+        code = run(["calibrate", "--dataset", cal, "--out", out, "--config", cfg])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err and "code=1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threshold", ["nan", "2"])
+    def test_invalid_prefilter_exit_1(self, dataset_paths, tmp_path, capsys, threshold):
+        # Such a floor dropped every detection and ended in exit 3, "infeasible".
+        cal, _ = dataset_paths
+        code = run(["calibrate", "--dataset", cal, "--out", tmp_path / "r.json",
+                    "--alpha-cnf", "0.05", "--prefilter", threshold])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "prefilter_threshold must lie in [0, 1]" in err and "code=1" in err
+
     def test_config_file_with_flag_override(self, dataset_paths, tmp_path):
         cal, _ = dataset_paths
         cfg = tmp_path / "cfg.json"
@@ -215,6 +259,24 @@ class TestImportCocoCommand:
             "calibrate", "--dataset", native, "--out", tmp_path / "r.json",
             "--alpha-cnf", "0.1", "--alpha-loc", "0.5", "--alpha-cls", "0.5",
         ]) == 0
+
+
+    def test_non_number_score_exit_1(self, tmp_path, capsys):
+        gt = {
+            "images": [{"id": 1, "width": 64, "height": 64}],
+            "annotations": [{"id": 1, "image_id": 1, "category_id": 1, "bbox": [8, 8, 20, 20]}],
+            "categories": [{"id": 1, "name": "thing"}],
+        }
+        det = [{"image_id": 1, "category_id": 1, "bbox": [9, 9, 20, 20], "score": "0.9"}]
+        gt_path = tmp_path / "gt.json"
+        det_path = tmp_path / "det.json"
+        gt_path.write_text(json.dumps(gt))
+        det_path.write_text(json.dumps(det))
+        code = run(["import-coco", "--gt", gt_path, "--detections", det_path,
+                    "--out", tmp_path / "native.json"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "detection #0: score must be a number, got '0.9'" in err and "code=1" in err
 
 
 class TestValidateCommand:

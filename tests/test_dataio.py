@@ -8,6 +8,7 @@ from condet import (
     DataFormatError,
     DigestMismatchError,
     LossSpec,
+    MatchDistanceSpec,
     SchemaVersionError,
     calibrate,
     generate,
@@ -112,6 +113,28 @@ class TestDatasetFile:
             record = "image 'a' detection #1: confidence True is not a number"
         with pytest.raises(DataFormatError, match=record):
             read_dataset_file(write_payload(tmp_path, payload))
+
+    @pytest.mark.parametrize(
+        "record, field, value, message",
+        [
+            ("ground_truths", "box", ["1", True, "10", 12], "box must be a 4-element"),
+            ("detections", "box", [1, 2, None, 12], "box must be a 4-element"),
+            ("detections", "probs", [True, False, False], "probs must be numbers"),
+            ("detections", "probs", ["0.8", "0.1", "0.1"], "probs must be numbers"),
+        ],
+    )
+    def test_non_number_rejected(self, tmp_path, record, field, value, message):
+        payload = two_image_payload()
+        payload["images"][0][record][0][field] = value
+        name = "ground truth" if record == "ground_truths" else "detection"
+        with pytest.raises(DataFormatError, match=f"image 'a' {name} #0: {message}"):
+            read_dataset_file(write_payload(tmp_path, payload))
+
+    def test_integer_probs_accepted(self, tmp_path):
+        payload = two_image_payload()
+        payload["images"][0]["detections"][0]["probs"] = [1, 0, 0]
+        dataset = read_dataset_file(write_payload(tmp_path, payload))
+        assert dataset.images[0].detections[0].probs == (1.0, 0.0, 0.0)
 
     def test_unknown_schema_version(self, tmp_path):
         payload = two_image_payload()
@@ -231,6 +254,37 @@ class TestCocoImport:
         with pytest.raises(DataFormatError, match=f"detection #2: {field} must be finite"):
             import_coco(gt_path, det_path)
 
+    @pytest.mark.parametrize("records", ["annotations", "detections"])
+    def test_non_number_bbox_names_record(self, tmp_path, records):
+        gt_path, det_path = self.coco_pair(tmp_path)
+        path = gt_path if records == "annotations" else det_path
+        raw = json.loads(path.read_text())
+        rows = raw["annotations"] if records == "annotations" else raw
+        rows[1]["bbox"] = ["1", True, "3", "4"]
+        path.write_text(json.dumps(raw))
+        record = "annotation #1" if records == "annotations" else "detection #1"
+        with pytest.raises(DataFormatError, match=f"{record}: bbox must be an array of 4 numbers"):
+            import_coco(gt_path, det_path)
+
+    @pytest.mark.parametrize(
+        "field, value", [("score", "0.9"), ("score", True), ("scores", [0.2, "0.5", 0.3])]
+    )
+    def test_non_number_score_names_record(self, tmp_path, field, value):
+        gt_path, det_path = self.coco_pair(tmp_path, with_scores=True)
+        det = json.loads(det_path.read_text())
+        det[1][field] = value
+        det_path.write_text(json.dumps(det))
+        with pytest.raises(DataFormatError, match=f"detection #1: {field} must be"):
+            import_coco(gt_path, det_path)
+
+    def test_absent_score_defaults_to_zero(self, tmp_path):
+        gt_path, det_path = self.coco_pair(tmp_path)
+        det = json.loads(det_path.read_text())
+        del det[0]["score"]
+        det_path.write_text(json.dumps(det))
+        confidence = import_coco(gt_path, det_path).images[0].detections[0].confidence
+        assert confidence == 0.0 and isinstance(confidence, float)
+
     def test_imported_dataset_is_loadable(self, tmp_path):
         dataset = import_coco(*self.coco_pair(tmp_path, with_scores=True))
         out = tmp_path / "native.json"
@@ -295,3 +349,50 @@ class TestResultPersistence:
         config = self.build_result().config
         other = config_from_dict({**config_to_dict(config), "alpha_cls": 0.31})
         assert config_digest(config) != config_digest(other)
+
+
+class TestConfigFromDict:
+    ALPHAS = {"alpha_cnf": 0.05, "alpha_loc": 0.3, "alpha_cls": 0.3}
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"binary_search_steps": True}, "binary_search_steps must be an integer, got True"),
+            ({"binary_search_steps": 32.0}, "binary_search_steps must be an integer, got 32.0"),
+            ({"finite_sample_correction": "no"}, "finite_sample_correction must be true or false"),
+            ({"finite_sample_correction": 0}, "finite_sample_correction must be true or false"),
+            ({"alpha_cnf": True}, "alpha_cnf must be a number, got True"),
+            ({"prefilter_threshold": "0.01"}, "prefilter_threshold must be a number"),
+            ({"loss_spec": {"localization_tau": "1"}}, "loss_spec.localization_tau must be a number"),
+            ({"loss_spec": {"localization_kind": None}}, "loss_spec.localization_kind must be a string"),
+            ({"lambda_loc_bounds": [0, 1, 5]}, "lambda_loc_bounds must be an array of 2 values"),
+            ({"lambda_cls_bounds": ["0", "1"]}, "lambda_cls_bounds must be a number"),
+            ({"alpha_lco": 0.3}, r"unknown keys \['alpha_lco'\] in config"),
+            ({"match_spec": {"knd": "mix"}}, r"unknown keys \['knd'\] in match_spec"),
+            ({"loss_spec": []}, "loss_spec must be an object"),
+        ],
+    )
+    def test_invalid_value_rejected(self, extra, message):
+        with pytest.raises(DataFormatError, match=f"invalid calibration config: {message}"):
+            config_from_dict({**self.ALPHAS, **extra})
+
+    def test_missing_alpha_rejected(self):
+        with pytest.raises(DataFormatError, match=r"missing keys \['alpha_cls'\] in config"):
+            config_from_dict({"alpha_cnf": 0.05, "alpha_loc": 0.3})
+
+    def test_missing_keys_take_defaults(self):
+        config = config_from_dict({
+            **self.ALPHAS,
+            "loss_spec": {"localization_tau": 1},
+            "match_spec": {"tau": 0.5},
+            "lambda_loc_bounds": [0, 20],
+        })
+        assert config == CalibrationConfig(
+            **self.ALPHAS,
+            loss_spec=LossSpec(localization_tau=1.0),
+            match_spec=MatchDistanceSpec("hausdorff", tau=0.5),
+            lambda_loc_bounds=(0.0, 20.0),
+        )
+        # integers in float fields are kept as given, so the digest is too
+        assert config_to_dict(config)["loss_spec"]["localization_tau"] == 1
+        assert isinstance(config_to_dict(config)["loss_spec"]["localization_tau"], int)

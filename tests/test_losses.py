@@ -210,3 +210,9 @@ class TestSampleInvariants:
             LossSpec(confidence_kind="nope")
         with pytest.raises(ValueError):
             LossSpec(localization_tau=1.5)
+
+    @pytest.mark.parametrize("tau", [float("nan"), 5.0, -1.0])
+    def test_aggregation_tau_validated(self, tau):
+        # A NaN tau made the thresholded classification loss identically 0.
+        with pytest.raises(ValueError, match="aggregation_tau must lie in"):
+            LossSpec(classification_aggregation="thresholded", aggregation_tau=tau)
