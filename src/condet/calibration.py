@@ -26,15 +26,26 @@ Both steps run on one array kernel, ``_PrefixKernel``, built once per call:
   requires: the smallest margin that covers the ground truth
   (``margin_to_cover``), the smallest label-set parameter that contains its
   class (``class_miss_cutoff``; APS via a stable descending argsort and a
-  sequential ``cumsum``) and, for the pixelwise loss, the matched box. A loss
-  at any parameter is then a comparison against these tables.
+  sequential ``cumsum``) and the matched box. A classification loss at any
+  parameter is then a comparison against the cutoffs; a localization loss
+  is the containment or covered-area test on the matched boxes.
 * **Step 1** looks up each row's losses at the loosest second-step
   parameters and walks the breakpoints in visit order.
-* **Step 2** keeps its bisection over the parameter and scores each
-  candidate over all visited rows at once: a per-image maximum
-  (``np.maximum.reduceat``) and a Python ``sum`` in image order. The
-  tables would also give the exact infimum, but that returns different
-  (exact instead of bisected) parameters, so it is left to its own change.
+* **Step 2** returns the smallest feasible parameter (Conformal Risk
+  Control). Its losses change only where a ground truth becomes covered, so
+  the candidates are the domain ends and the requirements of the visited
+  rows' entries; the pixelwise loss changes continuously and uses the fixed
+  grid ``lo + (hi - lo) * j / 2**32``, ``j = 1 .. 2**32``. ``crc_calibrate``
+  shares the search: a bisection over the indices of the sorted candidates
+  (``_smallest_feasible``), exact because every risk is monotone. Each
+  candidate is scored over all visited rows at once: a per-image maximum
+  (``np.maximum.reduceat``) and a Python ``sum`` in image order.
+* **Coverage in floats.** A ground truth is covered when
+  ``contains(apply_margin(box, lam), gt)`` holds, computed with the same
+  operations, so the kernel agrees with ``evaluate`` and ``infer`` at every
+  parameter. ``margin_to_cover`` is the covering margin only in exact
+  arithmetic, so each one is raised to the first float at which that test
+  holds before it becomes a candidate.
 
 The kernel returns the same floats as evaluating each loss one image at a
 time: sums run in the same order (step 1's deltas in visit-then-image order,
@@ -133,7 +144,7 @@ def crc_calibrate(
     Feasibility of the candidate ``lam`` means
     ``(1/(n+1)) * sum_i L_i(lam) + loss_bound/(n+1) <= alpha``. Since the
     curves are step functions, the infimum is attained at a curve breakpoint
-    or at the domain minimum; the scan therefore only visits those points.
+    or at the domain minimum; the search therefore only visits those points.
 
     Raises
     ------
@@ -155,13 +166,36 @@ def crc_calibrate(
     candidates = sorted(
         {lo, hi} | {t for curve in loss_curves for t in curve.thresholds if lo < t <= hi}
     )
-    for cand in candidates:
-        total = sum(curve.value_at(cand) for curve in loss_curves)
-        if total + loss_bound <= alpha * (n + 1):
-            return cand
-    raise InfeasibleRiskError(
-        "no feasible parameter in the domain; loss curves do not vanish at the upper endpoint"
+
+    def feasible(lam: float) -> bool:
+        return sum(curve.value_at(lam) for curve in loss_curves) + loss_bound <= alpha * (n + 1)
+
+    return _smallest_feasible(
+        len(candidates), candidates.__getitem__, feasible,
+        "no feasible parameter in the domain; loss curves do not vanish at the upper endpoint",
     )
+
+
+def _smallest_feasible(count: int, value, feasible, failure: str) -> float:
+    """The first of the ascending candidates ``value(0) .. value(count - 1)``
+    that is ``feasible``.
+
+    Feasibility must be monotone (a candidate above a feasible one is
+    feasible), which every corrected risk here is, since each loss is
+    non-increasing in its parameter; a bisection over the indices then finds
+    the first feasible candidate with about ``log2(count)`` checks. Raises
+    ``InfeasibleRiskError(failure)`` when no candidate is feasible.
+    """
+    lo, hi = 0, count
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(value(mid)):
+            hi = mid
+        else:
+            lo = mid + 1
+    if lo == count:
+        raise InfeasibleRiskError(failure)
+    return value(lo)
 
 
 # --------------------------------------------------------------------------
@@ -187,7 +221,6 @@ class CalibrationConfig:
     match_spec: MatchDistanceSpec = field(default_factory=lambda: MatchDistanceSpec("hausdorff"))
     lambda_loc_bounds: Optional[tuple[float, float]] = None
     lambda_cls_bounds: tuple[float, float] = (0.0, 1.0)
-    binary_search_steps: int = 32
     prefilter_threshold: float = 1e-3
     finite_sample_correction: bool = True
 
@@ -196,8 +229,6 @@ class CalibrationConfig:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {value}")
-        if self.binary_search_steps < 1:
-            raise ValueError("binary_search_steps must be >= 1")
         if not 0.0 <= self.prefilter_threshold <= 1.0:
             raise ValueError(
                 f"prefilter_threshold must lie in [0, 1], got {self.prefilter_threshold}"
@@ -225,11 +256,11 @@ class CalibrationResult:
     lambda_cls_plus: float
     config: CalibrationConfig
     n_calibration: int
-    diagnostics: dict
+    diagnostics: dict[str, float]
 
     def __post_init__(self) -> None:
         if self.lambda_cnf_minus > self.lambda_cnf_plus:
-            raise AssertionError(
+            raise ValueError(
                 "optimistic confidence parameter exceeds the conservative one"
             )
 
@@ -283,6 +314,10 @@ def resolve_config(
 _BLOCK_CELLS = 1 << 14
 
 _CORNERS = attrgetter("left", "top", "right", "bottom")
+
+#: The pixelwise second-step candidates form a fixed grid of 2**_GRID_BITS
+#: steps over the parameter's domain.
+_GRID_BITS = 32
 
 
 def _coords(boxes: list) -> np.ndarray:
@@ -340,12 +375,46 @@ def _margin_to_cover(gt, det, kind: str) -> np.ndarray:
     return need
 
 
+def _margined(det, lam, kind: str) -> tuple:
+    """``predsets.apply_margin`` on arrays of coordinates (the same operations)."""
+    pl, ptop, pr, pb = det
+    if kind == "additive":
+        dx = dy = lam
+    else:
+        dx = lam * (pr - pl)
+        dy = lam * (pb - ptop)
+    return pl - dx, ptop - dy, pr + dx, pb + dy
+
+
+def _contains(outer, inner) -> np.ndarray:
+    """``geometry.contains`` on arrays of coordinates."""
+    ol, otop, orr, ob = outer
+    il, itop, ir, ib = inner
+    return (il >= ol) & (itop >= otop) & (ir <= orr) & (ib <= ob)
+
+
+def _covering_margins(gt, det, kind: str) -> np.ndarray:
+    """``margin_to_cover`` of each pair, every finite non-negative value raised
+    to the first float at which the margined box contains the ground truth.
+
+    ``margin_to_cover`` is that margin in exact arithmetic, but its rounded
+    subtraction or division can land an ulp or so short of it.
+    """
+    need = _margin_to_cover(gt, det, kind)
+    short = np.flatnonzero(np.isfinite(need) & (need >= 0.0))
+    while len(short):
+        short = short[~_contains(_margined(det[:, short], need[short], kind), gt[:, short])]
+        need[short] = np.nextafter(need[short], math.inf)
+    return need
+
+
 def _class_cutoffs(probs, dets: np.ndarray, labels: np.ndarray, kind: str) -> np.ndarray:
     """``predsets.class_miss_cutoff`` of each (detection, label) pair.
 
     APS orders classes by a stable argsort of the negated probabilities (ties
     by ascending class index) and accumulates them with a sequential
-    ``cumsum``, the same additions in the same order as the scalar version.
+    ``cumsum``, the same additions in the same order as the scalar version,
+    and caps the result at 1 as it does.
     """
     k = len(probs[0]) if probs else 1
     keys, inverse = np.unique(dets * k + labels, return_inverse=True)
@@ -362,7 +431,7 @@ def _class_cutoffs(probs, dets: np.ndarray, labels: np.ndarray, kind: str) -> np
         rank = np.argsort(order, axis=1)
         rows = np.arange(len(block))
         out[lo : lo + step] = ahead[rows, rank[rows, block % k]]
-    return out[inverse]
+    return np.minimum(out, 1.0)[inverse]
 
 
 def _prefix_matches(
@@ -500,13 +569,14 @@ class _PrefixKernel:
         pairs, self._pair = np.unique(eg * stride + ed, return_inverse=True)
         pg, pd = np.divmod(pairs, stride)
         self._cutoff = _class_cutoffs(probs, pd, labels[pg], config.predset_spec.classification_kind)
+        self._gt = gt_box[:, pg]
+        self._det = det_box[:, pd]
         if config.loss_spec.localization_kind == "pixelwise":
-            self._gt = gt_box[:, pg]
-            self._det = det_box[:, pd]
             self._gt_area = (self._gt[2] - self._gt[0]) * (self._gt[3] - self._gt[1])
+            self._loc_req = None
         else:
-            self._loc_req = _margin_to_cover(
-                gt_box[:, pg], det_box[:, pd], config.predset_spec.localization_kind
+            self._loc_req = _covering_margins(
+                self._gt, self._det, config.predset_spec.localization_kind
             )
 
     def assignment(self, i: int, k: int) -> tuple:
@@ -528,6 +598,16 @@ class _PrefixKernel:
     def _per_row(self, hits: np.ndarray, nv: int) -> np.ndarray:
         return np.add.reduceat(hits, self._vstart[:nv], dtype=np.int64)
 
+    def requirements(self, task: str, rows: int) -> Optional[np.ndarray]:
+        """The parameters at which a ``task`` loss of the first ``rows`` rows
+        can change: the covering margins or the class cutoffs of their
+        entries. None for the pixelwise loss, which changes continuously."""
+        table = self._cutoff if task == "cls" else self._loc_req
+        if table is None:
+            return None
+        nv = int(np.searchsorted(self._vrows, rows))
+        return table[self._pair[: self._vstart[nv]]]
+
     def loc_losses(self, lam: float, rows: int) -> np.ndarray:
         out = self._base[:rows].copy()
         nv = int(np.searchsorted(self._vrows, rows))
@@ -547,7 +627,9 @@ class _PrefixKernel:
                 total[have] += fractions[starts[have] + j]
             out[self._vrows[:nv]] = 1.0 - total / n_gt
             return out
-        covered = self._per_row((lam >= self._loc_req)[self._pair[:e]], nv) / n_gt
+        kind = self.config.predset_spec.localization_kind
+        inside = _contains(_margined(self._det, lam, kind), self._gt)
+        covered = self._per_row(inside[self._pair[:e]], nv) / n_gt
         if spec.localization_kind == "boxwise":
             out[self._vrows[:nv]] = 1.0 - covered
         else:
@@ -557,15 +639,10 @@ class _PrefixKernel:
     def _covered_fractions(self, lam: float) -> np.ndarray:
         """Covered area fraction of each pair's ground truth at margin ``lam``."""
         gl, gtop, gr, gb = self._gt
-        pl, ptop, pr, pb = self._det
-        if self.config.predset_spec.localization_kind == "additive":
-            dx = dy = lam
-        else:
-            dx = lam * (pr - pl)
-            dy = lam * (pb - ptop)
-        ml, mt, mr, mb = pl - dx, ptop - dy, pr + dx, pb + dy
+        margined = _margined(self._det, lam, self.config.predset_spec.localization_kind)
+        ml, mt, mr, mb = margined
         area = self._gt_area
-        inside = (gl >= ml) & (gtop >= mt) & (gr <= mr) & (gb <= mb)
+        inside = _contains(margined, self._gt)
         # intersect(): a negative extent is the empty box, of area 0
         width = np.minimum(gr, mr) - np.maximum(gl, ml)
         height = np.minimum(gb, mb) - np.maximum(gtop, mt)
@@ -677,11 +754,14 @@ def _sweep_confidence(kernel: _PrefixKernel):
 
 
 def _second_step(kernel: _PrefixKernel, lambda_cnf_minus: float, task: str):
-    """Binary search for the smallest feasible second-step parameter.
+    """Smallest feasible second-step parameter.
 
     Each candidate is scored with the monotonized risk: per image, the
     maximum of the task loss over the confidence breakpoints swept downward
-    from 1 until the first breakpoint at or below ``lambda_cnf_minus``.
+    from 1 until the first breakpoint at or below ``lambda_cnf_minus``. The
+    candidates are the domain ends and the requirements in ``(lo, hi]`` of
+    the visited rows' entries; for the pixelwise loss, the fixed grid
+    ``lo + (hi - lo) * j / 2**_GRID_BITS``, ``j = 1 .. 2**_GRID_BITS``.
     Returns ``(parameter, risk_at_parameter)``.
     """
     cfg = kernel.config
@@ -706,27 +786,29 @@ def _second_step(kernel: _PrefixKernel, lambda_cnf_minus: float, task: str):
             break
     by_image = np.argsort(kernel.row_img[:rows], kind="stable")
     starts = np.searchsorted(kernel.row_img[:rows][by_image], np.arange(n))
+    risks = {}
 
-    feasible = None
-    feasible_risk = math.nan
-    for _ in range(cfg.binary_search_steps):
-        cand = (lo + hi) / 2.0
-        losses = np.maximum.reduceat(loss_at(cand, rows)[by_image], starts)
+    def feasible(lam: float) -> bool:
+        losses = np.maximum.reduceat(loss_at(lam, rows)[by_image], starts)
         # Python's sum in image order; numpy's pairwise sum would round differently.
-        risk = sum(losses.tolist()) / n
-        if n * risk + b <= bound:
-            feasible = cand
-            feasible_risk = risk
-            hi = cand
-        else:
-            lo = cand
-    if feasible is None:
-        raise InfeasibleRiskError(
-            f"no feasible {task} parameter within "
-            f"{cfg.binary_search_steps} search steps; "
-            f"alpha_{task}={alpha} is too small for this data and loss"
-        )
-    return feasible, feasible_risk
+        risks[lam] = risk = sum(losses.tolist()) / n
+        return n * risk + b <= bound
+
+    reqs = kernel.requirements(task, rows)
+    if reqs is None:
+        count = 1 << _GRID_BITS
+
+        def value(j: int) -> float:
+            return lo + (hi - lo) * ((j + 1) / count)
+    else:
+        cands = np.unique(np.concatenate(([lo, hi], reqs[(reqs > lo) & (reqs <= hi)])))
+        count, value = len(cands), cands.tolist().__getitem__
+    lam = _smallest_feasible(
+        count, value, feasible,
+        f"no feasible {task} parameter in [{lo}, {hi}]; "
+        f"alpha_{task}={alpha} is too small for this data and loss",
+    )
+    return lam, risks[lam]
 
 
 # --------------------------------------------------------------------------

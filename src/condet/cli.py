@@ -33,6 +33,7 @@ from .calibration import (
 from .dataio import (
     DataFormatError,
     DigestMismatchError,
+    _from_json,
     _load_json,
     config_digest,
     config_from_dict,
@@ -98,7 +99,6 @@ _CONFIG_FLAGS = (
      {"type": float, "help": "mixing weight for the mix matching distance"}),
     ("--prefilter", "prefilter_threshold",
      {"type": float, "help": "confidence floor applied at ingestion"}),
-    ("--binary-search-steps", "binary_search_steps", {"type": int}),
 )
 
 
@@ -248,12 +248,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
     synth_raw = dict(raw.get("synth", {}))
     if args.seed is not None:
         synth_raw["seed"] = args.seed
-    spec = SynthSpec(**synth_raw)
+    spec = _from_json(SynthSpec, synth_raw, "synth", SynthSpec())
     config = _build_config(args, raw.get("calibration"))
-    trials = args.trials if args.trials is not None else int(raw.get("trials", 20))
-    n_cal = args.n_cal if args.n_cal is not None else int(raw.get("n_cal", 200))
-    n_test = args.n_test if args.n_test is not None else int(raw.get("n_test", 200))
-    slack = args.slack if args.slack is not None else float(raw.get("slack", 0.01))
+
+    def setting(name: str, tp: type, default):
+        flag = getattr(args, name)
+        return flag if flag is not None else _from_json(tp, raw.get(name, default), name)
+
+    trials = setting("trials", int, 20)
+    n_cal = setting("n_cal", int, 200)
+    n_test = setting("n_test", int, 200)
+    slack = setting("slack", float, 0.01)
     report = monte_carlo_validate(spec, config, trials=trials, n_cal=n_cal, n_test=n_test)
     print(format_report_table(report))
     if args.out:

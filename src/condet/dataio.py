@@ -43,7 +43,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 DATASET_SCHEMA_VERSION = 1
-RESULT_SCHEMA_VERSION = 1
+RESULT_SCHEMA_VERSION = 2
 
 PathLike = Union[str, Path]
 
@@ -479,6 +479,10 @@ def _from_json(tp, value, where: str, base=None):
             return None
         (tp,) = (arg for arg in get_args(tp) if arg is not type(None))
         return _from_json(tp, value, where)
+    if get_origin(tp) is dict:
+        _require(isinstance(value, dict), f"{where} must be an object, got {value!r}")
+        _, value_tp = get_args(tp)
+        return {key: _from_json(value_tp, v, f"{where}.{key}") for key, v in value.items()}
     if get_origin(tp) is tuple:
         args = get_args(tp)
         _require(
@@ -515,7 +519,13 @@ def save_result(result: CalibrationResult, path: PathLike) -> None:
 
 
 def load_result(path: PathLike) -> CalibrationResult:
-    """Read a calibration result, verifying schema version and digest."""
+    """Read a calibration result, verifying schema version and digest.
+
+    The result is checked field by field like a config file: the λ's and the
+    diagnostics must be JSON numbers and ``n_calibration`` an integer; every
+    field is required, and any mismatch or inconsistency (such as
+    ``lambda_cnf_minus > lambda_cnf_plus``) raises ``DataFormatError``.
+    """
     raw = _load_json(path)
     _require(isinstance(raw, dict), f"{path}: result file must be an object")
     version = raw.get("schema_version")
@@ -524,23 +534,16 @@ def load_result(path: PathLike) -> CalibrationResult:
             f"{path}: unsupported result schema version {version!r} "
             f"(expected {RESULT_SCHEMA_VERSION})"
         )
-    config = config_from_dict(raw.get("config", {}))
+    body = {k: v for k, v in raw.items() if k not in ("schema_version", "config_digest")}
+    try:
+        result = _from_json(CalibrationResult, body, "result")
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
     stored = raw.get("config_digest")
-    actual = config_digest(config)
+    actual = config_digest(result.config)
     if stored != actual:
         raise DigestMismatchError(
             f"{path}: stored config digest {stored!r} does not match the echoed "
             f"configuration (digest {actual!r}); the file was modified"
         )
-    try:
-        return CalibrationResult(
-            lambda_cnf_plus=float(raw["lambda_cnf_plus"]),
-            lambda_cnf_minus=float(raw["lambda_cnf_minus"]),
-            lambda_loc_plus=float(raw["lambda_loc_plus"]),
-            lambda_cls_plus=float(raw["lambda_cls_plus"]),
-            config=config,
-            n_calibration=int(raw["n_calibration"]),
-            diagnostics=dict(raw.get("diagnostics", {})),
-        )
-    except KeyError as exc:
-        raise DataFormatError(f"{path}: missing result field {exc}") from exc
+    return result

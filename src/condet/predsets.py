@@ -134,12 +134,14 @@ def build_class_set(probs: Sequence[float], lambda_cls: float, kind: str) -> set
 def margin_to_cover(gt: BoundingBox, pred: BoundingBox, kind: str) -> float:
     """Smallest margin parameter at which the margined ``pred`` contains ``gt``.
 
-    For every ``lam >= 0``: ``contains(apply_margin(pred, lam, kind), gt)``
-    holds iff ``lam >= margin_to_cover(gt, pred, kind)``. For the additive
-    margin this is exactly the signed Hausdorff distance (possibly negative);
-    for the multiplicative margin it is the largest per-side deficit divided
-    by the box's width or height, or ``inf`` when a degenerate side can never
-    cover.
+    In exact arithmetic, for every ``lam >= 0``:
+    ``contains(apply_margin(pred, lam, kind), gt)`` holds iff
+    ``lam >= margin_to_cover(gt, pred, kind)``. In floats both sides round,
+    so the containment test can still fail at the returned value or already
+    hold an ulp or more below it. For the additive margin this is exactly the
+    signed Hausdorff distance (possibly negative); for the multiplicative
+    margin it is the largest per-side deficit divided by the box's width or
+    height, or ``inf`` when a degenerate side can never cover.
     """
     if kind == "additive":
         return hausdorff_distance(gt, pred)
@@ -164,12 +166,12 @@ def margin_to_cover(gt: BoundingBox, pred: BoundingBox, kind: str) -> float:
 def class_miss_cutoff(probs: Sequence[float], true_class: int, kind: str) -> float:
     """Smallest ``lambda_cls`` at which ``true_class`` enters the class set.
 
-    Membership is equivalent to ``lambda_cls >= cutoff`` for both set kinds
-    (with the full-set convention at ``lambda_cls = 1`` making the bound
-    trivially true there). For LAC the cutoff is ``1 - probs[true_class]``;
-    for APS it is the cumulative probability strictly ahead of the class in
-    the descending order, accumulated in the same order as ``cls_set_aps``
-    so the two routes agree bit-for-bit.
+    Membership is equivalent to ``lambda_cls >= cutoff`` for both set kinds.
+    For LAC the cutoff is ``1 - probs[true_class]``; for APS it is the
+    cumulative probability strictly ahead of the class in the descending
+    order, accumulated in the same order as ``cls_set_aps`` so the two
+    routes agree bit-for-bit, and capped at 1, where ``cls_set_aps`` returns
+    every class (the sum can round above 1 ahead of a zero-probability class).
     """
     if kind == "lac":
         return 1.0 - probs[true_class]
@@ -178,6 +180,6 @@ def class_miss_cutoff(probs: Sequence[float], true_class: int, kind: str) -> flo
     cum = 0.0
     for k in _aps_order(probs):
         if k == true_class:
-            return cum
+            return min(cum, 1.0)
         cum += probs[k]
     raise ValueError(f"class label {true_class} outside range [0, {len(probs)})")

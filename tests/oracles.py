@@ -1,20 +1,27 @@
-"""Independent grid-search implementations of the calibration rules.
+"""Independent brute-force implementations of the calibration rules.
 
 These deliberately avoid the library's sweep engine: selection, matching and
 losses are evaluated through the public pure functions, the monotonization
 supremum is taken by brute force over an explicit point set, and the infima
-are located by scanning a fixed grid. They exist solely to cross-check
-``seqcrc_step1`` / ``seqcrc_step2``.
+are located by scanning a fixed grid or, for the second step's step-function
+losses, every point where a loss can change. They exist solely to
+cross-check ``seqcrc_step1`` / ``seqcrc_step2``.
 """
 
 from __future__ import annotations
 
 import math
 
-from condet import match
+from condet import contains, match
 from condet.calibration import CalibrationConfig
 from condet.losses import cls_loss, conf_loss, loc_loss
-from condet.predsets import apply_margin, build_class_set, select_confident
+from condet.predsets import (
+    apply_margin,
+    build_class_set,
+    class_miss_cutoff,
+    margin_to_cover,
+    select_confident,
+)
 
 
 def pure_image_losses(sample, lam_cnf, lam_loc, lam_cls, config: CalibrationConfig):
@@ -82,26 +89,16 @@ def grid_step1_oracle(samples, config: CalibrationConfig, grid_step: float = 1e-
     return (1.0 if plus is None else plus, 1.0 if minus is None else minus)
 
 
-def grid_step2_oracle(
-    samples,
-    lam_minus: float,
-    task: str,
-    config: CalibrationConfig,
-    grid_points: int = 1000,
-):
-    """Grid-search the second-step rule at ``grid_points + 1`` candidates.
-
-    The per-image monotonized loss is the maximum of the pure loss over the
-    sweep's evaluation points down to (and including) the first one at or
-    below ``lam_minus``. Returns the smallest feasible candidate or None.
-    """
-    n = len(samples)
+def _task_domain(task: str, config: CalibrationConfig):
     if task == "loc":
-        alpha = config.alpha_loc
-        lo, hi = config.lambda_loc_bounds
-    else:
-        alpha = config.alpha_cls
-        lo, hi = config.lambda_cls_bounds
+        return config.alpha_loc, config.lambda_loc_bounds
+    return config.alpha_cls, config.lambda_cls_bounds
+
+
+def _selection_states(samples, lam_minus: float, config: CalibrationConfig):
+    """Per image, the distinct ``(preds, assignment)`` selection states of the
+    sweep's evaluation points down to (and including) the first one at or
+    below ``lam_minus``: the states the second step monotonizes over."""
     visited = []
     for p in confidence_visit_points(samples):
         visited.append(p)
@@ -121,31 +118,107 @@ def grid_step2_oracle(
             preds = [(sample.detections[k].box, sample.detections[k].probs) for k in sel]
             row.append((preds, match(sample.ground_truths, preds, config.match_spec)))
         states.append(row)
+    return states
+
+
+def _feasible(samples, states, task: str, cand: float, config: CalibrationConfig) -> bool:
+    """The corrected second-step constraint at ``cand``, through the public
+    set-based losses, each image's loss maximized over its states."""
+    n = len(samples)
     spec = config.loss_spec
     loc_kind = config.predset_spec.localization_kind
     cls_kind = config.predset_spec.classification_kind
+    total = 0.0
+    for i, sample in enumerate(samples):
+        worst = 0.0
+        for preds, assignment in states[i]:
+            if task == "loc":
+                margined = [apply_margin(box, cand, loc_kind) for box, _ in preds]
+                value = loc_loss(
+                    sample, assignment, margined, spec.localization_kind,
+                    spec.localization_tau,
+                )
+            else:
+                sets = [build_class_set(pr, cand, cls_kind) for _, pr in preds]
+                value = cls_loss(
+                    sample, assignment, sets, spec.classification_aggregation,
+                    spec.aggregation_tau,
+                )
+            if value > worst:
+                worst = value
+        total += worst
+    risk = total / n
+    alpha, _ = _task_domain(task, config)
+    return n * risk / (n + 1) + 1.0 / (n + 1) <= alpha
+
+
+def grid_step2_oracle(
+    samples,
+    lam_minus: float,
+    task: str,
+    config: CalibrationConfig,
+    grid_points: int = 1000,
+):
+    """Grid-search the second-step rule at ``grid_points + 1`` candidates.
+
+    The per-image monotonized loss is the maximum of the pure loss over the
+    sweep's evaluation points down to (and including) the first one at or
+    below ``lam_minus``. Returns the smallest feasible candidate or None.
+    """
+    _, (lo, hi) = _task_domain(task, config)
+    states = _selection_states(samples, lam_minus, config)
     for k in range(grid_points + 1):
         cand = lo + (hi - lo) * k / grid_points
-        total = 0.0
-        for i, sample in enumerate(samples):
-            worst = 0.0
-            for preds, assignment in states[i]:
+        if _feasible(samples, states, task, cand, config):
+            return cand
+    return None
+
+
+def _first_holding(value: float, holds) -> float:
+    """``value``, raised with ``math.nextafter`` until ``holds(value)``."""
+    while not holds(value):
+        value = math.nextafter(value, math.inf)
+    return value
+
+
+def exact_step2_oracle(samples, lam_minus: float, task: str, config: CalibrationConfig):
+    """Scan every candidate of the exact second-step rule in ascending order.
+
+    A loss other than the pixelwise one changes only where some ground truth
+    of a visited selection state becomes covered by its matched prediction:
+    from ``margin_to_cover`` (or ``class_miss_cutoff``), raised with
+    ``math.nextafter`` until ``contains(apply_margin(...))`` (or membership
+    in ``build_class_set``) holds. The candidates are those points in
+    ``(lo, hi]`` plus both domain ends. Returns the smallest feasible
+    candidate or None. Not for the pixelwise loss, which changes
+    continuously.
+    """
+    _, (lo, hi) = _task_domain(task, config)
+    loc_kind = config.predset_spec.localization_kind
+    cls_kind = config.predset_spec.classification_kind
+    states = _selection_states(samples, lam_minus, config)
+    candidates = {lo, hi}
+    for sample, row in zip(samples, states):
+        for preds, assignment in row:
+            if not preds:
+                continue
+            for (gt_box, label), k in zip(sample.ground_truths, assignment):
+                box, probs = preds[k]
                 if task == "loc":
-                    margined = [apply_margin(box, cand, loc_kind) for box, _ in preds]
-                    value = loc_loss(
-                        sample, assignment, margined, spec.localization_kind,
-                        spec.localization_tau,
+                    need = margin_to_cover(gt_box, box, loc_kind)
+                    if not 0.0 <= need < math.inf:
+                        continue
+                    need = _first_holding(
+                        need, lambda lam: contains(apply_margin(box, lam, loc_kind), gt_box)
                     )
                 else:
-                    sets = [build_class_set(pr, cand, cls_kind) for _, pr in preds]
-                    value = cls_loss(
-                        sample, assignment, sets, spec.classification_aggregation,
-                        spec.aggregation_tau,
+                    need = _first_holding(
+                        class_miss_cutoff(probs, label, cls_kind),
+                        lambda lam: label in build_class_set(probs, lam, cls_kind),
                     )
-                if value > worst:
-                    worst = value
-            total += worst
-        risk = total / n
-        if n * risk / (n + 1) + 1.0 / (n + 1) <= alpha:
+                if lo < need <= hi:
+                    candidates.add(need)
+    for cand in sorted(candidates):
+        if _feasible(samples, states, task, cand, config):
             return cand
     return None

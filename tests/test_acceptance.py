@@ -44,7 +44,7 @@ from condet.calibration import _PrefixKernel, _sweep_confidence
 from condet.losses import ImageSample
 from condet.predsets import apply_margin, build_class_set
 from helpers import random_int_box, random_probs, random_sample
-from oracles import grid_step1_oracle, grid_step2_oracle
+from oracles import exact_step2_oracle, grid_step1_oracle, grid_step2_oracle
 
 
 @contextlib.contextmanager
@@ -124,19 +124,22 @@ class TestCriterion1BruteForceOracle:
                     lo, hi = (
                         config.lambda_loc_bounds if task == "loc" else config.lambda_cls_bounds
                     )
-                    span = hi - lo
-                    resolution = span * 2.0 ** -config.binary_search_steps
-                    tol = span * 1e-3 + resolution + 1e-12
-                    oracle = grid_step2_oracle(samples, minus, task, config)
+                    # the pixelwise loss changes continuously, so only a grid
+                    # can check it; every other loss has an exact infimum
+                    grid = task == "loc" and config.loss_spec.localization_kind == "pixelwise"
+                    oracle = (grid_step2_oracle if grid else exact_step2_oracle)(
+                        samples, minus, task, config
+                    )
                     try:
                         got = seqcrc_step2(samples, minus, task, config)
                     except InfeasibleRiskError:
-                        # the search cannot certify feasibility closer than one
-                        # resolution below the upper endpoint
-                        assert oracle is None or oracle > hi - tol, (trial, task)
+                        assert oracle is None, (trial, task)
                         continue
                     assert oracle is not None, (trial, task)
-                    assert abs(got - oracle) <= tol, (trial, task, got, oracle)
+                    if grid:
+                        assert abs(got - oracle) <= (hi - lo) * 1e-3 + 1e-12, (trial, task, got, oracle)
+                    else:
+                        assert got == oracle, (trial, task, got, oracle)
                     step2_checked += 1
             elapsed = time.time() - start
             assert step1_checked >= 500

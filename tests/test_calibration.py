@@ -24,7 +24,7 @@ from condet import (
 from condet.calibration import _PrefixKernel, _sweep_confidence, resolve_config
 from condet.predsets import select_confident
 from helpers import random_probs, random_sample
-from oracles import grid_step1_oracle, grid_step2_oracle, pure_image_losses
+from oracles import exact_step2_oracle, grid_step1_oracle, grid_step2_oracle, pure_image_losses
 
 
 def covering_detection(gt_box, confidence, k=3, label=0):
@@ -243,12 +243,11 @@ class TestStep2:
             for j in range(3)
         ]
         config = basic_config(alpha_loc=0.5, lambda_loc_bounds=(0.0, 64.0))
-        got = seqcrc_step2(samples, 1.0, "loc", config)
-        assert 0.0 < got <= 64.0 * 2.0 ** -32 + 1e-15
+        assert seqcrc_step2(samples, 1.0, "loc", config) == 0.0
 
     def test_three_image_hand_instance(self):
         # Required additive margins 4, 7 and 12 pixels; one allowed failure
-        # puts the answer at 7 up to binary-search resolution.
+        # puts the exact infimum at 7.
         samples = []
         for j, r in enumerate((4.0, 7.0, 12.0)):
             gt = BoundingBox(0, 0, 10, 10)
@@ -262,8 +261,7 @@ class TestStep2:
             loss_spec=LossSpec(localization_kind="boxwise"),
             lambda_loc_bounds=(0.0, 20.0),
         )
-        got = seqcrc_step2(samples, 1.0, "loc", config)
-        assert abs(got - 7.0) <= 20.0 * 2.0 ** -32 + 1e-12
+        assert seqcrc_step2(samples, 1.0, "loc", config) == 7.0
 
     def test_returned_parameter_feasible_under_reevaluation(self):
         rng = np.random.default_rng(4)
@@ -301,9 +299,11 @@ class TestStep2:
             alpha = config.alpha_loc if task == "loc" else config.alpha_cls
             assert n * risk / (n + 1) + 1.0 / (n + 1) <= alpha + 1e-12
 
-            # just below the final search bracket the constraint must fail
+            # two steps of the pixelwise grid below, the constraint must fail;
+            # for the step-function losses that is also far below any rounding
+            # of the candidate that was returned
             lo, hi = config.lambda_loc_bounds if task == "loc" else config.lambda_cls_bounds
-            resolution = (hi - lo) * 2.0 ** -config.binary_search_steps
+            resolution = (hi - lo) * 2.0 ** -32
             below = got - 2.0 * resolution
             if below > lo:
                 total = 0.0
@@ -446,12 +446,17 @@ class TestOracleAgreementSmoke:
                 lo, hi = (
                     config.lambda_loc_bounds if task == "loc" else config.lambda_cls_bounds
                 )
-                resolution = (hi - lo) * 2.0 ** -config.binary_search_steps
-                oracle = grid_step2_oracle(samples, minus, task, config)
+                grid = task == "loc" and config.loss_spec.localization_kind == "pixelwise"
+                oracle = (grid_step2_oracle if grid else exact_step2_oracle)(
+                    samples, minus, task, config
+                )
                 try:
                     got = seqcrc_step2(samples, minus, task, config)
                 except InfeasibleRiskError:
-                    assert oracle is None or oracle > hi - (hi - lo) * 1e-3 - resolution
+                    assert oracle is None, (trial, task)
                     continue
                 assert oracle is not None, (trial, task)
-                assert abs(got - oracle) <= (hi - lo) * 1e-3 + resolution + 1e-12, (trial, task)
+                if grid:
+                    assert abs(got - oracle) <= (hi - lo) * 1e-3 + 1e-12, (trial, task)
+                else:
+                    assert got == oracle, (trial, task, got, oracle)

@@ -3,6 +3,7 @@
 Boxes lie on a small pixel lattice and confidences and probabilities take a
 few values, so equal distances, duplicate confidences, images without
 detections or without ground truths and single-image sets are all common.
+One test uses off-lattice float boxes, where ``margin_to_cover`` rounds.
 """
 
 import math
@@ -26,7 +27,8 @@ from condet import (
 )
 from condet.calibration import _PrefixKernel
 from condet.matching import MATCH_KINDS
-from condet.predsets import select_confident
+from condet.losses import loc_loss
+from condet.predsets import apply_margin, margin_to_cover, select_confident
 from oracles import pure_image_losses
 
 K = 3
@@ -42,19 +44,29 @@ def boxes(draw, min_extent=1):
 
 
 @st.composite
+def float_boxes(draw):
+    left = draw(st.floats(0.0, 40.0))
+    top = draw(st.floats(0.0, 40.0))
+    width = draw(st.floats(0.1, 20.0))
+    height = draw(st.floats(0.1, 20.0))
+    return BoundingBox(left, top, left + width, top + height)
+
+
+@st.composite
 def probs(draw):
     weights = draw(st.lists(st.integers(0, 3), min_size=K, max_size=K).filter(any))
     return tuple(w / sum(weights) for w in weights)
 
 
 @st.composite
-def images(draw, min_extent=1):
-    gts = draw(st.lists(st.tuples(boxes(min_extent), st.integers(0, K - 1)), max_size=4))
+def images(draw, min_extent=1, box=None):
+    box = boxes(min_extent) if box is None else box
+    gts = draw(st.lists(st.tuples(box, st.integers(0, K - 1)), max_size=4))
     dets = draw(
         st.lists(
             st.builds(
                 Detection,
-                boxes(min_extent),
+                box,
                 probs(),
                 st.sampled_from([0.0, 0.2, 0.5, 0.5, 0.9, 1.0]),
             ),
@@ -64,8 +76,8 @@ def images(draw, min_extent=1):
     return gts, dets
 
 
-def datasets(min_extent=1):
-    return st.lists(images(min_extent), min_size=1, max_size=4).map(
+def datasets(min_extent=1, box=None):
+    return st.lists(images(min_extent, box), min_size=1, max_size=4).map(
         lambda rows: [ImageSample(f"img{i}", tuple(g), tuple(d)) for i, (g, d) in enumerate(rows)]
     )
 
@@ -118,6 +130,42 @@ def test_row_losses_equal_set_based_losses(samples, kind, loc_loss, loc_set, cls
         assert (conf[r], loc[r], cls[r]) == pure_image_losses(samples[i], lam_cnf, lam_loc, lam_cls, config)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    datasets(box=float_boxes()),
+    st.sampled_from(MATCH_KINDS),
+    st.sampled_from(["boxwise", "pixelwise", "thresholded"]),
+    st.sampled_from(["additive", "multiplicative"]),
+)
+def test_loc_losses_equal_set_path_at_requirements(samples, kind, loc_loss_kind, loc_set):
+    # margin_to_cover is the covering margin only in exact arithmetic; at it
+    # and one float below it the containment test can go either way, and
+    # the kernel must follow apply_margin/contains there too.
+    config = config_for(kind, loc_loss_kind, loc_set)
+    kernel = _PrefixKernel(samples, config)
+    lams = set()
+    for sample in samples:
+        for gt_box, _ in sample.ground_truths:
+            for det in sample.detections:
+                need = margin_to_cover(gt_box, det.box, loc_set)
+                if 0.0 <= need < math.inf:
+                    lams.add(need)
+                    lams.add(max(0.0, math.nextafter(need, -math.inf)))
+    states = []
+    for i, k in zip(kernel.row_img.tolist(), kernel.row_k.tolist()):
+        preds = [d.box for d in samples[i].detections[:k]]
+        states.append((samples[i], kernel.assignment(i, k), preds))
+    spec = config.loss_spec
+    for lam in sorted(lams):
+        got = kernel.loc_losses(lam, kernel.n_rows).tolist()
+        want = [
+            loc_loss(sample, assignment, [apply_margin(b, lam, loc_set) for b in preds],
+                     spec.localization_kind, spec.localization_tau)
+            for sample, assignment, preds in states
+        ]
+        assert got == want, lam
+
+
 def _match_raises(samples):
     spec = MatchDistanceSpec("giou")
     for sample in samples:
@@ -153,6 +201,19 @@ def test_single_image_without_detections():
     assert kernel.visit_lams == []
     assert kernel.assignment(0, 0) == (None,)
     assert kernel.loc_losses(math.inf, kernel.n_rows).tolist() == [1.0]
+
+
+def test_aps_set_is_full_at_one():
+    # The other classes' probabilities sum to just above 1 in floats, ahead
+    # of the zero-probability true class; cls_set_aps still returns every
+    # class at lambda_cls = 1, so no class is missed there.
+    probs = (0.23162515822591342, 0.49813085771302895, 0.27024398406105776, 0.0)
+    box = BoundingBox(0, 0, 4, 4)
+    sample = ImageSample("a", ((box, 3),), (Detection(box, probs, 0.9),))
+    config = config_for("hausdorff", cls_set="aps")
+    kernel = _PrefixKernel([sample], config)
+    assert pure_image_losses(sample, 0.1, 0.0, 1.0, config)[2] == 0.0
+    assert kernel.cls_losses(1.0, kernel.n_rows)[0] == 0.0
 
 
 @pytest.mark.parametrize("kind", MATCH_KINDS)

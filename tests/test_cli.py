@@ -116,7 +116,7 @@ class TestCalibrateCommand:
         "calibration, message",
         [
             ({"finite_sample_correction": "no"}, "finite_sample_correction must be true or false"),
-            ({"binary_search_steps": True}, "binary_search_steps must be an integer"),
+            ({"binary_search_steps": 32}, "unknown keys ['binary_search_steps'] in config"),
             ({"loss_spec": {"classification_aggregation": "thresholded",
                             "aggregation_tau": float("nan")}}, "aggregation_tau must lie in"),
         ],
@@ -220,6 +220,26 @@ class TestInferEvaluateCommands:
             "--out", tmp_path / "p.json", "--config", other_cfg,
             "--allow-config-mismatch",
         ]) == 0
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"lambda_cnf_plus": "0.9"}, "result.lambda_cnf_plus must be a number, got '0.9'"),
+            ({"n_calibration": "12"}, "result.n_calibration must be an integer, got '12'"),
+            ({"lambda_cnf_plus": 0.1, "lambda_cnf_minus": 0.2},
+             "optimistic confidence parameter exceeds the conservative one"),
+            ({"schema_version": 1}, "unsupported result schema version 1 (expected 2)"),
+        ],
+    )
+    def test_invalid_result_file_exit_1(self, dataset_paths, tmp_path, capsys, changes, message):
+        result, test = self.calibrated(dataset_paths, tmp_path)
+        result.write_text(json.dumps({**json.loads(result.read_text()), **changes}))
+        capsys.readouterr()
+        code = run(["evaluate", "--result", result, "--dataset", test])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("error code=1") == 1 and message in err
+        assert "Traceback" not in err
 
     def test_evaluate_prints_report(self, dataset_paths, tmp_path, capsys):
         result, test = self.calibrated(dataset_paths, tmp_path)
@@ -340,6 +360,27 @@ class TestValidateCommand:
         code = run(["validate", "--spec", spec, "--no-finite-sample-correction"])
         assert code == 5
         assert "kind=guarantee" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"trials": True}, "trials must be an integer, got True"),
+            ({"n_cal": 25.0}, "n_cal must be an integer, got 25.0"),
+            ({"n_test": "25"}, "n_test must be an integer, got '25'"),
+            ({"slack": "0.5"}, "slack must be a number, got '0.5'"),
+            ({"synth": {"seed": 13, "label_flip_probability": True}},
+             "synth.label_flip_probability must be a number, got True"),
+            ({"synth": {"seed": 13, "n_imgs": 5}}, "unknown keys ['n_imgs'] in synth"),
+        ],
+    )
+    def test_invalid_spec_value_exit_1(self, tmp_path, capsys, overrides, message):
+        spec = self.spec_file(tmp_path, trials=1, n_cal=25, n_test=25)
+        payload = {**json.loads(spec.read_text()), **overrides}
+        spec.write_text(json.dumps(payload))
+        code = run(["validate", "--spec", spec])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err and "code=1" in err
 
     def test_same_tight_spec_passes_with_correction(self, tmp_path):
         spec = self.spec_file(

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -341,6 +342,47 @@ class TestResultPersistence:
         with pytest.raises(SchemaVersionError):
             load_result(path)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("lambda_cnf_plus", "0.9", "result.lambda_cnf_plus must be a number, got '0.9'"),
+            ("lambda_cls_plus", True, "result.lambda_cls_plus must be a number, got True"),
+            ("n_calibration", "12", "result.n_calibration must be an integer, got '12'"),
+            ("n_calibration", 12.0, "result.n_calibration must be an integer, got 12.0"),
+            ("diagnostics", {"cnf_monotonized_risk": "0"}, "result.diagnostics.cnf_monotonized_risk must be a number"),
+            ("diagnostics", [], "result.diagnostics must be an object"),
+            ("lambda_cnf_minus", 2.0, "optimistic confidence parameter exceeds the conservative one"),
+            ("lambda_loc_plus", None, "result.lambda_loc_plus must be a number, got None"),
+        ],
+    )
+    def test_invalid_field_rejected(self, tmp_path, key, value, message):
+        path = tmp_path / "result.json"
+        save_result(self.build_result(), path)
+        raw = json.loads(path.read_text())
+        raw[key] = value
+        path.write_text(json.dumps(raw))
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: {message}")):
+            load_result(path)
+
+    def test_missing_field_rejected(self, tmp_path):
+        path = tmp_path / "result.json"
+        save_result(self.build_result(), path)
+        raw = json.loads(path.read_text())
+        del raw["n_calibration"]
+        path.write_text(json.dumps(raw))
+        with pytest.raises(DataFormatError, match=r"missing keys \['n_calibration'\] in result"):
+            load_result(path)
+
+    def test_version_1_rejected(self, tmp_path):
+        path = tmp_path / "result.json"
+        save_result(self.build_result(), path)
+        raw = json.loads(path.read_text())
+        assert raw["schema_version"] == 2
+        raw["schema_version"] = 1
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SchemaVersionError, match="unsupported result schema version 1"):
+            load_result(path)
+
     def test_config_dict_round_trip(self):
         config = self.build_result().config
         assert config_from_dict(config_to_dict(config)) == config
@@ -357,8 +399,8 @@ class TestConfigFromDict:
     @pytest.mark.parametrize(
         "extra, message",
         [
-            ({"binary_search_steps": True}, "binary_search_steps must be an integer, got True"),
-            ({"binary_search_steps": 32.0}, "binary_search_steps must be an integer, got 32.0"),
+            ({"binary_search_steps": 32}, r"unknown keys \['binary_search_steps'\] in config"),
+            ({"match_spec": {"tau": True}}, "match_spec.tau must be a number, got True"),
             ({"finite_sample_correction": "no"}, "finite_sample_correction must be true or false"),
             ({"finite_sample_correction": 0}, "finite_sample_correction must be true or false"),
             ({"alpha_cnf": True}, "alpha_cnf must be a number, got True"),

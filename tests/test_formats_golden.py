@@ -3,8 +3,13 @@
 Replication rests on the configuration echo and its SHA-256 digest, which
 every result, prediction and report file carries, so the exact bytes of
 these artifacts are part of the interface: a refactor of how they are
-produced must leave them unchanged. The digests below were recorded with the
-hand-written serializers that the dataclass-derived ones replaced.
+produced must leave them unchanged. The digests below were first recorded
+with the hand-written serializers that the dataclass-derived ones replaced,
+and re-recorded once when the second step became an exact search: a
+file-by-file diff against the previous code showed only the removed
+``binary_search_steps`` key and flag, result ``schema_version`` 2 and the new
+second-step λ's with what follows from them (config digests, margined boxes,
+localization set sizes).
 
 Recorded per case (SHA-256 of the exact bytes):
 
@@ -20,10 +25,10 @@ Recorded per case (SHA-256 of the exact bytes):
 
 The CLI cases cover the three benchmark flag sets (``bench/workloads.py``)
 and a grid that uses every ``LossSpec``, ``PredSetSpec`` and
-``MatchDistanceSpec`` kind, non-default bounds, non-default
-``binary_search_steps``, a non-default prefilter, the correction switched
-off, integer values in float fields, config files with and without the
-``calibration`` wrapper, flags overriding file values and the CLI defaults.
+``MatchDistanceSpec`` kind, non-default bounds, a non-default prefilter,
+the correction switched off, integer values in float fields, config files
+with and without the ``calibration`` wrapper, flags overriding file values
+and the CLI defaults.
 """
 
 import contextlib
@@ -77,7 +82,7 @@ CLI_CASES = {
         "--loss-confidence", "box_count_recall", "--loss-localization", "thresholded",
         "--loss-localization-tau", "0.75", "--loss-classification-aggregation", "max",
         "--predset-localization", "multiplicative", "--predset-classification", "aps",
-        "--match", "lac", "--binary-search-steps", "20", "--prefilter", "0.05",
+        "--match", "lac", "--prefilter", "0.05",
         "--lambda-loc-min", "0.5", "--lambda-loc-max", "4", "--no-finite-sample-correction",
     ], None),
     "file-full-with-overrides": ("mc", ["--alpha-loc", "0.35", "--tau", "0.4"], {
@@ -88,7 +93,7 @@ CLI_CASES = {
         "predset_spec": {"localization_kind": "additive", "classification_kind": "lac"},
         "match_spec": {"kind": "mix", "tau": 0.6},
         "lambda_loc_bounds": [0.0, 50.0], "lambda_cls_bounds": [0.1, 1.0],
-        "binary_search_steps": 12, "prefilter_threshold": 0.0005,
+        "prefilter_threshold": 0.0005,
         "finite_sample_correction": False,
     }),
     "file-wrapped-partial": ("mc", ["--match", "hausdorff", "--lambda-loc-max", "30"], {
@@ -104,7 +109,7 @@ CLI_CASES = {
                       "classification_aggregation": "thresholded", "aggregation_tau": 1},
         "match_spec": {"kind": "mix", "tau": 0},
         "lambda_loc_bounds": [0, 20], "lambda_cls_bounds": [0, 1],
-        "binary_search_steps": 8, "prefilter_threshold": 0,
+        "prefilter_threshold": 0,
     }),
     "flags-tau-without-match": ("mc", ["--tau", "0.3", "--predset-classification", "aps"], None),
     "cli-default-alphas": ("mc", ["--alpha-loc", "0.3", "--alpha-cls", "0.3"], None),
@@ -127,7 +132,7 @@ VALIDATE_CASES = {
 }
 
 #: Configurations serialized without running a calibration: every kind of
-#: every spec at least once, non-default bounds, steps, prefilter and taus.
+#: every spec at least once, non-default bounds, prefilter and taus.
 IN_MEMORY_CONFIGS = [
     CalibrationConfig(
         alpha_cnf=0.05, alpha_loc=0.2, alpha_cls=0.15,
@@ -138,7 +143,6 @@ IN_MEMORY_CONFIGS = [
         match_spec=MatchDistanceSpec(kind, tau=0.75),
         lambda_loc_bounds=None if i % 3 == 0 else (0.0, 10.0 * i),
         lambda_cls_bounds=(0.0, 1.0) if i % 2 else (0.05, 0.95),
-        binary_search_steps=32 if i % 2 else 7,
         prefilter_threshold=1e-3 if i % 2 else 0.02,
         finite_sample_correction=bool(i % 4),
     )
@@ -159,7 +163,7 @@ PARTIAL_DICTS = [
     {"alpha_cnf": 0.1, "alpha_loc": 0.2, "alpha_cls": 0.3, "lambda_loc_bounds": None,
      "loss_spec": {"aggregation_tau": 0.1}, "finite_sample_correction": True},
     {"alpha_cnf": 0.1, "alpha_loc": 0.2, "alpha_cls": 0.3, "lambda_loc_bounds": [1, 2],
-     "lambda_cls_bounds": [0.25, 0.5], "binary_search_steps": 1},
+     "lambda_cls_bounds": [0.25, 0.5]},
 ]
 
 
@@ -258,83 +262,83 @@ def record(root) -> dict[str, str]:
 
 
 GOLDEN = {
-    "bench-dense/result": "de20913aa3f1d7db90a6cce4a2799507d29a36a86c302f7fc38ef3e7f9304378",
-    "bench-dense/config_digest": "e9888ff5a3817a85f9f33abdf03297b21595eb04a503ecff7eeb20b6b864caf0",
-    "bench-dense/calibrate-stdout": "e928ad35693b10bc4a6e52d3b53fde4ce36a6bf0a9fc8e9d4cc9d930f51656d3",
-    "bench-dense/predictions": "8cbe22642443b13d46efe80ae376546e5ac52649b99e0a9b5b0be23ad2d607d5",
-    "bench-dense/report": "ab55b14d4b236d77a0901fa0e68cc25d8015e904b6c80855ffb9de6c4850d43b",
+    "bench-dense/result": "f9bc837e63d093d8254853143abad6fcb45a734afe31f676dfbfa5a8eecc6366",
+    "bench-dense/config_digest": "659fcbf92ebcb259cabaf776e75e827ce79d7fc673e73355e141779cf89ca4f5",
+    "bench-dense/calibrate-stdout": "d12e4969854faaf771a80f960c91346a0dcd02b7c1e31284baac3d3281e3817e",
+    "bench-dense/predictions": "2c0077e647be7337ae62b7a7faffdfafca1701f46c608ac2513c6202234d956b",
+    "bench-dense/report": "f34236d042970b348b702b65a755796da23de5e554249cfbefd7cc7613a83b69",
     "bench-dense/evaluate-stdout": "fe13fc3edcdbbbc205f5c29bdd8d32b5d59c43aaa48a066c601a165a447151c3",
-    "bench-cli-pixelwise/result": "8aa824795a4e4b87e2c24e15dd4927d55306a426762009964a4e2443f4211914",
-    "bench-cli-pixelwise/config_digest": "f67bf1cbbdfb4a7ba183c07ca1ff97fe982b154cb25e015be1cd86fe0902a87b",
-    "bench-cli-pixelwise/calibrate-stdout": "379359e807ce9cc36e8212f4382a3b17372be189a995fc8b5c8170f5f394000f",
-    "bench-cli-pixelwise/predictions": "e7ea3cbfd63b1761029a6c5a0079f8feddd88d71f68a7bae9f6223500997e058",
-    "bench-cli-pixelwise/report": "c13a7fea4ae998e4f1e82cd7cda926381454a802a433dc654ab8ddf958f121c7",
+    "bench-cli-pixelwise/result": "38825caafbca6a750b26266425e293cc65a03a395fa602d3ae618022b2a5fefa",
+    "bench-cli-pixelwise/config_digest": "0cc5db5432fe7092dee784e1c3019d237d02b6d33f42e3e4b756c973636b63b5",
+    "bench-cli-pixelwise/calibrate-stdout": "3416d639b85ba7fa207609b2a5a950b410e2a6413e2aaac9398b3cd5de9d63d8",
+    "bench-cli-pixelwise/predictions": "f069ff2cbdb2ef1e7768eb2921453dc8e2308b6b44efb3daec564c39e606d6be",
+    "bench-cli-pixelwise/report": "8dda966f5648fc340daa3322f3ecea210c43d4b230a80881af0684abc7ea31ef",
     "bench-cli-pixelwise/evaluate-stdout": "cb2712eb0c4c0cfa342334856a193ae27f99a9415306c63baf09c270ae0994bd",
-    "bench-mc-small/result": "640492108d23234f62937af75c14e33d5ce0f356438e8c810b3122a36b8955fb",
-    "bench-mc-small/config_digest": "ca986c6a2c7f6300b191d602c7e0a123b22dab5e29103d303a57be513f91a380",
-    "bench-mc-small/calibrate-stdout": "7204db9d62f5c4f8e6eae636c9e762506eef753e9b0dc4e877efe46409450441",
-    "bench-mc-small/predictions": "77be569227a9090e84e33eeccf42a069b2a600d9bb78a2dc66f4690124983c23",
-    "bench-mc-small/report": "506444001cbfa7da36a9227b982df2e2e37ffba5e44dac42d3f6d2b348c06be0",
+    "bench-mc-small/result": "94361f8bb71e192fe67b7410c201a2417d73250baa6fed901ec33e7284f75c8f",
+    "bench-mc-small/config_digest": "385c65b201c6fbe97c008aaddcfdc030beee69e75de81ff97b71d66112280c8a",
+    "bench-mc-small/calibrate-stdout": "577d42a6a3dfad46cbfb062902ce4118c15d16860da8a97e34fcb9c40857a58b",
+    "bench-mc-small/predictions": "da3244a90fc5973e40de59775dcd40bee500d814f2250c31dbe18538d1fbcbf4",
+    "bench-mc-small/report": "b7fa55974c7d55dc7e869334a971e7e6795bb45a858c05bb70e9d0acb64e7106",
     "bench-mc-small/evaluate-stdout": "4bf1764798b604b4ff3575dae262fd6fad61a80864a69b62e6f7082a0e2a7923",
-    "flags-every-switch/result": "ca308b97873b34d46234b850e83e5d9302223eb4b21fa608b5fd89c34826987e",
-    "flags-every-switch/config_digest": "45f8b7496a8d857eed661e0d05af63ea557bf2a9035f7c001d1ed700dd266162",
-    "flags-every-switch/calibrate-stdout": "dce360500f63040a070216215920b353a77927b08b417b116f3465c12c4a22ba",
-    "flags-every-switch/predictions": "bceb806fa6a4875d716ec545538ec752f0679e3f11f41403890a71cc64321d5e",
-    "flags-every-switch/report": "6cf8f826ceac4008281a314e27e205c4d5ac0e3aebcfec219824ae2bce3f227b",
+    "flags-every-switch/result": "dbdf1f0c0efd84d72b0ba6cd91ee3f3d720a1d2983d579f6a6bcb7c63c890245",
+    "flags-every-switch/config_digest": "6263df17440a09fbff96a9b8a0958097fb03bbd71d6be678b2cef8f4282dcde2",
+    "flags-every-switch/calibrate-stdout": "e3144ec22b30e038ffb34121cb0fa67df56a33b9e8677371410a091ff30abe27",
+    "flags-every-switch/predictions": "d71a09be2d4db165423548084403374d5078e9a087b0d78b63d564630f490dc7",
+    "flags-every-switch/report": "f582e630628db5a48ef8b1fcfcf2a686b3bb257123b52b97dc38e8de711468ad",
     "flags-every-switch/evaluate-stdout": "998c727e96fa58752677050a1b5b88dbd30567c919b94220d827dc2452d75c34",
-    "file-full-with-overrides/result": "4ecda7d780254db63ba4bfdf0ffa886efa8c718e803f916a26d048cd0ca2e65d",
-    "file-full-with-overrides/config_digest": "91ea0314ec3bccbf087db0166a0cd2d6b7243ce3c1c35529d9546b5ebe629009",
-    "file-full-with-overrides/calibrate-stdout": "f5b6c387cc566fc36c48aef5c4f0b9ee9ea595d45c922540b4f69c21c9311a39",
-    "file-full-with-overrides/predictions": "41721a68712887b80f348fe2176f9ccd13a923ba6b864e25a7165a996aaa1240",
-    "file-full-with-overrides/report": "d5cd22396fdf3b14c881ff2f966a76171fab6f2e69890ac65b981719c71d29ea",
-    "file-full-with-overrides/evaluate-stdout": "df797d8f51cad8c17118d6636ba7889060cba931a822a7cfaa91bb09c6aa965e",
-    "file-wrapped-partial/result": "6513e02457373c78730deb09d7bd321716448e8b23c6e1e16cdd9f14ae7cc926",
-    "file-wrapped-partial/config_digest": "7d44035d06dc9ab680803e0be75118c74d9dab7d9ae6c7fe6b01f611e7c91bdb",
-    "file-wrapped-partial/calibrate-stdout": "3901207e884b2f43dd6114c8d81e9a1b1b0469a409acc64db930352665f0ffe5",
-    "file-wrapped-partial/predictions": "68ee6d0e403f34898812dd603438e10cb578087aaf0127caa3b8fc9ab60aaa2a",
-    "file-wrapped-partial/report": "9d6aab1b7ab52cc7e2be92fdecddee1c8eb818b8d05283c4cd6282f08e0500ab",
+    "file-full-with-overrides/result": "384b8a4eabb764314b812235ecceb2d175caf9ba6fa66d8dce462b1a505307e9",
+    "file-full-with-overrides/config_digest": "52c0b9d3e59b47d147308d8e4b2e99c5f3d48d29af20674daa90a5b121d6ed69",
+    "file-full-with-overrides/calibrate-stdout": "823e6fb58ba16dda66ed8c8dfc31005873aeb1bc07a4657bf061e74d6e5a10fe",
+    "file-full-with-overrides/predictions": "1db419b6df25bb2c7e5cab1901ec22033e124bd74a5b9e2d4c90b2aa53544b61",
+    "file-full-with-overrides/report": "1c9779058ea4a8298cf870ebb13110e55a5ebe26c3efc4c5fe0b97028d6c95b7",
+    "file-full-with-overrides/evaluate-stdout": "d21c74d9b752f0bff7b6d828ca978726a1e51fb0afaf50e518b0f9cc2a1fb2e2",
+    "file-wrapped-partial/result": "41d2428949c6d136544c1a8926617c525ceebfcba46f74e3b776f8dfd96f85f7",
+    "file-wrapped-partial/config_digest": "b82ea273be1d543e5c37a0a968a893a7462e1296e9c74056a6126a39f98d0216",
+    "file-wrapped-partial/calibrate-stdout": "42e0508e690323e3540d65c6cf366f899c7263dded13d50b9c469e834980f455",
+    "file-wrapped-partial/predictions": "89bf9068baa0149a2363e2022760b8134bb8b0582c0e93bf490f4181f1035d0e",
+    "file-wrapped-partial/report": "e1b43f9457d793e52330adfd23b137a1c7137343d7899ef04c1f95c1aa62531b",
     "file-wrapped-partial/evaluate-stdout": "5c18d5a337cb297e35dc494da00116fabf8e2bd3736dfb1498c570c04ea9f577",
-    "file-integers/result": "c5a364f7e2d4b907b419f306e0f5258f801c58bd2fbb4c65fc36e5d14a5dd8b3",
-    "file-integers/config_digest": "e0290b67a3703778641ce2958a8cacbe1c91963338033a7d55bb5af986c487c0",
-    "file-integers/calibrate-stdout": "65622a8b9056ad5f25f0eb2b414409360e5d23e2723d9e21e833c66d4ac7d41e",
-    "file-integers/predictions": "dd21e32398c3f482f72e0a0deaa0e0cc1bc8223f499c6078b8ca1d1ef77298ec",
-    "file-integers/report": "ba0a1395c149ec961b5c4e397f5ce6bacb3b6c76a50e8c989f63585644021ab9",
-    "file-integers/evaluate-stdout": "ebcf94dfa028333c01d9b722a0358dcb4d7377e37dac00bb8d0f43e1574973cf",
-    "flags-tau-without-match/result": "7b1ea54e1e52b4022613c39064b5e25285a99f3a8bec540fbe8df0f20e68fec2",
-    "flags-tau-without-match/config_digest": "e353998052ff79b331f8bb1e47916798eedb99f5859d7bf1170df6c463f4a3c1",
-    "flags-tau-without-match/calibrate-stdout": "620204eadb35c713c6d4510d2665ae9818f81c26d44f62f41a1cf0d86408e571",
-    "flags-tau-without-match/predictions": "93a4d6868f2ae83ecb71a33caebd3d154c0958e04d1a60f0a8efc798607b840c",
-    "flags-tau-without-match/report": "7d4e9fd3c425304583689965b4697e50c68e81f6dbfc1b05a6b6c80b8d6ad19f",
+    "file-integers/result": "d1aa0c6167d3730241cc9b8f1c700c4ee7cdd8debb935aafb5ece4ce80d4f70a",
+    "file-integers/config_digest": "48affafcdb53a0c3cf95cf23037166046766372aef730db8688f1d0b470ca5d2",
+    "file-integers/calibrate-stdout": "4c86f39728a5c5498e119ce9647cba57d7ad3a7cdfe8aa1e0200b75c37d28352",
+    "file-integers/predictions": "4667781977c903ac96c4e55065887567900b804f3a07a94a1a007af1b60d9751",
+    "file-integers/report": "93e195fc10ed714d7883ecbf44c6d652250b1cad8cf551fba38905c3c527188e",
+    "file-integers/evaluate-stdout": "393b20caa8372f571f0d6b75d4696ea31f38401cb771852656f2ce2bb6d9572e",
+    "flags-tau-without-match/result": "3993c7c46553d4249471230c750d4355e2b0b589fdc9b81d2fea36e979c9672c",
+    "flags-tau-without-match/config_digest": "abee9183fb0251291df572f5b6673f51163730e7b9d8bc1a3a187f0b520ecdc5",
+    "flags-tau-without-match/calibrate-stdout": "efb2e26a3915d559dfd1cf947097cb26a999f9be53909270aacdb766ef342e66",
+    "flags-tau-without-match/predictions": "cae09c2e709ce7852b1cce195b008831ddad2a883ae5cf6b839eae78eba7b154",
+    "flags-tau-without-match/report": "87e4ce71ef45e6aa1cfa3ed6d6492441d54d89723758f5d1a73fe07132f149cd",
     "flags-tau-without-match/evaluate-stdout": "2ef73cf9c44662cf513c92a03a81dce31bb5357f458ebe58490e43d20bd0b92d",
-    "cli-default-alphas/result": "e6e72e6ab62a344ff237ee3f29d09b175a81680c4a2176253e0c36f20b6c4a84",
-    "cli-default-alphas/config_digest": "e6d82b376241d104e969e9cb8eb417633eef8623d10e2a9e88a1140072366270",
-    "cli-default-alphas/calibrate-stdout": "8e0897ecc5d826d37f138dd169eecdfa670d2bb448673ac15453460862b081f2",
-    "cli-default-alphas/predictions": "f51470a69eb0b78b42d11be0b1dea810a930d5040dbac98ec3fe9628438a923f",
-    "cli-default-alphas/report": "6fd9bfba09683622dc51a1b49592792c2101ac6a196510635ccad297e19f7b27",
+    "cli-default-alphas/result": "a610c2d1b66beb8d9c5aa7bf7d244b01357e97f5f89b83fa3410c92e38c9e355",
+    "cli-default-alphas/config_digest": "b24ac8050ccb84eda27b58010fbdb23734556f1a58a0f30a913311899fda1af9",
+    "cli-default-alphas/calibrate-stdout": "0d9dcb0be491c253f64bc66975b036e4c15f19ae0077bce5fe498292bdd0ac4d",
+    "cli-default-alphas/predictions": "5fc5f4786b95d37442f81acd22a18496a74ec9b9740c0b22e0ec35e3712c9d91",
+    "cli-default-alphas/report": "47bf69192e95874cf07898f6505869d5114863c087c1fc90ef585c2cf5a8c7f8",
     "cli-default-alphas/evaluate-stdout": "15bdb1b3c37f72cd61a8aea08758711b3e4c5776076aefbb66a0eb1a95f0a134",
     "validate-spec-with-wrapper/exit": "0",
-    "validate-spec-with-wrapper/report": "c3b5371c0d1da485b2aa13e5a70727c25ad5de5e216323316e41445abe7b23e9",
+    "validate-spec-with-wrapper/report": "641ed4e21f21e0316ada1db7b475a102e97e6be45b13106e609892dedb1c62f0",
     "validate-flags-and-config/exit": "0",
-    "validate-flags-and-config/report": "0bbd261a4b098bbb38c769e9f276d6edd7dad0f3111f7a240023d93f22ba939e",
-    "help/calibrate": "31ec976a20799d44ee7407055bd46ceb9805337699b1a9febcfe1b36fd63d4e3",
-    "help/infer": "10f7cc44700f0ed1eb2b2f71cff8768928fa607dcd9a76d515a0dd3c53d3dc39",
-    "help/validate": "a5bffb82c53eb59e111d1ec588bf13b08abbfc17740cf7cf124f47dc9869cdb2",
-    "in-memory-0/result": "6e48ddcd25a8987ee4044d1e5ad68eb4d84e5cee1f6c5c4a9cd948a8c9d0b03e",
-    "in-memory-0/config_digest": "cacb89470d5c4ed080f0779a608c66b87c673ea09275ccdaa3863acef43f1099",
-    "in-memory-1/result": "1c7b971aa94af62fcefffe2114f595edad7a0163d48902ba8e26fd81198eebb1",
-    "in-memory-1/config_digest": "c1a1edbf262346cce12b70b83e12bf1252338f6a8f47b64e160f62c32b081aec",
-    "in-memory-2/result": "89effe169b248f3b70bce909fcfc9c10ca74d1b675961cf915cb6355d8e271ef",
-    "in-memory-2/config_digest": "1c8724ebaefe30d647f419bf676ac0638d6b797a37131a04cbc6d6ed2e53eb96",
-    "in-memory-3/result": "209eb232e2c30bab84952c63cb0c8e06d1a79c563902a5698bb848a3b01203b1",
-    "in-memory-3/config_digest": "c6d466759be7645cdde36d8a12032b6a0e0d42d730bef09a287b89a819bdc030",
-    "in-memory-4/result": "5e203dcbcbf0ba1589fc710df4ada52c64ef6a95fe1d8df4e378974af240a111",
-    "in-memory-4/config_digest": "15d896d69b31a2f2c087d46c1d95a5bb04b5b5acf9d8856dad07352fd95304e2",
-    "in-memory-5/result": "1db4a9918c11d17662cbc824fc6a0340a23128205dc849f3c0552b71d021bebe",
-    "in-memory-5/config_digest": "0e9d27525a2265ca725a4c007963877366c017eee0b2f68587b0b34f65753012",
-    "partial-0/config_digest": "6b7c6cee1d34e6ff9f7878f83e6ed76432ebcf3ecb5e23dc91d28bba6d1fbb7a",
-    "partial-1/config_digest": "b5942fe5ecca2fe5e98856106d9f7063d5fdbfc92b2ba2654e5855b3ec20f187",
-    "partial-2/config_digest": "69c7a7f796df73f0e7cc9628bae365c2352814871813067537802ba9d2db4059",
-    "partial-3/config_digest": "47eb345011cd113774cf21967518c0ffd468f67af471cbe64284ed3f30da712e",
+    "validate-flags-and-config/report": "696e87405f82be45202e22f8dedd185d0361d9b097759599f286fd81bf9af82e",
+    "help/calibrate": "4b036641cfb53adde390c21bcbf62f79f7cdeec7802c93d111c5c86158be3d13",
+    "help/infer": "49cbfa9111c2d112fabbc6974b6c903953d2d1a8d3710c59631217a5b00deb5b",
+    "help/validate": "7a2108e1474aef2d46914040368e20919fa3025742627ce4286bd83a1be52d68",
+    "in-memory-0/result": "8488d820e8e3b02e946ea2749108451cace17d0d4d389492addaf832a602aaac",
+    "in-memory-0/config_digest": "1c9e8f143e0877d0fde857d59ea657afc38f61049772ec2dfa74ada9e4ff6d88",
+    "in-memory-1/result": "b321cab7fa7c6dcc47b32e0648bdacc53f7de6deeda71838c7b2bd88a265ed24",
+    "in-memory-1/config_digest": "0ffeefb5ea9f83afaa06c0ddecf77855db9b597a135b1f0d9515cc78e77c74f7",
+    "in-memory-2/result": "0462426f1a0c18117622b21c201eaebb85e8fcfca5ed600d1c0777df6d99669a",
+    "in-memory-2/config_digest": "d354920b2455c08a27d66f2860572db44749d39eb4201671f7192c591273991e",
+    "in-memory-3/result": "aabb38d3f498702bf3b931c4da19a57c666e1d836c9d2605ffad3598b9e35c9c",
+    "in-memory-3/config_digest": "e460fe34912b7b019a466efca8337e7e0045c5f666dd2c717869fe8f2b8fd3c8",
+    "in-memory-4/result": "c58224ae4ed3d1075d1f624a17826381840b00bfaebe480959ad541b9f534346",
+    "in-memory-4/config_digest": "21b12ff9e6f98d2212df33be9709acbcfa813d911861612a6abe8f071a029841",
+    "in-memory-5/result": "20209189297402417c0d31b5af03f0287177bd9ea2aa214d7142ec704e5a0b97",
+    "in-memory-5/config_digest": "92291dfd1a7b36a05dae12ed0083df72364d4fe9c91453a2ab46fd009bb57fa0",
+    "partial-0/config_digest": "2a3c6ca8970eeecf9f633b56a88df521fe8aed90cfc519ead64ba31cf89a56f9",
+    "partial-1/config_digest": "7cd54677d5a5a7873322d4a5181265efcf0370fce945252d4d90662402a072d4",
+    "partial-2/config_digest": "ba23b6c002105d7065dc205251c658356ec410d6cc06af141ea460506ad62704",
+    "partial-3/config_digest": "c9f25b4c78d1de2ad2ee811fd67952823a5103f15e70e6c4e9fbae653723062c",
 }
 
 

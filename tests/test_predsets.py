@@ -194,11 +194,12 @@ class TestThresholdDuals:
 
     def test_class_miss_cutoff_matches_membership(self):
         rng = np.random.default_rng(9)
+        # the last vector's first three entries sum to just above 1 in
+        # floats, ahead of its zero-probability class
+        cases = [(random_probs(rng, k), int(rng.integers(k))) for k in rng.integers(2, 9, 500)]
+        cases.append(((0.23162515822591342, 0.49813085771302895, 0.27024398406105776, 0.0), 3))
         for kind in ("lac", "aps"):
-            for _ in range(500):
-                k = int(rng.integers(2, 9))
-                probs = random_probs(rng, k)
-                label = int(rng.integers(k))
+            for probs, label in cases:
                 cutoff = class_miss_cutoff(probs, label, kind)
                 for lam in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.9999, 1.0):
                     member = label in (
