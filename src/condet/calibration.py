@@ -31,15 +31,23 @@ Both steps run on one array kernel, ``_PrefixKernel``, built once per call:
   is the containment or covered-area test on the matched boxes.
 * **Step 1** looks up each row's losses at the loosest second-step
   parameters and walks the breakpoints in visit order.
+* **The confidence cut** (``_PrefixKernel.rows_at``). A confidence
+  parameter ``lam`` reaches the rows of the states at every parameter in
+  ``[lam, 1]``: the ``n`` full prefixes for ``lam >= 1``, else every row up
+  to the end of the first visit whose breakpoint is ``<= lam`` (that visit's
+  state is the one at ``lam``). At ``lambda_cnf_minus = 1`` step 2 therefore
+  sees the full prefixes alone.
 * **Step 2** returns the smallest feasible parameter (Conformal Risk
-  Control). Its losses change only where a ground truth becomes covered, so
+  Control), each image's loss maximized over the rows ``lambda_cnf_minus``
+  reaches. Its losses change only where a ground truth becomes covered, so
   the candidates are the domain ends and the requirements of the visited
   rows' entries; the pixelwise loss changes continuously and uses the fixed
   grid ``lo + (hi - lo) * j / 2**32``, ``j = 1 .. 2**32``. ``crc_calibrate``
   shares the search: a bisection over the indices of the sorted candidates
   (``_smallest_feasible``), exact because every risk is monotone. Each
   candidate is scored over all visited rows at once: a per-image maximum
-  (``np.maximum.reduceat``) and a Python ``sum`` in image order.
+  (``np.maximum.reduceat``) and a left-to-right sum in image order
+  (``_fold_sum``).
 * **Coverage in floats.** A ground truth is covered when
   ``contains(apply_margin(box, lam), gt)`` holds, computed with the same
   operations, so the kernel agrees with ``evaluate`` and ``infer`` at every
@@ -61,6 +69,7 @@ import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import chain
 from operator import attrgetter
 from typing import Optional, Sequence
@@ -168,12 +177,26 @@ def crc_calibrate(
     )
 
     def feasible(lam: float) -> bool:
-        return sum(curve.value_at(lam) for curve in loss_curves) + loss_bound <= alpha * (n + 1)
+        total = _fold_sum([curve.value_at(lam) for curve in loss_curves])
+        return total + loss_bound <= alpha * (n + 1)
 
     return _smallest_feasible(
         len(candidates), candidates.__getitem__, feasible,
         "no feasible parameter in the domain; loss curves do not vanish at the upper endpoint",
     )
+
+
+def _fold_sum(values) -> float:
+    """``(x0 + x1) + x2 ...`` over a non-empty sequence of floats, one
+    rounding per addition in the given order, on every Python version.
+
+    The risk sums behind the feasibility decisions start here (step 1 then
+    updates its sums in place). Python 3.12's ``sum`` compensates its
+    rounding errors and numpy's ``sum`` is pairwise; either can land a risk
+    on the other side of ``alpha * (n + 1)``. ``np.add.accumulate`` adds
+    strictly left to right.
+    """
+    return float(np.add.accumulate(np.asarray(values, dtype=float))[-1])
 
 
 def _smallest_feasible(count: int, value, feasible, failure: str) -> float:
@@ -408,23 +431,41 @@ def _covering_margins(gt, det, kind: str) -> np.ndarray:
     return need
 
 
-def _class_cutoffs(probs, dets: np.ndarray, labels: np.ndarray, kind: str) -> np.ndarray:
-    """``predsets.class_miss_cutoff`` of each (detection, label) pair.
+def _gather_probs(probs, det_img, samples, dets: np.ndarray, classes=None) -> np.ndarray:
+    """``probs[d][c]`` for each detection ``d`` in ``dets`` and the class
+    ``c`` beside it in ``classes``, or each whole vector (one row per
+    detection) when ``classes`` is None. Raises ``ValueError`` naming the
+    image of the first detection with a gathered value that is not a finite
+    number >= 0: every probability the kernel reads passes through here."""
+    if classes is None:
+        values = np.array([probs[d] for d in dets.tolist()], dtype=float)
+    else:
+        cells = zip(dets.tolist(), classes.tolist())
+        values = np.array([probs[d][c] for d, c in cells], dtype=float)
+    bad = ~((values >= 0.0) & (values < math.inf))
+    if bad.ndim > 1:
+        bad = bad.any(axis=1)
+    _first_bad(bad, det_img[dets], samples, "probabilities must be finite and non-negative")
+    return values
+
+
+def _class_cutoffs(gather, k: int, dets: np.ndarray, labels: np.ndarray, kind: str) -> np.ndarray:
+    """``predsets.class_miss_cutoff`` of each (detection, label) pair, with
+    ``gather`` reading the ``k``-class probabilities (``_gather_probs``).
 
     APS orders classes by a stable argsort of the negated probabilities (ties
     by ascending class index) and accumulates them with a sequential
     ``cumsum``, the same additions in the same order as the scalar version,
     and caps the result at 1 as it does.
     """
-    k = len(probs[0]) if probs else 1
     keys, inverse = np.unique(dets * k + labels, return_inverse=True)
     if kind == "lac":
-        return np.array([1.0 - probs[key // k][key % k] for key in keys.tolist()])[inverse]
+        return (1.0 - gather(keys // k, keys % k))[inverse]
     out = np.empty(len(keys))
     step = max(1, _BLOCK_CELLS // k)
     for lo in range(0, len(keys), step):
         block = keys[lo : lo + step]
-        table = np.array([probs[d] for d in (block // k).tolist()], dtype=float).reshape(-1, k)
+        table = gather(block // k)
         order = np.argsort(-table, axis=1, kind="stable")
         ahead = np.zeros_like(table)
         np.cumsum(np.take_along_axis(table, order, axis=1)[:, :-1], axis=1, out=ahead[:, 1:])
@@ -435,10 +476,11 @@ def _class_cutoffs(probs, dets: np.ndarray, labels: np.ndarray, kind: str) -> np
 
 
 def _prefix_matches(
-    spec: MatchDistanceSpec, gt_box, labels, gt_img, det_box, probs, n_gt, n_det
+    spec: MatchDistanceSpec, gt_box, labels, gt_img, det_box, gather, n_gt, n_det
 ) -> np.ndarray:
     """Column ``k - 1`` holds each ground truth's match under its image's
-    first ``k`` detections, as an index into those detections.
+    first ``k`` detections, as an index into those detections; ``gather``
+    reads the probabilities the LAC distances need (``_gather_probs``).
 
     A running argmin over the first k columns that moves only on a strict
     ``<``, which is ``match()``'s lowest-index tie-break; columns past an
@@ -464,9 +506,8 @@ def _prefix_matches(
         d = np.where(valid, det_start[gt_img[g]][:, None] + cols, 0)
         lac = None
         if kind in ("lac", "mix"):
-            cells = zip(d[valid].tolist(), np.broadcast_to(labels[g, None], d.shape)[valid].tolist())
             lac = np.zeros(d.shape)
-            lac[valid] = 1.0 - np.array([probs[a][b] for a, b in cells], dtype=float)
+            lac[valid] = 1.0 - gather(d[valid], np.broadcast_to(labels[g, None], d.shape)[valid])
         with np.errstate(divide="ignore", invalid="ignore"):
             dist = _pair_distances(kind, spec.tau, gt_box[:, g, None], det_box[:, d], lac)
         dist = np.where(valid, dist, math.inf)
@@ -533,19 +574,19 @@ class _PrefixKernel:
         dets = [d for s in samples for d in s.detections]
         det_box = _coords([d.box for d in dets])
         probs = [d.probs for d in dets]
+        gather = partial(_gather_probs, probs, det_img, samples)
         _first_bad(~np.isfinite(gt_box).all(axis=0), gt_img, samples, "non-finite ground-truth box")
         _first_bad(~np.isfinite(det_box).all(axis=0), det_img, samples, "non-finite detection box")
-        if probs:
-            n_classes = len(probs[0])
-            if any(len(p) != n_classes for p in probs):
-                raise ValueError("all probability vectors must have the same length")
-            _first_bad(
-                ((labels < 0) | (labels >= n_classes)) & (n_det[gt_img] > 0),
-                gt_img, samples, f"class label outside [0, {n_classes})",
-            )
+        n_classes = len(probs[0]) if probs else 1
+        if any(len(p) != n_classes for p in probs):
+            raise ValueError("all probability vectors must have the same length")
+        _first_bad(
+            ((labels < 0) | (labels >= n_classes)) & (n_det[gt_img] > 0),
+            gt_img, samples, f"class label outside [0, {n_classes})",
+        )
 
         self._best = _prefix_matches(
-            config.match_spec, gt_box, labels, gt_img, det_box, probs, n_gt, n_det
+            config.match_spec, gt_box, labels, gt_img, det_box, gather, n_gt, n_det
         )
         req = 1.0 - np.array([d.confidence for d in dets], dtype=float)
         self.visit_lams, self.row_img, self.row_k, self.visit_end = _sweep_rows(req, n_det)
@@ -568,7 +609,9 @@ class _PrefixKernel:
         stride = max(len(dets), 1)
         pairs, self._pair = np.unique(eg * stride + ed, return_inverse=True)
         pg, pd = np.divmod(pairs, stride)
-        self._cutoff = _class_cutoffs(probs, pd, labels[pg], config.predset_spec.classification_kind)
+        self._cutoff = _class_cutoffs(
+            gather, n_classes, pd, labels[pg], config.predset_spec.classification_kind
+        )
         self._gt = gt_box[:, pg]
         self._det = det_box[:, pd]
         if config.loss_spec.localization_kind == "pixelwise":
@@ -578,6 +621,14 @@ class _PrefixKernel:
             self._loc_req = _covering_margins(
                 self._gt, self._det, config.predset_spec.localization_kind
             )
+
+    def rows_at(self, lam: float) -> int:
+        """How many rows the confidence parameter ``lam`` reaches (the
+        confidence cut of the module docstring)."""
+        if lam >= 1.0:
+            return self.n
+        ends = (end for b, end in zip(self.visit_lams, self.visit_end) if b <= lam)
+        return next(ends, self.n_rows)
 
     def assignment(self, i: int, k: int) -> tuple:
         """``match(gts, preds[:k])`` of image ``i``, read from the table."""
@@ -696,9 +747,9 @@ def _sweep_confidence(kernel: _PrefixKernel):
     row_img = kernel.row_img.tolist()
 
     l_cnf, l_loc, l_cls = conf[:n], loc[:n], cls[:n]
-    s_cnf = sum(l_cnf)
-    s_loc = sum(l_loc)
-    s_cls = sum(l_cls)
+    s_cnf = _fold_sum(l_cnf)
+    s_loc = _fold_sum(l_loc)
+    s_cls = _fold_sum(l_cls)
 
     risk = max(s_cnf, s_loc, s_cls) / n
     trace = [(1.0, risk)]
@@ -757,8 +808,7 @@ def _second_step(kernel: _PrefixKernel, lambda_cnf_minus: float, task: str):
     """Smallest feasible second-step parameter.
 
     Each candidate is scored with the monotonized risk: per image, the
-    maximum of the task loss over the confidence breakpoints swept downward
-    from 1 until the first breakpoint at or below ``lambda_cnf_minus``. The
+    maximum of the task loss over the rows ``lambda_cnf_minus`` reaches. The
     candidates are the domain ends and the requirements in ``(lo, hi]`` of
     the visited rows' entries; for the pixelwise loss, the fixed grid
     ``lo + (hi - lo) * j / 2**_GRID_BITS``, ``j = 1 .. 2**_GRID_BITS``.
@@ -779,19 +829,14 @@ def _second_step(kernel: _PrefixKernel, lambda_cnf_minus: float, task: str):
     b = 1.0 if cfg.finite_sample_correction else 0.0
     bound = alpha * (n + 1)
 
-    rows = n
-    for lam, end in zip(kernel.visit_lams, kernel.visit_end):
-        rows = end
-        if lam <= lambda_cnf_minus:
-            break
+    rows = kernel.rows_at(lambda_cnf_minus)
     by_image = np.argsort(kernel.row_img[:rows], kind="stable")
     starts = np.searchsorted(kernel.row_img[:rows][by_image], np.arange(n))
     risks = {}
 
     def feasible(lam: float) -> bool:
         losses = np.maximum.reduceat(loss_at(lam, rows)[by_image], starts)
-        # Python's sum in image order; numpy's pairwise sum would round differently.
-        risks[lam] = risk = sum(losses.tolist()) / n
+        risks[lam] = risk = _fold_sum(losses) / n
         return n * risk + b <= bound
 
     reqs = kernel.requirements(task, rows)
@@ -826,6 +871,21 @@ def _check_precondition(config: CalibrationConfig, n: int) -> None:
             )
 
 
+def _kernel(
+    samples: Sequence[ImageSample], config: CalibrationConfig, precondition: bool = False
+) -> _PrefixKernel:
+    """The kernel of a non-empty calibration set under ``config`` with its
+    data-dependent defaults resolved; checks the guarantee's precondition
+    first when asked."""
+    samples = tuple(samples)
+    if not samples:
+        raise ValueError("empty calibration set")
+    config = resolve_config(config, samples)
+    if precondition:
+        _check_precondition(config, len(samples))
+    return _PrefixKernel(samples, config)
+
+
 def seqcrc_step1(
     samples: Sequence[ImageSample], config: CalibrationConfig
 ) -> tuple[float, float]:
@@ -841,12 +901,7 @@ def seqcrc_step1(
     it then carries no guarantee. With the finite-sample correction on this
     always happens when ``alpha_cnf * (n + 1) < 1``.
     """
-    samples = tuple(samples)
-    if not samples:
-        raise ValueError("empty calibration set")
-    config = resolve_config(config, samples)
-    kernel = _PrefixKernel(samples, config)
-    plus, minus, _ = _sweep_confidence(kernel)
+    plus, minus, _ = _sweep_confidence(_kernel(samples, config))
     return plus, minus
 
 
@@ -857,12 +912,7 @@ def seqcrc_step2(
     config: CalibrationConfig,
 ) -> float:
     """Calibrate the second-step parameter for ``task`` ("loc" or "cls")."""
-    samples = tuple(samples)
-    if not samples:
-        raise ValueError("empty calibration set")
-    config = resolve_config(config, samples)
-    kernel = _PrefixKernel(samples, config)
-    lam, _ = _second_step(kernel, lambda_cnf_minus, task)
+    lam, _ = _second_step(_kernel(samples, config), lambda_cnf_minus, task)
     return lam
 
 
@@ -878,13 +928,7 @@ def calibrate(
     domain returns ``lambda_cnf_plus = 1.0`` with a logged warning, as in
     ``seqcrc_step1``.
     """
-    samples = tuple(samples)
-    n = len(samples)
-    if n == 0:
-        raise ValueError("empty calibration set")
-    config = resolve_config(config, samples)
-    _check_precondition(config, n)
-    kernel = _PrefixKernel(samples, config)
+    kernel = _kernel(samples, config, precondition=True)
     plus, minus, trace = _sweep_confidence(kernel)
     lam_loc, loc_risk = _second_step(kernel, minus, "loc")
     lam_cls, cls_risk = _second_step(kernel, minus, "cls")
@@ -900,7 +944,7 @@ def calibrate(
         lambda_cnf_minus=minus,
         lambda_loc_plus=lam_loc,
         lambda_cls_plus=lam_cls,
-        config=config,
-        n_calibration=n,
+        config=kernel.config,
+        n_calibration=kernel.n,
         diagnostics=diagnostics,
     )

@@ -17,7 +17,6 @@ controlled by the CONDET_LOG environment variable (debug/info/warning).
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -34,13 +33,16 @@ from .dataio import (
     DataFormatError,
     DigestMismatchError,
     _from_json,
+    _kept_positions,
     _load_json,
+    _write_json,
     config_digest,
     config_from_dict,
     config_to_dict,
     import_coco,
     load_dataset,
     load_result,
+    read_dataset_file,
     save_result,
     write_dataset_file,
 )
@@ -49,6 +51,7 @@ from .losses import AGGREGATION_KINDS, CONF_LOSS_KINDS, LOC_LOSS_KINDS
 from .matching import MATCH_KINDS
 from .predsets import CLS_SET_KINDS, LOC_SET_KINDS
 from .synth import (
+    VALIDATION_TASKS,
     SynthSpec,
     format_report_table,
     monte_carlo_validate,
@@ -130,6 +133,12 @@ def _build_config(args: argparse.Namespace, raw: dict | None = None) -> Calibrat
     return config_from_dict(raw)
 
 
+def _write_output(path, config: CalibrationConfig, **fields) -> None:
+    """Write an ``infer``, ``evaluate`` or ``validate`` output file: its
+    schema version and the configuration echo, then ``fields``."""
+    _write_json(path, {"schema_version": 1, "config": config_to_dict(config), **fields})
+
+
 def _print_aligned(rows: list[tuple[str, str]]) -> None:
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
@@ -164,16 +173,17 @@ def cmd_infer(args: argparse.Namespace) -> int:
                 "supplied configuration differs from the one the result was "
                 "calibrated with; pass --allow-config-mismatch to proceed"
             )
-    samples = load_dataset(args.dataset, result.config.prefilter_threshold)
     predictions = []
-    for sample in samples:
-        pred = infer(sample.detections, result, image_id=sample.image_id)
+    for rec in read_dataset_file(args.dataset).images:
+        # Selections in file order, each with its position in the file.
+        kept = _kept_positions(rec, result.config.prefilter_threshold)
+        pred = infer([rec.detections[j] for j in kept], result, image_id=rec.image_id)
         predictions.append(
             {
                 "image_id": pred.image_id,
                 "selected": [
                     {
-                        "index": sel.index,
+                        "index": kept[sel.index],
                         "box": list(sel.box.as_tuple()),
                         "margined_box": list(sel.margined_box.as_tuple()),
                         "class_set": sorted(sel.class_labels),
@@ -182,17 +192,14 @@ def cmd_infer(args: argparse.Namespace) -> int:
                 ],
             }
         )
-    payload = {
-        "schema_version": 1,
-        "config": config_to_dict(result.config),
-        "lambda_cnf_plus": result.lambda_cnf_plus,
-        "lambda_loc_plus": result.lambda_loc_plus,
-        "lambda_cls_plus": result.lambda_cls_plus,
-        "predictions": predictions,
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_output(
+        args.out,
+        result.config,
+        lambda_cnf_plus=result.lambda_cnf_plus,
+        lambda_loc_plus=result.lambda_loc_plus,
+        lambda_cls_plus=result.lambda_cls_plus,
+        predictions=predictions,
+    )
     print(f"wrote {len(predictions)} per-image predictions to {args.out}")
     return EXIT_OK
 
@@ -220,14 +227,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         ]
     )
     if args.out:
-        payload = {
-            "schema_version": 1,
-            "config": config_to_dict(result.config),
-            "report": asdict(report),
-        }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_output(args.out, result.config, report=asdict(report))
     return EXIT_OK
 
 
@@ -262,25 +262,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
     report = monte_carlo_validate(spec, config, trials=trials, n_cal=n_cal, n_test=n_test)
     print(format_report_table(report))
     if args.out:
-        payload = {
-            "schema_version": 1,
-            "config": config_to_dict(config),
-            "synth": synth_raw,
-            "slack": slack,
-            "report": report_to_dict(report),
-        }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    violations = [
-        name
-        for name, summary in (
-            ("confidence", report.cnf),
-            ("localization", report.loc),
-            ("classification", report.cls),
-            ("global", report.global_),
+        _write_output(
+            args.out, config, synth=asdict(spec), slack=slack, report=report_to_dict(report)
         )
-        if summary.mean_risk > summary.alpha + slack
+    summaries = {key: getattr(report, field) for field, key, _ in VALIDATION_TASKS}
+    violations = [
+        key for key, summary in summaries.items() if summary.mean_risk > summary.alpha + slack
     ]
     if violations:
         print(
@@ -369,7 +356,7 @@ def main(argv=None) -> int:
         return _fail(EXIT_INFEASIBLE, "infeasible", exc)
     except DigestMismatchError as exc:
         return _fail(EXIT_DIGEST, "digest-mismatch", exc)
-    except (DataFormatError, OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+    except (DataFormatError, OSError, ValueError, KeyError, TypeError) as exc:
         return _fail(EXIT_DATA, "data", exc)
 
 

@@ -97,6 +97,21 @@ def _all_numbers(values) -> bool:
     return {*map(type, values)} <= {int, float}
 
 
+def _load_json(path: PathLike):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def _write_json(path: PathLike, payload, sort_keys: bool = False) -> None:
+    """Write ``payload`` indented by 2, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
+
+
 def _parse_box(raw, where: str) -> BoundingBox:
     _require(
         isinstance(raw, (list, tuple)) and len(raw) == 4 and _all_numbers(raw),
@@ -122,11 +137,7 @@ def read_dataset_file(path: PathLike) -> DatasetFile:
     within 1e-4 and JSON booleans in ``num_classes``, ``class_id`` or
     ``confidence``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
+    raw = _load_json(path)
     _require(isinstance(raw, dict), f"{path}: top level must be an object")
     version = raw.get("schema_version")
     if version != DATASET_SCHEMA_VERSION:
@@ -234,9 +245,12 @@ def write_dataset_file(dataset: DatasetFile, path: PathLike) -> None:
             for rec in dataset.images
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, payload)
+
+
+def _kept_positions(rec: ImageRecord, prefilter_threshold: float) -> list[int]:
+    """Positions in ``rec.detections`` of the detections at or above the floor."""
+    return [j for j, d in enumerate(rec.detections) if d.confidence >= prefilter_threshold]
 
 
 def dataset_to_samples(
@@ -245,7 +259,7 @@ def dataset_to_samples(
     """Convert records to samples, dropping detections below the floor."""
     samples = []
     for rec in dataset.images:
-        kept = tuple(d for d in rec.detections if d.confidence >= prefilter_threshold)
+        kept = tuple(rec.detections[j] for j in _kept_positions(rec, prefilter_threshold))
         samples.append(
             ImageSample(
                 image_id=rec.image_id,
@@ -266,14 +280,6 @@ def load_dataset(path: PathLike, prefilter_threshold: float = 1e-3) -> list[Imag
 # --------------------------------------------------------------------------
 
 
-def _load_json(path: PathLike):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
-
-
 def import_coco(gt_path: PathLike, det_path: PathLike) -> DatasetFile:
     """Convert COCO annotations plus detection results to the native schema.
 
@@ -282,7 +288,8 @@ def import_coco(gt_path: PathLike, det_path: PathLike) -> DatasetFile:
     Detections may carry a per-class ``scores`` array of length K; when it is
     absent, a near-one-hot probability vector is synthesized from the single
     ``score`` and a warning is emitted, because LAC/APS label sets are
-    degenerate on synthesized vectors.
+    degenerate on synthesized vectors. An image id that appears twice in
+    ``images`` raises ``DataFormatError``.
     """
     gt = _load_json(gt_path)
     det = _load_json(det_path)
@@ -315,34 +322,35 @@ def _import_coco_parsed(gt, det, gt_path, det_path, categories) -> DatasetFile:
     num_classes = len(cat_ids)
     class_names = tuple(names_by_id[cid] for cid in cat_ids)
 
-    dims: dict[str, tuple[float, float]] = {}
-    order: list[str] = []
+    # Image id -> (width, height, ground truths, detections), in the order
+    # the ids are first seen: the images list, then annotations, then
+    # detections (an image known only from detections has no ground truth).
+    entries: dict[str, tuple[float, float, list, list]] = {}
+
+    def entry(image_id, width: float = 0.0, height: float = 0.0) -> tuple:
+        return entries.setdefault(str(image_id), (width, height, [], []))
+
     for img in gt.get("images", ()):
         image_id = str(img["id"])
-        dims[image_id] = (float(img.get("width", 0.0)), float(img.get("height", 0.0)))
-        order.append(image_id)
+        _require(
+            image_id not in entries, f"{gt_path}: image id {image_id!r} appears twice in 'images'"
+        )
+        entry(image_id, float(img.get("width", 0.0)), float(img.get("height", 0.0)))
 
-    gts_by_image: dict[str, list] = {image_id: [] for image_id in order}
     for j, ann in enumerate(gt.get("annotations", ())):
-        image_id = str(ann["image_id"])
+        gts = entry(ann["image_id"])[2]
         cat = ann.get("category_id")
         _require(cat in cat_index, f"{gt_path}: annotation #{j} has unknown category id {cat!r}")
         x, y, w, h = _coco_bbox(ann["bbox"], f"{gt_path}: annotation #{j}")
-        gts_by_image.setdefault(image_id, []).append(
-            (BoundingBox.from_xywh(x, y, w, h), cat_index[cat])
-        )
-        if image_id not in dims:
-            dims[image_id] = (0.0, 0.0)
-            order.append(image_id)
+        gts.append((BoundingBox.from_xywh(x, y, w, h), cat_index[cat]))
 
     if isinstance(det, dict):
         det = det.get("annotations", det.get("detections", []))
     _require(isinstance(det, list), f"{det_path}: COCO results must be a JSON array")
     eps = 1e-6
     synthesized = 0
-    dets_by_image: dict[str, list] = {}
     for j, rec in enumerate(det):
-        image_id = str(rec["image_id"])
+        dets = entry(rec["image_id"])[3]
         cat = rec.get("category_id")
         _require(cat in cat_index, f"{det_path}: detection #{j} has unknown category id {cat!r}")
         x, y, w, h = _coco_bbox(rec["bbox"], f"{det_path}: detection #{j}")
@@ -373,19 +381,13 @@ def _import_coco_parsed(gt, det, gt_path, det_path, categories) -> DatasetFile:
                 probs = tuple(
                     1.0 - eps if k == cat_index[cat] else off for k in range(num_classes)
                 )
-        dets_by_image.setdefault(image_id, []).append(
+        dets.append(
             Detection(
                 box=BoundingBox.from_xywh(x, y, w, h),
                 probs=probs,
                 confidence=min(max(score, 0.0), 1.0),
             )
         )
-        if image_id not in dims:
-            # Detections for an image absent from the annotations become an
-            # image with empty ground truth; extent estimated from its boxes.
-            dims[image_id] = (0.0, 0.0)
-            order.append(image_id)
-            gts_by_image.setdefault(image_id, [])
 
     if synthesized:
         log.warning(
@@ -398,21 +400,12 @@ def _import_coco_parsed(gt, det, gt_path, det_path, categories) -> DatasetFile:
         )
 
     images = []
-    for image_id in order:
-        width, height = dims[image_id]
-        dets = tuple(dets_by_image.get(image_id, ()))
+    for image_id, (width, height, gts, dets) in entries.items():
         if width <= 0.0 and dets:
+            # No extent given: estimate it from the detections.
             width = max(d.box.right for d in dets)
             height = max(d.box.bottom for d in dets)
-        images.append(
-            ImageRecord(
-                image_id=image_id,
-                width=width,
-                height=height,
-                ground_truths=tuple(gts_by_image.get(image_id, ())),
-                detections=dets,
-            )
-        )
+        images.append(ImageRecord(image_id, width, height, tuple(gts), tuple(dets)))
     return DatasetFile(num_classes=num_classes, class_names=class_names, images=tuple(images))
 
 
@@ -513,9 +506,7 @@ def save_result(result: CalibrationResult, path: PathLike) -> None:
         **asdict(result),
         "config_digest": config_digest(result.config),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload, sort_keys=True)
 
 
 def load_result(path: PathLike) -> CalibrationResult:

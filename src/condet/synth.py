@@ -301,15 +301,24 @@ def monte_carlo_validate(
     )
 
 
-#: ``report_to_dict``'s key for each task summary field of ``ValidationReport``.
-_TASK_KEYS = {
-    "cnf": "confidence", "loc": "localization", "cls": "classification", "global_": "global"
-}
+#: ``ValidationReport``'s task summaries: the field, its key in
+#: ``report_to_dict`` (and in ``condet validate``'s messages) and its label in
+#: ``format_report_table``.
+VALIDATION_TASKS = tuple(
+    (field, key, label or key)
+    for field, key, label in (
+        ("cnf", "confidence", None),
+        ("loc", "localization", None),
+        ("cls", "classification", None),
+        ("global_", "global", "global(max)"),
+    )
+)
 
 
 def report_to_dict(report: ValidationReport) -> dict:
     """The report as JSON-ready data, task summaries under their task names."""
-    return {_TASK_KEYS.get(key, key): value for key, value in asdict(report).items()}
+    keys = {field: key for field, key, _ in VALIDATION_TASKS}
+    return {keys.get(name, name): value for name, value in asdict(report).items()}
 
 
 def format_report_table(report: ValidationReport) -> str:
@@ -320,14 +329,10 @@ def format_report_table(report: ValidationReport) -> str:
         header,
         "-" * len(header),
     ]
-    for name, summary in (
-        ("confidence", report.cnf),
-        ("localization", report.loc),
-        ("classification", report.cls),
-        ("global(max)", report.global_),
-    ):
+    for field, _, label in VALIDATION_TASKS:
+        summary = getattr(report, field)
         lines.append(
-            f"{name:<16}{summary.alpha:>10.4f}{summary.mean_risk:>12.5f}"
+            f"{label:<16}{summary.alpha:>10.4f}{summary.mean_risk:>12.5f}"
             f"{summary.stderr:>10.5f}{summary.frac_trials_above_alpha:>13.3f}"
         )
     return "\n".join(lines)

@@ -23,7 +23,7 @@ from condet import (
 )
 from condet.calibration import _PrefixKernel, _sweep_confidence, resolve_config
 from condet.predsets import select_confident
-from helpers import random_probs, random_sample
+from helpers import random_int_box, random_probs, random_sample
 from oracles import exact_step2_oracle, grid_step1_oracle, grid_step2_oracle, pure_image_losses
 
 
@@ -320,6 +320,41 @@ class TestStep2:
                 assert n * risk_below / (n + 1) + 1.0 / (n + 1) > alpha - 1e-12
         assert checked > 100
 
+    def test_cut_at_one_takes_the_full_prefixes_alone(self):
+        # Boxes on the pixel lattice and confidences rounded to one decimal,
+        # so some detections have confidence 0 (requirement 1): at
+        # lambda_cnf_minus = 1 they are still selected, and the second step
+        # must not monotonize over the prefixes without them.
+        rng = np.random.default_rng(61)
+        checked = 0
+        for trial in range(120):
+            n = int(rng.integers(3, 8))
+            samples = [
+                ImageSample(
+                    f"img{i}",
+                    tuple((random_int_box(rng, 40), int(rng.integers(0, 3)))
+                          for _ in range(int(rng.integers(0, 3)))),
+                    tuple(Detection(random_int_box(rng, 40), random_probs(rng, 3),
+                                    round(float(rng.uniform(0.0, 1.0)), 1))
+                          for _ in range(int(rng.integers(1, 4)))),
+                )
+                for i in range(n)
+            ]
+            config = replace(random_config(rng, n), alpha_cnf=0.01, lambda_loc_bounds=(0.0, 90.0))
+            if config.loss_spec.localization_kind == "pixelwise":
+                continue
+            if seqcrc_step1(samples, config)[1] != 1.0:
+                continue
+            for task in ("loc", "cls"):
+                oracle = exact_step2_oracle(samples, 1.0, task, config)
+                try:
+                    got = seqcrc_step2(samples, 1.0, task, config)
+                except InfeasibleRiskError:
+                    got = None
+                assert got == oracle, (trial, task, got, oracle)
+                checked += 1
+        assert checked > 50
+
     def test_infeasible_alpha_raises(self):
         gt = BoundingBox(10, 10, 30, 30)
         samples = [
@@ -370,6 +405,33 @@ class TestCalibrate:
             calibrate(samples, basic_config(alpha_cnf=0.1, alpha_loc=0.8, alpha_cls=0.8))
         with pytest.raises(ValueError, match="finite coordinates"):
             calibrate(samples, basic_config(alpha_cnf=0.1, alpha_loc=0.8, alpha_cls=0.8, lambda_loc_bounds=None))
+
+    @pytest.mark.parametrize(
+        "probs, cls_kind, match_kind",
+        [
+            ((math.nan, 0.7), "lac", "hausdorff"),
+            ((math.nan, 0.7), "aps", "giou"),
+            ((-0.25, 1.25), "lac", "hausdorff"),
+            ((0.5, -0.5), "aps", "hausdorff"),
+            ((math.inf, 0.0), "lac", "lac"),
+            ((math.nan, 1.0), "aps", "mix"),
+        ],
+    )
+    def test_invalid_probability_names_image(self, probs, cls_kind, match_kind):
+        # A NaN used to calibrate lambda_cls to 0 with zero risk, and a
+        # negative probability ended as an InfeasibleRiskError.
+        gt = BoundingBox(10, 10, 30, 30)
+        samples = [
+            ImageSample(f"i{j}", ((gt, 0),), (Detection(gt, (0.3, 0.7), 0.8),)) for j in range(40)
+        ]
+        samples[17] = ImageSample("bad", ((gt, 0),), (Detection(gt, probs, 0.8),))
+        config = basic_config(
+            alpha_cnf=0.1, alpha_loc=0.5, alpha_cls=0.5,
+            predset_spec=PredSetSpec(classification_kind=cls_kind),
+            match_spec=MatchDistanceSpec(match_kind),
+        )
+        with pytest.raises(ValueError, match="image 'bad': probabilities must be finite and non-negative"):
+            calibrate(samples, config)
 
     def test_result_fields_and_domains(self):
         rng = np.random.default_rng(7)

@@ -1,8 +1,15 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
-from condet import SynthSpec, generate
+from condet import (
+    CalibrationConfig,
+    CalibrationResult,
+    SynthSpec,
+    generate,
+    save_result,
+)
 from condet.cli import main
 from helpers import samples_to_dataset_file
 
@@ -196,6 +203,28 @@ class TestInferEvaluateCommands:
         payload = json.loads(out.read_text())
         assert payload["predictions"][0]["selected"] == []
 
+    def test_infer_indexes_the_file_detection_list(self, tmp_path):
+        # Detections out of confidence order, one below the prefilter floor:
+        # each selection is named by its position in the file, in file order.
+        config = CalibrationConfig(0.1, 0.3, 0.3, lambda_loc_bounds=(0.0, 10.0))
+        result = tmp_path / "result.json"
+        save_result(CalibrationResult(0.6, 0.5, 1.0, 0.5, config, 10, {}), result)
+        boxes = [[0, 0, 10, 10], [5, 5, 15, 15], [20, 20, 30, 30], [1, 1, 4, 4]]
+        confidences = [0.5, 0.0005, 0.9, 0.2]
+        dataset = tmp_path / "test.json"
+        dataset.write_text(json.dumps({
+            "schema_version": 1, "num_classes": 2,
+            "images": [{"image_id": "x", "width": 64, "height": 64, "ground_truths": [],
+                        "detections": [{"box": box, "confidence": c, "probs": [0.3, 0.7]}
+                                       for box, c in zip(boxes, confidences)]}],
+        }))
+        out = tmp_path / "preds.json"
+        assert run(["infer", "--result", result, "--dataset", dataset, "--out", out]) == 0
+        selected = json.loads(out.read_text())["predictions"][0]["selected"]
+        assert [s["index"] for s in selected] == [0, 2]
+        assert [s["box"] for s in selected] == [boxes[0], boxes[2]]
+        assert selected[0]["margined_box"] == [-1, -1, 11, 11]
+
     def test_infer_digest_mismatch_exit_4(self, dataset_paths, tmp_path, capsys):
         result, test = self.calibrated(dataset_paths, tmp_path)
         other_cfg = tmp_path / "other.json"
@@ -281,6 +310,25 @@ class TestImportCocoCommand:
         ]) == 0
 
 
+    def test_repeated_image_id_exit_1(self, tmp_path, capsys):
+        gt = {
+            "images": [{"id": 1, "width": 64, "height": 64}, {"id": 7, "width": 64, "height": 64},
+                       {"id": 7, "width": 32, "height": 32}],
+            "annotations": [{"id": 1, "image_id": 7, "category_id": 1, "bbox": [8, 8, 20, 20]}],
+            "categories": [{"id": 1, "name": "thing"}],
+        }
+        det = [{"image_id": 7, "category_id": 1, "bbox": [9, 9, 20, 20], "score": 0.9}]
+        gt_path = tmp_path / "gt.json"
+        det_path = tmp_path / "det.json"
+        gt_path.write_text(json.dumps(gt))
+        det_path.write_text(json.dumps(det))
+        out = tmp_path / "native.json"
+        code = run(["import-coco", "--gt", gt_path, "--detections", det_path, "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "image id '7' appears twice" in err and "code=1" in err
+        assert not out.exists()
+
     def test_non_number_score_exit_1(self, tmp_path, capsys):
         gt = {
             "images": [{"id": 1, "width": 64, "height": 64}],
@@ -333,6 +381,21 @@ class TestValidateCommand:
         assert "global(max)" in capsys.readouterr().out
         payload = json.loads(out.read_text())
         assert payload["report"]["localization"]["mean_risk"] == 0.0
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_report_echoes_the_spec_that_ran(self, tmp_path, from_file):
+        # --seed alone (or over a partial spec file) still records every field.
+        args = ["--seed", "5", "--trials", "1", "--n-cal", "30", "--n-test", "10",
+                "--slack", "1", "--alpha-cnf", "0.1", "--alpha-loc", "0.3", "--alpha-cls", "0.3"]
+        spec = SynthSpec(seed=5)
+        if from_file:
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps({"synth": {"seed": 1, "num_classes": 3}}))
+            args += ["--spec", path]
+            spec = SynthSpec(seed=5, num_classes=3)
+        out = tmp_path / "report.json"
+        assert run(["validate", "--out", out] + args) == 0
+        assert json.loads(out.read_text())["synth"] == asdict(spec)
 
     def test_negative_control_trips_exit_5(self, tmp_path, capsys):
         # Small calibration sets make the missing worst-case correction

@@ -220,6 +220,27 @@ class TestCocoImport:
         dataset = import_coco(*self.coco_pair(tmp_path))
         assert sum(len(rec.ground_truths) for rec in dataset.images) == 2
 
+    def test_image_order_and_extent_fallback(self, tmp_path):
+        gt_path, det_path = self.coco_pair(tmp_path)
+        gt = json.loads(gt_path.read_text())
+        gt["annotations"].append({"id": 12, "image_id": 4, "category_id": 3, "bbox": [0, 0, 5, 5]})
+        gt_path.write_text(json.dumps(gt))
+        dataset = import_coco(gt_path, det_path)
+        # the images list, then ids first seen in annotations, then in detections
+        assert [rec.image_id for rec in dataset.images] == ["1", "2", "4", "5"]
+        assert [(rec.width, rec.height) for rec in dataset.images] == [
+            (100.0, 80.0), (100.0, 80.0), (0.0, 0.0), (4.0, 4.0)
+        ]
+
+    def test_repeated_image_id_rejected(self, tmp_path):
+        # It became two records, each carrying every box of that image.
+        gt_path, det_path = self.coco_pair(tmp_path)
+        gt = json.loads(gt_path.read_text())
+        gt["images"].append({"id": 2, "width": 50, "height": 50})
+        gt_path.write_text(json.dumps(gt))
+        with pytest.raises(DataFormatError, match="image id '2' appears twice in 'images'"):
+            import_coco(gt_path, det_path)
+
     def test_unknown_category_rejected(self, tmp_path):
         gt_path, det_path = self.coco_pair(tmp_path)
         det = json.loads(det_path.read_text())

@@ -9,7 +9,10 @@ and re-recorded once when the second step became an exact search: a
 file-by-file diff against the previous code showed only the removed
 ``binary_search_steps`` key and flag, result ``schema_version`` 2 and the new
 second-step λ's with what follows from them (config digests, margined boxes,
-localization set sizes).
+localization set sizes). The two ``validate --out`` reports were re-recorded
+once more when they began to echo the ``SynthSpec`` that ran, defaults
+included, instead of the spec file's ``synth`` object: the same diff showed
+only that object changed.
 
 Recorded per case (SHA-256 of the exact bytes):
 
@@ -317,9 +320,9 @@ GOLDEN = {
     "cli-default-alphas/report": "47bf69192e95874cf07898f6505869d5114863c087c1fc90ef585c2cf5a8c7f8",
     "cli-default-alphas/evaluate-stdout": "15bdb1b3c37f72cd61a8aea08758711b3e4c5776076aefbb66a0eb1a95f0a134",
     "validate-spec-with-wrapper/exit": "0",
-    "validate-spec-with-wrapper/report": "641ed4e21f21e0316ada1db7b475a102e97e6be45b13106e609892dedb1c62f0",
+    "validate-spec-with-wrapper/report": "420e565de5ef3b78c9cd1728643473a9e52dc1c3124f6b4e844eb34b221051bb",
     "validate-flags-and-config/exit": "0",
-    "validate-flags-and-config/report": "696e87405f82be45202e22f8dedd185d0361d9b097759599f286fd81bf9af82e",
+    "validate-flags-and-config/report": "4b23cc81b5209953e99520f721fa430665001441d163953ca6474b0e21dbd63d",
     "help/calibrate": "4b036641cfb53adde390c21bcbf62f79f7cdeec7802c93d111c5c86158be3d13",
     "help/infer": "49cbfa9111c2d112fabbc6974b6c903953d2d1a8d3710c59631217a5b00deb5b",
     "help/validate": "7a2108e1474aef2d46914040368e20919fa3025742627ce4286bd83a1be52d68",
