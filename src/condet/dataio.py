@@ -112,35 +112,130 @@ def _write_json(path: PathLike, payload, sort_keys: bool = False) -> None:
         fh.write("\n")
 
 
-def _parse_box(raw, where: str) -> BoundingBox:
-    _require(
-        isinstance(raw, (list, tuple)) and len(raw) == 4 and _all_numbers(raw),
-        f"{where}: box must be a 4-element [left, top, right, bottom] array of numbers",
-    )
-    left, top, right, bottom = map(float, raw)
-    _require(
-        all(math.isfinite(v) for v in (left, top, right, bottom)),
-        f"{where}: box coordinates must be finite",
-    )
-    _require(
-        left <= right and top <= bottom,
-        f"{where}: box corners out of order (left<=right, top<=bottom required)",
-    )
+def _as_floats(values: list, message: str) -> list:
+    """``values`` with every entry a float: the list itself when it already
+    is, else a converted copy. Raises with ``message`` on a non-number."""
+    if [*map(type, values)].count(float) == len(values):
+        return values
+    if not _all_numbers(values):
+        raise DataFormatError(message)
+    return [*map(float, values)]
+
+
+def _box(raw) -> BoundingBox:
+    message = "box must be a 4-element [left, top, right, bottom] array of numbers"
+    if not (isinstance(raw, list) and len(raw) == 4):
+        raise DataFormatError(message)
+    left, top, right, bottom = _as_floats(raw, message)
+    isfinite = math.isfinite
+    if not (isfinite(left) and isfinite(top) and isfinite(right) and isfinite(bottom)):
+        raise DataFormatError("box coordinates must be finite")
+    if not (left <= right and top <= bottom):
+        raise DataFormatError("box corners out of order (left<=right, top<=bottom required)")
     return BoundingBox(left, top, right, bottom)
 
 
-def read_dataset_file(path: PathLike) -> DatasetFile:
-    """Parse and validate a native dataset file.
+def _ground_truth(raw, num_classes: int) -> tuple[BoundingBox, int]:
+    if not isinstance(raw, dict):
+        raise DataFormatError("must be an object")
+    box = _box(raw.get("box"))
+    label = raw.get("class_id")
+    if not (_is_number(label, int) and 0 <= label < num_classes):
+        raise DataFormatError(f"class_id {label!r} is not an integer in [0, {num_classes})")
+    return box, label
 
-    Raises ``DataFormatError`` naming the offending image and record on any
-    schema violation, including probability vectors that do not sum to one
-    within 1e-4 and JSON booleans in ``num_classes``, ``class_id`` or
-    ``confidence``.
+
+def _detection(raw, num_classes: int) -> Detection:
+    if not isinstance(raw, dict):
+        raise DataFormatError("must be an object")
+    box = _box(raw.get("box"))
+    confidence = raw.get("confidence")
+    if not (_is_number(confidence) and 0.0 <= confidence <= 1.0):
+        raise DataFormatError(f"confidence {confidence!r} is not a number in [0, 1]")
+    probs = raw.get("probs")
+    if not (isinstance(probs, list) and len(probs) == num_classes):
+        raise DataFormatError(f"probs must be a length-{num_classes} array")
+    probs = _as_floats(probs, "probs must be numbers")
+    # min() compares each entry with the running minimum, so it finds a NaN
+    # only in the first entry; a NaN elsewhere makes the sums NaN below.
+    if not min(probs) >= 0.0:
+        raise DataFormatError("probs must be non-negative")
+    # The plain sum of n non-negative floats lies within n * 2**-52 of the
+    # exact sum, relative to it: inside the tolerance by more than that, it
+    # decides the check as the exact sum would. Only a sum near or past the
+    # bound, NaN or infinite is summed exactly.
+    if not abs(sum(probs) - 1.0) <= 1e-4 - num_classes * 1e-15:
+        try:
+            total = math.fsum(probs)
+        except OverflowError:  # finite entries whose sum exceeds the float range
+            total = math.inf
+        if not abs(total - 1.0) <= 1e-4:
+            if not all(p >= 0.0 for p in probs):
+                raise DataFormatError("probs must be non-negative")
+            raise DataFormatError(f"probs sum to {total:.6f}, expected 1 within 1e-4")
+    return Detection(box, probs, float(confidence))
+
+
+def _parse_records(parse, raws: list, num_classes: int, image: str, kind: str) -> tuple:
+    """``parse`` applied to each raw record; a failure is prefixed with the
+    record's name, ``<image> <kind> #<index>``."""
+    out = []
+    try:
+        for j, raw in enumerate(raws):
+            out.append(parse(raw, num_classes))
+    except DataFormatError as exc:
+        raise DataFormatError(f"{image} {kind} #{j}: {exc}") from None
+    return tuple(out)
+
+
+def _extent(rec: dict, key: str, image: str) -> float:
+    value = rec.get(key, 0.0)
+    if not (_is_number(value) and 0.0 <= value < math.inf):
+        raise DataFormatError(f"{image}: {key} must be a finite number >= 0, got {value!r}")
+    return float(value)
+
+
+def _image(rec, n: int, num_classes: int, path: PathLike) -> ImageRecord:
+    if not isinstance(rec, dict):
+        raise DataFormatError(f"{path}: image record #{n} must be an object")
+    image_id = rec.get("image_id", f"image_{n}")
+    if not (isinstance(image_id, str) or _is_number(image_id, int)):
+        raise DataFormatError(
+            f"{path}: image record #{n}: image_id must be a string or an integer, got {image_id!r}"
+        )
+    image_id = str(image_id)
+    image = f"{path}: image {image_id!r}"
+    width, height = _extent(rec, "width", image), _extent(rec, "height", image)
+    gts_raw = rec.get("ground_truths", [])
+    dets_raw = rec.get("detections", [])
+    if not (isinstance(gts_raw, list) and isinstance(dets_raw, list)):
+        raise DataFormatError(f"{image}: ground_truths and detections must be arrays")
+    return ImageRecord(
+        image_id=image_id,
+        width=width,
+        height=height,
+        ground_truths=_parse_records(_ground_truth, gts_raw, num_classes, image, "ground truth"),
+        detections=_parse_records(_detection, dets_raw, num_classes, image, "detection"),
+    )
+
+
+def read_dataset_file(path: PathLike) -> DatasetFile:
+    """Parse and validate a native dataset file, in any JSON layout.
+
+    Raises ``DataFormatError`` naming the file and the offending image and
+    record on any schema violation: a ``schema_version`` other than the
+    integer 1 (``SchemaVersionError``), ``class_names`` that are not an
+    array of ``num_classes`` strings, an ``image_id`` that is neither a
+    string nor an integer, a ``width`` or ``height`` that is not a finite
+    number >= 0 (absent means 0), JSON booleans in ``num_classes``,
+    ``class_id`` or ``confidence``, and probability vectors that have a
+    negative or NaN entry or do not sum to one within 1e-4. Each vector is
+    checked in bulk; its entries are kept as loaded when all are floats.
     """
     raw = _load_json(path)
     _require(isinstance(raw, dict), f"{path}: top level must be an object")
     version = raw.get("schema_version")
-    if version != DATASET_SCHEMA_VERSION:
+    if not (_is_number(version, int) and version == DATASET_SCHEMA_VERSION):
         raise SchemaVersionError(
             f"{path}: unsupported dataset schema version {version!r} "
             f"(expected {DATASET_SCHEMA_VERSION})"
@@ -150,102 +245,61 @@ def read_dataset_file(path: PathLike) -> DatasetFile:
         _is_number(num_classes, int) and num_classes >= 1,
         f"{path}: num_classes must be a positive integer, got {num_classes!r}",
     )
-    class_names = tuple(raw.get("class_names") or (f"class_{k}" for k in range(num_classes)))
+    class_names = raw.get("class_names")
+    if class_names is None or class_names == []:
+        class_names = [f"class_{k}" for k in range(num_classes)]
+    _require(
+        isinstance(class_names, list) and all(isinstance(n, str) for n in class_names),
+        f"{path}: class_names must be an array of strings, got {class_names!r}",
+    )
     _require(
         len(class_names) == num_classes,
         f"{path}: class_names length {len(class_names)} != num_classes {num_classes}",
     )
     records = raw.get("images", [])
     _require(isinstance(records, list), f"{path}: 'images' must be an array")
-    images = []
-    for rec in records:
-        _require(isinstance(rec, dict), f"{path}: image record #{len(images)} must be an object")
-        image_id = str(rec.get("image_id", f"image_{len(images)}"))
-        gts_raw = rec.get("ground_truths", [])
-        dets_raw = rec.get("detections", [])
-        _require(
-            isinstance(gts_raw, list) and isinstance(dets_raw, list),
-            f"{path}: image {image_id!r}: ground_truths and detections must be arrays",
-        )
-        gts = []
-        for j, g in enumerate(gts_raw):
-            where = f"{path}: image {image_id!r} ground truth #{j}"
-            _require(isinstance(g, dict), f"{where}: must be an object")
-            box = _parse_box(g.get("box"), where)
-            label = g.get("class_id")
-            _require(
-                _is_number(label, int) and 0 <= label < num_classes,
-                f"{where}: class_id {label!r} is not an integer in [0, {num_classes})",
-            )
-            gts.append((box, label))
-        dets = []
-        for j, d in enumerate(dets_raw):
-            where = f"{path}: image {image_id!r} detection #{j}"
-            _require(isinstance(d, dict), f"{where}: must be an object")
-            box = _parse_box(d.get("box"), where)
-            confidence = d.get("confidence")
-            _require(
-                _is_number(confidence) and 0.0 <= confidence <= 1.0,
-                f"{where}: confidence {confidence!r} is not a number in [0, 1]",
-            )
-            probs = d.get("probs")
-            _require(
-                isinstance(probs, (list, tuple)) and len(probs) == num_classes,
-                f"{where}: probs must be a length-{num_classes} array",
-            )
-            _require(_all_numbers(probs), f"{where}: probs must be numbers")
-            probs = tuple(map(float, probs))
-            _require(all(p >= 0.0 for p in probs), f"{where}: probs must be non-negative")
-            total = math.fsum(probs)
-            _require(
-                abs(total - 1.0) <= 1e-4,
-                f"{where}: probs sum to {total:.6f}, expected 1 within 1e-4",
-            )
-            dets.append(Detection(box=box, probs=probs, confidence=float(confidence)))
-        images.append(
-            ImageRecord(
-                image_id=image_id,
-                width=float(rec.get("width", 0.0)),
-                height=float(rec.get("height", 0.0)),
-                ground_truths=tuple(gts),
-                detections=tuple(dets),
-            )
-        )
     return DatasetFile(
         num_classes=num_classes,
-        class_names=class_names,
-        images=tuple(images),
+        class_names=tuple(class_names),
+        images=tuple(_image(rec, n, num_classes, path) for n, rec in enumerate(records)),
         schema_version=version,
     )
 
 
 def write_dataset_file(dataset: DatasetFile, path: PathLike) -> None:
-    payload = {
+    """Write ``dataset`` as one JSON document, one image record per line.
+
+    The first line holds the schema version and the class inventory and
+    opens the ``images`` array. Each record is encoded on its own by
+    ``json.dumps`` without indentation, which runs the C encoder, and is
+    written before the next is built, so the document never exists as one
+    string. Floats keep their ``repr``, so they read back bit-identical.
+    """
+    head = json.dumps({
         "schema_version": dataset.schema_version,
         "num_classes": dataset.num_classes,
-        "class_names": list(dataset.class_names),
-        "images": [
-            {
+        "class_names": dataset.class_names,
+        "images": [],
+    })
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head[:-2])  # up to and including the images array's "["
+        sep = "\n"
+        for rec in dataset.images:
+            fh.write(sep)
+            fh.write(json.dumps({
                 "image_id": rec.image_id,
                 "width": rec.width,
                 "height": rec.height,
                 "ground_truths": [
-                    {"box": list(box.as_tuple()), "class_id": label}
-                    for box, label in rec.ground_truths
+                    {"box": box.as_tuple(), "class_id": label} for box, label in rec.ground_truths
                 ],
                 "detections": [
-                    {
-                        "box": list(det.box.as_tuple()),
-                        "confidence": det.confidence,
-                        "probs": list(det.probs),
-                    }
+                    {"box": det.box.as_tuple(), "confidence": det.confidence, "probs": det.probs}
                     for det in rec.detections
                 ],
-            }
-            for rec in dataset.images
-        ],
-    }
-    _write_json(path, payload)
+            }))
+            sep = ",\n"
+        fh.write("\n]}\n")
 
 
 def _kept_positions(rec: ImageRecord, prefilter_threshold: float) -> list[int]:

@@ -120,6 +120,28 @@ class TestCalibrateCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("class_names", "abcd", "class_names must be an array of strings, got 'abcd'"),
+            ("width", "640", "width must be a finite number >= 0, got '640'"),
+            ("image_id", None, "image record #1: image_id must be a string or an integer, got None"),
+            ("schema_version", True, "unsupported dataset schema version True (expected 1)"),
+        ],
+    )
+    def test_invalid_native_field_exit_1(self, dataset_paths, tmp_path, capsys, key, value, message):
+        # Each of these loaded without an error.
+        cal, _ = dataset_paths
+        payload = json.loads(cal.read_text())
+        (payload if key in ("class_names", "schema_version") else payload["images"][1])[key] = value
+        cal.write_text(json.dumps(payload))
+        out = tmp_path / "r.json"
+        code = run(["calibrate", "--dataset", cal, "--out", out, "--alpha-cnf", "0.05"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{cal}: " in err and message in err and "code=1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "calibration, message",
         [
             ({"finite_sample_correction": "no"}, "finite_sample_correction must be true or false"),

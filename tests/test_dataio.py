@@ -1,7 +1,13 @@
 import json
+import math
 import re
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condet import (
     BoundingBox,
@@ -19,6 +25,8 @@ from condet import (
     SynthSpec,
 )
 from condet.dataio import (
+    DatasetFile,
+    ImageRecord,
     config_digest,
     config_from_dict,
     config_to_dict,
@@ -26,6 +34,8 @@ from condet.dataio import (
     read_dataset_file,
     write_dataset_file,
 )
+from condet.losses import Detection
+from helpers import samples_to_dataset_file
 
 
 def two_image_payload():
@@ -55,6 +65,61 @@ def two_image_payload():
             },
         ],
     }
+
+
+#: Values whose text form is easy to get wrong: signed zero, the smallest
+#: subnormal, the largest magnitudes, integer-valued floats.
+EDGE_FLOATS = (0.0, -0.0, 5e-324, 1e-300, 1.0, 3.0, 640.0, 1e308)
+#: Ids and names with quotes, escapes, non-ASCII and astral characters.
+EDGE_TEXT = ('', '"', '\\', 'a"b\\c', '\u00e9t\u00e9', '\u732b', '\U0001f408', '\n\t')
+
+
+def _floats(lo, hi):
+    edges = [v for v in EDGE_FLOATS + tuple(-v for v in EDGE_FLOATS) if lo <= v <= hi]
+    return st.one_of(st.sampled_from(edges), st.floats(lo, hi, allow_nan=False))
+
+
+@st.composite
+def _boxes(draw):
+    coord = _floats(-1e308, 1e308)
+    left, right = sorted(draw(st.lists(coord, min_size=2, max_size=2)))
+    top, bottom = sorted(draw(st.lists(coord, min_size=2, max_size=2)))
+    return BoundingBox(left, top, right, bottom)
+
+
+@st.composite
+def _probs(draw, k):
+    if draw(st.booleans()):
+        # one-hot up to tiny entries that keep the sum within 1e-4 of one
+        tiny = st.sampled_from((0.0, -0.0, 5e-324, 1e-300, 1e-6))
+        rest = draw(st.lists(tiny, min_size=k - 1, max_size=k - 1))
+        at = draw(st.integers(0, k - 1))
+        return tuple(rest[:at] + [1.0] + rest[at:])
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+    return tuple(w / sum(weights) for w in weights)
+
+
+TEXT = st.one_of(st.sampled_from(EDGE_TEXT), st.text(max_size=8))
+
+
+@st.composite
+def datasets(draw):
+    """Valid ``DatasetFile`` values: every number a float except class ids."""
+    k = draw(st.integers(1, 4))
+    images = []
+    for _ in range(draw(st.integers(0, 4))):
+        gts = tuple(
+            (draw(_boxes()), draw(st.integers(0, k - 1)))
+            for _ in range(draw(st.integers(0, 3)))
+        )
+        dets = tuple(
+            Detection(box=draw(_boxes()), probs=draw(_probs(k)), confidence=draw(_floats(0.0, 1.0)))
+            for _ in range(draw(st.integers(0, 3)))
+        )
+        width, height = draw(_floats(0.0, 1e308)), draw(_floats(0.0, 1e308))
+        images.append(ImageRecord(draw(TEXT), width, height, gts, dets))
+    names = tuple(draw(st.lists(TEXT, min_size=k, max_size=k)))
+    return DatasetFile(num_classes=k, class_names=names, images=tuple(images))
 
 
 def write_payload(tmp_path, payload, name="data.json"):
@@ -131,6 +196,120 @@ class TestDatasetFile:
         with pytest.raises(DataFormatError, match=f"image 'a' {name} #0: {message}"):
             read_dataset_file(write_payload(tmp_path, payload))
 
+    @pytest.mark.parametrize(
+        "record, index, field, value, message",
+        [
+            ("detections", 1, "probs", [-0.1, 0.6, 0.5], "probs must be non-negative"),
+            ("detections", 1, "probs", [float("nan"), 0.5, 0.5], "probs must be non-negative"),
+            ("detections", 1, "probs", [0.5, 0.5, float("nan")], "probs must be non-negative"),
+            ("detections", 1, "probs", [0.5, float("-inf"), 0.5], "probs must be non-negative"),
+            ("detections", 1, "probs", [float("inf"), 0.0, 0.0], "probs sum to inf, expected 1 within 1e-4"),
+            ("detections", 1, "probs", [0.5, 0.2, 0.2], "probs sum to 0.900000, expected 1 within 1e-4"),
+            ("detections", 1, None, [1], "must be an object"),
+            ("ground_truths", 0, None, 5, "must be an object"),
+            ("ground_truths", 0, "class_id", 3, "class_id 3 is not an integer in [0, 3)"),
+            ("ground_truths", 0, "class_id", -1, "class_id -1 is not an integer in [0, 3)"),
+        ],
+    )
+    def test_invalid_record_named(self, tmp_path, record, index, field, value, message):
+        payload = two_image_payload()
+        records = payload["images"][0][record]
+        if field is None:
+            records[index] = value
+        else:
+            records[index][field] = value
+        path = write_payload(tmp_path, payload)
+        name = "ground truth" if record == "ground_truths" else "detection"
+        where = f"{path}: image 'a' {name} #{index}: {message}"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(where)}$"):
+            read_dataset_file(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=80).filter(lambda w: sum(w) > 0),
+        st.one_of(
+            st.floats(1 - 2e-4, 1 + 2e-4),
+            st.sampled_from([1 - 1e-4, 1 + 1e-4, 1 - 1.0000001e-4, 1 + 1.0000001e-4]),
+        ),
+    )
+    def test_sum_check_decides_as_the_exact_sum(self, weights, scale):
+        probs = [w / math.fsum(weights) * scale for w in weights]
+        payload = two_image_payload()
+        payload["num_classes"], payload["class_names"] = len(probs), None
+        payload["images"] = [{"image_id": "a", "detections": [
+            {"box": [0, 0, 1, 1], "confidence": 0.5, "probs": probs}
+        ]}]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_payload(Path(tmp), payload)
+            if abs(math.fsum(probs) - 1.0) <= 1e-4:
+                assert read_dataset_file(path).images[0].detections[0].probs == tuple(probs)
+            else:
+                with pytest.raises(DataFormatError, match="probs sum to"):
+                    read_dataset_file(path)
+
+    def test_overflowing_probability_sum_named(self, tmp_path):
+        # ``math.fsum`` raises OverflowError on these; it escaped unnamed.
+        payload = two_image_payload()
+        payload["images"][1]["detections"][0]["probs"] = [1e308, 1e308, 0.0]
+        path = write_payload(tmp_path, payload)
+        where = f"{path}: image 'b' detection #0: probs sum to inf, expected 1 within 1e-4"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(where)}$"):
+            read_dataset_file(path)
+
+    @pytest.mark.parametrize(
+        "value", ["abc", [1, 2, 3], ["cat", None, "bird"], {"0": "cat"}]
+    )
+    def test_class_names_must_be_strings(self, tmp_path, value):
+        payload = two_image_payload()
+        payload["class_names"] = value
+        path = write_payload(tmp_path, payload)
+        message = f"{path}: class_names must be an array of strings, got {value!r}"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            read_dataset_file(path)
+
+    @pytest.mark.parametrize("field", ["width", "height"])
+    @pytest.mark.parametrize("value", ["640", True, float("nan"), float("inf"), -5, [1], None])
+    def test_extent_must_be_finite_non_negative_number(self, tmp_path, field, value):
+        payload = two_image_payload()
+        payload["images"][1][field] = value
+        path = write_payload(tmp_path, payload)
+        message = f"{path}: image 'b': {field} must be a finite number >= 0, got {value!r}"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            read_dataset_file(path)
+
+    def test_absent_extent_is_zero(self, tmp_path):
+        payload = two_image_payload()
+        del payload["images"][0]["width"], payload["images"][0]["height"]
+        payload["images"][1]["width"] = 0
+        rec_a, rec_b = read_dataset_file(write_payload(tmp_path, payload)).images
+        assert (rec_a.width, rec_a.height, rec_b.width) == (0.0, 0.0, 0.0)
+        assert all(isinstance(v, float) for v in (rec_a.width, rec_a.height, rec_b.width))
+
+    @pytest.mark.parametrize("value", [None, {"x": 1}, True, 1.5, ["a"]])
+    def test_image_id_must_be_string_or_integer(self, tmp_path, value):
+        payload = two_image_payload()
+        payload["images"][1]["image_id"] = value
+        path = write_payload(tmp_path, payload)
+        message = f"{path}: image record #1: image_id must be a string or an integer, got {value!r}"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            read_dataset_file(path)
+
+    def test_integer_and_absent_image_ids(self, tmp_path):
+        payload = two_image_payload()
+        payload["images"][0]["image_id"] = 7
+        del payload["images"][1]["image_id"]
+        dataset = read_dataset_file(write_payload(tmp_path, payload))
+        assert [rec.image_id for rec in dataset.images] == ["7", "image_1"]
+
+    @pytest.mark.parametrize("value", [True, 1.0, "1"])
+    def test_schema_version_must_be_an_integer(self, tmp_path, value):
+        payload = two_image_payload()
+        payload["schema_version"] = value
+        path = write_payload(tmp_path, payload)
+        message = f"{path}: unsupported dataset schema version {value!r} (expected 1)"
+        with pytest.raises(SchemaVersionError, match=f"^{re.escape(message)}$"):
+            read_dataset_file(path)
+
     def test_integer_probs_accepted(self, tmp_path):
         payload = two_image_payload()
         payload["images"][0]["detections"][0]["probs"] = [1, 0, 0]
@@ -150,6 +329,48 @@ class TestDatasetFile:
         assert first == second
         write_dataset_file(second, tmp_path / "third.json")
         assert (tmp_path / "second.json").read_text() == (tmp_path / "third.json").read_text()
+
+    @settings(max_examples=150, deadline=None)
+    @given(datasets())
+    def test_write_read_round_trip_exact(self, dataset):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.json"
+            write_dataset_file(dataset, path)
+            back = read_dataset_file(path)
+        assert back == dataset
+        # repr tells -0.0 from 0.0, which == does not
+        assert repr(back) == repr(dataset)
+
+    @pytest.mark.parametrize("n_images", [2, 0])
+    def test_one_image_record_per_line(self, tmp_path, n_images):
+        dataset = read_dataset_file(write_payload(tmp_path, two_image_payload()))
+        dataset = replace(dataset, images=dataset.images[:n_images])
+        path = tmp_path / "out.json"
+        write_dataset_file(dataset, path)
+        text = path.read_text(encoding="utf-8")
+        document = json.loads(text)
+        lines = text.splitlines()
+        assert len(lines) == 2 + n_images
+        assert [json.loads(line.rstrip(",")) for line in lines[1:-1]] == document["images"]
+        assert {k: v for k, v in document.items() if k != "images"} == {
+            "schema_version": 1, "num_classes": 3, "class_names": ["cat", "dog", "bird"]
+        }
+        assert read_dataset_file(path) == dataset
+
+    def test_indented_layout_loads_to_the_same_samples(self, tmp_path):
+        # The writer once emitted the whole document with ``indent=2``.
+        samples = generate(SynthSpec(seed=4, n_images=12, num_classes=5, objects_max=4))
+        lines = tmp_path / "lines.json"
+        samples_to_dataset_file(samples, 5, lines)
+        indented = tmp_path / "indented.json"
+        with open(indented, "w", encoding="utf-8") as fh:
+            json.dump(json.loads(lines.read_text()), fh, indent=2)
+            fh.write("\n")
+        assert read_dataset_file(indented) == read_dataset_file(lines)
+        assert load_dataset(indented) == load_dataset(lines) == [
+            replace(s, detections=tuple(d for d in s.detections if d.confidence >= 1e-3))
+            for s in samples
+        ]
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "broken.json"
