@@ -119,7 +119,10 @@ def _as_floats(values: list, message: str) -> list:
         return values
     if not _all_numbers(values):
         raise DataFormatError(message)
-    return [*map(float, values)]
+    try:
+        return [*map(float, values)]
+    except OverflowError:
+        raise DataFormatError(f"{message}; an integer is beyond the float range") from None
 
 
 def _box(raw) -> BoundingBox:
@@ -189,21 +192,29 @@ def _parse_records(parse, raws: list, num_classes: int, image: str, kind: str) -
 
 
 def _extent(rec: dict, key: str, image: str) -> float:
+    """``rec[key]`` (absent means 0) as a finite float >= 0; ``image`` names
+    the record in the error."""
     value = rec.get(key, 0.0)
-    if not (_is_number(value) and 0.0 <= value < math.inf):
-        raise DataFormatError(f"{image}: {key} must be a finite number >= 0, got {value!r}")
-    return float(value)
+    if _is_number(value) and 0.0 <= value < math.inf:
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise DataFormatError(f"{image}: {key} must be a finite number >= 0, got {value!r}")
+
+
+def _image_id(value, field: str) -> str:
+    """An image id, a string or an integer, as a string; ``field`` names it
+    in the error."""
+    if not (isinstance(value, str) or _is_number(value, int)):
+        raise DataFormatError(f"{field} must be a string or an integer, got {value!r}")
+    return str(value)
 
 
 def _image(rec, n: int, num_classes: int, path: PathLike) -> ImageRecord:
     if not isinstance(rec, dict):
         raise DataFormatError(f"{path}: image record #{n} must be an object")
-    image_id = rec.get("image_id", f"image_{n}")
-    if not (isinstance(image_id, str) or _is_number(image_id, int)):
-        raise DataFormatError(
-            f"{path}: image record #{n}: image_id must be a string or an integer, got {image_id!r}"
-        )
-    image_id = str(image_id)
+    image_id = _image_id(rec.get("image_id", f"image_{n}"), f"{path}: image record #{n}: image_id")
     image = f"{path}: image {image_id!r}"
     width, height = _extent(rec, "width", image), _extent(rec, "height", image)
     gts_raw = rec.get("ground_truths", [])
@@ -342,8 +353,10 @@ def import_coco(gt_path: PathLike, det_path: PathLike) -> DatasetFile:
     Detections may carry a per-class ``scores`` array of length K; when it is
     absent, a near-one-hot probability vector is synthesized from the single
     ``score`` and a warning is emitted, because LAC/APS label sets are
-    degenerate on synthesized vectors. An image id that appears twice in
-    ``images`` raises ``DataFormatError``.
+    degenerate on synthesized vectors. Image ids and the ``width`` and
+    ``height`` of ``images`` entries are checked like the native reader's;
+    a violation, or an image id that appears twice in ``images``, raises
+    ``DataFormatError``.
     """
     gt = _load_json(gt_path)
     det = _load_json(det_path)
@@ -357,11 +370,9 @@ def import_coco(gt_path: PathLike, det_path: PathLike) -> DatasetFile:
 
 
 def _coco_bbox(raw, where: str) -> tuple[float, float, float, float]:
-    _require(
-        isinstance(raw, list) and len(raw) == 4 and _all_numbers(raw),
-        f"{where}: bbox must be an array of 4 numbers",
-    )
-    x, y, w, h = (float(v) for v in raw)
+    message = f"{where}: bbox must be an array of 4 numbers"
+    _require(isinstance(raw, list) and len(raw) == 4, message)
+    x, y, w, h = _as_floats(raw, message)
     _require(
         all(math.isfinite(v) for v in (x, y, w, h)), f"{where}: bbox values must be finite"
     )
@@ -381,18 +392,20 @@ def _import_coco_parsed(gt, det, gt_path, det_path, categories) -> DatasetFile:
     # detections (an image known only from detections has no ground truth).
     entries: dict[str, tuple[float, float, list, list]] = {}
 
-    def entry(image_id, width: float = 0.0, height: float = 0.0) -> tuple:
-        return entries.setdefault(str(image_id), (width, height, [], []))
+    def entry(image_id: str, width: float = 0.0, height: float = 0.0) -> tuple:
+        return entries.setdefault(image_id, (width, height, [], []))
 
-    for img in gt.get("images", ()):
-        image_id = str(img["id"])
+    # Image ids and extents follow the native reader's rules.
+    for n, img in enumerate(gt.get("images", ())):
+        where = f"{gt_path}: images entry #{n}"
+        image_id = _image_id(img["id"], f"{where}: id")
         _require(
             image_id not in entries, f"{gt_path}: image id {image_id!r} appears twice in 'images'"
         )
-        entry(image_id, float(img.get("width", 0.0)), float(img.get("height", 0.0)))
+        entry(image_id, _extent(img, "width", where), _extent(img, "height", where))
 
     for j, ann in enumerate(gt.get("annotations", ())):
-        gts = entry(ann["image_id"])[2]
+        gts = entry(_image_id(ann["image_id"], f"{gt_path}: annotation #{j}: image_id"))[2]
         cat = ann.get("category_id")
         _require(cat in cat_index, f"{gt_path}: annotation #{j} has unknown category id {cat!r}")
         x, y, w, h = _coco_bbox(ann["bbox"], f"{gt_path}: annotation #{j}")
@@ -404,15 +417,13 @@ def _import_coco_parsed(gt, det, gt_path, det_path, categories) -> DatasetFile:
     eps = 1e-6
     synthesized = 0
     for j, rec in enumerate(det):
-        dets = entry(rec["image_id"])[3]
+        dets = entry(_image_id(rec["image_id"], f"{det_path}: detection #{j}: image_id"))[3]
         cat = rec.get("category_id")
         _require(cat in cat_index, f"{det_path}: detection #{j} has unknown category id {cat!r}")
         x, y, w, h = _coco_bbox(rec["bbox"], f"{det_path}: detection #{j}")
         score = rec.get("score", 0.0)
-        _require(
-            _is_number(score), f"{det_path}: detection #{j}: score must be a number, got {score!r}"
-        )
-        score = float(score)
+        message = f"{det_path}: detection #{j}: score must be a number, got {score!r}"
+        (score,) = _as_floats([score], message)
         _require(math.isfinite(score), f"{det_path}: detection #{j}: score must be finite")
         scores = rec.get("scores")
         if scores is not None:
@@ -420,8 +431,7 @@ def _import_coco_parsed(gt, det, gt_path, det_path, categories) -> DatasetFile:
                 isinstance(scores, list) and len(scores) == num_classes,
                 f"{det_path}: detection #{j} scores must have length {num_classes}",
             )
-            _require(_all_numbers(scores), f"{det_path}: detection #{j}: scores must be numbers")
-            probs = tuple(map(float, scores))
+            probs = tuple(_as_floats(scores, f"{det_path}: detection #{j}: scores must be numbers"))
             _require(
                 all(math.isfinite(p) for p in probs),
                 f"{det_path}: detection #{j}: scores must be finite",

@@ -16,13 +16,16 @@ detections, reducing each row in the order numpy reduces a lone vector.
 
 ``monte_carlo_validate`` repeatedly draws calibration/test splits from the
 same distribution, calibrates, and averages the test risks across trials:
-the across-trial mean of each risk must stay below its target level.
+the across-trial mean of each risk must stay below its target level. The
+trials run side by side in worker processes.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -261,6 +264,30 @@ def _summary(risks: Sequence[float], alpha: float) -> TaskSummary:
     return TaskSummary(alpha=alpha, mean_risk=mean, stderr=stderr, frac_trials_above_alpha=above)
 
 
+def _run_trial(
+    spec: SynthSpec, config: CalibrationConfig, n_cal: int, n_test: int, trial: tuple[int, int]
+) -> tuple[float, float, float, float]:
+    """One Monte Carlo trial: ``trial`` is its index and sub-seed. Draws
+    ``n_cal + n_test`` images, calibrates on the first ``n_cal`` and returns
+    the test risks. A pure function of its arguments, so it gives the same
+    bits in any process."""
+    t, trial_seed = trial
+    samples = generate(replace(spec, seed=trial_seed, n_images=n_cal + n_test))
+    try:
+        result = calibrate(samples[:n_cal], config)
+    except InfeasibleRiskError as exc:
+        raise InfeasibleRiskError(f"trial {t}: {exc}") from exc
+    report = evaluate(samples[n_cal:], result)
+    return (report.cnf_risk, report.loc_risk, report.cls_risk, report.global_risk)
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
 def monte_carlo_validate(
     spec: SynthSpec,
     config: CalibrationConfig,
@@ -272,23 +299,36 @@ def monte_carlo_validate(
 
     Every trial draws ``n_cal + n_test`` fresh images from a sub-seed derived
     from ``spec.seed``, calibrates on the first part and measures mean test
-    losses on the rest. Calibration infeasibility in any trial is re-raised
-    with the trial index attached.
+    losses on the rest. Calibration infeasibility is re-raised with the index
+    of the first infeasible trial attached.
+
+    Trials run in worker processes, one per CPU this process may run on (so
+    ``taskset`` limits them), and no worker outlives the call. Each trial is a
+    pure function of its sub-seed and the results are collected in trial
+    order, so the report does not depend on the worker count. With one CPU,
+    one trial, or when called from a daemonic process (which may not start
+    children), the trials run in this process.
     """
+    # Imported here, not with the module: its ~12 ms import would land on
+    # every condet command.
+    import multiprocessing
+
     if trials < 1:
         raise ValueError("trials must be >= 1")
     children = np.random.SeedSequence(spec.seed).spawn(trials)
-    rows = []
-    for t in range(trials):
-        trial_seed = int(children[t].generate_state(1)[0])
-        trial_spec = replace(spec, seed=trial_seed, n_images=n_cal + n_test)
-        samples = generate(trial_spec)
-        try:
-            result = calibrate(samples[:n_cal], config)
-        except InfeasibleRiskError as exc:
-            raise InfeasibleRiskError(f"trial {t}: {exc}") from exc
-        report = evaluate(samples[n_cal:], result)
-        rows.append((report.cnf_risk, report.loc_risk, report.cls_risk, report.global_risk))
+    seeds = [(t, int(child.generate_state(1)[0])) for t, child in enumerate(children)]
+    run_trial = partial(_run_trial, spec, config, n_cal, n_test)
+    workers = min(_available_cpus(), trials)
+    if workers == 1 or multiprocessing.current_process().daemon:
+        rows = list(map(run_trial, seeds))
+    else:
+        # A forked worker starts without importing numpy and condet again.
+        # numpy's OpenBLAS shuts its threads down around a fork.
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+        # ``imap`` yields in trial order and raises at the first failed trial;
+        # leaving the block terminates and joins every worker.
+        with multiprocessing.get_context(method).Pool(workers) as pool:
+            rows = list(pool.imap(run_trial, seeds))
     return ValidationReport(
         trials=trials,
         n_cal=n_cal,

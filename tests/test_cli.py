@@ -107,6 +107,20 @@ class TestCalibrateCommand:
         assert "ground truth #0: class_id False is not an integer" in err and "code=1" in err
         assert not out.exists()
 
+    def test_box_integer_beyond_float_range_exit_1(self, dataset_paths, tmp_path, capsys):
+        # It ended in a traceback from an OverflowError.
+        cal, _ = dataset_paths
+        payload = json.loads(cal.read_text())
+        payload["images"][1]["detections"][0]["box"][2] = 10**400
+        cal.write_text(json.dumps(payload))
+        out = tmp_path / "r.json"
+        code = run(["calibrate", "--dataset", cal, "--out", out, "--alpha-cnf", "0.05"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "detection #0: box must be a 4-element" in err and "beyond the float range" in err
+        assert "code=1 kind=data" in err
+        assert not out.exists()
+
     def test_non_number_box_exit_1(self, dataset_paths, tmp_path, capsys):
         cal, _ = dataset_paths
         payload = json.loads(cal.read_text())
@@ -125,6 +139,8 @@ class TestCalibrateCommand:
             ("class_names", "abcd", "class_names must be an array of strings, got 'abcd'"),
             ("width", "640", "width must be a finite number >= 0, got '640'"),
             ("image_id", None, "image record #1: image_id must be a string or an integer, got None"),
+            pytest.param("height", 10**400, f"height must be a finite number >= 0, got {10**400}",
+                         id="height-10**400"),
             ("schema_version", True, "unsupported dataset schema version True (expected 1)"),
         ],
     )
@@ -489,3 +505,25 @@ class TestValidateCommand:
             n_test=40,
         )
         assert run(["validate", "--spec", spec]) == 0
+
+    def test_infeasible_trial_exit_3(self, tmp_path, capsys):
+        # Margins capped at 3 px leave trials 1, 3 and 4 infeasible; the
+        # first in trial order is named.
+        spec = self.spec_file(
+            tmp_path,
+            synth={"seed": 4, "objects_min": 1, "objects_max": 2},
+            calibration={
+                "alpha_cnf": 0.05,
+                "alpha_loc": 0.25,
+                "alpha_cls": 0.25,
+                "loss_spec": {"localization_kind": "boxwise"},
+                "lambda_loc_bounds": [0.0, 3.0],
+            },
+            trials=5,
+            n_cal=20,
+            n_test=5,
+        )
+        code = run(["validate", "--spec", spec])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert 'code=3 kind=infeasible detail="trial 1: ' in err

@@ -187,6 +187,11 @@ class TestDatasetFile:
             ("detections", "box", [1, 2, None, 12], "box must be a 4-element"),
             ("detections", "probs", [True, False, False], "probs must be numbers"),
             ("detections", "probs", ["0.8", "0.1", "0.1"], "probs must be numbers"),
+            # An integer beyond the float range raised a bare OverflowError.
+            ("ground_truths", "box", [1, 2, 10**400, 12],
+             r"box must be a 4-element .* of numbers; an integer is beyond the float range$"),
+            ("detections", "probs", [10**400, 0, 0],
+             "probs must be numbers; an integer is beyond the float range$"),
         ],
     )
     def test_non_number_rejected(self, tmp_path, record, field, value, message):
@@ -268,7 +273,10 @@ class TestDatasetFile:
             read_dataset_file(path)
 
     @pytest.mark.parametrize("field", ["width", "height"])
-    @pytest.mark.parametrize("value", ["640", True, float("nan"), float("inf"), -5, [1], None])
+    @pytest.mark.parametrize(
+        "value",
+        ["640", True, float("nan"), float("inf"), -5, [1], None, pytest.param(10**400, id="10**400")],
+    )
     def test_extent_must_be_finite_non_negative_number(self, tmp_path, field, value):
         payload = two_image_payload()
         payload["images"][1][field] = value
@@ -453,6 +461,42 @@ class TestCocoImport:
             (100.0, 80.0), (100.0, 80.0), (0.0, 0.0), (4.0, 4.0)
         ]
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            # Imported as id "None" with extent 640.0 x 1.0.
+            ({"id": None, "width": "640", "height": True},
+             "id must be a string or an integer, got None"),
+            ({"id": 2.0}, "id must be a string or an integer, got 2.0"),
+            ({"id": 2, "width": "640"}, "width must be a finite number >= 0, got '640'"),
+            ({"id": 2, "height": True}, "height must be a finite number >= 0, got True"),
+            ({"id": 2, "width": -5}, "width must be a finite number >= 0, got -5"),
+            pytest.param({"id": 2, "height": 10**400},
+                         f"height must be a finite number >= 0, got {10**400}", id="height-10**400"),
+        ],
+    )
+    def test_invalid_image_entry_names_file_and_entry(self, tmp_path, entry, message):
+        gt_path, det_path = self.coco_pair(tmp_path)
+        gt = json.loads(gt_path.read_text())
+        gt["images"][1] = entry
+        gt_path.write_text(json.dumps(gt))
+        where = f"{gt_path}: images entry #1: {message}"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(where)}$"):
+            import_coco(gt_path, det_path)
+
+    @pytest.mark.parametrize("records", ["annotations", "detections"])
+    def test_record_image_id_must_be_string_or_integer(self, tmp_path, records):
+        gt_path, det_path = self.coco_pair(tmp_path)
+        path = gt_path if records == "annotations" else det_path
+        raw = json.loads(path.read_text())
+        rows = raw["annotations"] if records == "annotations" else raw
+        rows[1]["image_id"] = None
+        path.write_text(json.dumps(raw))
+        record = "annotation #1" if records == "annotations" else "detection #1"
+        where = f"{path}: {record}: image_id must be a string or an integer, got None"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(where)}$"):
+            import_coco(gt_path, det_path)
+
     def test_repeated_image_id_rejected(self, tmp_path):
         # It became two records, each carrying every box of that image.
         gt_path, det_path = self.coco_pair(tmp_path)
@@ -472,7 +516,12 @@ class TestCocoImport:
 
     @pytest.mark.parametrize("records", ["annotations", "detections"])
     @pytest.mark.parametrize(
-        "width, message", [(float("inf"), "must be finite"), (-5.0, "must be >= 0")]
+        "width, message",
+        [
+            (float("inf"), "must be finite"),
+            (-5.0, "must be >= 0"),
+            pytest.param(10**400, "an integer is beyond the float range", id="10**400-range"),
+        ],
     )
     def test_invalid_bbox_names_record(self, tmp_path, records, width, message):
         gt_path, det_path = self.coco_pair(tmp_path)
@@ -510,7 +559,14 @@ class TestCocoImport:
             import_coco(gt_path, det_path)
 
     @pytest.mark.parametrize(
-        "field, value", [("score", "0.9"), ("score", True), ("scores", [0.2, "0.5", 0.3])]
+        "field, value",
+        [
+            ("score", "0.9"),
+            ("score", True),
+            ("scores", [0.2, "0.5", 0.3]),
+            pytest.param("score", 10**400, id="score-10**400"),
+            ("scores", [0.2, 10**400, 0.3]),
+        ],
     )
     def test_non_number_score_names_record(self, tmp_path, field, value):
         gt_path, det_path = self.coco_pair(tmp_path, with_scores=True)

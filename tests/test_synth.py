@@ -1,19 +1,27 @@
 import math
+import multiprocessing
+import os
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from condet import (
     CalibrationConfig,
+    InfeasibleRiskError,
     LossSpec,
     MatchDistanceSpec,
     SynthSpec,
+    calibrate,
+    evaluate,
     generate,
     hausdorff_distance,
     match,
     monte_carlo_validate,
 )
+from condet import synth
 from condet.synth import format_report_table, report_to_dict
 
 
@@ -206,3 +214,66 @@ class TestMonteCarlo:
             SynthSpec(objects_min=3, objects_max=1)
         with pytest.raises(ValueError):
             SynthSpec(box_noise_std=-1.0)
+
+
+def serial_trials(spec, config, trials, n_cal, n_test):
+    """``monte_carlo_validate``'s trials replayed one after another in this
+    process: each trial's risks, or the ``InfeasibleRiskError`` it raised."""
+    out = []
+    for child in np.random.SeedSequence(spec.seed).spawn(trials):
+        trial_spec = replace(spec, seed=int(child.generate_state(1)[0]), n_images=n_cal + n_test)
+        samples = generate(trial_spec)
+        try:
+            result = calibrate(samples[:n_cal], config)
+        except InfeasibleRiskError as exc:
+            out.append(exc)
+            continue
+        report = evaluate(samples[n_cal:], result)
+        out.append((report.cnf_risk, report.loc_risk, report.cls_risk, report.global_risk))
+    return out
+
+
+class TestParallelTrials:
+    SPEC = SynthSpec(seed=11, objects_min=1, objects_max=3)
+
+    @pytest.mark.parametrize("trials", [1, 2, 5, (os.cpu_count() or 1) + 1])
+    def test_per_trial_risks_equal_the_serial_loop(self, trials):
+        report = monte_carlo_validate(self.SPEC, quick_config(), trials, n_cal=20, n_test=20)
+        assert report.per_trial_risks == tuple(serial_trials(self.SPEC, quick_config(), trials, 20, 20))
+        assert multiprocessing.active_children() == []
+
+    def test_more_workers_than_cpus(self, monkeypatch):
+        monkeypatch.setattr(synth, "_available_cpus", lambda: 4)
+        report = monte_carlo_validate(self.SPEC, quick_config(), 7, n_cal=20, n_test=20)
+        assert report.per_trial_risks == tuple(serial_trials(self.SPEC, quick_config(), 7, 20, 20))
+        assert multiprocessing.active_children() == []
+
+    def test_runs_in_a_daemonic_process(self):
+        # A pool worker may not start children of its own; the trials then
+        # run in the worker itself.
+        args = (self.SPEC, quick_config(), 3, 20, 20)
+        with multiprocessing.get_context().Pool(1) as pool:
+            report = pool.apply_async(monte_carlo_validate, args).get(timeout=120)
+        assert report.per_trial_risks == tuple(serial_trials(*args))
+
+    def test_first_infeasible_trial_in_trial_order_is_reported(self):
+        # Margins capped at 3 px leave some trials of this spec infeasible.
+        spec = SynthSpec(seed=4, objects_min=1, objects_max=2)
+        config = quick_config(lambda_loc_bounds=(0.0, 3.0))
+        serial = serial_trials(spec, config, 5, 20, 5)
+        infeasible = [isinstance(row, InfeasibleRiskError) for row in serial]
+        assert infeasible == [False, True, False, True, True]
+        with pytest.raises(InfeasibleRiskError) as info:
+            monte_carlo_validate(spec, config, 5, n_cal=20, n_test=5)
+        assert str(info.value) == f"trial 1: {serial[1]}"
+        assert multiprocessing.active_children() == []
+
+    def test_every_trial_infeasible_reports_trial_0(self):
+        spec = SynthSpec(seed=0, objects_min=1, objects_max=2)
+        config = quick_config(lambda_loc_bounds=(0.0, 0.5))
+        serial = serial_trials(spec, config, 5, 20, 5)
+        assert all(isinstance(row, InfeasibleRiskError) for row in serial)
+        with pytest.raises(InfeasibleRiskError) as info:
+            monte_carlo_validate(spec, config, 5, n_cal=20, n_test=5)
+        assert str(info.value) == f"trial 0: {serial[0]}"
+        assert multiprocessing.active_children() == []
