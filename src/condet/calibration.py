@@ -846,7 +846,9 @@ def _second_step(kernel: _PrefixKernel, lambda_cnf_minus: float, task: str):
         def value(j: int) -> float:
             return lo + (hi - lo) * ((j + 1) / count)
     else:
-        cands = np.unique(np.concatenate(([lo, hi], reqs[(reqs > lo) & (reqs <= hi)])))
+        # np.unique's sort and dedupe, without the numpy.ma import it makes.
+        cands = np.sort(np.concatenate(([lo, hi], reqs[(reqs > lo) & (reqs <= hi)])))
+        cands = cands[np.concatenate(([True], cands[1:] != cands[:-1]))]
         count, value = len(cands), cands.tolist().__getitem__
     lam = _smallest_feasible(
         count, value, feasible,

@@ -12,10 +12,12 @@ import hashlib
 import json
 import logging
 import math
+from contextlib import closing
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
 
+from ._workers import ordered_map
 from .calibration import CalibrationConfig, CalibrationResult
 from .geometry import BoundingBox
 from .losses import Detection, ImageSample
@@ -103,6 +105,12 @@ def _load_json(path: PathLike):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not valid UTF-8: {exc}") from None
+        except ValueError:  # int() refuses a number past the interpreter's digit limit
+            raise DataFormatError(f"{path}: a JSON integer has too many digits") from None
+        except RecursionError:
+            raise DataFormatError(f"{path}: JSON nested too deeply") from None
 
 
 def _write_json(path: PathLike, payload, sort_keys: bool = False) -> None:
@@ -277,14 +285,59 @@ def read_dataset_file(path: PathLike) -> DatasetFile:
     )
 
 
+#: Probability cells per chunk of records that one worker encodes.
+_CHUNK_CELLS = 1 << 16
+
+
+def _chunks(dataset: DatasetFile) -> list[tuple[int, int]]:
+    """Contiguous ``(start, stop)`` ranges of ``dataset.images``, each
+    closed at the first record that brings it to ``_CHUNK_CELLS``
+    probability cells."""
+    spans, start, cells = [], 0, 0
+    for stop, rec in enumerate(dataset.images, 1):
+        cells += len(rec.detections) * dataset.num_classes
+        if cells >= _CHUNK_CELLS:
+            spans.append((start, stop))
+            start, cells = stop, 0
+    if start < len(dataset.images):
+        spans.append((start, len(dataset.images)))
+    return spans
+
+
+def _encode_records(images: tuple[ImageRecord, ...], span: tuple[int, int]) -> str:
+    """The records ``images[start:stop]`` as JSON, one per line."""
+    start, stop = span
+    return ",\n".join(
+        json.dumps({
+            "image_id": rec.image_id,
+            "width": rec.width,
+            "height": rec.height,
+            "ground_truths": [
+                {"box": box.as_tuple(), "class_id": label} for box, label in rec.ground_truths
+            ],
+            "detections": [
+                {"box": det.box.as_tuple(), "confidence": det.confidence, "probs": det.probs}
+                for det in rec.detections
+            ],
+        })
+        for rec in images[start:stop]
+    )
+
+
 def write_dataset_file(dataset: DatasetFile, path: PathLike) -> None:
     """Write ``dataset`` as one JSON document, one image record per line.
 
     The first line holds the schema version and the class inventory and
     opens the ``images`` array. Each record is encoded on its own by
-    ``json.dumps`` without indentation, which runs the C encoder, and is
-    written before the next is built, so the document never exists as one
-    string. Floats keep their ``repr``, so they read back bit-identical.
+    ``json.dumps`` without indentation, which runs the C encoder. Floats
+    keep their ``repr``, so they read back bit-identical.
+
+    The records are encoded in worker processes, one per CPU this process
+    may run on (so ``taskset`` limits them), in contiguous chunks of about
+    ``_CHUNK_CELLS`` probabilities. The chunks are written in file order as
+    they arrive, so the bytes do not depend on the worker count and the
+    document never exists as one string. A record that cannot be encoded
+    raises ``json``'s own error, from the first such chunk in file order.
     """
     head = json.dumps({
         "schema_version": dataset.schema_version,
@@ -292,23 +345,15 @@ def write_dataset_file(dataset: DatasetFile, path: PathLike) -> None:
         "class_names": dataset.class_names,
         "images": [],
     })
-    with open(path, "w", encoding="utf-8") as fh:
+    texts = ordered_map(_encode_records, (dataset.images,), _chunks(dataset))
+    with open(path, "w", encoding="utf-8") as fh, closing(texts):
         fh.write(head[:-2])  # up to and including the images array's "["
+        # The workers fork at the first chunk: leave them no buffered bytes.
+        fh.flush()
         sep = "\n"
-        for rec in dataset.images:
+        for text in texts:
             fh.write(sep)
-            fh.write(json.dumps({
-                "image_id": rec.image_id,
-                "width": rec.width,
-                "height": rec.height,
-                "ground_truths": [
-                    {"box": box.as_tuple(), "class_id": label} for box, label in rec.ground_truths
-                ],
-                "detections": [
-                    {"box": det.box.as_tuple(), "confidence": det.confidence, "probs": det.probs}
-                    for det in rec.detections
-                ],
-            }))
+            fh.write(text)
             sep = ",\n"
         fh.write("\n]}\n")
 

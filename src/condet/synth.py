@@ -23,13 +23,12 @@ trials run side by side in worker processes.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 from typing import Sequence
 
 import numpy as np
 
+from ._workers import ordered_map
 from .calibration import CalibrationConfig, InfeasibleRiskError, calibrate
 from .geometry import BoundingBox
 from .inference_metrics import evaluate
@@ -281,13 +280,6 @@ def _run_trial(
     return (report.cnf_risk, report.loc_risk, report.cls_risk, report.global_risk)
 
 
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity on this platform
-        return os.cpu_count() or 1
-
-
 def monte_carlo_validate(
     spec: SynthSpec,
     config: CalibrationConfig,
@@ -309,26 +301,11 @@ def monte_carlo_validate(
     one trial, or when called from a daemonic process (which may not start
     children), the trials run in this process.
     """
-    # Imported here, not with the module: its ~12 ms import would land on
-    # every condet command.
-    import multiprocessing
-
     if trials < 1:
         raise ValueError("trials must be >= 1")
     children = np.random.SeedSequence(spec.seed).spawn(trials)
     seeds = [(t, int(child.generate_state(1)[0])) for t, child in enumerate(children)]
-    run_trial = partial(_run_trial, spec, config, n_cal, n_test)
-    workers = min(_available_cpus(), trials)
-    if workers == 1 or multiprocessing.current_process().daemon:
-        rows = list(map(run_trial, seeds))
-    else:
-        # A forked worker starts without importing numpy and condet again.
-        # numpy's OpenBLAS shuts its threads down around a fork.
-        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-        # ``imap`` yields in trial order and raises at the first failed trial;
-        # leaving the block terminates and joins every worker.
-        with multiprocessing.get_context(method).Pool(workers) as pool:
-            rows = list(pool.imap(run_trial, seeds))
+    rows = list(ordered_map(_run_trial, (spec, config, n_cal, n_test), seeds))
     return ValidationReport(
         trials=trials,
         n_cal=n_cal,

@@ -56,7 +56,7 @@ def random_sample(
     return ImageSample(image_id=image_id, ground_truths=gts, detections=dets)
 
 
-def samples_to_dataset_file(samples, num_classes: int, path, size: float = 100.0) -> None:
+def samples_to_dataset(samples, num_classes: int, size: float = 100.0) -> DatasetFile:
     records = tuple(
         ImageRecord(
             image_id=s.image_id,
@@ -67,9 +67,12 @@ def samples_to_dataset_file(samples, num_classes: int, path, size: float = 100.0
         )
         for s in samples
     )
-    dataset = DatasetFile(
+    return DatasetFile(
         num_classes=num_classes,
         class_names=tuple(f"class_{k}" for k in range(num_classes)),
         images=records,
     )
-    write_dataset_file(dataset, path)
+
+
+def samples_to_dataset_file(samples, num_classes: int, path, size: float = 100.0) -> None:
+    write_dataset_file(samples_to_dataset(samples, num_classes, size), path)

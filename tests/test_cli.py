@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
+import condet
 from condet import (
     CalibrationConfig,
     CalibrationResult,
@@ -82,6 +87,43 @@ class TestCalibrateCommand:
         code = run(["calibrate", "--dataset", tmp_path / "nope.json", "--out", tmp_path / "r.json"])
         assert code == 1
         assert "code=1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, message", [
+        # A bare ValueError, without the file name, that told the user to
+        # call sys.set_int_max_str_digits().
+        (b'{"schema_version": 1, "width": 1' + b"0" * 5000 + b"}", "a JSON integer has too many digits"),
+        # An uncaught RecursionError.
+        (b"[" * 200_000, "JSON nested too deeply"),
+    ], ids=["long-integer", "deep-nesting"])
+    def test_unreadable_json_exit_1(self, tmp_path, capsys, content, message):
+        path = tmp_path / "cal.json"
+        path.write_bytes(content)
+        code = run(["calibrate", "--dataset", path, "--out", tmp_path / "r.json"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f'code=1 kind=data detail="{path}: {message}"' in err
+        assert "set_int_max_str_digits" not in err
+
+    def test_imports_neither_numpy_ma_nor_multiprocessing(self, dataset_paths, tmp_path):
+        # numpy.ma cost every calibrate process 16-20 ms, through np.unique;
+        # multiprocessing ~12 ms.
+        cal, _ = dataset_paths
+        script = (
+            "import sys; from condet.cli import main; "
+            "assert main(sys.argv[1:]) == 0; "
+            "print([m for m in ('numpy.ma', 'multiprocessing') if m in sys.modules])"
+        )
+        argv = ["calibrate", "--dataset", cal, "--out", tmp_path / "r.json",
+                "--alpha-cnf", "0.05", "--alpha-loc", "0.3", "--alpha-cls", "0.3",
+                "--loss-localization", "boxwise"]
+        src = str(Path(condet.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", script, *map(str, argv)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
     def test_non_finite_box_exit_1(self, dataset_paths, tmp_path, capsys):
         cal, _ = dataset_paths

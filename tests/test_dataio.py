@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import multiprocessing
 import re
 import tempfile
 from dataclasses import replace
@@ -24,7 +26,9 @@ from condet import (
     save_result,
     SynthSpec,
 )
+from condet import _workers
 from condet.dataio import (
+    _chunks,
     DatasetFile,
     ImageRecord,
     config_digest,
@@ -35,7 +39,7 @@ from condet.dataio import (
     write_dataset_file,
 )
 from condet.losses import Detection
-from helpers import samples_to_dataset_file
+from helpers import samples_to_dataset, samples_to_dataset_file
 
 
 def two_image_payload():
@@ -383,8 +387,62 @@ class TestDatasetFile:
     def test_not_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: not valid JSON: Expecting")):
             read_dataset_file(path)
+
+    @pytest.mark.parametrize("content, message", [
+        # json.load raised a bare ValueError telling the user to call
+        # sys.set_int_max_str_digits().
+        (b'{"schema_version": 1, "width": 1' + b"0" * 5000 + b"}", "a JSON integer has too many digits"),
+        # json.load raised a RecursionError.
+        (b"[" * 200_000, "JSON nested too deeply"),
+        (b'{"schema_version": 1, "class_names": ["\xff"]}', "not valid UTF-8"),
+    ], ids=["long-integer", "deep-nesting", "not-utf-8"])
+    def test_unreadable_json_names_file(self, tmp_path, content, message):
+        path = tmp_path / "data.json"
+        path.write_bytes(content)
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: {message}")):
+            read_dataset_file(path)
+
+
+#: SHA-256 of ``write_dataset_file``'s output for ``TestParallelWrite``'s
+#: dataset, recorded from the serial writer that encoded record by record.
+DATASET_FILE_SHA256 = "9628747abc548f42434dee2ee1191e4e48d49c1bf61a217185bbb12197c443dc"
+
+
+class TestParallelWrite:
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        # 120 images, ~32 detections each, 80 classes: five chunks.
+        spec = SynthSpec(seed=5, n_images=120, num_classes=80, false_positive_rate=30.0)
+        return samples_to_dataset(generate(spec), 80)
+
+    def test_chunks_cover_the_records_in_order(self, dataset):
+        spans = _chunks(dataset)
+        assert len(spans) == 5
+        assert [start for start, _ in spans] == [0] + [stop for _, stop in spans[:-1]]
+        assert spans[-1][1] == len(dataset.images)
+
+    @pytest.mark.parametrize("cpus", [None, 1, 2, 4])
+    def test_bytes_do_not_depend_on_the_worker_count(self, dataset, tmp_path, monkeypatch, cpus):
+        if cpus is not None:
+            monkeypatch.setattr(_workers, "_available_cpus", lambda: cpus)
+        write_dataset_file(dataset, tmp_path / "data.json")
+        assert multiprocessing.active_children() == []
+        assert hashlib.sha256((tmp_path / "data.json").read_bytes()).hexdigest() == DATASET_FILE_SHA256
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_first_unencodable_record_in_file_order_raises(self, dataset, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(_workers, "_available_cpus", lambda: cpus)
+        spans = _chunks(dataset)
+        images = list(dataset.images)
+        for (start, _), bad in ((spans[3], object()), (spans[4], {1})):
+            rec = images[start]
+            bad_det = Detection(rec.detections[0].box, (bad,) * 80, 0.5)
+            images[start] = replace(rec, detections=(*rec.detections, bad_det))
+        with pytest.raises(TypeError, match="^Object of type object is not JSON serializable$"):
+            write_dataset_file(replace(dataset, images=tuple(images)), tmp_path / "data.json")
+        assert multiprocessing.active_children() == []
 
 
 class TestCocoImport:

@@ -21,7 +21,7 @@ from condet import (
     match,
     monte_carlo_validate,
 )
-from condet import synth
+from condet import _workers
 from condet.synth import format_report_table, report_to_dict
 
 
@@ -243,7 +243,7 @@ class TestParallelTrials:
         assert multiprocessing.active_children() == []
 
     def test_more_workers_than_cpus(self, monkeypatch):
-        monkeypatch.setattr(synth, "_available_cpus", lambda: 4)
+        monkeypatch.setattr(_workers, "_available_cpus", lambda: 4)
         report = monte_carlo_validate(self.SPEC, quick_config(), 7, n_cal=20, n_test=20)
         assert report.per_trial_risks == tuple(serial_trials(self.SPEC, quick_config(), 7, 20, 20))
         assert multiprocessing.active_children() == []
