@@ -29,8 +29,12 @@ Both steps run on one array kernel, ``_PrefixKernel``, built once per call:
   sequential ``cumsum``) and the matched box. A classification loss at any
   parameter is then a comparison against the cutoffs; a localization loss
   is the containment or covered-area test on the matched boxes.
-* **Step 1** looks up each row's losses at the loosest second-step
-  parameters and walks the breakpoints in visit order.
+* **Step 1** lays each task's losses at the loosest second-step parameters
+  out in the per-image row table (``_PrefixKernel.by_image``: column ``i``
+  holds image ``i``'s rows in visit order, 0 past its last) and takes the
+  running maximum down each column, which is the monotonization. Its
+  increments, summed left to right in row order, give the risk at every
+  breakpoint: the whole monotonized curve.
 * **The confidence cut** (``_PrefixKernel.rows_at``). A confidence
   parameter ``lam`` reaches the rows of the states at every parameter in
   ``[lam, 1]``: the ``n`` full prefixes for ``lam >= 1``, else every row up
@@ -45,9 +49,8 @@ Both steps run on one array kernel, ``_PrefixKernel``, built once per call:
   grid ``lo + (hi - lo) * j / 2**32``, ``j = 1 .. 2**32``. ``crc_calibrate``
   shares the search: a bisection over the indices of the sorted candidates
   (``_smallest_feasible``), exact because every risk is monotone. Each
-  candidate is scored over all visited rows at once: a per-image maximum
-  (``np.maximum.reduceat``) and a left-to-right sum in image order
-  (``_fold_sum``).
+  candidate is scored over all visited rows at once: the per-image maxima
+  of the table and a left-to-right sum in image order (``_fold_sum``).
 * **Coverage in floats.** A ground truth is covered when
   ``contains(apply_margin(box, lam), gt)`` holds, computed with the same
   operations, so the kernel agrees with ``evaluate`` and ``infer`` at every
@@ -56,9 +59,9 @@ Both steps run on one array kernel, ``_PrefixKernel``, built once per call:
   holds before it becomes a candidate.
 
 The kernel returns the same floats as evaluating each loss one image at a
-time: sums run in the same order (step 1's deltas in visit-then-image order,
-pixelwise coverage ground truth by ground truth, never a numpy pairwise sum),
-and every loss is computed with the same operations. That matters because
+time: sums run in the same order (step 1's increments in visit-then-image
+order, pixelwise coverage ground truth by ground truth, never a numpy
+pairwise sum), and every loss is computed with the same operations. That matters because
 the guarantee is about the returned parameters: a last-ulp change in a sum
 can move a parameter across a feasibility boundary.
 """
@@ -190,11 +193,11 @@ def _fold_sum(values) -> float:
     """``(x0 + x1) + x2 ...`` over a non-empty sequence of floats, one
     rounding per addition in the given order, on every Python version.
 
-    The risk sums behind the feasibility decisions start here (step 1 then
-    updates its sums in place). Python 3.12's ``sum`` compensates its
-    rounding errors and numpy's ``sum`` is pairwise; either can land a risk
-    on the other side of ``alpha * (n + 1)``. ``np.add.accumulate`` adds
-    strictly left to right.
+    Every risk sum behind a feasibility decision is such a fold (step 1
+    reads its running sums off one ``np.add.accumulate``). Python 3.12's
+    ``sum`` compensates its rounding errors and numpy's ``sum`` is pairwise;
+    either can land a risk on the other side of ``alpha * (n + 1)``.
+    ``np.add.accumulate`` adds strictly left to right.
     """
     return float(np.add.accumulate(np.asarray(values, dtype=float))[-1])
 
@@ -544,7 +547,7 @@ def _sweep_rows(req: np.ndarray, n_det: np.ndarray):
     row_img = np.concatenate((np.arange(n), ev_img[order]))
     row_k = np.concatenate((n_det, ev_k[order]))
     visit_end = n + np.searchsorted(ev_visit[order], np.arange(len(visit_lams)), side="right")
-    return visit_lams, row_img, row_k, visit_end.tolist()
+    return visit_lams, row_img, row_k, visit_end
 
 
 class _PrefixKernel:
@@ -553,10 +556,12 @@ class _PrefixKernel:
     A row is one image at one selected prefix length; rows ``0..n-1`` are the
     full prefixes of images ``0..n-1`` and the rest follow in sweep order, so
     the rows reached by the end of visit ``v`` are the first
-    ``visit_end[v]``. For every row with a detection and a ground truth there
-    is one *entry* per ground truth, pointing at the (ground truth, matched
-    detection) pair whose requirements on the second-step parameters it
-    carries. The loss methods score the first ``rows`` rows at one parameter.
+    ``visit_end[v]``. ``row_depth`` is a row's position among its image's
+    rows (0 for the full prefix); ``depth`` is the most rows of one image.
+    For every row with a detection and a ground truth there is one *entry*
+    per ground truth, pointing at the (ground truth, matched detection) pair
+    whose requirements on the second-step parameters it carries. The loss
+    methods score the first ``rows`` rows at one parameter.
     """
 
     def __init__(self, samples: Sequence[ImageSample], config: CalibrationConfig) -> None:
@@ -591,6 +596,13 @@ class _PrefixKernel:
         req = 1.0 - np.array([d.confidence for d in dets], dtype=float)
         self.visit_lams, self.row_img, self.row_k, self.visit_end = _sweep_rows(req, n_det)
         self.n_rows = len(self.row_img)
+        self._neg_lams = -np.array(self.visit_lams, dtype=float)
+        by_image = np.argsort(self.row_img, kind="stable")
+        img = self.row_img[by_image]
+        self.row_depth = np.empty_like(by_image)
+        self.row_depth[by_image] = np.arange(self.n_rows) - np.searchsorted(img, img)
+        self.depth = int(self.row_depth.max()) + 1
+        self._cell = self.row_depth * n + self.row_img
 
         # Entries: (row, ground truth) for rows with a detection and a ground
         # truth, grouped by row in ground-truth order. Each points at its
@@ -627,8 +639,16 @@ class _PrefixKernel:
         confidence cut of the module docstring)."""
         if lam >= 1.0:
             return self.n
-        ends = (end for b, end in zip(self.visit_lams, self.visit_end) if b <= lam)
-        return next(ends, self.n_rows)
+        v = int(np.searchsorted(self._neg_lams, -lam))  # first breakpoint <= lam
+        return int(self.visit_end[v]) if v < len(self.visit_end) else self.n_rows
+
+    def by_image(self, values: np.ndarray) -> np.ndarray:
+        """``(depth, n)`` table holding the value of each of the first
+        ``len(values)`` rows at its depth and image, and 0 elsewhere. Images
+        are columns, so a reduction over depths runs across whole rows."""
+        table = np.zeros(self.depth * self.n)
+        table[self._cell[: len(values)]] = values
+        return table.reshape(self.depth, self.n)
 
     def assignment(self, i: int, k: int) -> tuple:
         """``match(gts, preds[:k])`` of image ``i``, read from the table."""
@@ -721,82 +741,62 @@ class _PrefixKernel:
 # --------------------------------------------------------------------------
 
 
+def _stop(lams: list, breaks: np.ndarray) -> tuple[float, int]:
+    """Where a downward sweep over the points ``lams`` stops, and the index
+    of that point: the point before the first one that ``breaks`` the
+    constraint, the top (1.0) when that is the first, and the domain minimum
+    0.0 (at the last point) when none does."""
+    if not breaks.any():
+        return 0.0, len(lams) - 1
+    at = max(int(np.argmax(breaks)) - 1, 0)
+    return lams[at], at
+
+
 def _sweep_confidence(kernel: _PrefixKernel):
-    """Walk the confidence breakpoints downward and locate both stop points.
+    """The monotonized combined risk at every sweep point and both stop points.
 
-    Returns ``(lam_plus, lam_minus, trace)`` where the trace holds the
-    monotonized combined risk at every visited breakpoint; the conservative
-    parameter uses the worst-case correction for the unseen test loss, the
-    optimistic one omits it. Exhausting the sweep returns the domain minimum
-    0; failing already at the top returns the domain maximum 1, which carries
-    no guarantee, and logs a warning when that happens to the conservative
-    parameter (always the case when ``alpha_cnf * (n + 1) < 1`` with the
-    correction on).
+    Returns ``(lam_plus, lam_minus, risk_plus, trace)``: ``trace`` holds
+    ``(lam, risk)`` at 1.0 and at every visited breakpoint, ``risk_plus`` its
+    risk at ``lam_plus``. The conservative parameter uses the worst-case
+    correction for the unseen test loss, the optimistic one omits it. A
+    conservative parameter that fails already at 1.0 carries no guarantee
+    and logs a warning (always the case when ``alpha_cnf * (n + 1) < 1``).
 
-    The running sums take the per-row losses in visit order, image by image,
-    so they are the same floats as summing the losses one call at a time.
+    The increments of each image's running maximum, summed left to right in
+    row order, are the same floats as running sums updated row by row.
     """
     cfg = kernel.config
     n = kernel.n
-    alpha = cfg.alpha_cnf
     b_tilde = 1.0 if cfg.finite_sample_correction else 0.0
+    bound = cfg.alpha_cnf * (n + 1)
     rows = kernel.n_rows
-    conf = kernel.conf_losses().tolist()
-    loc = kernel.loc_losses(cfg.lambda_loc_bounds[1], rows).tolist()
-    cls = kernel.cls_losses(cfg.lambda_cls_bounds[1], rows).tolist()
-    row_img = kernel.row_img.tolist()
-
-    l_cnf, l_loc, l_cls = conf[:n], loc[:n], cls[:n]
-    s_cnf = _fold_sum(l_cnf)
-    s_loc = _fold_sum(l_loc)
-    s_cls = _fold_sum(l_cls)
-
-    risk = max(s_cnf, s_loc, s_cls) / n
-    trace = [(1.0, risk)]
-    bound = alpha * (n + 1)
-    lam_plus = 1.0 if n * risk + b_tilde > bound else None
-    lam_minus = 1.0 if n * risk > bound else None
-    if lam_plus is not None:
+    cell = kernel._cell
+    ends = np.concatenate(([n], kernel.visit_end)) - 1
+    sums = []
+    for losses in (
+        kernel.conf_losses(),
+        kernel.loc_losses(cfg.lambda_loc_bounds[1], rows),
+        kernel.cls_losses(cfg.lambda_cls_bounds[1], rows),
+    ):
+        mono = np.maximum.accumulate(kernel.by_image(losses), axis=0).ravel()
+        grown = mono[cell] - np.where(kernel.row_depth > 0, mono[cell - n], 0.0)
+        sums.append(np.add.accumulate(grown)[ends])
+    risks = np.max(sums, axis=0) / n
+    if (risks[1:] < risks[:-1] - 1e-9).any():
+        raise AssertionError("monotonized risk decreased along the confidence sweep")
+    lams = [1.0, *kernel.visit_lams]
+    breaks = n * risks + b_tilde > bound
+    lam_plus, at = _stop(lams, breaks)
+    lam_minus, _ = _stop(lams, n * risks > bound)
+    if breaks[0]:
         log.warning(
             "the corrected step-1 constraint fails already at lambda_cnf = 1 "
             "(alpha_cnf=%r, n=%d, alpha_cnf*(n+1)=%.6g < n*risk + %g = %.6g): "
             "lambda_cnf_plus = 1.0 is returned but carries no guarantee",
-            alpha, n, bound, b_tilde, n * risk + b_tilde,
+            cfg.alpha_cnf, n, bound, b_tilde, n * risks[0] + b_tilde,
         )
-
-    prev = 1.0
-    start = n
-    for lam, end in zip(kernel.visit_lams, kernel.visit_end):
-        if lam_plus is not None and lam_minus is not None:
-            break
-        for r in range(start, end):
-            i = row_img[r]
-            new = conf[r]
-            s_cnf += new - l_cnf[i]
-            l_cnf[i] = new
-            new = loc[r]
-            if new > l_loc[i]:
-                s_loc += new - l_loc[i]
-                l_loc[i] = new
-            new = cls[r]
-            if new > l_cls[i]:
-                s_cls += new - l_cls[i]
-                l_cls[i] = new
-        start = end
-        risk = max(s_cnf, s_loc, s_cls) / n
-        if risk < trace[-1][1] - 1e-9:
-            raise AssertionError("monotonized risk decreased along the confidence sweep")
-        trace.append((lam, risk))
-        if lam_plus is None and n * risk + b_tilde > bound:
-            lam_plus = prev
-        if lam_minus is None and n * risk > bound:
-            lam_minus = prev
-        prev = lam
-    if lam_plus is None:
-        lam_plus = 0.0
-    if lam_minus is None:
-        lam_minus = 0.0
-    return lam_plus, lam_minus, trace
+    risks = risks.tolist()
+    return lam_plus, lam_minus, risks[at], list(zip(lams, risks))
 
 
 # --------------------------------------------------------------------------
@@ -830,12 +830,10 @@ def _second_step(kernel: _PrefixKernel, lambda_cnf_minus: float, task: str):
     bound = alpha * (n + 1)
 
     rows = kernel.rows_at(lambda_cnf_minus)
-    by_image = np.argsort(kernel.row_img[:rows], kind="stable")
-    starts = np.searchsorted(kernel.row_img[:rows][by_image], np.arange(n))
     risks = {}
 
     def feasible(lam: float) -> bool:
-        losses = np.maximum.reduceat(loss_at(lam, rows)[by_image], starts)
+        losses = kernel.by_image(loss_at(lam, rows)).max(axis=0)
         risks[lam] = risk = _fold_sum(losses) / n
         return n * risk + b <= bound
 
@@ -903,7 +901,7 @@ def seqcrc_step1(
     it then carries no guarantee. With the finite-sample correction on this
     always happens when ``alpha_cnf * (n + 1) < 1``.
     """
-    plus, minus, _ = _sweep_confidence(_kernel(samples, config))
+    plus, minus, _, _ = _sweep_confidence(_kernel(samples, config))
     return plus, minus
 
 
@@ -931,10 +929,9 @@ def calibrate(
     ``seqcrc_step1``.
     """
     kernel = _kernel(samples, config, precondition=True)
-    plus, minus, trace = _sweep_confidence(kernel)
+    plus, minus, cnf_risk, _ = _sweep_confidence(kernel)
     lam_loc, loc_risk = _second_step(kernel, minus, "loc")
     lam_cls, cls_risk = _second_step(kernel, minus, "cls")
-    cnf_risk = next((r for lam, r in reversed(trace) if lam >= plus), trace[0][1])
     diagnostics = {
         "cnf_monotonized_risk": cnf_risk,
         "loc_monotonized_risk": loc_risk,

@@ -20,7 +20,7 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from . import __version__
 from .calibration import (
@@ -105,6 +105,16 @@ _CONFIG_FLAGS = (
 )
 
 
+def _flag_value(args: argparse.Namespace, flag: str):
+    return getattr(args, flag[2:].replace("-", "_"))
+
+
+def _config_given(args: argparse.Namespace) -> bool:
+    """Whether ``--config`` or any config flag was given."""
+    flags = ["--config", "--lambda-loc-min", "--lambda-loc-max"] + [f for f, _, _ in _CONFIG_FLAGS]
+    return args.no_finite_sample_correction or any(_flag_value(args, f) is not None for f in flags)
+
+
 def _build_config(args: argparse.Namespace, raw: dict | None = None) -> CalibrationConfig:
     """Merge the CLI defaults, then config-file values, then flags (flags win)."""
     if raw is None:
@@ -115,7 +125,7 @@ def _build_config(args: argparse.Namespace, raw: dict | None = None) -> Calibrat
         raise DataFormatError("calibration config must be a JSON object")
     raw = {**_DEFAULT_ALPHAS, **raw}
     for flag, path, _ in _CONFIG_FLAGS:
-        value = getattr(args, flag[2:].replace("-", "_"))
+        value = _flag_value(args, flag)
         if value is not None:
             spec, _, key = path.rpartition(".")
             if spec:
@@ -166,8 +176,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def cmd_infer(args: argparse.Namespace) -> int:
     result = load_result(args.result)
-    if getattr(args, "config", None):
+    if _config_given(args):
         supplied = _build_config(args)
+        if supplied.lambda_loc_bounds is None:
+            # The result stores the bounds calibration resolved from its data.
+            supplied = replace(supplied, lambda_loc_bounds=result.config.lambda_loc_bounds)
         if config_digest(supplied) != config_digest(result.config) and not args.allow_config_mismatch:
             raise DigestMismatchError(
                 "supplied configuration differs from the one the result was "

@@ -167,24 +167,30 @@ def _detection(raw, num_classes: int) -> Detection:
     if not (isinstance(probs, list) and len(probs) == num_classes):
         raise DataFormatError(f"probs must be a length-{num_classes} array")
     probs = _as_floats(probs, "probs must be numbers")
+    _check_probs(probs, "probs")
+    return Detection(box, probs, float(confidence))
+
+
+def _check_probs(probs: list, name: str) -> None:
+    """Raise ``DataFormatError`` unless the floats ``probs`` (the vector
+    called ``name``) are non-negative and sum to 1 within 1e-4."""
     # min() compares each entry with the running minimum, so it finds a NaN
     # only in the first entry; a NaN elsewhere makes the sums NaN below.
     if not min(probs) >= 0.0:
-        raise DataFormatError("probs must be non-negative")
+        raise DataFormatError(f"{name} must be non-negative")
     # The plain sum of n non-negative floats lies within n * 2**-52 of the
     # exact sum, relative to it: inside the tolerance by more than that, it
     # decides the check as the exact sum would. Only a sum near or past the
     # bound, NaN or infinite is summed exactly.
-    if not abs(sum(probs) - 1.0) <= 1e-4 - num_classes * 1e-15:
+    if not abs(sum(probs) - 1.0) <= 1e-4 - len(probs) * 1e-15:
         try:
             total = math.fsum(probs)
         except OverflowError:  # finite entries whose sum exceeds the float range
             total = math.inf
         if not abs(total - 1.0) <= 1e-4:
             if not all(p >= 0.0 for p in probs):
-                raise DataFormatError("probs must be non-negative")
-            raise DataFormatError(f"probs sum to {total:.6f}, expected 1 within 1e-4")
-    return Detection(box, probs, float(confidence))
+                raise DataFormatError(f"{name} must be non-negative")
+            raise DataFormatError(f"{name} sum to {total:.6f}, expected 1 within 1e-4")
 
 
 def _parse_records(parse, raws: list, num_classes: int, image: str, kind: str) -> tuple:
@@ -395,12 +401,13 @@ def import_coco(gt_path: PathLike, det_path: PathLike) -> DatasetFile:
 
     Boxes are converted from ``[x, y, width, height]`` to corner form and
     category ids are remapped to dense indices (sorted by original id).
-    Detections may carry a per-class ``scores`` array of length K; when it is
-    absent, a near-one-hot probability vector is synthesized from the single
-    ``score`` and a warning is emitted, because LAC/APS label sets are
-    degenerate on synthesized vectors. Image ids and the ``width`` and
-    ``height`` of ``images`` entries are checked like the native reader's;
-    a violation, or an image id that appears twice in ``images``, raises
+    Detections may carry a per-class ``scores`` array of length K, which
+    must be finite and meet the native ``probs`` rule; when it is absent, a
+    near-one-hot probability vector is synthesized from the single ``score``
+    and a warning is emitted, because LAC/APS label sets are degenerate on
+    synthesized vectors. Image ids and the ``width`` and ``height`` of
+    ``images`` entries are checked like the native reader's; a violation,
+    or an image id that appears twice in ``images``, raises
     ``DataFormatError``.
     """
     gt = _load_json(gt_path)
@@ -476,11 +483,14 @@ def _import_coco_parsed(gt, det, gt_path, det_path, categories) -> DatasetFile:
                 isinstance(scores, list) and len(scores) == num_classes,
                 f"{det_path}: detection #{j} scores must have length {num_classes}",
             )
-            probs = tuple(_as_floats(scores, f"{det_path}: detection #{j}: scores must be numbers"))
-            _require(
-                all(math.isfinite(p) for p in probs),
-                f"{det_path}: detection #{j}: scores must be finite",
-            )
+            where = f"{det_path}: detection #{j}"
+            probs = _as_floats(scores, f"{where}: scores must be numbers")
+            _require(all(math.isfinite(p) for p in probs), f"{where}: scores must be finite")
+            try:
+                _check_probs(probs, "scores")
+            except DataFormatError as exc:
+                raise DataFormatError(f"{where}: {exc}") from None
+            probs = tuple(probs)
         else:
             synthesized += 1
             if num_classes == 1:

@@ -53,7 +53,9 @@ class SynthSpec:
     and ``confidence_noise_coupling`` how fast that logit drops per unit of
     normalized corner error. With ``box_noise_std`` 0 the detector is exact:
     boxes coincide with the ground truths and the probability vectors are
-    noise-free (argmax at the true class unless flipped).
+    noise-free (argmax at the true class unless flipped). Every float field
+    must be finite; the image extents and ``softmax_temperature`` must be
+    positive, ``box_noise_std`` and ``false_positive_rate`` non-negative.
     """
 
     seed: int = 0
@@ -77,12 +79,18 @@ class SynthSpec:
             raise ValueError("num_classes must be >= 2")
         if not 0 <= self.objects_min <= self.objects_max:
             raise ValueError("need 0 <= objects_min <= objects_max")
-        if self.box_noise_std < 0:
-            raise ValueError("box_noise_std must be >= 0")
+        for name in ("image_width", "image_height", "box_noise_std", "confidence_base",
+                     "confidence_noise_coupling", "false_positive_rate", "softmax_temperature"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("image_width", "image_height", "softmax_temperature"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be > 0")
+        for name in ("box_noise_std", "false_positive_rate"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0")
         if not 0.0 <= self.label_flip_probability <= 1.0:
             raise ValueError("label_flip_probability must lie in [0, 1]")
-        if self.softmax_temperature <= 0.0:
-            raise ValueError("softmax_temperature must be > 0")
 
 
 _CONF_FLOOR = 0.01

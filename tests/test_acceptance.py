@@ -274,7 +274,7 @@ class TestCriterion4MonotonicitySuite:
                 )
                 config = _instance_config(rng, t, len(samples))
                 kernel = _PrefixKernel(tuple(samples), config)
-                _, _, trace = _sweep_confidence(kernel)
+                _, _, _, trace = _sweep_confidence(kernel)
                 risks = [r for _, r in trace]
                 assert all(b >= a for a, b in zip(risks, risks[1:]))
 

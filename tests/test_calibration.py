@@ -24,7 +24,13 @@ from condet import (
 from condet.calibration import _PrefixKernel, _sweep_confidence, resolve_config
 from condet.predsets import select_confident
 from helpers import random_int_box, random_probs, random_sample
-from oracles import exact_step2_oracle, grid_step1_oracle, grid_step2_oracle, pure_image_losses
+from oracles import (
+    confidence_visit_points,
+    exact_step2_oracle,
+    grid_step1_oracle,
+    grid_step2_oracle,
+    pure_image_losses,
+)
 
 
 def covering_detection(gt_box, confidence, k=3, label=0):
@@ -224,11 +230,28 @@ class TestStep1:
             samples = tuple(random_dataset(rng, int(rng.integers(1, 6)), min_dets=1))
             config = resolve_config(random_config(rng, len(samples)), samples)
             kernel = _PrefixKernel(samples, config)
-            _, _, trace = _sweep_confidence(kernel)
+            _, _, _, trace = _sweep_confidence(kernel)
             lams = [lam for lam, _ in trace]
             risks = [r for _, r in trace]
             assert lams == sorted(lams, reverse=True)
             assert all(b >= a - 1e-12 for a, b in zip(risks, risks[1:]))
+            # The whole curve, point by point, against brute-force
+            # monotonization of the public per-image losses.
+            assert lams == confidence_visit_points(samples)
+            n = len(samples)
+            mono_loc = [0.0] * n
+            mono_cls = [0.0] * n
+            cnf = [0.0] * n
+            for lam, risk in trace:
+                for i, sample in enumerate(samples):
+                    c, lo, cl = pure_image_losses(
+                        sample, lam, config.lambda_loc_bounds[1], config.lambda_cls_bounds[1], config
+                    )
+                    cnf[i] = c
+                    mono_loc[i] = max(mono_loc[i], lo)
+                    mono_cls[i] = max(mono_cls[i], cl)
+                want = max(sum(cnf), sum(mono_loc), sum(mono_cls)) / n
+                assert abs(risk - want) <= 1e-12, (lam, risk, want)
 
     def test_empty_calibration_set(self):
         with pytest.raises(ValueError):
@@ -278,8 +301,6 @@ class TestStep2:
                 continue
             checked += 1
             # independent re-evaluation of the monotonized constraint
-            from oracles import confidence_visit_points
-
             visited = []
             for p in confidence_visit_points(samples):
                 visited.append(p)

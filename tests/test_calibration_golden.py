@@ -17,7 +17,10 @@ The small instances cycle through every confidence loss, localization loss,
 margin kind, label-set kind, matching distance and aggregation. The ``tie``
 instances round boxes to the pixel lattice and confidences to one decimal,
 so equal distances and duplicate confidences occur. The two ``n=200`` cases
-follow the benchmark's ``dense`` and ``cli-pixelwise`` specifications.
+follow the benchmark's ``dense`` and ``cli-pixelwise`` specifications. The
+``skewed`` case puts one image with 148 detections among 40 with 0 to 4, so
+one image's sweep is far deeper than every other's; it was recorded with the
+row-by-row step-1 loop that the per-image row table replaced.
 """
 
 import numpy as np
@@ -106,6 +109,18 @@ def _case(name: str):
         if kind == "tie":
             samples = [_on_lattice(s) for s in samples]
         return samples, _small_config(rng, index, n)
+    if name == "skewed":
+        few = generate(
+            SynthSpec(seed=91, n_images=40, num_classes=6, image_width=96.0, image_height=96.0,
+                      objects_min=0, objects_max=2, false_positive_rate=0.4)
+        )
+        few = [ImageSample(s.image_id, s.ground_truths, ()) if i % 7 == 3 else s
+               for i, s in enumerate(few)]
+        crowd = generate(
+            SynthSpec(seed=92, n_images=1, num_classes=6, image_width=96.0, image_height=96.0,
+                      objects_min=4, objects_max=4, false_positive_rate=170.0)
+        )
+        return few[:17] + crowd + few[17:], CalibrationConfig(0.25, 0.4, 0.4)
     spec = SynthSpec(
         seed=77, n_images=200, num_classes=80, image_width=640.0, image_height=480.0,
         objects_min=1, objects_max=8, box_noise_std=8.0,
@@ -124,7 +139,7 @@ def _case(name: str):
 CASES = (
     [f"small-{i:02d}" for i in range(N_SMALL)]
     + [f"tie-{i:02d}" for i in range(N_TIES)]
-    + ["dense", "pixelwise"]
+    + ["dense", "pixelwise", "skewed"]
 )
 
 
@@ -398,7 +413,15 @@ GOLDEN = {'small-00': {'lambda_cnf_plus': '0x1.abd450af71aaap-2',
                'cls_monotonized_risk': '0x1.83ece2a53490cp-4',
                'cnf_monotonized_risk': '0x1.eb851eb851eb8p-7',
                'loc_monotonized_risk': '0x1.872b01cf6ed23p-4',
-               'n_confidence_breakpoints': '0x1.e180000000000p+10'}}
+               'n_confidence_breakpoints': '0x1.e180000000000p+10'},
+ 'skewed': {'lambda_cnf_plus': '0x1.a576ef8a4943ep-2',
+            'lambda_cnf_minus': '0x1.a2570e4967efap-2',
+            'lambda_loc_plus': '0x1.7696f8e0ba770p+0',
+            'lambda_cls_plus': '0x1.005783e04c0eap-2',
+            'cls_monotonized_risk': '0x1.7ce0c7ce0c7cep-2',
+            'cnf_monotonized_risk': '0x1.c18f9c18f9c19p-3',
+            'loc_monotonized_risk': '0x1.895da895da896p-2',
+            'n_confidence_breakpoints': '0x1.9a00000000000p+7'}}
 
 
 @pytest.mark.parametrize("name", CASES)

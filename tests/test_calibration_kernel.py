@@ -105,6 +105,18 @@ def test_prefix_assignment_equals_match(samples, kind):
             assert kernel.assignment(i, k) == match(sample.ground_truths, preds[:k], spec)
 
 
+@settings(max_examples=100, deadline=None)
+@given(datasets())
+def test_by_image_lays_out_each_images_rows_in_visit_order(samples):
+    kernel = _PrefixKernel(samples, config_for("hausdorff"))
+    table = kernel.by_image([float(r + 1) for r in range(kernel.n_rows)]).T.tolist()
+    rows = [[] for _ in samples]
+    for r, i in enumerate(kernel.row_img.tolist()):
+        rows[i].append(float(r + 1))
+    assert kernel.depth == max(map(len, rows))
+    assert table == [own + [0.0] * (kernel.depth - len(own)) for own in rows]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     datasets(),

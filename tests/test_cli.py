@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -330,6 +331,29 @@ class TestInferEvaluateCommands:
             "--allow-config-mismatch",
         ]) == 0
 
+    @pytest.mark.parametrize("config_file", [False, True])
+    def test_infer_accepts_the_calibrate_flags(self, dataset_paths, tmp_path, config_file):
+        # The flags leave lambda_loc_bounds to the data; the result holds the
+        # bounds calibration resolved, which the check fills in.
+        result, test = self.calibrated(dataset_paths, tmp_path)
+        flags = ["--alpha-cnf", "0.05", "--alpha-loc", "0.3", "--alpha-cls", "0.3"]
+        if config_file:
+            empty = tmp_path / "empty.json"
+            empty.write_text("{}")
+            flags += ["--config", empty]
+        assert run([
+            "infer", "--result", result, "--dataset", test, "--out", tmp_path / "p.json",
+        ] + flags) == 0
+
+    def test_infer_flag_mismatch_without_config_exit_4(self, dataset_paths, tmp_path, capsys):
+        result, test = self.calibrated(dataset_paths, tmp_path)
+        code = run([
+            "infer", "--result", result, "--dataset", test, "--out", tmp_path / "p.json",
+            "--alpha-cnf", "0.06", "--alpha-loc", "0.3", "--alpha-cls", "0.3",
+        ])
+        assert code == 4
+        assert "code=4" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "changes, message",
         [
@@ -514,6 +538,9 @@ class TestValidateCommand:
             ({"synth": {"seed": 13, "label_flip_probability": True}},
              "synth.label_flip_probability must be a number, got True"),
             ({"synth": {"seed": 13, "n_imgs": 5}}, "unknown keys ['n_imgs'] in synth"),
+            ({"synth": {"seed": 13, "image_width": -64}}, "image_width must be > 0"),
+            ({"synth": {"seed": 13, "box_noise_std": math.nan}},
+             "box_noise_std must be finite, got nan"),
         ],
     )
     def test_invalid_spec_value_exit_1(self, tmp_path, capsys, overrides, message):

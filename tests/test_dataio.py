@@ -604,6 +604,23 @@ class TestCocoImport:
         with pytest.raises(DataFormatError, match=f"detection #2: {field} must be finite"):
             import_coco(gt_path, det_path)
 
+    @pytest.mark.parametrize(
+        "scores, message",
+        [
+            ([0.9, 0.7, 0.0], "scores sum to 1.600000, expected 1 within 1e-4"),
+            ([-0.5, 1.5, 0.0], "scores must be non-negative"),
+            ([0.5, 0.5, -0.0001], "scores must be non-negative"),
+        ],
+    )
+    def test_scores_follow_the_native_probability_rule(self, tmp_path, scores, message):
+        gt_path, det_path = self.coco_pair(tmp_path, with_scores=True)
+        det = json.loads(det_path.read_text())
+        det[1]["scores"] = scores
+        det_path.write_text(json.dumps(det))
+        with pytest.raises(DataFormatError) as info:
+            import_coco(gt_path, det_path)
+        assert str(info.value) == f"{det_path}: detection #1: {message}"
+
     @pytest.mark.parametrize("records", ["annotations", "detections"])
     def test_non_number_bbox_names_record(self, tmp_path, records):
         gt_path, det_path = self.coco_pair(tmp_path)

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -214,6 +215,26 @@ class TestMonteCarlo:
             SynthSpec(objects_min=3, objects_max=1)
         with pytest.raises(ValueError):
             SynthSpec(box_noise_std=-1.0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("image_width", -64.0, "image_width must be > 0"),
+            ("image_height", 0.0, "image_height must be > 0"),
+            ("image_width", math.inf, "image_width must be finite, got inf"),
+            ("box_noise_std", math.nan, "box_noise_std must be finite, got nan"),
+            ("confidence_base", math.nan, "confidence_base must be finite, got nan"),
+            ("confidence_noise_coupling", -math.inf,
+             "confidence_noise_coupling must be finite, got -inf"),
+            ("false_positive_rate", -0.5, "false_positive_rate must be >= 0"),
+            ("false_positive_rate", math.inf, "false_positive_rate must be finite, got inf"),
+            ("softmax_temperature", 0.0, "softmax_temperature must be > 0"),
+            ("label_flip_probability", math.nan, "label_flip_probability must lie in [0, 1]"),
+        ],
+    )
+    def test_rejects_bad_extents_and_non_finite_values(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SynthSpec(**{field: value})
 
 
 def serial_trials(spec, config, trials, n_cal, n_test):
