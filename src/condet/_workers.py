@@ -1,8 +1,10 @@
 """An ordered map over worker processes, one per available CPU.
 
-``monte_carlo_validate`` runs its trials and ``write_dataset_file`` encodes
-its records through ``ordered_map``. The results come back in item order
-whatever the worker count, so callers get the same output from any count.
+``monte_carlo_validate`` runs its trials, ``write_dataset_file`` encodes
+its records, and ``condet infer`` and ``condet evaluate`` check and process
+the image records of their dataset file through ``ordered_map``. The results
+come back in item order whatever the worker count, so callers get the same
+output from any count.
 """
 
 from __future__ import annotations

@@ -17,7 +17,9 @@ controlled by the CONDET_LOG environment variable (debug/info/warning).
 from __future__ import annotations
 
 import argparse
+import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -35,6 +37,8 @@ from .dataio import (
     _from_json,
     _kept_positions,
     _load_json,
+    _map_image_records,
+    _sample,
     _write_json,
     config_digest,
     config_from_dict,
@@ -42,11 +46,10 @@ from .dataio import (
     import_coco,
     load_dataset,
     load_result,
-    read_dataset_file,
     save_result,
     write_dataset_file,
 )
-from .inference_metrics import evaluate, infer
+from .inference_metrics import _image_outcomes, _report, infer
 from .losses import AGGREGATION_KINDS, CONF_LOSS_KINDS, LOC_LOSS_KINDS
 from .matching import MATCH_KINDS
 from .predsets import CLS_SET_KINDS, LOC_SET_KINDS
@@ -143,10 +146,14 @@ def _build_config(args: argparse.Namespace, raw: dict | None = None) -> Calibrat
     return config_from_dict(raw)
 
 
+def _output(config: CalibrationConfig, **fields) -> dict:
+    """An ``infer``, ``evaluate`` or ``validate`` output: its schema version
+    and the configuration echo, then ``fields``."""
+    return {"schema_version": 1, "config": config_to_dict(config), **fields}
+
+
 def _write_output(path, config: CalibrationConfig, **fields) -> None:
-    """Write an ``infer``, ``evaluate`` or ``validate`` output file: its
-    schema version and the configuration echo, then ``fields``."""
-    _write_json(path, {"schema_version": 1, "config": config_to_dict(config), **fields})
+    _write_json(path, _output(config, **fields))
 
 
 def _print_aligned(rows: list[tuple[str, str]]) -> None:
@@ -174,6 +181,52 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _prediction(rec, result) -> dict:
+    """The ``infer`` output entry of one image record."""
+    # Selections in file order, each with its position in the file.
+    kept = _kept_positions(rec, result.config.prefilter_threshold)
+    pred = infer([rec.detections[j] for j in kept], result, image_id=rec.image_id)
+    return {
+        "image_id": pred.image_id,
+        "selected": [
+            {
+                "index": kept[sel.index],
+                "box": list(sel.box.as_tuple()),
+                "margined_box": list(sel.margined_box.as_tuple()),
+                "class_set": sorted(sel.class_labels),
+            }
+            for sel in pred.selected
+        ],
+    }
+
+
+def _encoded_predictions(images, result) -> list[str]:
+    """Each image's prediction entry as ``json.dump(indent=2)`` writes it
+    inside the top-level ``predictions`` array: indented by four more spaces
+    after every newline (JSON strings hold no raw newline)."""
+    return [
+        json.dumps(_prediction(rec, result), indent=2).replace("\n", "\n    ") for rec in images
+    ]
+
+
+def _write_predictions(path, config: CalibrationConfig, entries: list[str], **fields) -> None:
+    """``_write_output(path, config, **fields, predictions=...)`` from the
+    predictions' ``_encoded_predictions`` text."""
+    head = json.dumps(_output(config, **fields, predictions=[]), indent=2)
+    with open(path, "w", encoding="utf-8") as fh:
+        if entries:
+            fh.write(head[:-3])  # up to and including the predictions array's "["
+            sep = "\n    "
+            for entry in entries:
+                fh.write(sep)
+                fh.write(entry)
+                sep = ",\n    "
+            fh.write("\n  ]\n}")
+        else:
+            fh.write(head)
+        fh.write("\n")
+
+
 def cmd_infer(args: argparse.Namespace) -> int:
     result = load_result(args.result)
     if _config_given(args):
@@ -186,41 +239,28 @@ def cmd_infer(args: argparse.Namespace) -> int:
                 "supplied configuration differs from the one the result was "
                 "calibrated with; pass --allow-config-mismatch to proceed"
             )
-    predictions = []
-    for rec in read_dataset_file(args.dataset).images:
-        # Selections in file order, each with its position in the file.
-        kept = _kept_positions(rec, result.config.prefilter_threshold)
-        pred = infer([rec.detections[j] for j in kept], result, image_id=rec.image_id)
-        predictions.append(
-            {
-                "image_id": pred.image_id,
-                "selected": [
-                    {
-                        "index": kept[sel.index],
-                        "box": list(sel.box.as_tuple()),
-                        "margined_box": list(sel.margined_box.as_tuple()),
-                        "class_set": sorted(sel.class_labels),
-                    }
-                    for sel in pred.selected
-                ],
-            }
-        )
-    _write_output(
+    entries = _map_image_records(args.dataset, _encoded_predictions, result)
+    _write_predictions(
         args.out,
         result.config,
+        entries,
         lambda_cnf_plus=result.lambda_cnf_plus,
         lambda_loc_plus=result.lambda_loc_plus,
         lambda_cls_plus=result.lambda_cls_plus,
-        predictions=predictions,
     )
-    print(f"wrote {len(predictions)} per-image predictions to {args.out}")
+    print(f"wrote {len(entries)} per-image predictions to {args.out}")
     return EXIT_OK
+
+
+def _sample_outcomes(images, result) -> list:
+    """The ``evaluate`` outcome of each image record, its samples built first."""
+    samples = [_sample(rec, result.config.prefilter_threshold) for rec in images]
+    return _image_outcomes(samples, result)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     result = load_result(args.result)
-    samples = load_dataset(args.dataset, result.config.prefilter_threshold)
-    report = evaluate(samples, result)
+    report = _report(_map_image_records(args.dataset, _sample_outcomes, result))
     _print_aligned(
         [
             ("n_test", str(report.n_test)),
@@ -240,7 +280,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         ]
     )
     if args.out:
-        _write_output(args.out, result.config, report=asdict(report))
+        # A set size is undefined (NaN) when no image has a selection: null.
+        fields = {k: None if isinstance(v, float) and math.isnan(v) else v
+                  for k, v in asdict(report).items()}
+        _write_output(args.out, result.config, report=fields)
     return EXIT_OK
 
 
@@ -326,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--allow-config-mismatch",
         action="store_true",
-        help="proceed even when --config does not match the result's digest",
+        help="proceed even when --config or the config flags do not match the result's digest",
     )
     _add_config_flags(p)
     p.set_defaults(func=cmd_infer)

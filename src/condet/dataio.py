@@ -15,7 +15,7 @@ import math
 from contextlib import closing
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import Callable, Sequence, Union, get_args, get_origin, get_type_hints
 
 from ._workers import ordered_map
 from .calibration import CalibrationConfig, CalibrationResult
@@ -244,18 +244,11 @@ def _image(rec, n: int, num_classes: int, path: PathLike) -> ImageRecord:
     )
 
 
-def read_dataset_file(path: PathLike) -> DatasetFile:
-    """Parse and validate a native dataset file, in any JSON layout.
+def _read_header(path: PathLike) -> tuple[int, tuple[str, ...], list]:
+    """Load a native dataset file and check all of it but the image records.
 
-    Raises ``DataFormatError`` naming the file and the offending image and
-    record on any schema violation: a ``schema_version`` other than the
-    integer 1 (``SchemaVersionError``), ``class_names`` that are not an
-    array of ``num_classes`` strings, an ``image_id`` that is neither a
-    string nor an integer, a ``width`` or ``height`` that is not a finite
-    number >= 0 (absent means 0), JSON booleans in ``num_classes``,
-    ``class_id`` or ``confidence``, and probability vectors that have a
-    negative or NaN entry or do not sum to one within 1e-4. Each vector is
-    checked in bulk; its entries are kept as loaded when all are floats.
+    Returns ``num_classes``, the class names and the raw image records, for
+    ``_image`` to parse one by one.
     """
     raw = _load_json(path)
     _require(isinstance(raw, dict), f"{path}: top level must be an object")
@@ -283,31 +276,86 @@ def read_dataset_file(path: PathLike) -> DatasetFile:
     )
     records = raw.get("images", [])
     _require(isinstance(records, list), f"{path}: 'images' must be an array")
+    return num_classes, tuple(class_names), records
+
+
+def read_dataset_file(path: PathLike) -> DatasetFile:
+    """Parse and validate a native dataset file, in any JSON layout.
+
+    Raises ``DataFormatError`` naming the file and the offending image and
+    record on any schema violation: a ``schema_version`` other than the
+    integer 1 (``SchemaVersionError``), ``class_names`` that are not an
+    array of ``num_classes`` strings, an ``image_id`` that is neither a
+    string nor an integer, a ``width`` or ``height`` that is not a finite
+    number >= 0 (absent means 0), JSON booleans in ``num_classes``,
+    ``class_id`` or ``confidence``, and probability vectors that have a
+    negative or NaN entry or do not sum to one within 1e-4. Each vector is
+    checked in bulk; its entries are kept as loaded when all are floats.
+    """
+    num_classes, class_names, records = _read_header(path)
     return DatasetFile(
         num_classes=num_classes,
-        class_names=tuple(class_names),
+        class_names=class_names,
         images=tuple(_image(rec, n, num_classes, path) for n, rec in enumerate(records)),
-        schema_version=version,
     )
 
 
-#: Probability cells per chunk of records that one worker encodes.
+#: Probability cells per chunk of records that one worker handles.
 _CHUNK_CELLS = 1 << 16
 
 
-def _chunks(dataset: DatasetFile) -> list[tuple[int, int]]:
-    """Contiguous ``(start, stop)`` ranges of ``dataset.images``, each
-    closed at the first record that brings it to ``_CHUNK_CELLS``
-    probability cells."""
-    spans, start, cells = [], 0, 0
-    for stop, rec in enumerate(dataset.images, 1):
-        cells += len(rec.detections) * dataset.num_classes
-        if cells >= _CHUNK_CELLS:
+def _chunks(cells: Sequence[int]) -> list[tuple[int, int]]:
+    """Contiguous ``(start, stop)`` ranges of records whose probability
+    cells are ``cells``, each closed at the first record that brings it to
+    ``_CHUNK_CELLS``."""
+    spans, start, total = [], 0, 0
+    for stop, count in enumerate(cells, 1):
+        total += count
+        if total >= _CHUNK_CELLS:
             spans.append((start, stop))
-            start, cells = stop, 0
-    if start < len(dataset.images):
-        spans.append((start, len(dataset.images)))
+            start, total = stop, 0
+    if start < len(cells):
+        spans.append((start, len(cells)))
     return spans
+
+
+def _raw_cells(rec, num_classes: int) -> int:
+    """The probability cells of a raw image record; one when it is not an
+    object with a ``detections`` array, which ``_image`` then rejects."""
+    dets = rec.get("detections") if isinstance(rec, dict) else None
+    return len(dets) * num_classes if isinstance(dets, list) else 1
+
+
+def _parse_span(records: list, num_classes: int, path: PathLike, work: Callable, args: tuple,
+                span: tuple[int, int]) -> tuple:
+    """``(work(images, *args), None)`` for the parsed ``records[start:stop]``,
+    or ``(None, error)`` when ``work`` raises. A bad record raises."""
+    start, stop = span
+    images = [_image(records[n], n, num_classes, path) for n in range(start, stop)]
+    try:
+        return work(images, *args), None
+    except Exception as exc:  # raised by the caller once every record is parsed
+        return None, exc
+
+
+def _map_image_records(path: PathLike, work: Callable, *args) -> list:
+    """The values ``work(images, *args)`` returns, one per image, for the
+    parsed image records of the native dataset file ``path``, in file order.
+
+    ``work`` runs on contiguous spans of the records, sized as
+    ``write_dataset_file``'s chunks, in worker processes through
+    ``ordered_map``, which inherit the loaded JSON. Errors come as from
+    ``read_dataset_file`` followed by ``work`` over the records in file
+    order: the first bad record's ``DataFormatError``, then the first error
+    of ``work``. ``work`` must be a module-level function.
+    """
+    num_classes, _, records = _read_header(path)
+    spans = _chunks([_raw_cells(rec, num_classes) for rec in records])
+    outcomes = list(ordered_map(_parse_span, (records, num_classes, path, work, args), spans))
+    for _, error in outcomes:
+        if error is not None:
+            raise error
+    return [value for values, _ in outcomes for value in values]
 
 
 def _encode_records(images: tuple[ImageRecord, ...], span: tuple[int, int]) -> str:
@@ -351,7 +399,8 @@ def write_dataset_file(dataset: DatasetFile, path: PathLike) -> None:
         "class_names": dataset.class_names,
         "images": [],
     })
-    texts = ordered_map(_encode_records, (dataset.images,), _chunks(dataset))
+    cells = [len(rec.detections) * dataset.num_classes for rec in dataset.images]
+    texts = ordered_map(_encode_records, (dataset.images,), _chunks(cells))
     with open(path, "w", encoding="utf-8") as fh, closing(texts):
         fh.write(head[:-2])  # up to and including the images array's "["
         # The workers fork at the first chunk: leave them no buffered bytes.
@@ -369,21 +418,17 @@ def _kept_positions(rec: ImageRecord, prefilter_threshold: float) -> list[int]:
     return [j for j, d in enumerate(rec.detections) if d.confidence >= prefilter_threshold]
 
 
+def _sample(rec: ImageRecord, prefilter_threshold: float) -> ImageSample:
+    """``rec`` as a sample, without the detections below the floor."""
+    kept = tuple(rec.detections[j] for j in _kept_positions(rec, prefilter_threshold))
+    return ImageSample(image_id=rec.image_id, ground_truths=rec.ground_truths, detections=kept)
+
+
 def dataset_to_samples(
     dataset: DatasetFile, prefilter_threshold: float
 ) -> list[ImageSample]:
     """Convert records to samples, dropping detections below the floor."""
-    samples = []
-    for rec in dataset.images:
-        kept = tuple(rec.detections[j] for j in _kept_positions(rec, prefilter_threshold))
-        samples.append(
-            ImageSample(
-                image_id=rec.image_id,
-                ground_truths=rec.ground_truths,
-                detections=kept,
-            )
-        )
-    return samples
+    return [_sample(rec, prefilter_threshold) for rec in dataset.images]
 
 
 def load_dataset(path: PathLike, prefilter_threshold: float = 1e-3) -> list[ImageSample]:

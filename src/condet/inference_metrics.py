@@ -153,19 +153,31 @@ def _image_outcome(
     return cnf, loc, cls, len(sel), stretches, set_sizes, skipped
 
 
-def evaluate(
-    test_samples: Sequence[ImageSample], result: CalibrationResult
-) -> EvaluationReport:
-    """Risks and set sizes of the calibrated parameters on held-out images.
-
-    The test samples are expected to be disjoint from the calibration set;
-    this is not enforced. The global risk is the mean over images of the
-    worse of the localization and classification losses.
-    """
-    samples = tuple(test_samples)
-    if not samples:
-        raise ValueError("empty test set")
+def _image_outcomes(samples: Sequence[ImageSample], result: CalibrationResult) -> list:
+    """``_image_outcome`` of each sample at the result's parameters."""
     cfg = result.config
+    return [
+        _image_outcome(
+            sample,
+            result.lambda_cnf_plus,
+            result.lambda_loc_plus,
+            result.lambda_cls_plus,
+            cfg.loss_spec,
+            cfg.predset_spec,
+            cfg.match_spec,
+        )
+        for sample in samples
+    ]
+
+
+def _report(outcomes: Sequence[tuple]) -> EvaluationReport:
+    """The report of the images whose ``_image_outcome``s are ``outcomes``.
+
+    Every sum is exactly rounded, so the report does not depend on the order
+    of the images or on how their outcomes were split up for computing.
+    """
+    if not outcomes:
+        raise ValueError("empty test set")
     cnf_losses = []
     loc_losses = []
     cls_losses = []
@@ -175,16 +187,7 @@ def evaluate(
     cls_size_means = []
     no_selection = 0
     skipped_total = 0
-    for sample in samples:
-        cnf, loc, cls, n_sel, stretches, set_sizes, skipped = _image_outcome(
-            sample,
-            result.lambda_cnf_plus,
-            result.lambda_loc_plus,
-            result.lambda_cls_plus,
-            cfg.loss_spec,
-            cfg.predset_spec,
-            cfg.match_spec,
-        )
+    for cnf, loc, cls, n_sel, stretches, set_sizes, skipped in outcomes:
         cnf_losses.append(cnf)
         loc_losses.append(loc)
         cls_losses.append(cls)
@@ -197,8 +200,7 @@ def evaluate(
             if stretches:
                 stretch_means.append(sum(stretches) / len(stretches))
             cls_size_means.append(sum(set_sizes) / len(set_sizes))
-    n = len(samples)
-    # fsum: exactly-rounded sums keep the report invariant to image order.
+    n = len(outcomes)
     report = EvaluationReport(
         cnf_risk=math.fsum(cnf_losses) / n,
         loc_risk=math.fsum(loc_losses) / n,
@@ -216,3 +218,15 @@ def evaluate(
     if report.global_risk > report.loc_risk + report.cls_risk + 1e-12:
         raise AssertionError("global risk exceeded the sum of individual risks")
     return report
+
+
+def evaluate(
+    test_samples: Sequence[ImageSample], result: CalibrationResult
+) -> EvaluationReport:
+    """Risks and set sizes of the calibrated parameters on held-out images.
+
+    The test samples are expected to be disjoint from the calibration set;
+    this is not enforced. The global risk is the mean over images of the
+    worse of the localization and classification losses.
+    """
+    return _report(_image_outcomes(test_samples, result))

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,11 +14,16 @@ import condet
 from condet import (
     CalibrationConfig,
     CalibrationResult,
+    LossSpec,
+    MatchDistanceSpec,
+    PredSetSpec,
     SynthSpec,
+    _workers,
     generate,
     save_result,
 )
 from condet.cli import main
+from condet.dataio import _chunks
 from helpers import samples_to_dataset_file
 
 
@@ -385,6 +392,183 @@ class TestInferEvaluateCommands:
         report = payload["report"]
         assert 0.0 <= report["global_risk"] <= 1.0
         assert report["global_risk"] <= report["loc_risk"] + report["cls_risk"] + 1e-12
+
+    def test_evaluate_report_is_strict_json_without_selections(self, tmp_path):
+        # Every detection falls below the confidence threshold, so the set
+        # sizes are undefined: null, where a bare NaN would not parse.
+        config = CalibrationConfig(0.1, 0.3, 0.3, lambda_loc_bounds=(0.0, 10.0))
+        result = tmp_path / "result.json"
+        save_result(CalibrationResult(0.05, 0.05, 1.0, 0.5, config, 10, {}), result)
+        dataset = tmp_path / "test.json"
+        dataset.write_text(json.dumps({
+            "schema_version": 1, "num_classes": 2,
+            "images": [{"image_id": f"x{i}", "width": 64, "height": 64,
+                        "ground_truths": [{"box": [0, 0, 10, 10], "class_id": 1}],
+                        "detections": [{"box": [1, 1, 9, 9], "confidence": 0.5, "probs": [0.3, 0.7]}]}
+                       for i in range(5)],
+        }))
+        out = tmp_path / "report.json"
+        assert run(["evaluate", "--result", result, "--dataset", dataset, "--out", out]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        report = json.loads(out.read_text(), parse_constant=reject)["report"]
+        assert report["n_images_without_selection"] == 5
+        assert report["loc_set_size"] is None and report["cls_set_size"] is None
+
+
+#: SHA-256 of the ``infer`` predictions and the ``evaluate --out`` report on
+#: ``TestParallelCommands``'s files, recorded from the serial commands, which
+#: parsed every record before doing any per-image work.
+PREDICTIONS_SHA256 = "582da4ebd58f0b4980155864cf29b6186d0c62b6aed7987602779f3516d73594"
+REPORT_SHA256 = "b39aeb64ee4ca08f34cfe9859f84499ade78b63537d877ffedf51b207114d4a2"
+
+
+class TestParallelCommands:
+    """``infer`` and ``evaluate`` over a file of five chunks of records."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("parallel")
+        # 120 images, ~32 detections each, 80 classes: five chunks.
+        spec = SynthSpec(seed=5, n_images=120, num_classes=80, false_positive_rate=30.0)
+        samples_to_dataset_file(generate(spec), 80, root / "test.json")
+        config = CalibrationConfig(
+            0.02, 0.1, 0.1,
+            loss_spec=LossSpec(localization_kind="pixelwise"),
+            predset_spec=PredSetSpec(localization_kind="multiplicative", classification_kind="aps"),
+            match_spec=MatchDistanceSpec("giou"),
+            lambda_loc_bounds=(0.0, 3.0),
+        )
+        save_result(CalibrationResult(0.7, 0.6, 0.25, 0.9, config, 100, {}), root / "result.json")
+        return root / "result.json", root / "test.json"
+
+    @staticmethod
+    def commands(result, dataset, tmp_path):
+        """The ``infer`` and ``evaluate --out`` argument lists and their outputs."""
+        preds, report = tmp_path / "preds.json", tmp_path / "report.json"
+        return {
+            "infer": (["infer", "--result", result, "--dataset", dataset, "--out", preds], preds),
+            "evaluate": (["evaluate", "--result", result, "--dataset", dataset, "--out", report], report),
+        }
+
+    @staticmethod
+    def edited(dataset, tmp_path, edits):
+        """A copy of ``dataset`` with ``edit(record)`` applied to the first
+        record of chunk ``k``, for each ``(k, edit)`` of ``edits``; returns
+        the copy's path and the edited records' image ids."""
+        raw = json.loads(dataset.read_text())
+        spans = _chunks([len(rec["detections"]) * raw["num_classes"] for rec in raw["images"]])
+        assert len(spans) == 5
+        ids = []
+        for k, edit in edits:
+            rec = raw["images"][spans[k][0]]
+            edit(rec)
+            ids.append(rec["image_id"])
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(raw))
+        return path, ids
+
+    @pytest.mark.parametrize("cpus", [None, 1, 2, 4])
+    def test_outputs_equal_the_serial_bytes(self, files, tmp_path, monkeypatch, cpus):
+        if cpus is not None:
+            monkeypatch.setattr(_workers, "_available_cpus", lambda: cpus)
+        commands = self.commands(*files, tmp_path)
+        for argv, _ in commands.values():
+            assert run(argv) == 0
+        assert multiprocessing.active_children() == []
+        assert sha256(commands["infer"][1]) == PREDICTIONS_SHA256
+        assert sha256(commands["evaluate"][1]) == REPORT_SHA256
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize("command", ["infer", "evaluate"])
+    def test_first_bad_record_in_file_order_is_named(self, files, tmp_path, capsys, monkeypatch, cpus, command):
+        monkeypatch.setattr(_workers, "_available_cpus", lambda: cpus)
+        result, dataset = files
+
+        def bad_probs(rec):
+            rec["detections"][0]["probs"] = [0.5] * 80
+
+        def bad_confidence(rec):
+            rec["detections"][0]["confidence"] = 2.0
+
+        path, (first, _) = self.edited(dataset, tmp_path, [(3, bad_probs), (4, bad_confidence)])
+        argv, _ = self.commands(result, path, tmp_path)[command]
+        assert run(argv) == 1
+        detail = f"{path}: image {first!r} detection #0: probs sum to 40.000000, expected 1 within 1e-4"
+        assert capsys.readouterr().err == f'error code=1 kind=data detail="{detail}"\n'
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_bad_record_is_reported_ahead_of_an_evaluation_error(self, files, tmp_path, capsys, monkeypatch, cpus):
+        # Under giou matching a selected zero-area box fails in chunk 0, but
+        # only once every record has parsed: chunk 4's bad record comes first.
+        monkeypatch.setattr(_workers, "_available_cpus", lambda: cpus)
+        result, dataset = files
+
+        def zero_area(rec):
+            assert rec["ground_truths"]
+            rec["detections"][0].update(box=[10.0, 10.0, 10.0, 20.0], confidence=0.99)
+
+        def bad_probs(rec):
+            rec["detections"][0]["probs"] = [0.5] * 80
+
+        for edits, detail in (
+            ([(0, zero_area)], "giou_distance requires boxes with positive area"),
+            ([(0, zero_area), (4, bad_probs)], "detection #0: probs sum to 40.000000, expected 1 within 1e-4"),
+        ):
+            path, ids = self.edited(dataset, tmp_path, edits)
+            if len(ids) > 1:
+                detail = f"{path}: image {ids[1]!r} {detail}"
+            argv, _ = self.commands(result, path, tmp_path)["evaluate"]
+            assert run(argv) == 1
+            assert capsys.readouterr().err == f'error code=1 kind=data detail="{detail}"\n'
+        assert multiprocessing.active_children() == []
+
+    def test_failing_infer_leaves_the_output_untouched(self, files, tmp_path, monkeypatch):
+        monkeypatch.setattr(_workers, "_available_cpus", lambda: 2)
+        result, dataset = files
+
+        def bad_confidence(rec):
+            rec["detections"][0]["confidence"] = 2.0
+
+        path, _ = self.edited(dataset, tmp_path, [(4, bad_confidence)])
+        argv, out = self.commands(result, path, tmp_path)["infer"]
+        out.write_text("earlier predictions\n")
+        assert run(argv) == 1
+        assert out.read_text() == "earlier predictions\n"
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("schema_version", 2, "unsupported dataset schema version 2 (expected 1)"),
+            ("num_classes", 0, "num_classes must be a positive integer, got 0"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["infer", "evaluate"])
+    def test_header_error_exit_1(self, files, tmp_path, capsys, key, value, message, command):
+        result, dataset = files
+        path = tmp_path / "header.json"
+        path.write_text(json.dumps({**json.loads(dataset.read_text()), key: value}))
+        argv, _ = self.commands(result, path, tmp_path)[command]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f'error code=1 kind=data detail="{path}: {message}"\n'
+
+    def test_runs_in_a_daemonic_process(self, files, tmp_path, monkeypatch):
+        # A pool worker may not start children of its own; the records are
+        # then processed in the worker itself.
+        monkeypatch.setattr(_workers, "_available_cpus", lambda: 4)
+        commands = self.commands(*files, tmp_path)
+        with multiprocessing.get_context().Pool(1) as pool:
+            for argv, _ in commands.values():
+                assert pool.apply_async(main, ([str(a) for a in argv],)).get(timeout=120) == 0
+        assert sha256(commands["infer"][1]) == PREDICTIONS_SHA256
+        assert sha256(commands["evaluate"][1]) == REPORT_SHA256
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 class TestImportCocoCommand:

@@ -12,7 +12,9 @@ second-step λ's with what follows from them (config digests, margined boxes,
 localization set sizes). The two ``validate --out`` reports were re-recorded
 once more when they began to echo the ``SynthSpec`` that ran, defaults
 included, instead of the spec file's ``synth`` object: the same diff showed
-only that object changed.
+only that object changed. ``help/infer`` was re-recorded once, when the help
+of ``--allow-config-mismatch`` began to name the config flags beside
+``--config``.
 
 Recorded per case (SHA-256 of the exact bytes):
 
@@ -324,7 +326,7 @@ GOLDEN = {
     "validate-flags-and-config/exit": "0",
     "validate-flags-and-config/report": "4b23cc81b5209953e99520f721fa430665001441d163953ca6474b0e21dbd63d",
     "help/calibrate": "4b036641cfb53adde390c21bcbf62f79f7cdeec7802c93d111c5c86158be3d13",
-    "help/infer": "49cbfa9111c2d112fabbc6974b6c903953d2d1a8d3710c59631217a5b00deb5b",
+    "help/infer": "fafce16964d964ddcf2d6094e590f301d68e6950ef5242a6f9c112b7b61bc1f7",
     "help/validate": "7a2108e1474aef2d46914040368e20919fa3025742627ce4286bd83a1be52d68",
     "in-memory-0/result": "8488d820e8e3b02e946ea2749108451cace17d0d4d389492addaf832a602aaac",
     "in-memory-0/config_digest": "1c9e8f143e0877d0fde857d59ea657afc38f61049772ec2dfa74ada9e4ff6d88",
