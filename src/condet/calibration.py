@@ -289,6 +289,21 @@ class CalibrationResult:
             raise ValueError(
                 "optimistic confidence parameter exceeds the conservative one"
             )
+        lams = (self.lambda_cnf_plus, self.lambda_cnf_minus, self.lambda_loc_plus,
+                self.lambda_cls_plus)
+        if not all(map(math.isfinite, lams)):
+            raise ValueError(f"every lambda must be finite, got {lams}")
+        if self.lambda_cnf_minus < 0.0 or self.lambda_cnf_plus > 1.0:
+            raise ValueError(
+                "confidence parameters must satisfy 0 <= lambda_cnf_minus and "
+                f"lambda_cnf_plus <= 1, got {self.lambda_cnf_minus} and {self.lambda_cnf_plus}"
+            )
+        if self.lambda_loc_plus < 0.0:
+            raise ValueError(f"lambda_loc_plus must be >= 0, got {self.lambda_loc_plus}")
+        if not 0.0 <= self.lambda_cls_plus <= 1.0:
+            raise ValueError(f"lambda_cls_plus must lie in [0, 1], got {self.lambda_cls_plus}")
+        if self.n_calibration < 1:
+            raise ValueError(f"n_calibration must be >= 1, got {self.n_calibration}")
 
 
 def default_lambda_loc_bounds(

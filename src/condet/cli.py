@@ -49,7 +49,7 @@ from .dataio import (
     save_result,
     write_dataset_file,
 )
-from .inference_metrics import _image_outcomes, _report, infer
+from .inference_metrics import _image_outcome, _report, infer
 from .losses import AGGREGATION_KINDS, CONF_LOSS_KINDS, LOC_LOSS_KINDS
 from .matching import MATCH_KINDS
 from .predsets import CLS_SET_KINDS, LOC_SET_KINDS
@@ -105,6 +105,8 @@ _CONFIG_FLAGS = (
      {"type": float, "help": "mixing weight for the mix matching distance"}),
     ("--prefilter", "prefilter_threshold",
      {"type": float, "help": "confidence floor applied at ingestion"}),
+    ("--no-finite-sample-correction", "finite_sample_correction",
+     {"action": "store_const", "const": False, "help": argparse.SUPPRESS}),
 )
 
 
@@ -115,7 +117,7 @@ def _flag_value(args: argparse.Namespace, flag: str):
 def _config_given(args: argparse.Namespace) -> bool:
     """Whether ``--config`` or any config flag was given."""
     flags = ["--config", "--lambda-loc-min", "--lambda-loc-max"] + [f for f, _, _ in _CONFIG_FLAGS]
-    return args.no_finite_sample_correction or any(_flag_value(args, f) is not None for f in flags)
+    return any(_flag_value(args, f) is not None for f in flags)
 
 
 def _build_config(args: argparse.Namespace, raw: dict | None = None) -> CalibrationConfig:
@@ -141,8 +143,6 @@ def _build_config(args: argparse.Namespace, raw: dict | None = None) -> Calibrat
         if hi is None:
             raise DataFormatError("--lambda-loc-max is required when --lambda-loc-min is given")
         raw["lambda_loc_bounds"] = [lo, hi]
-    if args.no_finite_sample_correction:
-        raw["finite_sample_correction"] = False
     return config_from_dict(raw)
 
 
@@ -254,8 +254,8 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 def _sample_outcomes(images, result) -> list:
     """The ``evaluate`` outcome of each image record, its samples built first."""
-    samples = [_sample(rec, result.config.prefilter_threshold) for rec in images]
-    return _image_outcomes(samples, result)
+    threshold = result.config.prefilter_threshold
+    return [_image_outcome(_sample(rec, threshold), result) for rec in images]
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -341,11 +341,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, **keywords)
     parser.add_argument("--lambda-loc-min", type=float)
     parser.add_argument("--lambda-loc-max", type=float)
-    parser.add_argument(
-        "--no-finite-sample-correction",
-        action="store_true",
-        help=argparse.SUPPRESS,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,9 +2,10 @@
 
 Inference only uses the conservative parameters: the confidence threshold
 selects detections, each selected box is margined, and each selected
-probability vector becomes a label set. Evaluation recomputes the raw task
-losses at those parameters on held-out images and reports risks (mean
-losses) and set sizes.
+probability vector becomes a label set. Evaluation scores exactly the sets
+``infer`` builds: one composition (``_prediction_sets``) serves both, and
+evaluation computes the raw task losses of those sets on held-out images and
+reports risks (mean losses) and set sizes.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from typing import Sequence
 
 from .calibration import CalibrationResult
 from .geometry import BoundingBox, area
-from .losses import Detection, ImageSample, LossSpec, cls_loss, conf_loss, loc_loss
-from .matching import MatchDistanceSpec, match
-from .predsets import PredSetSpec, apply_margin, build_class_set, select_confident
+from .losses import Detection, ImageSample, cls_loss, conf_loss, loc_loss
+from .matching import match
+from .predsets import apply_margin, build_class_set
 
 __all__ = [
     "SelectedPrediction",
@@ -76,6 +77,27 @@ class EvaluationReport:
     n_zero_area_boxes_skipped: int = 0
 
 
+def _prediction_sets(
+    detections: Sequence[Detection], result: CalibrationResult
+) -> tuple[list[int], list[BoundingBox], list[set[int]]]:
+    """The prediction sets at the result's conservative parameters.
+
+    Returns the positions of the selected detections (``lambda_cnf_plus >=
+    1 - confidence``, in input order), their margined boxes and their label
+    sets. ``infer`` emits these sets and ``evaluate`` scores them.
+    """
+    lam_cnf = result.lambda_cnf_plus
+    lam_loc, loc_kind = result.lambda_loc_plus, result.config.predset_spec.localization_kind
+    lam_cls, cls_kind = result.lambda_cls_plus, result.config.predset_spec.classification_kind
+    selected, margined, class_sets = [], [], []
+    for k, det in enumerate(detections):
+        if lam_cnf >= 1.0 - det.confidence:
+            selected.append(k)
+            margined.append(apply_margin(det.box, lam_loc, loc_kind))
+            class_sets.append(build_class_set(det.probs, lam_cls, cls_kind))
+    return selected, margined, class_sets
+
+
 def infer(
     detections: Sequence[Detection],
     result: CalibrationResult,
@@ -87,87 +109,52 @@ def infer(
     floor used during calibration. Indices in the output refer to positions
     in the input sequence; input order is preserved.
     """
-    cfg = result.config
-    lam_cnf = result.lambda_cnf_plus
-    lam_loc = result.lambda_loc_plus
-    lam_cls = result.lambda_cls_plus
-    selected = []
-    for index, det in enumerate(detections):
-        if lam_cnf >= 1.0 - det.confidence:
-            selected.append(
-                SelectedPrediction(
-                    index=index,
-                    box=det.box,
-                    margined_box=apply_margin(det.box, lam_loc, cfg.predset_spec.localization_kind),
-                    class_labels=frozenset(
-                        build_class_set(det.probs, lam_cls, cfg.predset_spec.classification_kind)
-                    ),
-                )
-            )
+    selected, margined, class_sets = _prediction_sets(detections, result)
+    boxes = [detections[k].box for k in selected]
     return ConformalPrediction(
         image_id=image_id,
-        selected=tuple(selected),
-        lambda_cnf=lam_cnf,
-        lambda_loc=lam_loc,
-        lambda_cls=lam_cls,
+        selected=tuple(map(SelectedPrediction, selected, boxes, margined, class_sets)),
+        lambda_cnf=result.lambda_cnf_plus,
+        lambda_loc=result.lambda_loc_plus,
+        lambda_cls=result.lambda_cls_plus,
     )
 
 
-def _image_outcome(
-    sample: ImageSample,
-    lambda_cnf: float,
-    lambda_loc: float,
-    lambda_cls: float,
-    loss_spec: LossSpec,
-    predset_spec: PredSetSpec,
-    match_spec: MatchDistanceSpec,
-):
-    """Losses and per-image size statistics at fixed parameters."""
-    sel = select_confident(sample, lambda_cnf)
-    preds = [(sample.detections[k].box, sample.detections[k].probs) for k in sel]
-    assignment = match(sample.ground_truths, preds, match_spec)
-    margined = [apply_margin(box, lambda_loc, predset_spec.localization_kind) for box, _ in preds]
-    class_sets = [
-        build_class_set(probs, lambda_cls, predset_spec.classification_kind) for _, probs in preds
-    ]
-    cnf = conf_loss(sample, len(sel), loss_spec.confidence_kind)
-    loc = loc_loss(
-        sample, assignment, margined, loss_spec.localization_kind, loss_spec.localization_tau
-    )
+def _image_outcome(sample: ImageSample, result: CalibrationResult) -> tuple:
+    """One image's scores of the sets ``infer`` builds for it.
+
+    Returns ``(cnf, loc, cls, n_selected, mean_stretch, mean_set_size,
+    skipped)``: the three losses, the number of selected detections, the
+    mean stretch of its boxes of non-zero area and the mean label-set size
+    (each ``None`` when it averages nothing), and the number of zero-area
+    boxes left out of the stretch.
+    """
+    cfg = result.config
+    spec = cfg.loss_spec
+    selected, margined, class_sets = _prediction_sets(sample.detections, result)
+    preds = [(sample.detections[k].box, sample.detections[k].probs) for k in selected]
+    assignment = match(sample.ground_truths, preds, cfg.match_spec)
+    cnf = conf_loss(sample, len(selected), spec.confidence_kind)
+    loc = loc_loss(sample, assignment, margined, spec.localization_kind, spec.localization_tau)
     cls = cls_loss(
-        sample,
-        assignment,
-        class_sets,
-        loss_spec.classification_aggregation,
-        loss_spec.aggregation_tau,
+        sample, assignment, class_sets, spec.classification_aggregation, spec.aggregation_tau
     )
     stretches = []
-    skipped = 0
     for (box, _), mbox in zip(preds, margined):
         original = area(box)
         if original <= 0.0:
-            skipped += 1
             continue
         stretches.append(math.sqrt(area(mbox) / original))
+    mean_stretch = sum(stretches) / len(stretches) if stretches else None
     set_sizes = [len(s) for s in class_sets]
-    return cnf, loc, cls, len(sel), stretches, set_sizes, skipped
+    mean_set_size = sum(set_sizes) / len(set_sizes) if set_sizes else None
+    skipped = len(selected) - len(stretches)
+    return cnf, loc, cls, len(selected), mean_stretch, mean_set_size, skipped
 
 
-def _image_outcomes(samples: Sequence[ImageSample], result: CalibrationResult) -> list:
-    """``_image_outcome`` of each sample at the result's parameters."""
-    cfg = result.config
-    return [
-        _image_outcome(
-            sample,
-            result.lambda_cnf_plus,
-            result.lambda_loc_plus,
-            result.lambda_cls_plus,
-            cfg.loss_spec,
-            cfg.predset_spec,
-            cfg.match_spec,
-        )
-        for sample in samples
-    ]
+def _mean(values: Sequence[float]) -> float:
+    """The exactly rounded mean of ``values``; NaN when there are none."""
+    return math.fsum(values) / len(values) if values else math.nan
 
 
 def _report(outcomes: Sequence[tuple]) -> EvaluationReport:
@@ -178,40 +165,18 @@ def _report(outcomes: Sequence[tuple]) -> EvaluationReport:
     """
     if not outcomes:
         raise ValueError("empty test set")
-    cnf_losses = []
-    loc_losses = []
-    cls_losses = []
-    global_losses = []
-    counts = []
-    stretch_means = []
-    cls_size_means = []
-    no_selection = 0
-    skipped_total = 0
-    for cnf, loc, cls, n_sel, stretches, set_sizes, skipped in outcomes:
-        cnf_losses.append(cnf)
-        loc_losses.append(loc)
-        cls_losses.append(cls)
-        global_losses.append(max(loc, cls))
-        counts.append(n_sel)
-        skipped_total += skipped
-        if n_sel == 0:
-            no_selection += 1
-        else:
-            if stretches:
-                stretch_means.append(sum(stretches) / len(stretches))
-            cls_size_means.append(sum(set_sizes) / len(set_sizes))
-    n = len(outcomes)
+    cnf, loc, cls, counts, stretches, set_sizes, skipped = zip(*outcomes)
     report = EvaluationReport(
-        cnf_risk=math.fsum(cnf_losses) / n,
-        loc_risk=math.fsum(loc_losses) / n,
-        cls_risk=math.fsum(cls_losses) / n,
-        global_risk=math.fsum(global_losses) / n,
-        cnf_set_size=math.fsum(counts) / n,
-        loc_set_size=math.fsum(stretch_means) / len(stretch_means) if stretch_means else math.nan,
-        cls_set_size=math.fsum(cls_size_means) / len(cls_size_means) if cls_size_means else math.nan,
-        n_test=n,
-        n_images_without_selection=no_selection,
-        n_zero_area_boxes_skipped=skipped_total,
+        cnf_risk=_mean(cnf),
+        loc_risk=_mean(loc),
+        cls_risk=_mean(cls),
+        global_risk=_mean(list(map(max, loc, cls))),
+        cnf_set_size=_mean(counts),
+        loc_set_size=_mean([s for s in stretches if s is not None]),
+        cls_set_size=_mean([s for s in set_sizes if s is not None]),
+        n_test=len(outcomes),
+        n_images_without_selection=counts.count(0),
+        n_zero_area_boxes_skipped=sum(skipped),
     )
     if report.global_risk < max(report.loc_risk, report.cls_risk) - 1e-12:
         raise AssertionError("global risk fell below the individual risks")
@@ -229,4 +194,4 @@ def evaluate(
     this is not enforced. The global risk is the mean over images of the
     worse of the localization and classification losses.
     """
-    return _report(_image_outcomes(test_samples, result))
+    return _report([_image_outcome(sample, result) for sample in test_samples])

@@ -381,6 +381,27 @@ class TestInferEvaluateCommands:
         assert err.count("error code=1") == 1 and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, changes, message",
+        [
+            ("infer", {"lambda_cnf_plus": math.nan}, "every lambda must be finite"),
+            ("evaluate", {"lambda_loc_plus": math.inf}, "every lambda must be finite"),
+            ("infer", {"lambda_cls_plus": 7.0}, "lambda_cls_plus must lie in [0, 1], got 7.0"),
+            ("evaluate", {"n_calibration": -3}, "n_calibration must be >= 1, got -3"),
+        ],
+    )
+    def test_out_of_domain_result_exit_1(self, dataset_paths, tmp_path, capsys, command, changes, message):
+        # JSON NaN and Infinity parse as numbers; the result's domain rule rejects them.
+        result, test = self.calibrated(dataset_paths, tmp_path)
+        result.write_text(json.dumps({**json.loads(result.read_text()), **changes}))
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        code = run([command, "--result", result, "--dataset", test, "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("error code=1") == 1 and message in err
+        assert not out.exists()
+
     def test_evaluate_prints_report(self, dataset_paths, tmp_path, capsys):
         result, test = self.calibrated(dataset_paths, tmp_path)
         out = tmp_path / "report.json"

@@ -731,6 +731,16 @@ class TestResultPersistence:
             ("diagnostics", [], "result.diagnostics must be an object"),
             ("lambda_cnf_minus", 2.0, "optimistic confidence parameter exceeds the conservative one"),
             ("lambda_loc_plus", None, "result.lambda_loc_plus must be a number, got None"),
+            ("lambda_cnf_plus", math.nan, "every lambda must be finite"),
+            ("lambda_loc_plus", math.inf, "every lambda must be finite"),
+            ("lambda_cls_plus", -math.inf, "every lambda must be finite"),
+            ("lambda_cnf_minus", -0.5, "confidence parameters must satisfy 0 <= lambda_cnf_minus and lambda_cnf_plus <= 1"),
+            ("lambda_cnf_plus", 1.5, "confidence parameters must satisfy 0 <= lambda_cnf_minus and lambda_cnf_plus <= 1"),
+            ("lambda_loc_plus", -1.0, "lambda_loc_plus must be >= 0, got -1.0"),
+            ("lambda_cls_plus", 7.0, "lambda_cls_plus must lie in [0, 1], got 7.0"),
+            ("lambda_cls_plus", -0.25, "lambda_cls_plus must lie in [0, 1], got -0.25"),
+            ("n_calibration", -3, "n_calibration must be >= 1, got -3"),
+            ("n_calibration", 0, "n_calibration must be >= 1, got 0"),
         ],
     )
     def test_invalid_field_rejected(self, tmp_path, key, value, message):

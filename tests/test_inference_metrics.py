@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,11 +11,18 @@ from condet import (
     Detection,
     ImageSample,
     LossSpec,
+    MatchDistanceSpec,
     PredSetSpec,
+    cls_loss,
+    conf_loss,
     contains,
     evaluate,
     infer,
+    loc_loss,
+    match,
 )
+from condet.losses import AGGREGATION_KINDS, CONF_LOSS_KINDS, LOC_LOSS_KINDS
+from condet.matching import MATCH_KINDS
 from helpers import random_sample
 
 
@@ -25,6 +33,7 @@ def make_result(
     predset=PredSetSpec(),
     loss=LossSpec(),
     lam_minus=None,
+    match_spec=MatchDistanceSpec("hausdorff"),
 ):
     config = CalibrationConfig(
         alpha_cnf=0.05,
@@ -32,6 +41,7 @@ def make_result(
         alpha_cls=0.2,
         loss_spec=loss,
         predset_spec=predset,
+        match_spec=match_spec,
         lambda_loc_bounds=(0.0, 500.0),
     )
     return CalibrationResult(
@@ -158,3 +168,43 @@ class TestEvaluate:
     def test_empty_test_set(self):
         with pytest.raises(ValueError):
             evaluate([], make_result())
+
+
+@pytest.mark.parametrize("loc_set", ["additive", "multiplicative"])
+@pytest.mark.parametrize("cls_set", ["lac", "aps"])
+def test_evaluate_scores_the_sets_infer_emits(loc_set, cls_set):
+    rng = np.random.default_rng(17)
+    loss_kinds = itertools.product(CONF_LOSS_KINDS, LOC_LOSS_KINDS, AGGREGATION_KINDS)
+    for index, (conf_kind, loc_kind, agg) in enumerate(loss_kinds):
+        spec = LossSpec(
+            confidence_kind=conf_kind, localization_kind=loc_kind, classification_aggregation=agg
+        )
+        lam_cnf, lam_loc, lam_cls = (float(v) for v in rng.uniform(0.0, 1.0, 3))
+        result = make_result(
+            lam_cnf=lam_cnf,
+            lam_loc=lam_loc * (20.0 if loc_set == "additive" else 1.0),
+            lam_cls=lam_cls,
+            predset=PredSetSpec(localization_kind=loc_set, classification_kind=cls_set),
+            loss=spec,
+            match_spec=MatchDistanceSpec(MATCH_KINDS[index % len(MATCH_KINDS)]),
+        )
+        samples = [random_sample(rng, image_id=f"r{j}") for j in range(12)]
+        losses = []
+        for sample in samples:
+            selected = infer(sample.detections, result).selected
+            preds = [(sel.box, sample.detections[sel.index].probs) for sel in selected]
+            assignment = match(sample.ground_truths, preds, result.config.match_spec)
+            losses.append((
+                conf_loss(sample, len(selected), conf_kind),
+                loc_loss(sample, assignment, [sel.margined_box for sel in selected],
+                         loc_kind, spec.localization_tau),
+                cls_loss(sample, assignment, [sel.class_labels for sel in selected],
+                         agg, spec.aggregation_tau),
+            ))
+        cnf, loc, cls = zip(*losses)
+        report = evaluate(samples, result)
+        n = len(samples)
+        assert report.cnf_risk == math.fsum(cnf) / n
+        assert report.loc_risk == math.fsum(loc) / n
+        assert report.cls_risk == math.fsum(cls) / n
+        assert report.global_risk == math.fsum(map(max, loc, cls)) / n
