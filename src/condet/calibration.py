@@ -91,7 +91,6 @@ __all__ = [
     "CalibrationResult",
     "crc_calibrate",
     "default_lambda_loc_bounds",
-    "resolve_config",
     "seqcrc_step1",
     "seqcrc_step2",
     "calibrate",
@@ -304,6 +303,14 @@ class CalibrationResult:
             raise ValueError(f"lambda_cls_plus must lie in [0, 1], got {self.lambda_cls_plus}")
         if self.n_calibration < 1:
             raise ValueError(f"n_calibration must be >= 1, got {self.n_calibration}")
+        for name, lam, bounds in (("loc", self.lambda_loc_plus, self.config.lambda_loc_bounds),
+                                  ("cls", self.lambda_cls_plus, self.config.lambda_cls_bounds)):
+            if bounds is not None and not bounds[0] <= lam <= bounds[1]:
+                raise ValueError(
+                    f"lambda_{name}_plus must lie in lambda_{name}_bounds {list(bounds)}, got {lam}"
+                )
+        if not all(map(math.isfinite, self.diagnostics.values())):
+            raise ValueError(f"every diagnostic must be finite, got {self.diagnostics}")
 
 
 def default_lambda_loc_bounds(
@@ -316,33 +323,9 @@ def default_lambda_loc_bounds(
     truth; for multiplicative margins a fixed 3.0 (triple-size expansion per
     side) covers every practically relevant correction.
     """
-    if localization_kind == "multiplicative":
-        return (0.0, 3.0)
-    hi = 0.0
-    lo = 0.0
-    seen = False
-    for sample in samples:
-        boxes = [box for box, _ in sample.ground_truths]
-        boxes.extend(det.box for det in sample.detections)
-        for box in boxes:
-            seen = True
-            hi = max(hi, box.right, box.bottom)
-            lo = min(lo, box.left, box.top)
-    if not seen:
-        return (0.0, 1.0)
-    if not math.isfinite(hi - lo):
-        raise ValueError("calibration boxes must have finite coordinates")
-    return (0.0, (hi - lo) + 1.0)
-
-
-def resolve_config(
-    config: CalibrationConfig, samples: Sequence[ImageSample]
-) -> CalibrationConfig:
-    """Fill data-dependent defaults so the configuration is fully explicit."""
-    if config.lambda_loc_bounds is not None:
-        return config
-    bounds = default_lambda_loc_bounds(samples, config.predset_spec.localization_kind)
-    return replace(config, lambda_loc_bounds=bounds)
+    boxes = [box for s in samples for box, _ in s.ground_truths]
+    boxes.extend(d.box for s in samples for d in s.detections)
+    return _loc_bounds(_coords(boxes), localization_kind)
 
 
 # --------------------------------------------------------------------------
@@ -365,6 +348,16 @@ def _coords(boxes: list) -> np.ndarray:
     """``(4, m)`` array of left, top, right and bottom coordinates."""
     flat = np.fromiter(chain.from_iterable(map(_CORNERS, boxes)), dtype=float, count=4 * len(boxes))
     return flat.reshape(-1, 4).T
+
+
+def _loc_bounds(coords: np.ndarray, localization_kind: str) -> tuple[float, float]:
+    """``default_lambda_loc_bounds`` of the boxes whose ``_coords`` are ``coords``."""
+    if localization_kind == "multiplicative":
+        return (0.0, 3.0)
+    span = float(np.max(coords[2:], initial=0.0) - np.min(coords[:2], initial=0.0))
+    if not math.isfinite(span):
+        raise ValueError("calibration boxes must have finite coordinates")
+    return (0.0, span + 1.0)
 
 
 def _first_bad(mask: np.ndarray, owner: np.ndarray, samples, what: str) -> None:
@@ -494,7 +487,7 @@ def _class_cutoffs(gather, k: int, dets: np.ndarray, labels: np.ndarray, kind: s
 
 
 def _prefix_matches(
-    spec: MatchDistanceSpec, gt_box, labels, gt_img, det_box, gather, n_gt, n_det
+    spec: MatchDistanceSpec, gt_box, labels, gt_img, det_box, gather, n_det, det_start
 ) -> np.ndarray:
     """Column ``k - 1`` holds each ground truth's match under its image's
     first ``k`` detections, as an index into those detections; ``gather``
@@ -505,15 +498,6 @@ def _prefix_matches(
     image's last detection are +inf.
     """
     kind = spec.kind
-    if kind == "giou":
-        det_img = np.repeat(np.arange(len(n_det)), n_det)
-        gt_area = (gt_box[2] - gt_box[0]) * (gt_box[3] - gt_box[1])
-        det_area = (det_box[2] - det_box[0]) * (det_box[3] - det_box[1])
-        if ((gt_area <= 0.0) & (n_det[gt_img] > 0)).any() or (
-            (det_area <= 0.0) & (n_gt[det_img] > 0)
-        ).any():
-            raise ValueError("giou_distance requires boxes with positive area")
-    det_start = np.concatenate(([0], np.cumsum(n_det)))
     width = int(n_det.max())
     cols = np.arange(width)
     best = np.zeros((len(labels), width), dtype=np.int64)
@@ -535,7 +519,7 @@ def _prefix_matches(
     return best
 
 
-def _sweep_rows(req: np.ndarray, n_det: np.ndarray):
+def _sweep_rows(req: np.ndarray, n_det: np.ndarray, det_img: np.ndarray, det_start: np.ndarray):
     """Breakpoints of the downward confidence sweep and the rows it reaches.
 
     ``req`` holds ``1 - confidence`` of every detection, image by image.
@@ -547,12 +531,11 @@ def _sweep_rows(req: np.ndarray, n_det: np.ndarray):
     order) and, per visit, the number of rows reached by its end.
     """
     n = len(n_det)
-    det_img = np.repeat(np.arange(n), n_det)
     values, group = np.unique(req, return_inverse=True)
     top = int(len(values) > 0 and values[-1] >= 1.0)
     tail = [0.0] if len(values) and values[0] > 0.0 else []
     visit_lams = [float(v) for v in values[::-1][top:]] + tail
-    col = np.arange(len(req)) - np.concatenate(([0], np.cumsum(n_det)))[det_img]
+    col = np.arange(len(req)) - det_start[det_img]
     first = np.flatnonzero((col == 0) | (req != np.roll(req, 1)))
     pos = group[first]
     keep = (pos > 0) | bool(tail)
@@ -577,16 +560,19 @@ class _PrefixKernel:
     per ground truth, pointing at the (ground truth, matched detection) pair
     whose requirements on the second-step parameters it carries. The loss
     methods score the first ``rows`` rows at one parameter.
+
+    The constructor is the one place where calibration reads its samples: it
+    flattens them once, checks them, raising ``ValueError`` naming the first
+    bad image, and only then fills in ``lambda_loc_bounds`` when the config
+    leaves them to the data (``default_lambda_loc_bounds``' rule).
     """
 
     def __init__(self, samples: Sequence[ImageSample], config: CalibrationConfig) -> None:
-        if config.lambda_loc_bounds is None:
-            raise ValueError("config must have resolved lambda_loc_bounds")
-        self.config = config
         n = self.n = len(samples)
         n_gt = np.array([len(s.ground_truths) for s in samples], dtype=np.int64)
         n_det = np.array([len(s.detections) for s in samples], dtype=np.int64)
         self._gt_start = np.concatenate(([0], np.cumsum(n_gt)))
+        det_start = np.concatenate(([0], np.cumsum(n_det)))
         gt_img = np.repeat(np.arange(n), n_gt)
         det_img = np.repeat(np.arange(n), n_det)
         gt_box = _coords([box for s in samples for box, _ in s.ground_truths])
@@ -594,9 +580,17 @@ class _PrefixKernel:
         dets = [d for s in samples for d in s.detections]
         det_box = _coords([d.box for d in dets])
         probs = [d.probs for d in dets]
+        req = 1.0 - np.array([d.confidence for d in dets], dtype=float)
         gather = partial(_gather_probs, probs, det_img, samples)
-        _first_bad(~np.isfinite(gt_box).all(axis=0), gt_img, samples, "non-finite ground-truth box")
-        _first_bad(~np.isfinite(det_box).all(axis=0), det_img, samples, "non-finite detection box")
+
+        # Every check but the probabilities', which ``gather`` checks as it
+        # reads them: a check of every vector would cost as much as the rest.
+        for box, owner, what in ((gt_box, gt_img, "ground-truth"), (det_box, det_img, "detection")):
+            _first_bad(~np.isfinite(box).all(axis=0), owner, samples, f"non-finite {what} box")
+            _first_bad(
+                (box[0] > box[2]) | (box[1] > box[3]), owner, samples,
+                f"{what} box corners out of order (left <= right, top <= bottom required)",
+            )
         n_classes = len(probs[0]) if probs else 1
         if any(len(p) != n_classes for p in probs):
             raise ValueError("all probability vectors must have the same length")
@@ -604,12 +598,25 @@ class _PrefixKernel:
             ((labels < 0) | (labels >= n_classes)) & (n_det[gt_img] > 0),
             gt_img, samples, f"class label outside [0, {n_classes})",
         )
+        # GIoU divides by areas: a box in an image with boxes of the other
+        # kind needs a positive one.
+        if config.match_spec.kind == "giou":
+            for box, others in ((gt_box, n_det[gt_img]), (det_box, n_gt[det_img])):
+                if (((box[2] - box[0]) * (box[3] - box[1]) <= 0.0) & (others > 0)).any():
+                    raise ValueError("giou_distance requires boxes with positive area")
+        if config.lambda_loc_bounds is None:
+            bounds = _loc_bounds(
+                np.concatenate((gt_box, det_box), axis=1), config.predset_spec.localization_kind
+            )
+            config = replace(config, lambda_loc_bounds=bounds)
+        self.config = config
 
         self._best = _prefix_matches(
-            config.match_spec, gt_box, labels, gt_img, det_box, gather, n_gt, n_det
+            config.match_spec, gt_box, labels, gt_img, det_box, gather, n_det, det_start
         )
-        req = 1.0 - np.array([d.confidence for d in dets], dtype=float)
-        self.visit_lams, self.row_img, self.row_k, self.visit_end = _sweep_rows(req, n_det)
+        self.visit_lams, self.row_img, self.row_k, self.visit_end = _sweep_rows(
+            req, n_det, det_img, det_start
+        )
         self.n_rows = len(self.row_img)
         self._neg_lams = -np.array(self.visit_lams, dtype=float)
         by_image = np.argsort(self.row_img, kind="stable")
@@ -631,7 +638,6 @@ class _PrefixKernel:
         owner = np.repeat(np.arange(len(self._vrows)), self._vgt)
         img = self.row_img[self._vrows][owner]
         eg = self._gt_start[img] + np.arange(len(owner)) - self._vstart[owner]
-        det_start = np.concatenate(([0], np.cumsum(n_det)))
         ed = det_start[img] + self._best[eg, self.row_k[self._vrows][owner] - 1]
         stride = max(len(dets), 1)
         pairs, self._pair = np.unique(eg * stride + ed, return_inverse=True)
@@ -889,13 +895,11 @@ def _check_precondition(config: CalibrationConfig, n: int) -> None:
 def _kernel(
     samples: Sequence[ImageSample], config: CalibrationConfig, precondition: bool = False
 ) -> _PrefixKernel:
-    """The kernel of a non-empty calibration set under ``config`` with its
-    data-dependent defaults resolved; checks the guarantee's precondition
-    first when asked."""
+    """The kernel of a non-empty calibration set under ``config``; checks the
+    guarantee's precondition first when asked."""
     samples = tuple(samples)
     if not samples:
         raise ValueError("empty calibration set")
-    config = resolve_config(config, samples)
     if precondition:
         _check_precondition(config, len(samples))
     return _PrefixKernel(samples, config)

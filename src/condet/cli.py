@@ -301,6 +301,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     raw = _load_json(args.spec) if args.spec else {}
     if not isinstance(raw, dict):
         raise DataFormatError(f"{args.spec}: validation spec must be a JSON object")
+    unknown = sorted(set(raw) - {"synth", "calibration", "trials", "n_cal", "n_test", "slack"})
+    if unknown:
+        raise DataFormatError(f"{args.spec}: unknown keys {unknown} in validation spec")
     synth_raw = dict(raw.get("synth", {}))
     if args.seed is not None:
         synth_raw["seed"] = args.seed
@@ -315,6 +318,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     n_cal = setting("n_cal", int, 200)
     n_test = setting("n_test", int, 200)
     slack = setting("slack", float, 0.01)
+    if not 0.0 <= slack < math.inf:
+        raise DataFormatError(f"slack must be finite and >= 0, got {slack}")
     report = monte_carlo_validate(spec, config, trials=trials, n_cal=n_cal, n_test=n_test)
     print(format_report_table(report))
     if args.out:

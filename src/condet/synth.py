@@ -309,8 +309,9 @@ def monte_carlo_validate(
     one trial, or when called from a daemonic process (which may not start
     children), the trials run in this process.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    for name, value in (("trials", trials), ("n_cal", n_cal), ("n_test", n_test)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     children = np.random.SeedSequence(spec.seed).spawn(trials)
     seeds = [(t, int(child.generate_state(1)[0])) for t, child in enumerate(children)]
     rows = list(ordered_map(_run_trial, (spec, config, n_cal, n_test), seeds))

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from condet import (
     BoundingBox,
     CalibrationConfig,
     CalibrationPreconditionError,
+    CalibrationResult,
     Detection,
     ImageSample,
     InfeasibleRiskError,
@@ -21,7 +23,7 @@ from condet import (
     seqcrc_step1,
     seqcrc_step2,
 )
-from condet.calibration import _PrefixKernel, _sweep_confidence, resolve_config
+from condet.calibration import _PrefixKernel, _sweep_confidence, default_lambda_loc_bounds
 from condet.predsets import select_confident
 from helpers import random_int_box, random_probs, random_sample
 from oracles import (
@@ -228,8 +230,8 @@ class TestStep1:
         rng = np.random.default_rng(3)
         for _ in range(50):
             samples = tuple(random_dataset(rng, int(rng.integers(1, 6)), min_dets=1))
-            config = resolve_config(random_config(rng, len(samples)), samples)
-            kernel = _PrefixKernel(samples, config)
+            kernel = _PrefixKernel(samples, random_config(rng, len(samples)))
+            config = kernel.config
             _, _, _, trace = _sweep_confidence(kernel)
             lams = [lam for lam, _ in trace]
             risks = [r for _, r in trace]
@@ -424,8 +426,65 @@ class TestCalibrate:
         )
         with pytest.raises(ValueError, match="image 'bad': non-finite detection box"):
             calibrate(samples, basic_config(alpha_cnf=0.1, alpha_loc=0.8, alpha_cls=0.8))
-        with pytest.raises(ValueError, match="finite coordinates"):
+        with pytest.raises(ValueError, match="image 'bad': non-finite detection box"):
             calibrate(samples, basic_config(alpha_cnf=0.1, alpha_loc=0.8, alpha_cls=0.8, lambda_loc_bounds=None))
+
+    @pytest.mark.parametrize("bounds", [(0.0, 50.0), None])
+    @pytest.mark.parametrize("what", ["ground-truth", "detection"])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            calibrate,
+            seqcrc_step1,
+            lambda samples, config: seqcrc_step2(samples, 0.5, "loc", config),
+        ],
+        ids=["calibrate", "step1", "step2"],
+    )
+    def test_reversed_box_names_image(self, entry, what, bounds):
+        # At these levels, three such detection boxes among 40 images used
+        # to move lambda_loc_plus from 0.0 to 20.0 without an error.
+        gt = BoundingBox(10, 10, 30, 30)
+        reversed_box = BoundingBox(30, 10, 10, 30)
+        samples = [
+            ImageSample(f"i{j}", ((gt, 0),), (covering_detection(gt, 0.8),)) for j in range(40)
+        ]
+        for j in (5, 9, 21):
+            if what == "ground-truth":
+                samples[j] = ImageSample(f"bad{j}", ((reversed_box, 0),), samples[j].detections)
+            else:
+                samples[j] = ImageSample(f"bad{j}", ((gt, 0),), (covering_detection(reversed_box, 0.8),))
+        config = basic_config(alpha_cnf=0.05, alpha_loc=0.08, alpha_cls=0.3, lambda_loc_bounds=bounds)
+        with pytest.raises(ValueError, match=f"image 'bad5': {what} box corners out of order"):
+            entry(samples, config)
+
+    @pytest.mark.parametrize("margin", ["additive", "multiplicative"])
+    def test_data_bounds_follow_the_span_rule(self, margin):
+        def reference(samples):
+            # The rule as a loop over every box: the span of all coordinates
+            # and 0, plus one pixel.
+            corners = [0.0]
+            for s in samples:
+                for box in [b for b, _ in s.ground_truths] + [d.box for d in s.detections]:
+                    corners += [box.left, box.top, box.right, box.bottom]
+            return (0.0, max(corners) - min(corners) + 1.0)
+
+        def translate(box, shift):
+            return BoundingBox(box.left + shift, box.top + shift, box.right + shift, box.bottom + shift)
+
+        rng = np.random.default_rng(12)
+        for trial in range(40):
+            n = int(rng.integers(1, 6))
+            shift = float(rng.choice([0.0, -250.5, 1e3 / 3]))
+            samples = [
+                ImageSample(s.image_id, tuple((translate(b, shift), c) for b, c in s.ground_truths),
+                            tuple(replace(d, box=translate(d.box, shift)) for d in s.detections))
+                for s in random_dataset(rng, n, max_gts=2, max_dets=2)
+            ]
+            want = reference(samples) if margin == "additive" else (0.0, 3.0)
+            assert default_lambda_loc_bounds(samples, margin) == want, trial
+            config = basic_config(lambda_loc_bounds=None, predset_spec=PredSetSpec(margin))
+            assert _PrefixKernel(samples, config).config.lambda_loc_bounds == want, trial
+        assert default_lambda_loc_bounds([], "additive") == (0.0, 1.0)
 
     @pytest.mark.parametrize(
         "probs, cls_kind, match_kind",
@@ -467,6 +526,24 @@ class TestCalibrate:
         assert result.n_calibration == 10
         assert "cnf_monotonized_risk" in result.diagnostics
 
+    @pytest.mark.parametrize(
+        "lam_loc, lam_cls, diagnostics, message",
+        [
+            (1e9, 0.4, {}, "lambda_loc_plus must lie in lambda_loc_bounds [2.0, 10.0], got 1000000000.0"),
+            (1.5, 0.4, {}, "lambda_loc_plus must lie in lambda_loc_bounds [2.0, 10.0], got 1.5"),
+            (5.0, 0.9, {}, "lambda_cls_plus must lie in lambda_cls_bounds [0.25, 0.5], got 0.9"),
+            (5.0, 0.125, {}, "lambda_cls_plus must lie in lambda_cls_bounds [0.25, 0.5], got 0.125"),
+            (5.0, 0.4, {"cnf_monotonized_risk": math.nan}, "every diagnostic must be finite"),
+            (5.0, 0.4, {"loc_monotonized_risk": -math.inf}, "every diagnostic must be finite"),
+        ],
+    )
+    def test_result_outside_its_config_rejected(self, lam_loc, lam_cls, diagnostics, message):
+        config = basic_config(lambda_loc_bounds=(2.0, 10.0), lambda_cls_bounds=(0.25, 0.5))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CalibrationResult(0.5, 0.4, lam_loc, lam_cls, config, 10, diagnostics)
+        # The bounds themselves are inside.
+        CalibrationResult(0.5, 0.4, 10.0, 0.25, config, 10, {"cnf_monotonized_risk": 0.0})
+
     def test_larger_alpha_never_larger_lambda(self):
         rng = np.random.default_rng(8)
         for _ in range(30):
@@ -495,8 +572,8 @@ class TestEngineMatchesPurePath:
         for _ in range(150):
             n = int(rng.integers(1, 5))
             samples = tuple(random_dataset(rng, n))
-            config = resolve_config(random_config(rng, n), samples)
-            kernel = _PrefixKernel(samples, config)
+            kernel = _PrefixKernel(samples, random_config(rng, n))
+            config = kernel.config
             rows = list(zip(kernel.row_img.tolist(), kernel.row_k.tolist()))
             conf = kernel.conf_losses()
             for i in range(n):
@@ -519,8 +596,7 @@ class TestOracleAgreementSmoke:
         for trial in range(20):
             n = int(rng.integers(2, 6))
             samples = random_dataset(rng, n, max_gts=2, max_dets=3, span=40.0)
-            config = resolve_config(random_config(rng, n), samples)
-            config = replace(config, lambda_loc_bounds=(0.0, 90.0))
+            config = replace(random_config(rng, n), lambda_loc_bounds=(0.0, 90.0))
             plus, minus = seqcrc_step1(samples, config)
             o_plus, o_minus = grid_step1_oracle(samples, config)
             assert abs(plus - o_plus) <= 1e-3 + 1e-12, trial

@@ -114,12 +114,14 @@ class TestCalibrateCommand:
 
     def test_imports_neither_numpy_ma_nor_multiprocessing(self, dataset_paths, tmp_path):
         # numpy.ma cost every calibrate process 16-20 ms, through np.unique;
-        # multiprocessing ~12 ms.
+        # multiprocessing ~12 ms. Importing condet, which this covers, must
+        # not load a process pool's modules either.
         cal, _ = dataset_paths
         script = (
             "import sys; from condet.cli import main; "
             "assert main(sys.argv[1:]) == 0; "
-            "print([m for m in ('numpy.ma', 'multiprocessing') if m in sys.modules])"
+            "print([m for m in ('numpy.ma', 'multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules])"
         )
         argv = ["calibrate", "--dataset", cal, "--out", tmp_path / "r.json",
                 "--alpha-cnf", "0.05", "--alpha-loc", "0.3", "--alpha-cls", "0.3",
@@ -388,6 +390,7 @@ class TestInferEvaluateCommands:
             ("evaluate", {"lambda_loc_plus": math.inf}, "every lambda must be finite"),
             ("infer", {"lambda_cls_plus": 7.0}, "lambda_cls_plus must lie in [0, 1], got 7.0"),
             ("evaluate", {"n_calibration": -3}, "n_calibration must be >= 1, got -3"),
+            ("infer", {"lambda_loc_plus": 1e9}, "lambda_loc_plus must lie in lambda_loc_bounds [0.0, "),
         ],
     )
     def test_out_of_domain_result_exit_1(self, dataset_paths, tmp_path, capsys, command, changes, message):
@@ -746,6 +749,13 @@ class TestValidateCommand:
             ({"synth": {"seed": 13, "image_width": -64}}, "image_width must be > 0"),
             ({"synth": {"seed": 13, "box_noise_std": math.nan}},
              "box_noise_std must be finite, got nan"),
+            ({"trails": 2}, "unknown keys ['trails'] in validation spec"),
+            ({"seed": 1, "alpha_cnf": 0.1}, "unknown keys ['alpha_cnf', 'seed'] in validation spec"),
+            ({"slack": math.nan}, "slack must be finite and >= 0, got nan"),
+            ({"slack": math.inf}, "slack must be finite and >= 0, got inf"),
+            ({"slack": -0.5}, "slack must be finite and >= 0, got -0.5"),
+            ({"n_cal": -2}, "n_cal must be >= 1, got -2"),
+            ({"n_test": 0}, "n_test must be >= 1, got 0"),
         ],
     )
     def test_invalid_spec_value_exit_1(self, tmp_path, capsys, overrides, message):
@@ -753,6 +763,22 @@ class TestValidateCommand:
         payload = {**json.loads(spec.read_text()), **overrides}
         spec.write_text(json.dumps(payload))
         code = run(["validate", "--spec", spec])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err and "code=1" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--slack", "nan"], "slack must be finite and >= 0, got nan"),
+            (["--slack", "-1"], "slack must be finite and >= 0, got -1.0"),
+            (["--n-cal", "-2", "--n-test", "60"], "n_cal must be >= 1, got -2"),
+        ],
+    )
+    def test_invalid_flag_value_exit_1(self, tmp_path, capsys, flags, message):
+        # --n-cal -2 used to calibrate on all but the last two images and
+        # report n_cal=-2; --slack nan passed every target.
+        code = run(["validate", "--spec", self.spec_file(tmp_path, trials=1)] + flags)
         assert code == 1
         err = capsys.readouterr().err
         assert message in err and "code=1" in err

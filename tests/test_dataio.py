@@ -741,6 +741,9 @@ class TestResultPersistence:
             ("lambda_cls_plus", -0.25, "lambda_cls_plus must lie in [0, 1], got -0.25"),
             ("n_calibration", -3, "n_calibration must be >= 1, got -3"),
             ("n_calibration", 0, "n_calibration must be >= 1, got 0"),
+            ("lambda_loc_plus", 1e9, "lambda_loc_plus must lie in lambda_loc_bounds [0.0, "),
+            ("diagnostics", {"cnf_monotonized_risk": math.nan}, "every diagnostic must be finite"),
+            ("diagnostics", {"loc_monotonized_risk": math.inf}, "every diagnostic must be finite"),
         ],
     )
     def test_invalid_field_rejected(self, tmp_path, key, value, message):

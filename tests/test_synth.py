@@ -210,6 +210,15 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_validate(SynthSpec(seed=0), quick_config(), 0, 5, 5)
 
+    @pytest.mark.parametrize("n_cal, n_test, message", [
+        (-2, 60, "n_cal must be >= 1, got -2"),
+        (0, 5, "n_cal must be >= 1, got 0"),
+        (5, 0, "n_test must be >= 1, got 0"),
+    ])
+    def test_invalid_split_sizes(self, n_cal, n_test, message):
+        with pytest.raises(ValueError, match=message):
+            monte_carlo_validate(SynthSpec(seed=0), quick_config(), 1, n_cal, n_test)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SynthSpec(objects_min=3, objects_max=1)
