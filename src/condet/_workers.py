@@ -4,7 +4,10 @@
 its records, and ``condet infer`` and ``condet evaluate`` check and process
 the image records of their dataset file through ``ordered_map``. The results
 come back in item order whatever the worker count, so callers get the same
-output from any count.
+output from any count. The workers form a ``concurrent.futures`` process
+pool, which fails the map when one of them dies, where a
+``multiprocessing.Pool`` would start a replacement and wait forever for the
+lost result.
 """
 
 from __future__ import annotations
@@ -42,26 +45,33 @@ def ordered_map(fn: Callable, shared: tuple, items: Sequence) -> Iterator:
     (so ``taskset`` limits them) and at most one per item. ``fn`` and
     ``shared`` reach each worker once, when it starts: under ``fork`` the
     worker inherits them, so only the items and the results are pickled.
-    The first failing call in item order re-raises its exception here. With
-    one worker, or in a daemonic process (which may not start children), the
-    calls run in this process. Close the iterator, or exhaust it, to stop
-    and join every worker.
+    The first failing call in item order re-raises its exception here, and a
+    worker that dies (killed by a signal, say) raises ``BrokenProcessPool``
+    instead of leaving the map waiting for its result. With one worker, or in
+    a daemonic process (which may not start children), the calls run in this
+    process. Close the iterator, or exhaust it, to stop and join every
+    worker; calls already handed to a worker finish first.
     """
     workers = min(_available_cpus(), len(items))
     if workers > 1:
-        # Imported only here: its ~12 ms import would land on every condet
-        # command, and a one-worker map does not need it.
+        # Imported only here: their ~12 ms import would land on every condet
+        # command, and a one-worker map does not need them.
         import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
         if not multiprocessing.current_process().daemon:
             # A forked worker starts without importing numpy and condet
             # again. numpy's OpenBLAS shuts its threads down around a fork.
             method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-            # ``imap`` yields in item order and raises at the first failed
-            # item; leaving the block terminates and joins every worker.
-            with multiprocessing.get_context(method).Pool(
-                workers, initializer=_start_worker, initargs=(fn, shared)
+            # ``map`` yields in item order and raises at the first failed
+            # item; leaving the block cancels the calls not yet started and
+            # joins every worker.
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context(method),
+                initializer=_start_worker,
+                initargs=(fn, shared),
             ) as pool:
-                yield from pool.imap(_call, items)
+                yield from pool.map(_call, items)
             return
     yield from map(partial(fn, *shared), items)

@@ -40,6 +40,7 @@ from .dataio import (
     _map_image_records,
     _sample,
     _write_json,
+    _write_lines,
     config_digest,
     config_from_dict,
     config_to_dict,
@@ -201,30 +202,8 @@ def _prediction(rec, result) -> dict:
 
 
 def _encoded_predictions(images, result) -> list[str]:
-    """Each image's prediction entry as ``json.dump(indent=2)`` writes it
-    inside the top-level ``predictions`` array: indented by four more spaces
-    after every newline (JSON strings hold no raw newline)."""
-    return [
-        json.dumps(_prediction(rec, result), indent=2).replace("\n", "\n    ") for rec in images
-    ]
-
-
-def _write_predictions(path, config: CalibrationConfig, entries: list[str], **fields) -> None:
-    """``_write_output(path, config, **fields, predictions=...)`` from the
-    predictions' ``_encoded_predictions`` text."""
-    head = json.dumps(_output(config, **fields, predictions=[]), indent=2)
-    with open(path, "w", encoding="utf-8") as fh:
-        if entries:
-            fh.write(head[:-3])  # up to and including the predictions array's "["
-            sep = "\n    "
-            for entry in entries:
-                fh.write(sep)
-                fh.write(entry)
-                sep = ",\n    "
-            fh.write("\n  ]\n}")
-        else:
-            fh.write(head)
-        fh.write("\n")
+    """Each image's ``infer`` output entry, encoded as JSON on one line."""
+    return [json.dumps(_prediction(rec, result)) for rec in images]
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
@@ -239,15 +218,17 @@ def cmd_infer(args: argparse.Namespace) -> int:
                 "supplied configuration differs from the one the result was "
                 "calibrated with; pass --allow-config-mismatch to proceed"
             )
+    # Every span has returned before the file is opened: a failing run
+    # leaves --out untouched.
     entries = _map_image_records(args.dataset, _encoded_predictions, result)
-    _write_predictions(
-        args.out,
+    head = _output(
         result.config,
-        entries,
         lambda_cnf_plus=result.lambda_cnf_plus,
         lambda_loc_plus=result.lambda_loc_plus,
         lambda_cls_plus=result.lambda_cls_plus,
+        predictions=[],
     )
+    _write_lines(args.out, head, entries)
     print(f"wrote {len(entries)} per-image predictions to {args.out}")
     return EXIT_OK
 

@@ -15,7 +15,7 @@ import math
 from contextlib import closing
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Callable, Iterable, Sequence, Union, get_args, get_origin, get_type_hints
 
 from ._workers import ordered_map
 from .calibration import CalibrationConfig, CalibrationResult
@@ -378,13 +378,35 @@ def _encode_records(images: tuple[ImageRecord, ...], span: tuple[int, int]) -> s
     )
 
 
+def _write_lines(path: PathLike, head: dict, texts: Iterable[str]) -> None:
+    """Write ``head`` as one JSON document whose last key, an empty array in
+    ``head``, holds the JSON values ``texts`` instead.
+
+    The first line is ``json.dumps(head)`` up to and including that array's
+    ``[``. Each text follows on its own line, with a comma after every text
+    but the last, and ``]}`` closes the document on a line of its own. The
+    first line is flushed before ``texts`` is iterated: a worker map forks at
+    its first item, and a forked worker must inherit no buffered bytes.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(head)[:-2])  # up to and including the array's "["
+        fh.flush()
+        sep = "\n"
+        for text in texts:
+            fh.write(sep)
+            fh.write(text)
+            sep = ",\n"
+        fh.write("\n]}\n")
+
+
 def write_dataset_file(dataset: DatasetFile, path: PathLike) -> None:
     """Write ``dataset`` as one JSON document, one image record per line.
 
     The first line holds the schema version and the class inventory and
     opens the ``images`` array. Each record is encoded on its own by
     ``json.dumps`` without indentation, which runs the C encoder. Floats
-    keep their ``repr``, so they read back bit-identical.
+    keep their ``repr``, so they read back bit-identical. ``condet infer``'s
+    predictions file has the same layout, written by the same function.
 
     The records are encoded in worker processes, one per CPU this process
     may run on (so ``taskset`` limits them), in contiguous chunks of about
@@ -393,24 +415,16 @@ def write_dataset_file(dataset: DatasetFile, path: PathLike) -> None:
     document never exists as one string. A record that cannot be encoded
     raises ``json``'s own error, from the first such chunk in file order.
     """
-    head = json.dumps({
+    head = {
         "schema_version": dataset.schema_version,
         "num_classes": dataset.num_classes,
         "class_names": dataset.class_names,
         "images": [],
-    })
+    }
     cells = [len(rec.detections) * dataset.num_classes for rec in dataset.images]
     texts = ordered_map(_encode_records, (dataset.images,), _chunks(cells))
-    with open(path, "w", encoding="utf-8") as fh, closing(texts):
-        fh.write(head[:-2])  # up to and including the images array's "["
-        # The workers fork at the first chunk: leave them no buffered bytes.
-        fh.flush()
-        sep = "\n"
-        for text in texts:
-            fh.write(sep)
-            fh.write(text)
-            sep = ",\n"
-        fh.write("\n]}\n")
+    with closing(texts):
+        _write_lines(path, head, texts)
 
 
 def _kept_positions(rec: ImageRecord, prefilter_threshold: float) -> list[int]:

@@ -275,11 +275,20 @@ def _run_trial(
     spec: SynthSpec, config: CalibrationConfig, n_cal: int, n_test: int, trial: tuple[int, int]
 ) -> tuple[float, float, float, float]:
     """One Monte Carlo trial: ``trial`` is its index and sub-seed. Draws
-    ``n_cal + n_test`` images, calibrates on the first ``n_cal`` and returns
-    the test risks. A pure function of its arguments, so it gives the same
-    bits in any process."""
+    ``n_cal + n_test`` images, drops the detections below
+    ``config.prefilter_threshold`` (as the file commands do on read),
+    calibrates on the first ``n_cal`` and returns the test risks. A pure
+    function of its arguments, so it gives the same bits in any process."""
     t, trial_seed = trial
-    samples = generate(replace(spec, seed=trial_seed, n_images=n_cal + n_test))
+    floor = config.prefilter_threshold
+    # Detections come sorted by descending confidence: an image has one
+    # below the floor exactly when its last one is.
+    samples = [
+        replace(s, detections=tuple(d for d in s.detections if d.confidence >= floor))
+        if s.detections and s.detections[-1].confidence < floor
+        else s
+        for s in generate(replace(spec, seed=trial_seed, n_images=n_cal + n_test))
+    ]
     try:
         result = calibrate(samples[:n_cal], config)
     except InfeasibleRiskError as exc:
@@ -298,9 +307,10 @@ def monte_carlo_validate(
     """Estimate the test risks of the calibrated parameters by simulation.
 
     Every trial draws ``n_cal + n_test`` fresh images from a sub-seed derived
-    from ``spec.seed``, calibrates on the first part and measures mean test
-    losses on the rest. Calibration infeasibility is re-raised with the index
-    of the first infeasible trial attached.
+    from ``spec.seed``, drops the detections below
+    ``config.prefilter_threshold``, calibrates on the first part and measures
+    mean test losses on the rest. Calibration infeasibility is re-raised with
+    the index of the first infeasible trial attached.
 
     Trials run in worker processes, one per CPU this process may run on (so
     ``taskset`` limits them), and no worker outlives the call. Each trial is a

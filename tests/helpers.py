@@ -7,6 +7,9 @@ where exactness is not asserted.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 
 from condet import BoundingBox, Detection, ImageSample
@@ -76,3 +79,25 @@ def samples_to_dataset(samples, num_classes: int, size: float = 100.0) -> Datase
 
 def samples_to_dataset_file(samples, num_classes: int, path, size: float = 100.0) -> None:
     write_dataset_file(samples_to_dataset(samples, num_classes, size), path)
+
+
+def one_value_per_line(path, key: str) -> tuple[dict, list]:
+    """Check that the file ``path`` has the layout that dataset and
+    predictions files share, with the array under ``key``; return the header
+    (``key`` holding ``[]``) and the array's values.
+
+    Line 1 is the header, ending with the array's opening ``[``; each middle
+    line is one JSON value followed by ``,``, except the last value, which
+    has no comma; the file closes with ``]}`` and a newline.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    assert text.endswith("\n]}\n")
+    first, *middle = text[: -len("\n]}\n")].split("\n")
+    assert first.endswith(f'"{key}": [')
+    header = json.loads(first + "]}")
+    assert list(header)[-1] == key
+    assert all(line.endswith(",") for line in middle[:-1])
+    assert not middle or not middle[-1].endswith(",")
+    values = [json.loads(line.removesuffix(",")) for line in middle]
+    assert json.loads(text) == {**header, key: values}
+    return header, values

@@ -5,7 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -20,11 +20,12 @@ from condet import (
     SynthSpec,
     _workers,
     generate,
+    monte_carlo_validate,
     save_result,
 )
 from condet.cli import main
-from condet.dataio import _chunks
-from helpers import samples_to_dataset_file
+from condet.dataio import _chunks, config_to_dict
+from helpers import one_value_per_line, samples_to_dataset_file
 
 
 @pytest.fixture
@@ -293,6 +294,17 @@ class TestInferEvaluateCommands:
         payload = json.loads(out.read_text())
         assert payload["predictions"][0]["selected"] == []
 
+    def test_infer_without_images_writes_an_empty_array(self, dataset_paths, tmp_path, capsys):
+        result, _ = self.calibrated(dataset_paths, tmp_path)
+        capsys.readouterr()
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"schema_version": 1, "num_classes": 4, "images": []}))
+        out = tmp_path / "preds.json"
+        assert run(["infer", "--result", result, "--dataset", empty, "--out", out]) == 0
+        assert capsys.readouterr().out == f"wrote 0 per-image predictions to {out}\n"
+        assert json.loads(out.read_text())["predictions"] == []
+        assert one_value_per_line(out, "predictions")[1] == []
+
     def test_infer_indexes_the_file_detection_list(self, tmp_path):
         # Detections out of confidence order, one below the prefilter floor:
         # each selection is named by its position in the file, in file order.
@@ -444,8 +456,13 @@ class TestInferEvaluateCommands:
 
 #: SHA-256 of the ``infer`` predictions and the ``evaluate --out`` report on
 #: ``TestParallelCommands``'s files, recorded from the serial commands, which
-#: parsed every record before doing any per-image work.
-PREDICTIONS_SHA256 = "582da4ebd58f0b4980155864cf29b6186d0c62b6aed7987602779f3516d73594"
+#: parsed every record before doing any per-image work. The predictions were
+#: re-recorded when ``infer`` began to write one entry per line instead of
+#: indenting the document by 2; ``PREDICTIONS_CONTENT_SHA256``, the digest of
+#: their JSON value re-encoded with sorted keys, was recorded before that
+#: change and did not change with it.
+PREDICTIONS_SHA256 = "91e0310783f56bb444542c1278cfe3226cc7e3820e7a7a8dff584ad4ccdb204c"
+PREDICTIONS_CONTENT_SHA256 = "0e11f7a68612afd22eafa14cdb3d4a6cc50840bd78d9e6100ff78dc2f7c7193c"
 REPORT_SHA256 = "b39aeb64ee4ca08f34cfe9859f84499ade78b63537d877ffedf51b207114d4a2"
 
 
@@ -503,7 +520,18 @@ class TestParallelCommands:
             assert run(argv) == 0
         assert multiprocessing.active_children() == []
         assert sha256(commands["infer"][1]) == PREDICTIONS_SHA256
+        assert content_sha256(commands["infer"][1]) == PREDICTIONS_CONTENT_SHA256
         assert sha256(commands["evaluate"][1]) == REPORT_SHA256
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_predictions_one_entry_per_line(self, files, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(_workers, "_available_cpus", lambda: cpus)
+        argv, out = self.commands(*files, tmp_path)["infer"]
+        assert run(argv) == 0
+        header, entries = one_value_per_line(out, "predictions")
+        assert list(header) == ["schema_version", "config", "lambda_cnf_plus",
+                                "lambda_loc_plus", "lambda_cls_plus", "predictions"]
+        assert len(entries) == 120
 
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     @pytest.mark.parametrize("command", ["infer", "evaluate"])
@@ -588,11 +616,18 @@ class TestParallelCommands:
             for argv, _ in commands.values():
                 assert pool.apply_async(main, ([str(a) for a in argv],)).get(timeout=120) == 0
         assert sha256(commands["infer"][1]) == PREDICTIONS_SHA256
+        assert content_sha256(commands["infer"][1]) == PREDICTIONS_CONTENT_SHA256
         assert sha256(commands["evaluate"][1]) == REPORT_SHA256
 
 
 def sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def content_sha256(path) -> str:
+    """SHA-256 of the JSON value in ``path``, re-encoded with sorted keys."""
+    text = json.dumps(json.loads(Path(path).read_text()), sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class TestImportCocoCommand:
@@ -805,6 +840,28 @@ class TestValidateCommand:
             n_test=40,
         )
         assert run(["validate", "--spec", spec]) == 0
+
+    def test_prefilter_flag_reaches_the_trials(self, tmp_path):
+        # The flag used to leave every trial as without it.
+        config = CalibrationConfig(0.1, 0.3, 0.3, lambda_loc_bounds=(0.0, 50.0))
+        spec = self.spec_file(
+            tmp_path,
+            synth={"seed": 3, "objects_min": 1, "objects_max": 3},
+            calibration=config_to_dict(config),
+            trials=3, n_cal=100, n_test=100, slack=1.0,
+        )
+        risks = {}
+        for floor in (None, 0.5):
+            out = tmp_path / "report.json"
+            flags = [] if floor is None else ["--prefilter", floor]
+            assert run(["validate", "--spec", spec, "--out", out] + flags) == 0
+            risks[floor] = json.loads(out.read_text())["report"]["per_trial_risks"]
+        api = monte_carlo_validate(
+            SynthSpec(seed=3, objects_min=1, objects_max=3),
+            replace(config, prefilter_threshold=0.5), trials=3, n_cal=100, n_test=100,
+        )
+        assert risks[0.5] == [list(row) for row in api.per_trial_risks]
+        assert risks[0.5] != risks[None]
 
     def test_infeasible_trial_exit_3(self, tmp_path, capsys):
         # Margins capped at 3 px leave trials 1, 3 and 4 infeasible; the

@@ -39,7 +39,7 @@ from condet.dataio import (
     write_dataset_file,
 )
 from condet.losses import Detection
-from helpers import samples_to_dataset, samples_to_dataset_file
+from helpers import one_value_per_line, samples_to_dataset, samples_to_dataset_file
 
 
 def two_image_payload():
@@ -435,6 +435,15 @@ class TestParallelWrite:
         write_dataset_file(dataset, tmp_path / "data.json")
         assert multiprocessing.active_children() == []
         assert hashlib.sha256((tmp_path / "data.json").read_bytes()).hexdigest() == DATASET_FILE_SHA256
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_one_record_per_line_across_chunks(self, dataset, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(_workers, "_available_cpus", lambda: cpus)
+        write_dataset_file(dataset, tmp_path / "data.json")
+        header, records = one_value_per_line(tmp_path / "data.json", "images")
+        assert header == {"schema_version": 1, "num_classes": 80,
+                          "class_names": list(dataset.class_names), "images": []}
+        assert [rec["image_id"] for rec in records] == [rec.image_id for rec in dataset.images]
 
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     def test_first_unencodable_record_in_file_order_raises(self, dataset, tmp_path, monkeypatch, cpus):

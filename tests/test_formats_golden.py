@@ -14,13 +14,18 @@ once more when they began to echo the ``SynthSpec`` that ran, defaults
 included, instead of the spec file's ``synth`` object: the same diff showed
 only that object changed. ``help/infer`` was re-recorded once, when the help
 of ``--allow-config-mismatch`` began to name the config flags beside
-``--config``.
+``--config``. The ``predictions`` files were re-recorded once, when ``infer``
+began to write one entry per line, as dataset files are written, instead of
+the whole document indented by 2: their ``predictions-content`` digests, of
+the loaded JSON value re-encoded with sorted keys, were recorded before that
+change and did not change with it.
 
 Recorded per case (SHA-256 of the exact bytes):
 
 * the ``calibrate`` result file, its ``config_digest`` and the command's
-  stdout, then the ``infer`` predictions and the ``evaluate --out`` report
-  with its stdout, run through ``condet.cli.main``;
+  stdout, then the ``infer`` predictions (their bytes, and their JSON value
+  as ``json.dumps(..., sort_keys=True)`` encodes it) and the ``evaluate
+  --out`` report with its stdout, run through ``condet.cli.main``;
 * the ``validate --out`` report;
 * the ``--help`` text of ``calibrate``, ``infer`` and ``validate`` at a fixed
   80-column width;
@@ -217,6 +222,8 @@ def record(root) -> dict[str, str]:
         code, _ = run_cli(["infer", "--result", result, "--dataset", test, "--out", preds] + flags)
         assert code == 0, name
         got[f"{name}/predictions"] = sha(preds.read_bytes())
+        content = json.dumps(json.loads(preds.read_text()), sort_keys=True)
+        got[f"{name}/predictions-content"] = sha(content)
         report = root / f"{name}-report.json"
         code, stdout = run_cli(["evaluate", "--result", result, "--dataset", test, "--out", report])
         assert code == 0, name
@@ -270,55 +277,64 @@ GOLDEN = {
     "bench-dense/result": "f9bc837e63d093d8254853143abad6fcb45a734afe31f676dfbfa5a8eecc6366",
     "bench-dense/config_digest": "659fcbf92ebcb259cabaf776e75e827ce79d7fc673e73355e141779cf89ca4f5",
     "bench-dense/calibrate-stdout": "d12e4969854faaf771a80f960c91346a0dcd02b7c1e31284baac3d3281e3817e",
-    "bench-dense/predictions": "2c0077e647be7337ae62b7a7faffdfafca1701f46c608ac2513c6202234d956b",
+    "bench-dense/predictions": "1d82de1a6a1bfdcaeea3e2d6faf91c53b24bdd7435edea7ec14a74dc65ae3824",
+    "bench-dense/predictions-content": "30a82152d66992ea25174acc349094982e928155289bcda1d4b5fe918d586c9c",
     "bench-dense/report": "f34236d042970b348b702b65a755796da23de5e554249cfbefd7cc7613a83b69",
     "bench-dense/evaluate-stdout": "fe13fc3edcdbbbc205f5c29bdd8d32b5d59c43aaa48a066c601a165a447151c3",
     "bench-cli-pixelwise/result": "38825caafbca6a750b26266425e293cc65a03a395fa602d3ae618022b2a5fefa",
     "bench-cli-pixelwise/config_digest": "0cc5db5432fe7092dee784e1c3019d237d02b6d33f42e3e4b756c973636b63b5",
     "bench-cli-pixelwise/calibrate-stdout": "3416d639b85ba7fa207609b2a5a950b410e2a6413e2aaac9398b3cd5de9d63d8",
-    "bench-cli-pixelwise/predictions": "f069ff2cbdb2ef1e7768eb2921453dc8e2308b6b44efb3daec564c39e606d6be",
+    "bench-cli-pixelwise/predictions": "85a2f9ab1d3c6374daaf1e42865639434f9273ca10e303a16240742fa2a8f9ae",
+    "bench-cli-pixelwise/predictions-content": "b4eee941d79e8a468a75a1f56583262cae89bec179584669a33113571ecbbf32",
     "bench-cli-pixelwise/report": "8dda966f5648fc340daa3322f3ecea210c43d4b230a80881af0684abc7ea31ef",
     "bench-cli-pixelwise/evaluate-stdout": "cb2712eb0c4c0cfa342334856a193ae27f99a9415306c63baf09c270ae0994bd",
     "bench-mc-small/result": "94361f8bb71e192fe67b7410c201a2417d73250baa6fed901ec33e7284f75c8f",
     "bench-mc-small/config_digest": "385c65b201c6fbe97c008aaddcfdc030beee69e75de81ff97b71d66112280c8a",
     "bench-mc-small/calibrate-stdout": "577d42a6a3dfad46cbfb062902ce4118c15d16860da8a97e34fcb9c40857a58b",
-    "bench-mc-small/predictions": "da3244a90fc5973e40de59775dcd40bee500d814f2250c31dbe18538d1fbcbf4",
+    "bench-mc-small/predictions": "2286782de028071bb3d82b9caaf77216c7f30d4c3e5296483e066614366429c7",
+    "bench-mc-small/predictions-content": "943edb03543bf470e5e9c227a137db6e028c187ca2d69607ba0dcf93158e7edb",
     "bench-mc-small/report": "b7fa55974c7d55dc7e869334a971e7e6795bb45a858c05bb70e9d0acb64e7106",
     "bench-mc-small/evaluate-stdout": "4bf1764798b604b4ff3575dae262fd6fad61a80864a69b62e6f7082a0e2a7923",
     "flags-every-switch/result": "dbdf1f0c0efd84d72b0ba6cd91ee3f3d720a1d2983d579f6a6bcb7c63c890245",
     "flags-every-switch/config_digest": "6263df17440a09fbff96a9b8a0958097fb03bbd71d6be678b2cef8f4282dcde2",
     "flags-every-switch/calibrate-stdout": "e3144ec22b30e038ffb34121cb0fa67df56a33b9e8677371410a091ff30abe27",
-    "flags-every-switch/predictions": "d71a09be2d4db165423548084403374d5078e9a087b0d78b63d564630f490dc7",
+    "flags-every-switch/predictions": "aba1818c827acfd3a586468564b2fde92e735966235fe7ec064998386100090c",
+    "flags-every-switch/predictions-content": "aaabccd7aa7aed03ef767b77aedff0a11d632097b32e7e3393a2b66e517b65cb",
     "flags-every-switch/report": "f582e630628db5a48ef8b1fcfcf2a686b3bb257123b52b97dc38e8de711468ad",
     "flags-every-switch/evaluate-stdout": "998c727e96fa58752677050a1b5b88dbd30567c919b94220d827dc2452d75c34",
     "file-full-with-overrides/result": "384b8a4eabb764314b812235ecceb2d175caf9ba6fa66d8dce462b1a505307e9",
     "file-full-with-overrides/config_digest": "52c0b9d3e59b47d147308d8e4b2e99c5f3d48d29af20674daa90a5b121d6ed69",
     "file-full-with-overrides/calibrate-stdout": "823e6fb58ba16dda66ed8c8dfc31005873aeb1bc07a4657bf061e74d6e5a10fe",
-    "file-full-with-overrides/predictions": "1db419b6df25bb2c7e5cab1901ec22033e124bd74a5b9e2d4c90b2aa53544b61",
+    "file-full-with-overrides/predictions": "4051ac9e57c4dcdb8163f67c5ddf038f56c58d75a09424c1854b8e7987be56e8",
+    "file-full-with-overrides/predictions-content": "406e4d303e4d40874eb7516e9e46023f9aac16eaaee7af5fd43703181dcc30e4",
     "file-full-with-overrides/report": "1c9779058ea4a8298cf870ebb13110e55a5ebe26c3efc4c5fe0b97028d6c95b7",
     "file-full-with-overrides/evaluate-stdout": "d21c74d9b752f0bff7b6d828ca978726a1e51fb0afaf50e518b0f9cc2a1fb2e2",
     "file-wrapped-partial/result": "41d2428949c6d136544c1a8926617c525ceebfcba46f74e3b776f8dfd96f85f7",
     "file-wrapped-partial/config_digest": "b82ea273be1d543e5c37a0a968a893a7462e1296e9c74056a6126a39f98d0216",
     "file-wrapped-partial/calibrate-stdout": "42e0508e690323e3540d65c6cf366f899c7263dded13d50b9c469e834980f455",
-    "file-wrapped-partial/predictions": "89bf9068baa0149a2363e2022760b8134bb8b0582c0e93bf490f4181f1035d0e",
+    "file-wrapped-partial/predictions": "194bf699d2fa673de1c5ce73d8bd1123fa44b6fd67158b8cce71201236175f90",
+    "file-wrapped-partial/predictions-content": "e13332d386cf04718bc4cc97fab004613dfb72eff6f97fbc74c8cd9feb801f6a",
     "file-wrapped-partial/report": "e1b43f9457d793e52330adfd23b137a1c7137343d7899ef04c1f95c1aa62531b",
     "file-wrapped-partial/evaluate-stdout": "5c18d5a337cb297e35dc494da00116fabf8e2bd3736dfb1498c570c04ea9f577",
     "file-integers/result": "d1aa0c6167d3730241cc9b8f1c700c4ee7cdd8debb935aafb5ece4ce80d4f70a",
     "file-integers/config_digest": "48affafcdb53a0c3cf95cf23037166046766372aef730db8688f1d0b470ca5d2",
     "file-integers/calibrate-stdout": "4c86f39728a5c5498e119ce9647cba57d7ad3a7cdfe8aa1e0200b75c37d28352",
-    "file-integers/predictions": "4667781977c903ac96c4e55065887567900b804f3a07a94a1a007af1b60d9751",
+    "file-integers/predictions": "82ebccb7e5704feab18dacea6b13ee4041d93b99f55ab4de3746087eb9d8eb27",
+    "file-integers/predictions-content": "6e4d0e7db715295c19b3e2b43970dc7d97035cb85e5d8150654a308adc95226b",
     "file-integers/report": "93e195fc10ed714d7883ecbf44c6d652250b1cad8cf551fba38905c3c527188e",
     "file-integers/evaluate-stdout": "393b20caa8372f571f0d6b75d4696ea31f38401cb771852656f2ce2bb6d9572e",
     "flags-tau-without-match/result": "3993c7c46553d4249471230c750d4355e2b0b589fdc9b81d2fea36e979c9672c",
     "flags-tau-without-match/config_digest": "abee9183fb0251291df572f5b6673f51163730e7b9d8bc1a3a187f0b520ecdc5",
     "flags-tau-without-match/calibrate-stdout": "efb2e26a3915d559dfd1cf947097cb26a999f9be53909270aacdb766ef342e66",
-    "flags-tau-without-match/predictions": "cae09c2e709ce7852b1cce195b008831ddad2a883ae5cf6b839eae78eba7b154",
+    "flags-tau-without-match/predictions": "25161e802472bb5058a3a727dc559a40e479af48a1229ad6d430d21c5aa58404",
+    "flags-tau-without-match/predictions-content": "bfaf6e7cc9207f8eaa7c7b372e39649beba7c4c3d2f625f0551bd2c35f46234b",
     "flags-tau-without-match/report": "87e4ce71ef45e6aa1cfa3ed6d6492441d54d89723758f5d1a73fe07132f149cd",
     "flags-tau-without-match/evaluate-stdout": "2ef73cf9c44662cf513c92a03a81dce31bb5357f458ebe58490e43d20bd0b92d",
     "cli-default-alphas/result": "a610c2d1b66beb8d9c5aa7bf7d244b01357e97f5f89b83fa3410c92e38c9e355",
     "cli-default-alphas/config_digest": "b24ac8050ccb84eda27b58010fbdb23734556f1a58a0f30a913311899fda1af9",
     "cli-default-alphas/calibrate-stdout": "0d9dcb0be491c253f64bc66975b036e4c15f19ae0077bce5fe498292bdd0ac4d",
-    "cli-default-alphas/predictions": "5fc5f4786b95d37442f81acd22a18496a74ec9b9740c0b22e0ec35e3712c9d91",
+    "cli-default-alphas/predictions": "d2295853d2839081b01249ae7117c89f31aedb914be40a59bb2f709980ff8071",
+    "cli-default-alphas/predictions-content": "f804ff21e8fd573cbcb8f9d22342a6eca05bef10efbd8731bf7b1a3bb87e8e10",
     "cli-default-alphas/report": "47bf69192e95874cf07898f6505869d5114863c087c1fc90ef585c2cf5a8c7f8",
     "cli-default-alphas/evaluate-stdout": "15bdb1b3c37f72cd61a8aea08758711b3e4c5776076aefbb66a0eb1a95f0a134",
     "validate-spec-with-wrapper/exit": "0",

@@ -190,6 +190,30 @@ class TestMonteCarlo:
         assert report.cls.mean_risk <= config.alpha_cls + 0.05
         assert report.global_.mean_risk <= config.alpha_loc + config.alpha_cls + 0.05
 
+    def test_prefilter_drops_detections_before_each_trial(self):
+        # Trials 0 and 2 of this spec have detections below 0.5 that change
+        # their risks; the floor used to be ignored.
+        spec = SynthSpec(seed=3, objects_min=1, objects_max=3)
+        config = CalibrationConfig(
+            0.1, 0.3, 0.3, lambda_loc_bounds=(0.0, 50.0), prefilter_threshold=0.5
+        )
+        replay = []
+        for child in np.random.SeedSequence(spec.seed).spawn(3):
+            samples = generate(replace(spec, seed=int(child.generate_state(1)[0]), n_images=200))
+            kept = [
+                replace(s, detections=tuple(d for d in s.detections if d.confidence >= 0.5))
+                for s in samples
+            ]
+            report = evaluate(kept[100:], calibrate(kept[:100], config))
+            replay.append((report.cnf_risk, report.loc_risk, report.cls_risk, report.global_risk))
+        report = monte_carlo_validate(spec, config, trials=3, n_cal=100, n_test=100)
+        assert report.per_trial_risks == tuple(replay)
+        unfiltered = monte_carlo_validate(
+            spec, replace(config, prefilter_threshold=1e-3), trials=3, n_cal=100, n_test=100
+        )
+        changed = [a != b for a, b in zip(report.per_trial_risks, unfiltered.per_trial_risks)]
+        assert changed == [True, False, True]
+
     def test_deterministic_report(self):
         spec = SynthSpec(seed=9, objects_min=1, objects_max=2)
         config = quick_config()
