@@ -1,13 +1,14 @@
 """An ordered map over worker processes, one per available CPU.
 
 ``monte_carlo_validate`` runs its trials, ``write_dataset_file`` encodes
-its records, and ``condet infer`` and ``condet evaluate`` check and process
-the image records of their dataset file through ``ordered_map``. The results
-come back in item order whatever the worker count, so callers get the same
-output from any count. The workers form a ``concurrent.futures`` process
-pool, which fails the map when one of them dies, where a
-``multiprocessing.Pool`` would start a replacement and wait forever for the
-lost result.
+its records, and the dataset reader behind ``read_dataset_file``,
+``load_dataset``, ``condet calibrate``, ``condet infer`` and ``condet
+evaluate`` decodes, checks and processes the image records of a dataset
+file through ``ordered_map``. The results come back in item order whatever
+the worker count, so callers get the same output from any count. The
+workers form a ``concurrent.futures`` process pool, which fails the map
+when one of them dies, where a ``multiprocessing.Pool`` would start a
+replacement and wait forever for the lost result.
 """
 
 from __future__ import annotations

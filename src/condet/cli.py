@@ -4,7 +4,8 @@ Exit codes partition the failure classes so scripts can tell statistical
 infeasibility from data problems:
 
   0  success
-  1  I/O, parse or schema error
+  1  I/O, parse or schema error, or a worker process that died
+     (``BrokenProcessPool``, kind=worker)
   2  error levels violate the guarantee precondition
   3  no feasible second-step parameter (alpha too small for the data)
   4  result/config digest mismatch
@@ -220,7 +221,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
             )
     # Every span has returned before the file is opened: a failing run
     # leaves --out untouched.
-    entries = _map_image_records(args.dataset, _encoded_predictions, result)
+    _, _, entries = _map_image_records(args.dataset, _encoded_predictions, result)
     head = _output(
         result.config,
         lambda_cnf_plus=result.lambda_cnf_plus,
@@ -241,7 +242,8 @@ def _sample_outcomes(images, result) -> list:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     result = load_result(args.result)
-    report = _report(_map_image_records(args.dataset, _sample_outcomes, result))
+    _, _, outcomes = _map_image_records(args.dataset, _sample_outcomes, result)
+    report = _report(outcomes)
     _print_aligned(
         [
             ("n_test", str(report.n_test)),
@@ -395,6 +397,14 @@ def main(argv=None) -> int:
         return _fail(EXIT_DIGEST, "digest-mismatch", exc)
     except (DataFormatError, OSError, ValueError, KeyError, TypeError) as exc:
         return _fail(EXIT_DATA, "data", exc)
+    except RuntimeError as exc:
+        # A worker map that lost a worker raises BrokenProcessPool. Imported
+        # only here: the import would land on every condet command.
+        from concurrent.futures import BrokenExecutor
+
+        if not isinstance(exc, BrokenExecutor):
+            raise
+        return _fail(EXIT_DATA, "worker", exc)
 
 
 def entry() -> None:

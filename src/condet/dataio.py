@@ -14,8 +14,9 @@ import logging
 import math
 from contextlib import closing
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Callable, Iterable, Iterator, Sequence, Union, get_args, get_origin, get_type_hints
 
 from ._workers import ordered_map
 from .calibration import CalibrationConfig, CalibrationResult
@@ -244,13 +245,13 @@ def _image(rec, n: int, num_classes: int, path: PathLike) -> ImageRecord:
     )
 
 
-def _read_header(path: PathLike) -> tuple[int, tuple[str, ...], list]:
-    """Load a native dataset file and check all of it but the image records.
+def _check_header(raw, path: PathLike) -> tuple[int, tuple[str, ...], list]:
+    """Check all of the loaded native dataset document ``raw`` but the image
+    records.
 
     Returns ``num_classes``, the class names and the raw image records, for
     ``_image`` to parse one by one.
     """
-    raw = _load_json(path)
     _require(isinstance(raw, dict), f"{path}: top level must be an object")
     version = raw.get("schema_version")
     if not (_is_number(version, int) and version == DATASET_SCHEMA_VERSION):
@@ -291,31 +292,34 @@ def read_dataset_file(path: PathLike) -> DatasetFile:
     ``class_id`` or ``confidence``, and probability vectors that have a
     negative or NaN entry or do not sum to one within 1e-4. Each vector is
     checked in bulk; its entries are kept as loaded when all are floats.
+
+    The records are decoded and checked in worker processes by
+    ``_map_image_records``; the result and the errors do not depend on the
+    file's layout or the number of workers.
     """
-    num_classes, class_names, records = _read_header(path)
-    return DatasetFile(
-        num_classes=num_classes,
-        class_names=class_names,
-        images=tuple(_image(rec, n, num_classes, path) for n, rec in enumerate(records)),
-    )
+    # ``list`` keeps each span's records as they are.
+    num_classes, class_names, images = _map_image_records(path, list)
+    return DatasetFile(num_classes=num_classes, class_names=class_names, images=tuple(images))
 
 
-#: Probability cells per chunk of records that one worker handles.
+#: Probability cells per chunk of records that one worker encodes.
 _CHUNK_CELLS = 1 << 16
 
+#: Characters of record lines per chunk that one worker decodes.
+_CHUNK_CHARS = 1 << 20
 
-def _chunks(cells: Sequence[int]) -> list[tuple[int, int]]:
-    """Contiguous ``(start, stop)`` ranges of records whose probability
-    cells are ``cells``, each closed at the first record that brings it to
-    ``_CHUNK_CELLS``."""
+
+def _chunks(weights: Sequence[int], limit: int = _CHUNK_CELLS) -> list[tuple[int, int]]:
+    """Contiguous ``(start, stop)`` ranges of items whose weights are
+    ``weights``, each closed at the first item that brings it to ``limit``."""
     spans, start, total = [], 0, 0
-    for stop, count in enumerate(cells, 1):
-        total += count
-        if total >= _CHUNK_CELLS:
+    for stop, weight in enumerate(weights, 1):
+        total += weight
+        if total >= limit:
             spans.append((start, stop))
             start, total = stop, 0
-    if start < len(cells):
-        spans.append((start, len(cells)))
+    if start < len(weights):
+        spans.append((start, len(weights)))
     return spans
 
 
@@ -326,36 +330,149 @@ def _raw_cells(rec, num_classes: int) -> int:
     return len(dets) * num_classes if isinstance(dets, list) else 1
 
 
-def _parse_span(records: list, num_classes: int, path: PathLike, work: Callable, args: tuple,
-                span: tuple[int, int]) -> tuple:
-    """``(work(images, *args), None)`` for the parsed ``records[start:stop]``,
-    or ``(None, error)`` when ``work`` raises. A bad record raises."""
-    start, stop = span
-    images = [_image(records[n], n, num_classes, path) for n in range(start, stop)]
+#: The outcomes of a span of records, in the order in which they decide a
+#: read: a line that does not decode on its own, a bad record, an error of
+#: ``work``, and ``work``'s values.
+_LINE_ERROR, _RECORD_ERROR, _WORK_ERROR, _VALUES = range(4)
+
+#: JSON's whitespace. ``str.strip()`` would also remove characters such as
+#: form feed and no-break space, which JSON rejects around a value.
+_JSON_WHITESPACE = " \t\r\n"
+
+
+def _span_outcome(raws: list, first: int, num_classes: int, path: PathLike, work: Callable,
+                  args: tuple) -> tuple[int, object]:
+    """``(_VALUES, work(images, *args))`` for the parsed raw records
+    ``raws``, numbered from ``first``; ``(_RECORD_ERROR, error)`` for the
+    first bad record, or ``(_WORK_ERROR, error)`` when ``work`` raises."""
     try:
-        return work(images, *args), None
-    except Exception as exc:  # raised by the caller once every record is parsed
-        return None, exc
+        images = [_image(rec, n, num_classes, path) for n, rec in enumerate(raws, first)]
+    except DataFormatError as exc:
+        return _RECORD_ERROR, exc
+    try:
+        return _VALUES, work(images, *args)
+    except Exception as exc:  # raised by the caller once every span has returned
+        return _WORK_ERROR, exc
 
 
-def _map_image_records(path: PathLike, work: Callable, *args) -> list:
-    """The values ``work(images, *args)`` returns, one per image, for the
-    parsed image records of the native dataset file ``path``, in file order.
+def _parse_span(records: list, num_classes: int, path: PathLike, work: Callable, args: tuple,
+                span: tuple[int, int]) -> tuple[int, object]:
+    """The outcome of the loaded raw records ``records[start:stop]``."""
+    start, stop = span
+    return _span_outcome(records[start:stop], start, num_classes, path, work, args)
 
-    ``work`` runs on contiguous spans of the records, sized as
-    ``write_dataset_file``'s chunks, in worker processes through
-    ``ordered_map``, which inherit the loaded JSON. Errors come as from
-    ``read_dataset_file`` followed by ``work`` over the records in file
-    order: the first bad record's ``DataFormatError``, then the first error
-    of ``work``. ``work`` must be a module-level function.
+
+def _decode_span(lines: list[str], num_classes: int, path: PathLike, work: Callable, args: tuple,
+                 span: tuple[int, int]) -> tuple[int, object]:
+    """The outcome of the record lines ``lines[start:stop]``, each decoded
+    on its own; ``(_LINE_ERROR, None)`` when one does not decode.
+
+    Each line holds one JSON value, followed by a comma unless it is the
+    last line; JSON whitespace may surround the value and the comma.
     """
-    num_classes, _, records = _read_header(path)
-    spans = _chunks([_raw_cells(rec, num_classes) for rec in records])
-    outcomes = list(ordered_map(_parse_span, (records, num_classes, path, work, args), spans))
-    for _, error in outcomes:
-        if error is not None:
-            raise error
-    return [value for values, _ in outcomes for value in values]
+    start, stop = span
+    raws = []
+    for n in range(start, stop):
+        line = lines[n].strip(_JSON_WHITESPACE)
+        if n + 1 < len(lines):
+            if not line.endswith(","):
+                return _LINE_ERROR, None
+            line = line[:-1]
+        try:
+            raws.append(json.loads(line))
+        except (ValueError, RecursionError):
+            return _LINE_ERROR, None
+    return _span_outcome(raws, start, num_classes, path, work, args)
+
+
+def _collect(outcomes: Iterator[tuple[int, object]]) -> list | None:
+    """The values of the span outcomes ``outcomes``, in span order, or None
+    at the first ``_LINE_ERROR``. Otherwise the first bad record raises, and
+    then the first error of ``work``."""
+    done = []
+    with closing(outcomes):
+        for outcome in outcomes:
+            if outcome[0] == _LINE_ERROR:
+                return None
+            done.append(outcome)
+    kind, first = min(done, key=itemgetter(0), default=(_VALUES, None))
+    if kind != _VALUES:
+        raise first
+    return [value for _, values in done for value in values]
+
+
+def _record_lines(path: PathLike) -> tuple[dict, list[str]] | None:
+    """The header and the record lines of ``path`` in the writer's layout,
+    or None for any other layout and for bytes that are not UTF-8.
+
+    The layout holds when the first line followed by ``]}`` is a JSON
+    object whose last key is ``images`` holding ``[]``, and the last line
+    that is not blank is ``]}``. The record lines are those in between.
+    """
+    try:
+        lines = Path(path).read_bytes().decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        return None
+    last = len(lines) - 1
+    while last > 0 and not lines[last].strip(_JSON_WHITESPACE):
+        last -= 1
+    if lines[last].strip(_JSON_WHITESPACE) != "]}":
+        return None
+    try:
+        head = json.loads(lines[0] + "]}")
+    except (ValueError, RecursionError):
+        return None
+    # Text that ends with "]}" and decodes is an object; its last key holds
+    # that array unless the key is repeated.
+    if list(head)[-1:] != ["images"] or head["images"] != []:
+        return None
+    return head, lines[1:last]
+
+
+def _decode_records(path: PathLike, work: Callable, args: tuple) -> tuple | None:
+    """``_map_image_records`` over the record lines of ``path``, or None
+    when the file is not in the writer's layout, its header fails a check,
+    or a record line does not decode on its own."""
+    layout = _record_lines(path)
+    if layout is None:
+        return None
+    head, lines = layout
+    try:
+        num_classes, class_names, _ = _check_header(head, path)
+    except DataFormatError:
+        return None  # a record line that is not JSON would come first
+    spans = _chunks([len(line) for line in lines], _CHUNK_CHARS)
+    values = _collect(ordered_map(_decode_span, (lines, num_classes, path, work, args), spans))
+    return None if values is None else (num_classes, class_names, values)
+
+
+def _map_image_records(path: PathLike, work: Callable, *args) -> tuple[int, tuple[str, ...], list]:
+    """``num_classes``, the class names, and the values ``work(images, *args)``
+    returns, one per image, for the parsed image records of the native
+    dataset file ``path``, in file order.
+
+    A file in the writer's layout (``_record_lines``) is read as bytes and
+    decoded as UTF-8 in this process; worker processes (``ordered_map``),
+    which inherit its lines, decode contiguous spans of about
+    ``_CHUNK_CHARS`` characters line by line, parse the records and run
+    ``work`` on them. A file in any other layout, one whose header fails a
+    check, and one with a record line that does not decode on its own are
+    loaded whole by ``json.load`` here instead; workers then parse and
+    process spans of the loaded records.
+
+    Either way the values and the errors are those of ``json.load``, the
+    header checks, ``_image`` over the records and then ``work`` over the
+    images, in file order: a JSON error, a header error, the first bad
+    record's ``DataFormatError``, then the first error of ``work``. ``work``
+    must be a module-level function.
+    """
+    read = _decode_records(path, work, args)
+    if read is None:
+        num_classes, class_names, records = _check_header(_load_json(path), path)
+        spans = _chunks([_raw_cells(rec, num_classes) for rec in records])
+        values = _collect(ordered_map(_parse_span, (records, num_classes, path, work, args), spans))
+        read = num_classes, class_names, values
+    return read
 
 
 def _encode_records(images: tuple[ImageRecord, ...], span: tuple[int, int]) -> str:
@@ -438,16 +555,25 @@ def _sample(rec: ImageRecord, prefilter_threshold: float) -> ImageSample:
     return ImageSample(image_id=rec.image_id, ground_truths=rec.ground_truths, detections=kept)
 
 
+def _samples(images: Sequence[ImageRecord], prefilter_threshold: float) -> list[ImageSample]:
+    return [_sample(rec, prefilter_threshold) for rec in images]
+
+
 def dataset_to_samples(
     dataset: DatasetFile, prefilter_threshold: float
 ) -> list[ImageSample]:
     """Convert records to samples, dropping detections below the floor."""
-    return [_sample(rec, prefilter_threshold) for rec in dataset.images]
+    return _samples(dataset.images, prefilter_threshold)
 
 
 def load_dataset(path: PathLike, prefilter_threshold: float = 1e-3) -> list[ImageSample]:
-    """Read a native dataset file and return prefiltered, sorted samples."""
-    return dataset_to_samples(read_dataset_file(path), prefilter_threshold)
+    """Read a native dataset file and return prefiltered, sorted samples.
+
+    The samples are built in the worker processes that decode and check the
+    records (``_map_image_records``), with the results and errors of
+    ``read_dataset_file`` followed by ``dataset_to_samples``.
+    """
+    return _map_image_records(path, _samples, prefilter_threshold)[2]
 
 
 # --------------------------------------------------------------------------

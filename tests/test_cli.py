@@ -466,6 +466,22 @@ PREDICTIONS_CONTENT_SHA256 = "0e11f7a68612afd22eafa14cdb3d4a6cc50840bd78d9e6100f
 REPORT_SHA256 = "b39aeb64ee4ca08f34cfe9859f84499ade78b63537d877ffedf51b207114d4a2"
 
 
+#: Runs ``condet.cli.main`` on its arguments over two workers whose
+#: per-image work (``infer``'s and ``load_dataset``'s) kills its own process.
+KILL_WORKER_SCRIPT = """
+import os, signal, sys
+from condet import _workers, cli, dataio
+
+def kill(*args):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+if __name__ == "__main__":
+    _workers._available_cpus = lambda: 2
+    cli._encoded_predictions = dataio._samples = kill
+    sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
 class TestParallelCommands:
     """``infer`` and ``evaluate`` over a file of five chunks of records."""
 
@@ -606,6 +622,30 @@ class TestParallelCommands:
         argv, _ = self.commands(result, path, tmp_path)[command]
         assert run(argv) == 1
         assert capsys.readouterr().err == f'error code=1 kind=data detail="{path}: {message}"\n'
+
+    @pytest.mark.parametrize("command", ["infer", "calibrate"])
+    def test_dead_worker_exit_1(self, files, tmp_path, command):
+        # BrokenProcessPool is a RuntimeError, which main let through as a
+        # traceback.
+        result, dataset = files
+        out = tmp_path / "out.json"
+        out.write_text("earlier output\n")
+        argv = {
+            "infer": ["infer", "--result", result, "--dataset", dataset, "--out", out],
+            "calibrate": ["calibrate", "--dataset", dataset, "--out", out],
+        }[command]
+        script = tmp_path / "kill_worker.py"
+        script.write_text(KILL_WORKER_SCRIPT)
+        src = str(Path(condet.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, str(script), *map(str, argv)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith('error code=1 kind=worker detail="A process in the process pool')
+        assert len(done.stderr.splitlines()) == 1
+        assert out.read_text() == "earlier output\n"
 
     def test_runs_in_a_daemonic_process(self, files, tmp_path, monkeypatch):
         # A pool worker may not start children of its own; the records are

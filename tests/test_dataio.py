@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 from condet import (
     BoundingBox,
     CalibrationConfig,
+    CalibrationResult,
     DataFormatError,
     DigestMismatchError,
     LossSpec,
     MatchDistanceSpec,
+    PredSetSpec,
     SchemaVersionError,
     calibrate,
     generate,
@@ -26,7 +28,8 @@ from condet import (
     save_result,
     SynthSpec,
 )
-from condet import _workers
+from condet import _workers, dataio
+from condet.cli import _sample_outcomes
 from condet.dataio import (
     _chunks,
     DatasetFile,
@@ -456,6 +459,221 @@ class TestParallelWrite:
             images[start] = replace(rec, detections=(*rec.detections, bad_det))
         with pytest.raises(TypeError, match="^Object of type object is not JSON serializable$"):
             write_dataset_file(replace(dataset, images=tuple(images)), tmp_path / "data.json")
+        assert multiprocessing.active_children() == []
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def writer_lines(path):
+    """The header line and the record lines of a file in the writer's
+    layout, each record line with its comma."""
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("\n]}\n")
+    header, *lines = text[: -len("\n]}\n")].split("\n")
+    return header, lines
+
+
+def join_lines(header, lines):
+    return "\n".join([header, *lines, "]}", ""])
+
+
+def edit_record(edit):
+    """A record-line edit that applies ``edit`` to the decoded record."""
+    def apply(line):
+        comma = "," if line.endswith(",") else ""
+        rec = json.loads(line.removesuffix(","))
+        edit(rec)
+        return json.dumps(rec) + comma
+    return apply
+
+
+def truncate(line):
+    return line[: len(line) // 2] + ","
+
+
+def bad_probs(rec):
+    rec["detections"][0]["probs"] = [0.5] * 10
+
+
+def zero_area(rec):
+    # Selected under GIoU matching, a zero-area box fails the evaluation.
+    assert rec["ground_truths"]
+    rec["detections"][0].update(box=[10.0, 10.0, 10.0, 20.0], confidence=0.99)
+
+
+def with_lines(edit):
+    """A layout variant made by ``edit(header, lines)``, which returns the
+    new header and record lines of the writer's output."""
+    def apply(path):
+        header, lines = writer_lines(path)
+        return join_lines(*edit(header, list(lines))).encode("utf-8")
+    return apply
+
+
+def replace_line(n, new):
+    def edit(header, lines):
+        lines[n] = new(lines[n])
+        return header, lines
+    return edit
+
+
+def two_on_one_line(header, lines):
+    lines[3:5] = [lines[3] + " " + lines[4]]
+    return header, lines
+
+
+def split_over_two_lines(header, lines):
+    first, rest = lines[3].split(", ", 1)
+    lines[3:4] = [first + ",", rest]
+    return header, lines
+
+
+#: Each variant of the writer's output: how it is made from the file, and
+#: whether its record lines are decoded one by one (else it is loaded whole).
+LAYOUTS = {
+    "writer": (lambda path: path.read_bytes(), True),
+    "indent-2": (lambda path: (json.dumps(json.loads(path.read_text()), indent=2) + "\n").encode(), False),
+    "crlf": (lambda path: path.read_bytes().replace(b"\n", b"\r\n"), True),
+    "whitespace-around-commas": (
+        with_lines(lambda h, ls: (h + " \t", [f" {ln[:-1]}\t ,  " for ln in ls[:-1]] + ls[-1:])), True),
+    "blank-lines-after-close": (lambda path: path.read_bytes() + b"\n \t\r\n\n", True),
+    "bom": (lambda path: b"\xef\xbb\xbf" + path.read_bytes(), False),
+    "form-feed-before-record": (with_lines(replace_line(5, lambda ln: "\x0c" + ln)), False),
+    "no-break-space-after-record": (with_lines(replace_line(5, lambda ln: ln + "\xa0")), False),
+    "two-records-on-one-line": (with_lines(two_on_one_line), False),
+    "record-over-two-lines": (with_lines(split_over_two_lines), False),
+    "missing-comma": (with_lines(replace_line(5, lambda ln: ln[:-1])), False),
+    "trailing-comma-on-last-record": (with_lines(replace_line(-1, lambda ln: ln + ",")), False),
+    "missing-close": (lambda path: path.read_bytes()[: -len(b"]}\n")], False),
+    "text-after-close": (lambda path: path.read_bytes() + b"x\n", False),
+    "images-again-after-close": (
+        lambda path: path.read_bytes().replace(b"\n]}\n", b'\n], "images": []}\n'), False),
+    "last-key-not-images": (
+        with_lines(lambda h, ls: (h.replace('"images": [', '"images": [], "more": ['), ls)), False),
+    "no-images": (with_lines(lambda h, ls: (h, [])), True),
+    "long-integer": (with_lines(replace_line(5, lambda ln: '{"width": 1' + "0" * 5000 + "},")), False),
+    "deep-nesting": (
+        with_lines(replace_line(5, lambda ln: '{"x": ' + "[" * 100_000 + "]" * 100_000 + "},")), False),
+}
+
+
+class TestParallelRead:
+    """The reader over a file of several spans of record lines: the same
+    values and errors as loading the document whole."""
+
+    @pytest.fixture(autouse=True)
+    def small_spans(self, monkeypatch):
+        # 8 KiB spans cut the 40-record file below into several.
+        monkeypatch.setattr(dataio, "_CHUNK_CHARS", 8192)
+
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("read") / "data.json"
+        spec = SynthSpec(seed=6, n_images=40, num_classes=10, false_positive_rate=3.0)
+        samples_to_dataset_file(generate(spec), 10, path)
+        return path
+
+    @staticmethod
+    def spans(path):
+        """The spans of record lines the reader hands to its workers."""
+        _, lines = writer_lines(path)
+        return _chunks([len(line) for line in lines], dataio._CHUNK_CHARS)
+
+    @staticmethod
+    def read(monkeypatch, fn, *args, whole=False):
+        """``outcome(fn, *args)`` and whether the dataset file was loaded
+        whole; with ``whole``, it is never read line by line."""
+        loads, load_json = [], dataio._load_json
+        with monkeypatch.context() as patch:
+            patch.setattr(dataio, "_load_json", lambda path: loads.append(path) or load_json(path))
+            if whole:
+                patch.setattr(dataio, "_record_lines", lambda path: None)
+            return outcome(fn, *args), bool(loads)
+
+    def edited(self, path, tmp_path, edits, header=lambda h: h):
+        """A copy of ``path`` with ``edit`` applied to the first record line
+        of span ``k`` for each ``(k, edit)`` of ``edits``."""
+        spans = self.spans(path)
+        assert len(spans) >= 5
+        head, lines = writer_lines(path)
+        for k, edit in edits:
+            start = spans[k][0]
+            lines[start] = edit(lines[start])
+        out = tmp_path / "edited.json"
+        out.write_text(join_lines(header(head), lines), encoding="utf-8")
+        return out
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_every_layout_reads_as_the_whole_document(self, written, tmp_path, monkeypatch, cpus, layout):
+        monkeypatch.setattr(_workers, "_available_cpus", lambda: cpus)
+        make, by_line = LAYOUTS[layout]
+        path = tmp_path / "variant.json"
+        path.write_bytes(make(written))
+        for fn in (read_dataset_file, load_dataset):
+            got, loaded_whole = self.read(monkeypatch, fn, path)
+            expected, _ = self.read(monkeypatch, fn, path, whole=True)
+            assert got == expected
+            assert loaded_whole == (not by_line)
+        if layout == "writer":
+            assert len(got) == 40
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_line_that_is_not_json_comes_before_a_bad_record(self, written, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(_workers, "_available_cpus", lambda: cpus)
+        path = self.edited(written, tmp_path, [(0, edit_record(bad_probs)), (-1, truncate)])
+        for fn in (read_dataset_file, load_dataset):
+            (kind, message), _ = self.read(monkeypatch, fn, path)
+            assert kind is DataFormatError
+            assert message.startswith(f"{path}: not valid JSON: ")
+            assert self.read(monkeypatch, fn, path, whole=True)[0] == (kind, message)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_line_that_is_not_json_comes_before_a_header_error(self, written, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(_workers, "_available_cpus", lambda: cpus)
+        version_2 = lambda head: head.replace('"schema_version": 1', '"schema_version": 2')
+        path = self.edited(written, tmp_path, [(-1, truncate)], header=version_2)
+        (kind, message), _ = self.read(monkeypatch, read_dataset_file, path)
+        assert kind is DataFormatError
+        assert message.startswith(f"{path}: not valid JSON: ")
+        # Without the broken line, the header error is raised.
+        path = self.edited(written, tmp_path, [], header=version_2)
+        (kind, message), _ = self.read(monkeypatch, read_dataset_file, path)
+        assert kind is SchemaVersionError
+        assert message == f"{path}: unsupported dataset schema version 2 (expected 1)"
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_bad_record_comes_before_an_earlier_work_error(self, written, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(_workers, "_available_cpus", lambda: cpus)
+        config = CalibrationConfig(
+            0.02, 0.1, 0.1,
+            loss_spec=LossSpec(localization_kind="pixelwise"),
+            predset_spec=PredSetSpec(localization_kind="multiplicative", classification_kind="aps"),
+            match_spec=MatchDistanceSpec("giou"),
+            lambda_loc_bounds=(0.0, 3.0),
+        )
+        result = CalibrationResult(0.7, 0.6, 0.25, 0.9, config, 100, {})
+        map_records = dataio._map_image_records
+        path = self.edited(written, tmp_path, [(0, edit_record(zero_area))])
+        got, loaded_whole = self.read(monkeypatch, map_records, path, _sample_outcomes, result)
+        assert got == (ValueError, "giou_distance requires boxes with positive area")
+        assert not loaded_whole
+        path = self.edited(written, tmp_path, [(0, edit_record(zero_area)), (3, edit_record(bad_probs))])
+        start = self.spans(path)[3][0]
+        image_id = json.loads(writer_lines(path)[1][start].removesuffix(","))["image_id"]
+        got, loaded_whole = self.read(monkeypatch, map_records, path, _sample_outcomes, result)
+        assert got == (DataFormatError, f"{path}: image {image_id!r} detection #0: "
+                                        "probs sum to 5.000000, expected 1 within 1e-4")
+        assert not loaded_whole
+        assert self.read(monkeypatch, map_records, path, _sample_outcomes, result, whole=True)[0] == got
         assert multiprocessing.active_children() == []
 
 
