@@ -48,9 +48,14 @@ Both steps run on one array kernel, ``_PrefixKernel``, built once per call:
   rows' entries; the pixelwise loss changes continuously and uses the fixed
   grid ``lo + (hi - lo) * j / 2**32``, ``j = 1 .. 2**32``. ``crc_calibrate``
   shares the search: a bisection over the indices of the sorted candidates
-  (``_smallest_feasible``), exact because every risk is monotone. Each
+  (``_smallest_admitted``), exact because every risk is monotone. Each
   candidate is scored over all visited rows at once: the per-image maxima
   of the table and a left-to-right sum in image order (``_fold_sum``).
+* **One test decides every constraint.** ``_admits`` tests the summed
+  losses, ``total + B <= alpha * (n + 1)``, for ``crc_calibrate``'s floor
+  and search, both of step 1's stop points (over the whole curve at once)
+  and step 2; no decision goes through ``n * (total / n)``, a different
+  float for some sums. The reported risks are ``total / n``.
 * **Coverage in floats.** A ground truth is covered when
   ``contains(apply_margin(box, lam), gt)`` holds, computed with the same
   operations, so the kernel agrees with ``evaluate`` and ``infer`` at every
@@ -130,6 +135,8 @@ class StepLossCurve:
         object.__setattr__(self, "values", tuple(self.values))
         if len(self.values) != len(self.thresholds) + 1:
             raise ValueError("need exactly one more value than thresholds")
+        if not all(map(math.isfinite, self.thresholds + self.values)):
+            raise ValueError("thresholds and values must be finite")
         if any(a > b for a, b in zip(self.thresholds, self.thresholds[1:])):
             raise ValueError("thresholds must be sorted ascending")
         if any(a < b for a, b in zip(self.values, self.values[1:])):
@@ -152,13 +159,18 @@ def crc_calibrate(
 ) -> float:
     """Smallest parameter whose corrected empirical risk is below ``alpha``.
 
-    Feasibility of the candidate ``lam`` means
-    ``(1/(n+1)) * sum_i L_i(lam) + loss_bound/(n+1) <= alpha``. Since the
-    curves are step functions, the infimum is attained at a curve breakpoint
-    or at the domain minimum; the search therefore only visits those points.
+    The candidate ``lam`` is feasible when the summed losses satisfy
+    ``sum_i L_i(lam) + loss_bound <= alpha * (n + 1)`` (``_admits``). Since
+    the curves are step functions, the infimum is attained at a curve
+    breakpoint or at the domain minimum; the search therefore only visits
+    those points.
 
     Raises
     ------
+    ValueError
+        For an empty set, ``alpha`` outside (0, 1), a ``loss_bound`` that is
+        not a finite number >= 0, a non-finite domain or one with
+        ``lo > hi``, and a curve whose largest value exceeds ``loss_bound``.
     InfeasibleRiskError
         When ``alpha < loss_bound/(n+1)`` (no parameter can ever satisfy the
         constraint) or when no candidate in the domain is feasible.
@@ -166,26 +178,38 @@ def crc_calibrate(
     n = len(loss_curves)
     if n == 0:
         raise ValueError("empty calibration set")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if not 0.0 <= loss_bound < math.inf:
+        raise ValueError(f"loss_bound must be a finite number >= 0, got {loss_bound}")
     lo, hi = lambda_domain
-    if lo > hi:
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise ValueError(f"invalid domain ({lo}, {hi})")
-    if alpha * (n + 1) < loss_bound:
+    if any(curve.values[0] > loss_bound for curve in loss_curves):
+        raise ValueError(f"every loss must be at most loss_bound={loss_bound}")
+    if not _admits(0.0, n, alpha, loss_bound):
         raise InfeasibleRiskError(
             f"alpha={alpha} is below the finite-sample floor "
             f"{loss_bound}/(n+1)={loss_bound / (n + 1):.6g}"
         )
-    candidates = sorted(
-        {lo, hi} | {t for curve in loss_curves for t in curve.thresholds if lo < t <= hi}
-    )
-
-    def feasible(lam: float) -> bool:
-        total = _fold_sum([curve.value_at(lam) for curve in loss_curves])
-        return total + loss_bound <= alpha * (n + 1)
-
-    return _smallest_feasible(
-        len(candidates), candidates.__getitem__, feasible,
+    return _smallest_admitted(
+        [t for curve in loss_curves for t in curve.thresholds], lo, hi,
+        lambda lam: _fold_sum([curve.value_at(lam) for curve in loss_curves]),
+        n, alpha, loss_bound,
         "no feasible parameter in the domain; loss curves do not vanish at the upper endpoint",
-    )
+    )[0]
+
+
+def _admits(total, n: int, alpha: float, b: float):
+    """Conformal Risk Control's test ``total + b <= alpha * (n + 1)`` of the
+    summed losses ``total`` of ``n`` samples, each loss at most ``b``; a
+    float, or an array of sums tested elementwise.
+
+    Every constraint of this module is decided here, on the sum itself: its
+    ``n * (total / n)`` is a different float for some sums, which at a tie
+    decides the other way.
+    """
+    return total + b <= alpha * (n + 1)
 
 
 def _fold_sum(values) -> float:
@@ -195,32 +219,47 @@ def _fold_sum(values) -> float:
     Every risk sum behind a feasibility decision is such a fold (step 1
     reads its running sums off one ``np.add.accumulate``). Python 3.12's
     ``sum`` compensates its rounding errors and numpy's ``sum`` is pairwise;
-    either can land a risk on the other side of ``alpha * (n + 1)``.
+    either can land a sum on the other side of ``alpha * (n + 1)``.
     ``np.add.accumulate`` adds strictly left to right.
     """
     return float(np.add.accumulate(np.asarray(values, dtype=float))[-1])
 
 
-def _smallest_feasible(count: int, value, feasible, failure: str) -> float:
-    """The first of the ascending candidates ``value(0) .. value(count - 1)``
-    that is ``feasible``.
+def _smallest_admitted(points, lo: float, hi: float, total_at, n: int, alpha: float,
+                       b: float, failure: str) -> tuple[float, float]:
+    """The smallest candidate parameter whose summed losses ``total_at(lam)``
+    pass ``_admits``, and that sum.
 
-    Feasibility must be monotone (a candidate above a feasible one is
-    feasible), which every corrected risk here is, since each loss is
-    non-increasing in its parameter; a bisection over the indices then finds
-    the first feasible candidate with about ``log2(count)`` checks. Raises
-    ``InfeasibleRiskError(failure)`` when no candidate is feasible.
+    The candidates are ``lo``, ``hi`` and the ``points`` in ``(lo, hi]``, or,
+    when ``points`` is None, the grid ``lo + (hi - lo) * j / 2**_GRID_BITS``,
+    ``j = 1 .. 2**_GRID_BITS``, indexed without being built. Every summed
+    loss here is non-increasing in its parameter, so the admitted candidates
+    are the ones from some index on, and a bisection over the indices finds
+    the first with about ``log2(count)`` sums. Raises
+    ``InfeasibleRiskError(failure)`` when no candidate is admitted.
     """
-    lo, hi = 0, count
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(value(mid)):
-            hi = mid
+    if points is None:
+        count = 1 << _GRID_BITS
+
+        def value(j: int) -> float:
+            return lo + (hi - lo) * ((j + 1) / count)
+    else:
+        points = np.asarray(points, dtype=float)
+        # np.unique's sort and dedupe, without the numpy.ma import it makes.
+        cands = np.sort(np.concatenate(([lo, hi], points[(points > lo) & (points <= hi)])))
+        cands = cands[np.concatenate(([True], cands[1:] != cands[:-1]))]
+        count, value = len(cands), cands.tolist().__getitem__
+    first, last, total = 0, count, None
+    while first < last:
+        mid = (first + last) // 2
+        at = total_at(value(mid))
+        if _admits(at, n, alpha, b):
+            last, total = mid, at
         else:
-            lo = mid + 1
-    if lo == count:
+            first = mid + 1
+    if total is None:
         raise InfeasibleRiskError(failure)
-    return value(lo)
+    return value(last), total
 
 
 # --------------------------------------------------------------------------
@@ -559,7 +598,9 @@ class _PrefixKernel:
     For every row with a detection and a ground truth there is one *entry*
     per ground truth, pointing at the (ground truth, matched detection) pair
     whose requirements on the second-step parameters it carries. The loss
-    methods score the first ``rows`` rows at one parameter.
+    methods score the first ``rows`` rows at one parameter. Every loss lies in
+    [0, 1], so ``loss_bound``, Conformal Risk Control's ``B``, is 1, or 0
+    when the config disables the finite-sample correction.
 
     The constructor is the one place where calibration reads its samples: it
     flattens them once, checks them, raising ``ValueError`` naming the first
@@ -610,6 +651,7 @@ class _PrefixKernel:
             )
             config = replace(config, lambda_loc_bounds=bounds)
         self.config = config
+        self.loss_bound = 1.0 if config.finite_sample_correction else 0.0
 
         self._best = _prefix_matches(
             config.match_spec, gt_box, labels, gt_img, det_box, gather, n_det, det_start
@@ -784,12 +826,13 @@ def _sweep_confidence(kernel: _PrefixKernel):
     and logs a warning (always the case when ``alpha_cnf * (n + 1) < 1``).
 
     The increments of each image's running maximum, summed left to right in
-    row order, are the same floats as running sums updated row by row.
+    row order, are the same floats as running sums updated row by row. They
+    are never negative and rounding is monotone, so the summed curve never
+    decreases, which is checked exactly.
     """
     cfg = kernel.config
     n = kernel.n
-    b_tilde = 1.0 if cfg.finite_sample_correction else 0.0
-    bound = cfg.alpha_cnf * (n + 1)
+    b = kernel.loss_bound
     rows = kernel.n_rows
     cell = kernel._cell
     ends = np.concatenate(([n], kernel.visit_end)) - 1
@@ -802,21 +845,21 @@ def _sweep_confidence(kernel: _PrefixKernel):
         mono = np.maximum.accumulate(kernel.by_image(losses), axis=0).ravel()
         grown = mono[cell] - np.where(kernel.row_depth > 0, mono[cell - n], 0.0)
         sums.append(np.add.accumulate(grown)[ends])
-    risks = np.max(sums, axis=0) / n
-    if (risks[1:] < risks[:-1] - 1e-9).any():
+    totals = np.max(sums, axis=0)
+    if (totals[1:] < totals[:-1]).any():
         raise AssertionError("monotonized risk decreased along the confidence sweep")
     lams = [1.0, *kernel.visit_lams]
-    breaks = n * risks + b_tilde > bound
+    breaks = ~_admits(totals, n, cfg.alpha_cnf, b)
     lam_plus, at = _stop(lams, breaks)
-    lam_minus, _ = _stop(lams, n * risks > bound)
+    lam_minus, _ = _stop(lams, ~_admits(totals, n, cfg.alpha_cnf, 0.0))
     if breaks[0]:
         log.warning(
             "the corrected step-1 constraint fails already at lambda_cnf = 1 "
-            "(alpha_cnf=%r, n=%d, alpha_cnf*(n+1)=%.6g < n*risk + %g = %.6g): "
+            "(alpha_cnf=%r, n=%d, alpha_cnf*(n+1)=%.6g < summed loss + B = %.6g + %g): "
             "lambda_cnf_plus = 1.0 is returned but carries no guarantee",
-            cfg.alpha_cnf, n, bound, b_tilde, n * risks[0] + b_tilde,
+            cfg.alpha_cnf, n, cfg.alpha_cnf * (n + 1), totals[0], b,
         )
-    risks = risks.tolist()
+    risks = (totals / n).tolist()
     return lam_plus, lam_minus, risks[at], list(zip(lams, risks))
 
 
@@ -826,55 +869,28 @@ def _sweep_confidence(kernel: _PrefixKernel):
 
 
 def _second_step(kernel: _PrefixKernel, lambda_cnf_minus: float, task: str):
-    """Smallest feasible second-step parameter.
+    """Smallest feasible second-step parameter of ``task`` ("loc" or "cls").
 
     Each candidate is scored with the monotonized risk: per image, the
     maximum of the task loss over the rows ``lambda_cnf_minus`` reaches. The
-    candidates are the domain ends and the requirements in ``(lo, hi]`` of
-    the visited rows' entries; for the pixelwise loss, the fixed grid
-    ``lo + (hi - lo) * j / 2**_GRID_BITS``, ``j = 1 .. 2**_GRID_BITS``.
-    Returns ``(parameter, risk_at_parameter)``.
+    candidates are the requirements of the visited rows' entries, or the
+    grid for the pixelwise loss (``_smallest_admitted``). Returns
+    ``(parameter, risk_at_parameter)``.
     """
     cfg = kernel.config
-    n = kernel.n
     if task == "loc":
-        alpha = cfg.alpha_loc
-        lo, hi = cfg.lambda_loc_bounds
-        loss_at = kernel.loc_losses
-    elif task == "cls":
-        alpha = cfg.alpha_cls
-        lo, hi = cfg.lambda_cls_bounds
-        loss_at = kernel.cls_losses
+        alpha, (lo, hi), loss_at = cfg.alpha_loc, cfg.lambda_loc_bounds, kernel.loc_losses
     else:
-        raise ValueError(f"unknown task {task!r}")
-    b = 1.0 if cfg.finite_sample_correction else 0.0
-    bound = alpha * (n + 1)
-
+        alpha, (lo, hi), loss_at = cfg.alpha_cls, cfg.lambda_cls_bounds, kernel.cls_losses
     rows = kernel.rows_at(lambda_cnf_minus)
-    risks = {}
-
-    def feasible(lam: float) -> bool:
-        losses = kernel.by_image(loss_at(lam, rows)).max(axis=0)
-        risks[lam] = risk = _fold_sum(losses) / n
-        return n * risk + b <= bound
-
-    reqs = kernel.requirements(task, rows)
-    if reqs is None:
-        count = 1 << _GRID_BITS
-
-        def value(j: int) -> float:
-            return lo + (hi - lo) * ((j + 1) / count)
-    else:
-        # np.unique's sort and dedupe, without the numpy.ma import it makes.
-        cands = np.sort(np.concatenate(([lo, hi], reqs[(reqs > lo) & (reqs <= hi)])))
-        cands = cands[np.concatenate(([True], cands[1:] != cands[:-1]))]
-        count, value = len(cands), cands.tolist().__getitem__
-    lam = _smallest_feasible(
-        count, value, feasible,
+    lam, total = _smallest_admitted(
+        kernel.requirements(task, rows), lo, hi,
+        lambda lam: _fold_sum(kernel.by_image(loss_at(lam, rows)).max(axis=0)),
+        kernel.n, alpha, kernel.loss_bound,
         f"no feasible {task} parameter in [{lo}, {hi}]; "
         f"alpha_{task}={alpha} is too small for this data and loss",
     )
-    return lam, risks[lam]
+    return lam, total / kernel.n
 
 
 # --------------------------------------------------------------------------
@@ -931,6 +947,8 @@ def seqcrc_step2(
     config: CalibrationConfig,
 ) -> float:
     """Calibrate the second-step parameter for ``task`` ("loc" or "cls")."""
+    if task not in ("loc", "cls"):
+        raise ValueError(f"unknown task {task!r}")
     lam, _ = _second_step(_kernel(samples, config), lambda_cnf_minus, task)
     return lam
 

@@ -35,6 +35,9 @@ from oracles import (
 )
 
 
+CURVES = [StepLossCurve.binary(s) for s in (0.2, 0.5, 0.8)]
+
+
 def covering_detection(gt_box, confidence, k=3, label=0):
     probs = tuple(1.0 if j == label else 0.0 for j in range(k))
     return Detection(box=gt_box, probs=probs, confidence=confidence)
@@ -124,6 +127,38 @@ class TestCrcCalibrate:
     def test_empty_calibration_set(self):
         with pytest.raises(ValueError):
             crc_calibrate([], 0.5, 1.0, (0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: crc_calibrate(CURVES, 1.5, 1.0, (0.0, 1.0)), "alpha must lie in"),
+            (lambda: crc_calibrate(CURVES, 0.0, 1.0, (0.0, 1.0)), "alpha must lie in"),
+            (lambda: crc_calibrate(CURVES, 1.0, 1.0, (0.0, 1.0)), "alpha must lie in"),
+            (lambda: crc_calibrate(CURVES, math.nan, 1.0, (0.0, 1.0)), "alpha must lie in"),
+            (lambda: crc_calibrate(CURVES, 0.5, -1.0, (0.0, 1.0)), "loss_bound must be"),
+            (lambda: crc_calibrate(CURVES, 0.5, math.nan, (0.0, 1.0)), "loss_bound must be"),
+            (lambda: crc_calibrate(CURVES, 0.5, math.inf, (0.0, 1.0)), "loss_bound must be"),
+            (lambda: crc_calibrate(CURVES, 0.5, 1.0, (0.0, math.nan)), "invalid domain"),
+            (lambda: crc_calibrate(CURVES, 0.5, 1.0, (math.nan, 1.0)), "invalid domain"),
+            (lambda: crc_calibrate(CURVES, 0.5, 1.0, (-math.inf, 1.0)), "invalid domain"),
+            (lambda: crc_calibrate(CURVES, 0.5, 1.0, (1.0, 0.0)), "invalid domain"),
+            (lambda: crc_calibrate(CURVES, 0.5, 0.5, (0.0, 1.0)), "at most loss_bound"),
+            (lambda: StepLossCurve((math.nan,), (1.0, 0.0)), "must be finite"),
+            (lambda: StepLossCurve((math.inf,), (1.0, 0.0)), "must be finite"),
+            (lambda: StepLossCurve((0.5,), (math.nan, 0.0)), "must be finite"),
+            (lambda: StepLossCurve((0.5,), (1.0, -math.inf)), "must be finite"),
+        ],
+        ids=[
+            "alpha-above-1", "alpha-0", "alpha-1", "alpha-nan",
+            "bound-negative", "bound-nan", "bound-inf",
+            "domain-hi-nan", "domain-lo-nan", "domain-lo-inf", "domain-reversed",
+            "loss-above-bound",
+            "threshold-nan", "threshold-inf", "value-nan", "value-inf",
+        ],
+    )
+    def test_invalid_input_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
 
 class TestStep1:
@@ -225,6 +260,23 @@ class TestStep1:
             plus, _ = seqcrc_step1(samples, config)
             expected = crc_calibrate(curves, alpha, 1.0, (0.0, 1.0))
             assert plus == expected
+
+        # A tie: at the breakpoint below 0.48 the summed count losses + 1 exceed
+        # alpha_cnf * (n + 1) by an ulp, while n * (sum / n) + 1 does not,
+        # so a test of the latter form stops one breakpoint too low.
+        samples = []
+        curves = []
+        for i in range(23):
+            gts = tuple((BoundingBox(10 * j, 0, 10 * j + 8, 8), 0) for j in range(2))
+            dets = tuple(
+                Detection(box=BoundingBox(-5, -5, 100, 100), probs=(1.0, 0.0, 0.0), confidence=c)
+                for c in (1.0, 0.04 * (i + 1))
+            )
+            samples.append(ImageSample(f"i{i}", gts, dets))
+            curves.append(StepLossCurve.binary(1.0 - 0.04 * (i + 1)))
+        alpha = 0.5833333333333333
+        plus, _ = seqcrc_step1(samples, basic_config(alpha_cnf=alpha))
+        assert plus == crc_calibrate(curves, alpha, 1.0, (0.0, 1.0)) == 0.48
 
     def test_monotonized_trace_non_decreasing_downward(self):
         rng = np.random.default_rng(3)
@@ -377,6 +429,57 @@ class TestStep2:
                 assert got == oracle, (trial, task, got, oracle)
                 checked += 1
         assert checked > 50
+
+    def test_matches_crc_on_integer_margins(self):
+        # One ground truth per image and one detection shifted by an integer
+        # number of pixels: the boxwise loss is the indicator of a margin
+        # below the shift, so the second step is crc_calibrate on the
+        # shifts. The first instance is a tie: at 10 the summed losses + 1
+        # exceed alpha_loc * (n + 1) by an ulp, while n * (sum / n) + 1 does
+        # not, so a test of the latter form returns 10.0.
+        def both(shifts, alpha):
+            gt = BoundingBox(10, 10, 20, 20)
+            samples = [
+                ImageSample(f"i{i}", ((gt, 0),), (Detection(
+                    box=BoundingBox(10 + dx, 10 + dy, 20 + dx, 20 + dy), probs=(1.0, 0.0),
+                    confidence=0.9,
+                ),))
+                for i, (dx, dy) in enumerate(shifts)
+            ]
+            curves = [StepLossCurve.binary(float(max(abs(dx), abs(dy)))) for dx, dy in shifts]
+            config = basic_config(alpha_loc=alpha, lambda_loc_bounds=(0.0, 100.0))
+            outcomes = []
+            for run in (lambda: seqcrc_step2(samples, 1.0, "loc", config),
+                        lambda: crc_calibrate(curves, alpha, 1.0, (0.0, 100.0))):
+                try:
+                    outcomes.append(run())
+                except InfeasibleRiskError:
+                    outcomes.append(None)
+            return outcomes
+
+        assert both([(i + 1, 0) for i in range(23)], 0.5833333333333333) == [11.0, 11.0]
+        rng = np.random.default_rng(62)
+        for trial in range(300):
+            n = int(rng.integers(2, 100))
+            shifts = [tuple(int(v) for v in rng.integers(-60, 61, 2)) for _ in range(n)]
+            # alpha * (n + 1) on or next to the summed loss + 1 at one of the
+            # shifts, where the decision is a tie
+            reach = [max(abs(dx), abs(dy)) for dx, dy in shifts]
+            cut = reach[int(rng.integers(0, n))]
+            alpha = (sum(r > cut for r in reach) + 1) / (n + 1)
+            alpha = float(np.nextafter(alpha, alpha + rng.choice([-1.0, 0.0, 1.0])))
+            got, want = both(shifts, alpha)
+            assert got == want, (trial, got, want)
+
+    def test_unknown_task_rejected_before_the_kernel(self, monkeypatch):
+        def no_kernel(*args):
+            raise AssertionError("the kernel was built")
+
+        monkeypatch.setattr("condet.calibration._PrefixKernel", no_kernel)
+        gt = BoundingBox(10, 10, 30, 30)
+        samples = [ImageSample("i0", ((gt, 0),), (covering_detection(gt, 0.8),))]
+        with pytest.raises(ValueError, match="unknown task 'size'"):
+            seqcrc_step2(samples, 1.0, "size", basic_config())
 
     def test_infeasible_alpha_raises(self):
         gt = BoundingBox(10, 10, 30, 30)
