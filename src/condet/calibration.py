@@ -399,13 +399,6 @@ def _loc_bounds(coords: np.ndarray, localization_kind: str) -> tuple[float, floa
     return (0.0, span + 1.0)
 
 
-def _first_bad(mask: np.ndarray, owner: np.ndarray, samples, what: str) -> None:
-    """Raise ``ValueError`` naming the image of the first flagged item."""
-    if mask.any():
-        image_id = samples[int(owner[int(np.argmax(mask))])].image_id
-        raise ValueError(f"image {image_id!r}: {what}")
-
-
 def _pair_distances(kind: str, tau: float, gt, det, lac: Optional[np.ndarray]) -> np.ndarray:
     """``pair_distance`` on arrays: ``gt`` and ``det`` are broadcastable
     ``(left, top, right, bottom)`` coordinates and ``lac`` holds the LAC
@@ -481,22 +474,13 @@ def _covering_margins(gt, det, kind: str) -> np.ndarray:
     return need
 
 
-def _gather_probs(probs, det_img, samples, dets: np.ndarray, classes=None) -> np.ndarray:
+def _gather_probs(probs, dets: np.ndarray, classes=None) -> np.ndarray:
     """``probs[d][c]`` for each detection ``d`` in ``dets`` and the class
     ``c`` beside it in ``classes``, or each whole vector (one row per
-    detection) when ``classes`` is None. Raises ``ValueError`` naming the
-    image of the first detection with a gathered value that is not a finite
-    number >= 0: every probability the kernel reads passes through here."""
+    detection) when ``classes`` is None."""
     if classes is None:
-        values = np.array([probs[d] for d in dets.tolist()], dtype=float)
-    else:
-        cells = zip(dets.tolist(), classes.tolist())
-        values = np.array([probs[d][c] for d, c in cells], dtype=float)
-    bad = ~((values >= 0.0) & (values < math.inf))
-    if bad.ndim > 1:
-        bad = bad.any(axis=1)
-    _first_bad(bad, det_img[dets], samples, "probabilities must be finite and non-negative")
-    return values
+        return np.array([probs[d] for d in dets.tolist()], dtype=float)
+    return np.array([probs[d][c] for d, c in zip(dets.tolist(), classes.tolist())], dtype=float)
 
 
 def _class_cutoffs(gather, k: int, dets: np.ndarray, labels: np.ndarray, kind: str) -> np.ndarray:
@@ -603,9 +587,12 @@ class _PrefixKernel:
     when the config disables the finite-sample correction.
 
     The constructor is the one place where calibration reads its samples: it
-    flattens them once, checks them, raising ``ValueError`` naming the first
-    bad image, and only then fills in ``lambda_loc_bounds`` when the config
-    leaves them to the data (``default_lambda_loc_bounds``' rule).
+    flattens them once and fills in ``lambda_loc_bounds`` when the config
+    leaves them to the data (``default_lambda_loc_bounds``' rule). The
+    samples are valid by construction (``ImageSample``); it checks only what
+    depends on the whole set or the config, raising ``ValueError``: one
+    probability-vector length across images, GIoU's positive areas and a
+    coordinate span within the float range.
     """
 
     def __init__(self, samples: Sequence[ImageSample], config: CalibrationConfig) -> None:
@@ -622,23 +609,12 @@ class _PrefixKernel:
         det_box = _coords([d.box for d in dets])
         probs = [d.probs for d in dets]
         req = 1.0 - np.array([d.confidence for d in dets], dtype=float)
-        gather = partial(_gather_probs, probs, det_img, samples)
+        gather = partial(_gather_probs, probs)
 
-        # Every check but the probabilities', which ``gather`` checks as it
-        # reads them: a check of every vector would cost as much as the rest.
-        for box, owner, what in ((gt_box, gt_img, "ground-truth"), (det_box, det_img, "detection")):
-            _first_bad(~np.isfinite(box).all(axis=0), owner, samples, f"non-finite {what} box")
-            _first_bad(
-                (box[0] > box[2]) | (box[1] > box[3]), owner, samples,
-                f"{what} box corners out of order (left <= right, top <= bottom required)",
-            )
-        n_classes = len(probs[0]) if probs else 1
-        if any(len(p) != n_classes for p in probs):
+        lengths = {len(s.detections[0].probs) for s in samples if s.detections}
+        if len(lengths) > 1:
             raise ValueError("all probability vectors must have the same length")
-        _first_bad(
-            ((labels < 0) | (labels >= n_classes)) & (n_det[gt_img] > 0),
-            gt_img, samples, f"class label outside [0, {n_classes})",
-        )
+        n_classes = lengths.pop() if lengths else 1
         # GIoU divides by areas: a box in an image with boxes of the other
         # kind needs a positive one.
         if config.match_spec.kind == "giou":

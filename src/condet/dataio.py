@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence, Union, get_args, get_
 from ._workers import ordered_map
 from .calibration import CalibrationConfig, CalibrationResult
 from .geometry import BoundingBox
-from .losses import Detection, ImageSample
+from .losses import Detection, ImageSample, _check_box, _check_probs
 
 __all__ = [
     "DATASET_SCHEMA_VERSION",
@@ -65,7 +65,12 @@ class DigestMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class ImageRecord:
-    """One image's annotations and raw detections, as stored on disk."""
+    """One image's annotations and raw detections, as stored on disk.
+
+    The reader and ``import_coco`` pass every ground-truth box through the
+    box rule of ``ImageSample`` (``losses._check_box``); the detections
+    checked themselves.
+    """
 
     image_id: str
     width: float
@@ -135,22 +140,18 @@ def _as_floats(values: list, message: str) -> list:
 
 
 def _box(raw) -> BoundingBox:
+    """The JSON box ``raw`` as a ``BoundingBox``, unchecked by the box rule."""
     message = "box must be a 4-element [left, top, right, bottom] array of numbers"
     if not (isinstance(raw, list) and len(raw) == 4):
         raise DataFormatError(message)
-    left, top, right, bottom = _as_floats(raw, message)
-    isfinite = math.isfinite
-    if not (isfinite(left) and isfinite(top) and isfinite(right) and isfinite(bottom)):
-        raise DataFormatError("box coordinates must be finite")
-    if not (left <= right and top <= bottom):
-        raise DataFormatError("box corners out of order (left<=right, top<=bottom required)")
-    return BoundingBox(left, top, right, bottom)
+    return BoundingBox(*_as_floats(raw, message))
 
 
 def _ground_truth(raw, num_classes: int) -> tuple[BoundingBox, int]:
     if not isinstance(raw, dict):
         raise DataFormatError("must be an object")
     box = _box(raw.get("box"))
+    _check_box(box)
     label = raw.get("class_id")
     if not (_is_number(label, int) and 0 <= label < num_classes):
         raise DataFormatError(f"class_id {label!r} is not an integer in [0, {num_classes})")
@@ -161,47 +162,30 @@ def _detection(raw, num_classes: int) -> Detection:
     if not isinstance(raw, dict):
         raise DataFormatError("must be an object")
     box = _box(raw.get("box"))
-    confidence = raw.get("confidence")
-    if not (_is_number(confidence) and 0.0 <= confidence <= 1.0):
-        raise DataFormatError(f"confidence {confidence!r} is not a number in [0, 1]")
-    probs = raw.get("probs")
-    if not (isinstance(probs, list) and len(probs) == num_classes):
-        raise DataFormatError(f"probs must be a length-{num_classes} array")
-    probs = _as_floats(probs, "probs must be numbers")
-    _check_probs(probs, "probs")
-    return Detection(box, probs, float(confidence))
-
-
-def _check_probs(probs: list, name: str) -> None:
-    """Raise ``DataFormatError`` unless the floats ``probs`` (the vector
-    called ``name``) are non-negative and sum to 1 within 1e-4."""
-    # min() compares each entry with the running minimum, so it finds a NaN
-    # only in the first entry; a NaN elsewhere makes the sums NaN below.
-    if not min(probs) >= 0.0:
-        raise DataFormatError(f"{name} must be non-negative")
-    # The plain sum of n non-negative floats lies within n * 2**-52 of the
-    # exact sum, relative to it: inside the tolerance by more than that, it
-    # decides the check as the exact sum would. Only a sum near or past the
-    # bound, NaN or infinite is summed exactly.
-    if not abs(sum(probs) - 1.0) <= 1e-4 - len(probs) * 1e-15:
-        try:
-            total = math.fsum(probs)
-        except OverflowError:  # finite entries whose sum exceeds the float range
-            total = math.inf
-        if not abs(total - 1.0) <= 1e-4:
-            if not all(p >= 0.0 for p in probs):
-                raise DataFormatError(f"{name} must be non-negative")
-            raise DataFormatError(f"{name} sum to {total:.6f}, expected 1 within 1e-4")
+    confidence, probs = raw.get("confidence"), raw.get("probs")
+    try:
+        if not _is_number(confidence):
+            raise DataFormatError(f"confidence {confidence!r} is not a number in [0, 1]")
+        if not (isinstance(probs, list) and len(probs) == num_classes):
+            raise DataFormatError(f"probs must be a length-{num_classes} array")
+        probs = _as_floats(probs, "probs must be numbers")
+    except DataFormatError:
+        # Faults are reported in field order: the constructor, given neutral
+        # values for the fields from this one on, raises for an earlier one.
+        Detection(box, (1.0,), confidence if _is_number(confidence) else 0.0)
+        raise
+    return Detection(box, probs, confidence)
 
 
 def _parse_records(parse, raws: list, num_classes: int, image: str, kind: str) -> tuple:
-    """``parse`` applied to each raw record; a failure is prefixed with the
-    record's name, ``<image> <kind> #<index>``."""
+    """``parse`` applied to each raw record; a failure, of the JSON types or
+    of the rule that ``Detection`` and ``_check_box`` enforce, is prefixed
+    with the record's name, ``<image> <kind> #<index>``."""
     out = []
     try:
         for j, raw in enumerate(raws):
             out.append(parse(raw, num_classes))
-    except DataFormatError as exc:
+    except ValueError as exc:
         raise DataFormatError(f"{image} {kind} #{j}: {exc}") from None
     return tuple(out)
 
@@ -289,9 +273,11 @@ def read_dataset_file(path: PathLike) -> DatasetFile:
     array of ``num_classes`` strings, an ``image_id`` that is neither a
     string nor an integer, a ``width`` or ``height`` that is not a finite
     number >= 0 (absent means 0), JSON booleans in ``num_classes``,
-    ``class_id`` or ``confidence``, and probability vectors that have a
-    negative or NaN entry or do not sum to one within 1e-4. Each vector is
-    checked in bulk; its entries are kept as loaded when all are floats.
+    ``class_id`` or ``confidence``, and any breach of the validity rule
+    that ``Detection`` and ``ImageSample`` enforce, with their message after
+    the record's name. The reader checks the JSON types and shapes; the
+    rule is the constructors'. A vector's entries are kept as loaded when
+    all are floats.
 
     The records are decoded and checked in worker processes by
     ``_map_image_records``; the result and the errors do not depend on the
@@ -606,7 +592,9 @@ def import_coco(gt_path: PathLike, det_path: PathLike) -> DatasetFile:
         raise DataFormatError(f"malformed COCO input ({gt_path}, {det_path}): {exc!r}") from exc
 
 
-def _coco_bbox(raw, where: str) -> tuple[float, float, float, float]:
+def _coco_bbox(raw, where: str) -> BoundingBox:
+    """The COCO ``[x, y, w, h]`` array ``raw`` as a box that obeys the box
+    rule; ``where`` names the record in the error."""
     message = f"{where}: bbox must be an array of 4 numbers"
     _require(isinstance(raw, list) and len(raw) == 4, message)
     x, y, w, h = _as_floats(raw, message)
@@ -614,7 +602,12 @@ def _coco_bbox(raw, where: str) -> tuple[float, float, float, float]:
         all(math.isfinite(v) for v in (x, y, w, h)), f"{where}: bbox values must be finite"
     )
     _require(w >= 0.0 and h >= 0.0, f"{where}: bbox width and height must be >= 0")
-    return x, y, w, h
+    box = BoundingBox.from_xywh(x, y, w, h)
+    try:
+        _check_box(box)  # x + w or y + h may overflow
+    except ValueError as exc:
+        raise DataFormatError(f"{where}: {exc}") from None
+    return box
 
 
 def _import_coco_parsed(gt, det, gt_path, det_path, categories) -> DatasetFile:
@@ -645,8 +638,8 @@ def _import_coco_parsed(gt, det, gt_path, det_path, categories) -> DatasetFile:
         gts = entry(_image_id(ann["image_id"], f"{gt_path}: annotation #{j}: image_id"))[2]
         cat = ann.get("category_id")
         _require(cat in cat_index, f"{gt_path}: annotation #{j} has unknown category id {cat!r}")
-        x, y, w, h = _coco_bbox(ann["bbox"], f"{gt_path}: annotation #{j}")
-        gts.append((BoundingBox.from_xywh(x, y, w, h), cat_index[cat]))
+        box = _coco_bbox(ann["bbox"], f"{gt_path}: annotation #{j}")
+        gts.append((box, cat_index[cat]))
 
     if isinstance(det, dict):
         det = det.get("annotations", det.get("detections", []))
@@ -657,25 +650,23 @@ def _import_coco_parsed(gt, det, gt_path, det_path, categories) -> DatasetFile:
         dets = entry(_image_id(rec["image_id"], f"{det_path}: detection #{j}: image_id"))[3]
         cat = rec.get("category_id")
         _require(cat in cat_index, f"{det_path}: detection #{j} has unknown category id {cat!r}")
-        x, y, w, h = _coco_bbox(rec["bbox"], f"{det_path}: detection #{j}")
+        where = f"{det_path}: detection #{j}"
+        box = _coco_bbox(rec["bbox"], where)
         score = rec.get("score", 0.0)
-        message = f"{det_path}: detection #{j}: score must be a number, got {score!r}"
-        (score,) = _as_floats([score], message)
-        _require(math.isfinite(score), f"{det_path}: detection #{j}: score must be finite")
+        (score,) = _as_floats([score], f"{where}: score must be a number, got {score!r}")
+        _require(math.isfinite(score), f"{where}: score must be finite")
         scores = rec.get("scores")
         if scores is not None:
             _require(
                 isinstance(scores, list) and len(scores) == num_classes,
                 f"{det_path}: detection #{j} scores must have length {num_classes}",
             )
-            where = f"{det_path}: detection #{j}"
             probs = _as_floats(scores, f"{where}: scores must be numbers")
             _require(all(math.isfinite(p) for p in probs), f"{where}: scores must be finite")
             try:
                 _check_probs(probs, "scores")
-            except DataFormatError as exc:
+            except ValueError as exc:
                 raise DataFormatError(f"{where}: {exc}") from None
-            probs = tuple(probs)
         else:
             synthesized += 1
             if num_classes == 1:
@@ -685,13 +676,7 @@ def _import_coco_parsed(gt, det, gt_path, det_path, categories) -> DatasetFile:
                 probs = tuple(
                     1.0 - eps if k == cat_index[cat] else off for k in range(num_classes)
                 )
-        dets.append(
-            Detection(
-                box=BoundingBox.from_xywh(x, y, w, h),
-                probs=probs,
-                confidence=min(max(score, 0.0), 1.0),
-            )
-        )
+        dets.append(Detection(box, probs, min(max(score, 0.0), 1.0)))
 
     if synthesized:
         log.warning(

@@ -25,9 +25,11 @@ __all__ = [
 class BoundingBox:
     """Axis-aligned rectangle in pixel coordinates, corner representation.
 
-    ``left <= right`` and ``top <= bottom`` hold for any ground-truth or raw
-    predicted box; degenerate boxes (zero width or height) arise from
-    intersections and are valid values with zero area.
+    The box itself checks nothing. ``left <= right``, ``top <= bottom`` and
+    finite coordinates hold for every ground-truth and predicted box because
+    ``ImageSample`` and ``Detection`` enforce them when they are built (the
+    box rule, ``losses._check_box``). Degenerate boxes (zero width or height)
+    arise from intersections and are valid values with zero area.
     """
 
     left: float

@@ -11,6 +11,8 @@ loss 1.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -35,18 +37,69 @@ LOC_LOSS_KINDS = ("thresholded", "boxwise", "pixelwise")
 AGGREGATION_KINDS = ("average", "max", "thresholded")
 
 
+def _check_box(box: BoundingBox, where: str = "") -> None:
+    """The box rule: raise ``ValueError``, its message prefixed with
+    ``where``, unless every coordinate of ``box`` is finite, ``left <= right``
+    and ``top <= bottom``."""
+    # A NaN fails every comparison, and each chain bounds both its
+    # coordinates, an integer beyond the float range too.
+    big = sys.float_info.max
+    if not (-big <= box.left <= box.right <= big and -big <= box.top <= box.bottom <= big):
+        if not all(-big <= v <= big for v in box.as_tuple()):
+            raise ValueError(f"{where}box coordinates must be finite")
+        raise ValueError(f"{where}box corners out of order (left<=right, top<=bottom required)")
+
+
+def _check_probs(probs: Sequence[float], name: str) -> None:
+    """The probability rule: raise ``ValueError`` unless ``probs`` (the
+    vector called ``name``) is non-empty, its entries are finite and
+    non-negative, and they sum to 1 within 1e-4."""
+    if not probs:
+        raise ValueError(f"{name} must not be empty")
+    # min() compares each entry with the running minimum, so it finds a NaN
+    # only in the first entry; a NaN elsewhere makes the sums NaN below.
+    if not min(probs) >= 0.0:
+        raise ValueError(f"{name} must be non-negative")
+    # The plain sum of n non-negative floats lies within n * 2**-52 of the
+    # exact sum, relative to it: inside the tolerance by more than that, it
+    # decides the check as the exact sum would. Only a sum near or past the
+    # bound, NaN or infinite is summed exactly.
+    if not abs(sum(probs) - 1.0) <= 1e-4 - len(probs) * 1e-15:
+        try:
+            total = math.fsum(probs)
+        except OverflowError:  # finite entries whose sum exceeds the float range
+            total = math.inf
+        if not abs(total - 1.0) <= 1e-4:
+            if not all(p >= 0.0 for p in probs):
+                raise ValueError(f"{name} must be non-negative")
+            raise ValueError(f"{name} sum to {total:.6f}, expected 1 within 1e-4")
+
+
 @dataclass(frozen=True)
 class Detection:
-    """One predicted object: box, class probability vector, confidence score."""
+    """One predicted object: box, class probability vector, confidence score.
+
+    A ``Detection`` is valid once built: its box obeys the box rule (finite
+    coordinates, ``left <= right``, ``top <= bottom``), its confidence is a
+    number in [0, 1], kept as a float, and ``probs`` is a non-empty tuple of
+    finite, non-negative entries summing to 1 within 1e-4. The constructor
+    checks them in that order and raises ``ValueError`` for the first that
+    fails. Dataset files obey the same rule.
+    """
 
     box: BoundingBox
     probs: tuple[float, ...]
     confidence: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", tuple(self.probs))
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence must lie in [0, 1], got {self.confidence}")
+        _check_box(self.box)
+        confidence = self.confidence
+        if not 0.0 <= confidence <= 1.0:
+            raise ValueError(f"confidence {confidence!r} is not a number in [0, 1]")
+        probs = tuple(self.probs)
+        object.__setattr__(self, "confidence", float(confidence))
+        object.__setattr__(self, "probs", probs)
+        _check_probs(probs, "probs")
 
 
 @dataclass(frozen=True)
@@ -55,6 +108,13 @@ class ImageSample:
 
     Detections are re-sorted by descending confidence at construction, so a
     confidence threshold always selects a prefix.
+
+    A sample is valid once built: every ground-truth box obeys the box rule,
+    every detection's probability vector has one length ``k``, and, when the
+    image has detections, every label lies in [0, k). The constructor raises
+    ``ValueError`` naming the image otherwise; the detections checked
+    themselves (``Detection``). ``calibrate``, ``evaluate`` and ``infer``
+    therefore read only valid samples and check none of this again.
     """
 
     image_id: str
@@ -66,6 +126,14 @@ class ImageSample:
         dets = tuple(sorted(self.detections, key=lambda d: -d.confidence))
         object.__setattr__(self, "ground_truths", gts)
         object.__setattr__(self, "detections", dets)
+        k = len(dets[0].probs) if dets else None
+        if any(len(d.probs) != k for d in dets):
+            raise ValueError(f"image {self.image_id!r}: probability vectors of different lengths")
+        for j, (box, label) in enumerate(gts):
+            where = f"image {self.image_id!r}: ground truth #{j}: "
+            _check_box(box, where)
+            if dets and not 0 <= label < k:
+                raise ValueError(f"{where}class label {label} outside [0, {k})")
 
     @property
     def n_ground_truths(self) -> int:

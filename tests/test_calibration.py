@@ -520,17 +520,9 @@ class TestCalibrate:
             basic_config(prefilter_threshold=threshold)
 
     def test_non_finite_box_names_image(self):
-        gt = BoundingBox(10, 10, 30, 30)
-        samples = [
-            ImageSample(f"i{j}", ((gt, 0),), (covering_detection(gt, 0.8),)) for j in range(3)
-        ]
-        samples.append(
-            ImageSample("bad", ((gt, 0),), (covering_detection(BoundingBox(0, 0, math.inf, 5), 0.8),))
-        )
-        with pytest.raises(ValueError, match="image 'bad': non-finite detection box"):
-            calibrate(samples, basic_config(alpha_cnf=0.1, alpha_loc=0.8, alpha_cls=0.8))
-        with pytest.raises(ValueError, match="image 'bad': non-finite detection box"):
-            calibrate(samples, basic_config(alpha_cnf=0.1, alpha_loc=0.8, alpha_cls=0.8, lambda_loc_bounds=None))
+        # The detection rejects its box, so no sample can hold it.
+        with pytest.raises(ValueError, match="^box coordinates must be finite$"):
+            covering_detection(BoundingBox(0, 0, math.inf, 5), 0.8)
 
     @pytest.mark.parametrize("bounds", [(0.0, 50.0), None])
     @pytest.mark.parametrize("what", ["ground-truth", "detection"])
@@ -551,14 +543,18 @@ class TestCalibrate:
         samples = [
             ImageSample(f"i{j}", ((gt, 0),), (covering_detection(gt, 0.8),)) for j in range(40)
         ]
-        for j in (5, 9, 21):
-            if what == "ground-truth":
-                samples[j] = ImageSample(f"bad{j}", ((reversed_box, 0),), samples[j].detections)
-            else:
-                samples[j] = ImageSample(f"bad{j}", ((gt, 0),), (covering_detection(reversed_box, 0.8),))
+        # Such a sample can no longer be built, so no entry point sees one.
+        message = "box corners out of order (left<=right, top<=bottom required)"
+        if what == "ground-truth":
+            message = f"image 'bad5': ground truth #0: {message}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            for j in (5, 9, 21):
+                if what == "ground-truth":
+                    samples[j] = ImageSample(f"bad{j}", ((reversed_box, 0),), samples[j].detections)
+                else:
+                    samples[j] = ImageSample(f"bad{j}", ((gt, 0),), (covering_detection(reversed_box, 0.8),))
         config = basic_config(alpha_cnf=0.05, alpha_loc=0.08, alpha_cls=0.3, lambda_loc_bounds=bounds)
-        with pytest.raises(ValueError, match=f"image 'bad5': {what} box corners out of order"):
-            entry(samples, config)
+        entry(samples, config)
 
     @pytest.mark.parametrize("margin", ["additive", "multiplicative"])
     def test_data_bounds_follow_the_span_rule(self, margin):
@@ -607,14 +603,15 @@ class TestCalibrate:
         samples = [
             ImageSample(f"i{j}", ((gt, 0),), (Detection(gt, (0.3, 0.7), 0.8),)) for j in range(40)
         ]
-        samples[17] = ImageSample("bad", ((gt, 0),), (Detection(gt, probs, 0.8),))
+        # The detection rejects the vector, so the sample cannot be built.
+        with pytest.raises(ValueError, match="^probs (must be non-negative|sum to inf, expected 1 within 1e-4)$"):
+            samples[17] = ImageSample("bad", ((gt, 0),), (Detection(gt, probs, 0.8),))
         config = basic_config(
             alpha_cnf=0.1, alpha_loc=0.5, alpha_cls=0.5,
             predset_spec=PredSetSpec(classification_kind=cls_kind),
             match_spec=MatchDistanceSpec(match_kind),
         )
-        with pytest.raises(ValueError, match="image 'bad': probabilities must be finite and non-negative"):
-            calibrate(samples, config)
+        calibrate(samples, config)
 
     def test_result_fields_and_domains(self):
         rng = np.random.default_rng(7)

@@ -19,6 +19,7 @@ from condet import (
     PredSetSpec,
     SynthSpec,
     _workers,
+    dataio,
     generate,
     monte_carlo_validate,
     save_result,
@@ -660,6 +661,64 @@ class TestParallelCommands:
         assert sha256(commands["evaluate"][1]) == REPORT_SHA256
 
 
+class TestBadValueCommands:
+    """Each file command exits 1 with ``kind=data`` on each value the
+    validity rule refuses, named as the reader names it. The bad record sits
+    in the last of several spans, so with more than one CPU a worker
+    raises the rejection."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("bad-values")
+        spec = SynthSpec(seed=8, n_images=24, objects_min=1, objects_max=3, num_classes=4)
+        samples_to_dataset_file(generate(spec), 4, root / "data.json", size=64.0)
+        config = CalibrationConfig(0.1, 0.5, 0.5, lambda_loc_bounds=(0.0, 64.0))
+        save_result(CalibrationResult(0.7, 0.6, 4.0, 0.9, config, 24, {}), root / "result.json")
+        return root / "result.json", root / "data.json"
+
+    @pytest.mark.parametrize("command", ["calibrate", "infer", "evaluate"])
+    @pytest.mark.parametrize(
+        "kind, field, value, message",
+        [
+            ("detections", "probs", [math.nan, 0.7, 0.15, 0.15], "probs must be non-negative"),
+            ("detections", "probs", [0.7, 0.7, 0.0, 0.0], "probs sum to 1.400000, expected 1 within 1e-4"),
+            ("detections", "box", [0.0, 0.0, math.inf, 5.0], "box coordinates must be finite"),
+            ("detections", "box", [20.0, 0.0, 10.0, 5.0],
+             "box corners out of order (left<=right, top<=bottom required)"),
+            ("detections", "confidence", math.nan, "confidence nan is not a number in [0, 1]"),
+            ("ground_truths", "box", [0.0, -math.inf, 5.0, 5.0], "box coordinates must be finite"),
+            ("ground_truths", "box", [0.0, 9.0, 5.0, 5.0],
+             "box corners out of order (left<=right, top<=bottom required)"),
+            ("ground_truths", "class_id", 4, "class_id 4 is not an integer in [0, 4)"),
+        ],
+        ids=["nan-probability", "sum-1.4", "infinite-box", "reversed-box", "nan-confidence",
+             "gt-infinite-box", "gt-reversed-box", "gt-class-id"],
+    )
+    def test_bad_value_exit_1(self, files, tmp_path, capsys, monkeypatch, command, kind, field, value, message):
+        monkeypatch.setattr(dataio, "_CHUNK_CHARS", 2048)
+        result, dataset = files
+        header, *lines = dataset.read_text().split("\n")
+        assert len(_chunks([len(line) for line in lines], dataio._CHUNK_CHARS)) > 2
+        n = max(i for i, line in enumerate(lines) if '"ground_truths": [{' in line and '"detections": [{' in line)
+        rec = json.loads(lines[n].removesuffix(","))
+        rec[kind][0][field] = value
+        lines[n] = json.dumps(rec) + ("," if lines[n].endswith(",") else "")
+        path = tmp_path / "bad.json"
+        path.write_text("\n".join([header, *lines]))
+        out = tmp_path / "out.json"
+        argv = {
+            "calibrate": ["calibrate", "--dataset", path, "--out", out, "--alpha-cnf", "0.1"],
+            "infer": ["infer", "--result", result, "--dataset", path, "--out", out],
+            "evaluate": ["evaluate", "--result", result, "--dataset", path, "--out", out],
+        }[command]
+        assert run(argv) == 1
+        name = "ground truth" if kind == "ground_truths" else "detection"
+        detail = f"{path}: image {rec['image_id']!r} {name} #0: {message}"
+        assert capsys.readouterr().err == f'error code=1 kind=data detail="{detail}"\n'
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+
 def sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -732,6 +791,28 @@ class TestImportCocoCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "detection #0: score must be a number, got '0.9'" in err and "code=1" in err
+
+    @pytest.mark.parametrize("record", ["annotation", "detection"])
+    def test_bbox_past_the_float_range_exit_1(self, tmp_path, capsys, record):
+        # x + w overflows to an infinite right edge: the import wrote a file
+        # that ``condet calibrate`` then refused.
+        huge = [1e308, 10, 1e308, 20]
+        gt = {
+            "images": [{"id": 1, "width": 64, "height": 64}],
+            "annotations": [{"id": 1, "image_id": 1, "category_id": 1,
+                             "bbox": huge if record == "annotation" else [8, 8, 20, 20]}],
+            "categories": [{"id": 1, "name": "thing"}],
+        }
+        det = [{"image_id": 1, "category_id": 1, "score": 0.9,
+                "bbox": huge if record == "detection" else [9, 9, 20, 20]}]
+        gt_path, det_path, out = tmp_path / "gt.json", tmp_path / "det.json", tmp_path / "native.json"
+        gt_path.write_text(json.dumps(gt))
+        det_path.write_text(json.dumps(det))
+        assert run(["import-coco", "--gt", gt_path, "--detections", det_path, "--out", out]) == 1
+        where = gt_path if record == "annotation" else det_path
+        detail = f"{where}: {record} #0: box coordinates must be finite"
+        assert capsys.readouterr().err == f'error code=1 kind=data detail="{detail}"\n'
+        assert not out.exists()
 
 
 class TestValidateCommand:

@@ -41,7 +41,7 @@ from condet.dataio import (
     read_dataset_file,
     write_dataset_file,
 )
-from condet.losses import Detection
+from condet.losses import Detection, ImageSample
 from helpers import one_value_per_line, samples_to_dataset, samples_to_dataset_file
 
 
@@ -454,9 +454,7 @@ class TestParallelWrite:
         spans = _chunks(cells(dataset))
         images = list(dataset.images)
         for (start, _), bad in ((spans[3], object()), (spans[4], {1})):
-            rec = images[start]
-            bad_det = Detection(rec.detections[0].box, (bad,) * 80, 0.5)
-            images[start] = replace(rec, detections=(*rec.detections, bad_det))
+            images[start] = replace(images[start], image_id=bad)
         with pytest.raises(TypeError, match="^Object of type object is not JSON serializable$"):
             write_dataset_file(replace(dataset, images=tuple(images)), tmp_path / "data.json")
         assert multiprocessing.active_children() == []
@@ -897,6 +895,76 @@ class TestCocoImport:
         write_dataset_file(dataset, out)
         samples = load_dataset(out)
         assert len(samples) == 3
+
+
+#: Coordinates, confidences and probabilities at the edges of the rule.
+EDGE_COORDS = (math.nan, math.inf, -math.inf, -0.0, 0.0, -5e-324, 5e-324, 1.0, 1e308, -1e308)
+EDGE_CONFIDENCES = (math.nan, math.inf, -math.inf, -0.0, 0.0, -5e-324, -1e-300, 1.0, 1 + 2**-52)
+EDGE_PROBS = (math.nan, math.inf, -math.inf, -0.0, 0.0, -5e-324, -1e-300, 1.0)
+#: Factors that put a vector's sum at 1 within or just past 1e-4.
+EDGE_SCALES = (1.0, 1 - 1e-4, 1 + 1e-4, 1 - 1.0000001e-4, 1 + 1.0000001e-4)
+
+
+@st.composite
+def _edge_boxes(draw):
+    corners = draw(st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4))
+    for _ in range(draw(st.integers(0, 2))):
+        corners[draw(st.integers(0, 3))] = draw(st.sampled_from(EDGE_COORDS))
+    if draw(st.integers(0, 3)):  # else the corners are as drawn, often reversed
+        (left, right), (top, bottom) = sorted(corners[::2]), sorted(corners[1::2])
+        corners = [left, top, right, bottom]
+    return corners
+
+
+@st.composite
+def _edge_probs(draw):
+    k = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+    probs = [w / math.fsum(weights) * draw(st.sampled_from(EDGE_SCALES)) for w in weights]
+    for _ in range(draw(st.integers(0, 2))):
+        probs[draw(st.integers(0, k - 1))] = draw(st.sampled_from(EDGE_PROBS))
+    return probs
+
+
+def one_record_file(directory, num_classes, record):
+    payload = {"schema_version": 1, "num_classes": num_classes,
+               "images": [{"image_id": "a", **record}]}
+    return write_payload(Path(directory), payload)
+
+
+class TestOneValidityRule:
+    """The constructors and the file reader apply one rule: an object that
+    cannot be built is a file that cannot be read, with the same message
+    after the record's name."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_edge_boxes(), _edge_probs(),
+           st.one_of(st.sampled_from(EDGE_CONFIDENCES), st.floats(0.0, 1.0)))
+    def test_detection_rule_is_the_readers(self, box, probs, confidence):
+        built = outcome(Detection, BoundingBox(*box), probs, confidence)
+        record = {"detections": [{"box": box, "confidence": confidence, "probs": probs}]}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = one_record_file(tmp, len(probs), record)
+            read = outcome(read_dataset_file, path)
+        if isinstance(built, Detection):
+            assert repr(read.images[0].detections) == repr((built,))
+        else:
+            assert built[0] is ValueError
+            assert read == (DataFormatError, f"{path}: image 'a' detection #0: {built[1]}")
+
+    @settings(max_examples=200, deadline=None)
+    @given(_edge_boxes())
+    def test_ground_truth_rule_is_the_readers(self, box):
+        built = outcome(ImageSample, "a", ((BoundingBox(*box), 0),), ())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = one_record_file(tmp, 1, {"ground_truths": [{"box": box, "class_id": 0}]})
+            read = outcome(read_dataset_file, path)
+        if isinstance(built, ImageSample):
+            assert repr(read.images[0].ground_truths) == repr(built.ground_truths)
+        else:
+            assert built[0] is ValueError and built[1].startswith("image 'a': ground truth #0: ")
+            rule = built[1].removeprefix("image 'a': ground truth #0: ")
+            assert read == (DataFormatError, f"{path}: image 'a' ground truth #0: {rule}")
 
 
 class TestResultPersistence:

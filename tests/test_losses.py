@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -204,6 +207,73 @@ class TestSampleInvariants:
     def test_confidence_validated(self):
         with pytest.raises(ValueError):
             Detection(BoundingBox(0, 0, 1, 1), (1.0,), confidence=1.5)
+
+    @pytest.mark.parametrize(
+        "box, probs, message",
+        [
+            # Each passed construction before and reached the in-memory
+            # entry points: ``evaluate`` scored (nan, 0.7) with risk 0.0 and
+            # ``infer`` gave it the LAC set {1}; an infinite coordinate gave
+            # ``loc_set_size`` NaN; a reversed box gave ``loc_risk`` 1.0; and
+            # ``calibrate`` returned lambda_cls 0.3 on vectors summing to 1.4.
+            ((0, 0, 10, 10), (math.nan, 0.7), "probs must be non-negative"),
+            ((0, 0, math.inf, 10), (0.3, 0.7), "box coordinates must be finite"),
+            ((10, 0, 0, 10), (0.3, 0.7), "box corners out of order (left<=right, top<=bottom required)"),
+            ((0, 0, 10, 10), (0.7, 0.7), "probs sum to 1.400000, expected 1 within 1e-4"),
+        ],
+        ids=["nan-probability", "infinite-coordinate", "reversed-box", "sum-1.4"],
+    )
+    def test_invalid_detection_cannot_be_built(self, box, probs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Detection(BoundingBox(*box), probs, 0.5)
+
+    @pytest.mark.parametrize(
+        "confidence, probs, message",
+        [
+            (math.nan, (1.0,), "confidence nan is not a number in [0, 1]"),
+            (-1e-300, (1.0,), "confidence -1e-300 is not a number in [0, 1]"),
+            (0.5, (), "probs must not be empty"),
+            (0.5, (0.5, -0.0, 0.5, -5e-324), "probs must be non-negative"),
+            (0.5, (1e308, 1e308), "probs sum to inf, expected 1 within 1e-4"),
+        ],
+    )
+    def test_confidence_and_probability_rule(self, confidence, probs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Detection(BoundingBox(0, 0, 1, 1), probs, confidence)
+
+    def test_valid_edge_values_kept(self):
+        det = Detection(BoundingBox(-0.0, 0.0, 0.0, 5e-324), [1 - 1e-4, 0.0, -0.0], 1)
+        assert det.probs == (1 - 1e-4, 0.0, -0.0)
+        assert det.confidence == 1.0 and type(det.confidence) is float
+
+    @pytest.mark.parametrize(
+        "gt_box, label, message",
+        [
+            ((0, 0, math.nan, 5), 0, "image 'a': ground truth #1: box coordinates must be finite"),
+            # An integer beyond the float range used to pass until the
+            # kernel failed to convert it, with an unnamed OverflowError.
+            ((0, 0, 10**400, 5), 0, "image 'a': ground truth #1: box coordinates must be finite"),
+            ((0, 5, 5, 0), 0, "image 'a': ground truth #1: box corners out of order"),
+            ((0, 0, 5, 5), 3, "image 'a': ground truth #1: class label 3 outside [0, 3)"),
+            ((0, 0, 5, 5), -1, "image 'a': ground truth #1: class label -1 outside [0, 3)"),
+        ],
+    )
+    def test_invalid_ground_truth_names_the_image(self, gt_box, label, message):
+        det = Detection(BoundingBox(0, 0, 5, 5), (0.2, 0.3, 0.5), 0.5)
+        gts = ((BoundingBox(0, 0, 5, 5), 0), (BoundingBox(*gt_box), label))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            ImageSample("a", gts, (det,))
+
+    def test_labels_unchecked_without_detections(self):
+        # With no detection there is no vector for a label to index.
+        assert ImageSample("a", ((BoundingBox(0, 0, 5, 5), 7),), ()).ground_truths[0][1] == 7
+
+    def test_one_vector_length_per_image(self):
+        dets = (Detection(BoundingBox(0, 0, 5, 5), (0.5, 0.5), 0.5),
+                Detection(BoundingBox(0, 0, 5, 5), (1.0,), 0.4))
+        message = "image 'a': probability vectors of different lengths"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ImageSample("a", (), dets)
 
     def test_loss_spec_validation(self):
         with pytest.raises(ValueError):
