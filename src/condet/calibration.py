@@ -12,7 +12,9 @@ the sweeps replace them on the fly with their running suprema over all larger
 confidence parameters; the sweep visits confidence breakpoints in decreasing
 order, which makes the running maximum exactly that supremum.
 
-Both steps run on one array kernel, ``_PrefixKernel``, built once per call:
+Both steps run on one array kernel, ``_PrefixKernel``, built once per call
+from a ``_SampleTable``, the calibration set as arrays (``condet calibrate``
+reads its dataset file straight into one):
 
 * **Prefix matchings.** A confidence threshold always keeps a prefix of an
   image's detections (they are stored by descending confidence). All ground
@@ -477,7 +479,10 @@ def _covering_margins(gt, det, kind: str) -> np.ndarray:
 def _gather_probs(probs, dets: np.ndarray, classes=None) -> np.ndarray:
     """``probs[d][c]`` for each detection ``d`` in ``dets`` and the class
     ``c`` beside it in ``classes``, or each whole vector (one row per
-    detection) when ``classes`` is None."""
+    detection) when ``classes`` is None. ``probs`` is a table's: a float64
+    matrix is indexed, one vector per detection is read entry by entry."""
+    if isinstance(probs, np.ndarray):
+        return probs[dets] if classes is None else probs[dets, classes]
     if classes is None:
         return np.array([probs[d] for d in dets.tolist()], dtype=float)
     return np.array([probs[d][c] for d, c in zip(dets.tolist(), classes.tolist())], dtype=float)
@@ -490,22 +495,26 @@ def _class_cutoffs(gather, k: int, dets: np.ndarray, labels: np.ndarray, kind: s
     APS orders classes by a stable argsort of the negated probabilities (ties
     by ascending class index) and accumulates them with a sequential
     ``cumsum``, the same additions in the same order as the scalar version,
-    and caps the result at 1 as it does.
+    and caps the result at 1 as it does. The label's rank in that order is
+    the count of classes ahead of it: larger, or equal with a lower index.
     """
     keys, inverse = np.unique(dets * k + labels, return_inverse=True)
     if kind == "lac":
         return (1.0 - gather(keys // k, keys % k))[inverse]
     out = np.empty(len(keys))
     step = max(1, _BLOCK_CELLS // k)
+    cols = np.arange(k)
     for lo in range(0, len(keys), step):
         block = keys[lo : lo + step]
         table = gather(block // k)
         order = np.argsort(-table, axis=1, kind="stable")
         ahead = np.zeros_like(table)
         np.cumsum(np.take_along_axis(table, order, axis=1)[:, :-1], axis=1, out=ahead[:, 1:])
-        rank = np.argsort(order, axis=1)
         rows = np.arange(len(block))
-        out[lo : lo + step] = ahead[rows, rank[rows, block % k]]
+        label = block % k
+        own = table[rows, label][:, None]
+        rank = np.count_nonzero((table > own) | ((table == own) & (cols < label[:, None])), axis=1)
+        out[lo : lo + step] = ahead[rows, rank]
     return np.minimum(out, 1.0)[inverse]
 
 
@@ -571,6 +580,80 @@ def _sweep_rows(req: np.ndarray, n_det: np.ndarray, det_img: np.ndarray, det_sta
     return visit_lams, row_img, row_k, visit_end
 
 
+@dataclass(frozen=True, eq=False)
+class _SampleTable:
+    """A calibration set as arrays: what the kernel reads of its samples.
+
+    Image ``i``'s ground truths are entries ``gt_start[i]:gt_start[i + 1]``
+    of ``gt_box`` (``(4, m)`` left, top, right and bottom coordinates) and
+    ``labels``; its detections are entries ``det_start[i]:det_start[i + 1]``
+    of ``det_box``, ``req`` (``1 - confidence``) and ``probs``, prefiltered
+    and in the order ``ImageSample`` keeps them (a stable sort by descending
+    confidence). ``probs`` is an ``(n_det, n_classes)`` float64 matrix in a
+    table read from a dataset file, and one probability vector per detection
+    in a table of samples (``from_samples``): a matrix built from the
+    vectors would cost as much as a whole ``calibrate`` on ``dense``, while
+    the kernel reads only the rows of the pairs it scores.
+    """
+
+    image_ids: tuple[str, ...]
+    gt_start: np.ndarray
+    det_start: np.ndarray
+    gt_box: np.ndarray
+    labels: np.ndarray
+    det_box: np.ndarray
+    req: np.ndarray
+    probs: object
+    n_classes: int
+
+    @property
+    def n(self) -> int:
+        return len(self.image_ids)
+
+    @classmethod
+    def from_samples(cls, samples: Sequence[ImageSample]) -> "_SampleTable":
+        """The table of ``samples``, which are valid by construction; raises
+        ``ValueError`` when the images' probability vectors differ in length."""
+        samples = tuple(samples)
+        n_gt = np.array([len(s.ground_truths) for s in samples], dtype=np.int64)
+        n_det = np.array([len(s.detections) for s in samples], dtype=np.int64)
+        dets = [d for s in samples for d in s.detections]
+        lengths = {len(s.detections[0].probs) for s in samples if s.detections}
+        if len(lengths) > 1:
+            raise ValueError("all probability vectors must have the same length")
+        return cls(
+            image_ids=tuple(s.image_id for s in samples),
+            gt_start=np.concatenate(([0], np.cumsum(n_gt))),
+            det_start=np.concatenate(([0], np.cumsum(n_det))),
+            gt_box=_coords([box for s in samples for box, _ in s.ground_truths]),
+            labels=np.array([label for s in samples for _, label in s.ground_truths], dtype=np.int64),
+            det_box=_coords([d.box for d in dets]),
+            req=1.0 - np.array([d.confidence for d in dets], dtype=float),
+            probs=[d.probs for d in dets],
+            n_classes=lengths.pop() if lengths else 1,
+        )
+
+    @classmethod
+    def concat(cls, tables: Sequence["_SampleTable"]) -> "_SampleTable":
+        """The images of the non-empty sequence ``tables`` of tables with
+        probability matrices of one width, in order, as one table."""
+        def offsets(name: str) -> np.ndarray:
+            counts = np.concatenate([np.diff(getattr(t, name)) for t in tables])
+            return np.concatenate(([0], np.cumsum(counts)))
+
+        return cls(
+            image_ids=tuple(i for t in tables for i in t.image_ids),
+            gt_start=offsets("gt_start"),
+            det_start=offsets("det_start"),
+            gt_box=np.concatenate([t.gt_box for t in tables], axis=1),
+            labels=np.concatenate([t.labels for t in tables]),
+            det_box=np.concatenate([t.det_box for t in tables], axis=1),
+            req=np.concatenate([t.req for t in tables]),
+            probs=np.concatenate([t.probs for t in tables]),
+            n_classes=tables[0].n_classes,
+        )
+
+
 class _PrefixKernel:
     """Matchings and loss requirements of every (image, prefix) a sweep visits.
 
@@ -586,35 +669,22 @@ class _PrefixKernel:
     [0, 1], so ``loss_bound``, Conformal Risk Control's ``B``, is 1, or 0
     when the config disables the finite-sample correction.
 
-    The constructor is the one place where calibration reads its samples: it
-    flattens them once and fills in ``lambda_loc_bounds`` when the config
-    leaves them to the data (``default_lambda_loc_bounds``' rule). The
-    samples are valid by construction (``ImageSample``); it checks only what
-    depends on the whole set or the config, raising ``ValueError``: one
-    probability-vector length across images, GIoU's positive areas and a
-    coordinate span within the float range.
+    The constructor reads the calibration set from its table alone and fills
+    in ``lambda_loc_bounds`` when the config leaves them to the data
+    (``default_lambda_loc_bounds``' rule). The table holds valid samples
+    (``ImageSample``'s rule); the constructor checks only what depends on the
+    config, raising ``ValueError``: GIoU's positive areas and a coordinate
+    span within the float range.
     """
 
-    def __init__(self, samples: Sequence[ImageSample], config: CalibrationConfig) -> None:
-        n = self.n = len(samples)
-        n_gt = np.array([len(s.ground_truths) for s in samples], dtype=np.int64)
-        n_det = np.array([len(s.detections) for s in samples], dtype=np.int64)
-        self._gt_start = np.concatenate(([0], np.cumsum(n_gt)))
-        det_start = np.concatenate(([0], np.cumsum(n_det)))
+    def __init__(self, table: _SampleTable, config: CalibrationConfig) -> None:
+        n = self.n = table.n
+        self._gt_start, det_start = table.gt_start, table.det_start
+        n_gt, n_det = np.diff(self._gt_start), np.diff(det_start)
         gt_img = np.repeat(np.arange(n), n_gt)
         det_img = np.repeat(np.arange(n), n_det)
-        gt_box = _coords([box for s in samples for box, _ in s.ground_truths])
-        labels = np.array([label for s in samples for _, label in s.ground_truths], dtype=np.int64)
-        dets = [d for s in samples for d in s.detections]
-        det_box = _coords([d.box for d in dets])
-        probs = [d.probs for d in dets]
-        req = 1.0 - np.array([d.confidence for d in dets], dtype=float)
-        gather = partial(_gather_probs, probs)
-
-        lengths = {len(s.detections[0].probs) for s in samples if s.detections}
-        if len(lengths) > 1:
-            raise ValueError("all probability vectors must have the same length")
-        n_classes = lengths.pop() if lengths else 1
+        gt_box, labels, det_box, req = table.gt_box, table.labels, table.det_box, table.req
+        gather = partial(_gather_probs, table.probs)
         # GIoU divides by areas: a box in an image with boxes of the other
         # kind needs a positive one.
         if config.match_spec.kind == "giou":
@@ -657,11 +727,11 @@ class _PrefixKernel:
         img = self.row_img[self._vrows][owner]
         eg = self._gt_start[img] + np.arange(len(owner)) - self._vstart[owner]
         ed = det_start[img] + self._best[eg, self.row_k[self._vrows][owner] - 1]
-        stride = max(len(dets), 1)
+        stride = max(len(req), 1)
         pairs, self._pair = np.unique(eg * stride + ed, return_inverse=True)
         pg, pd = np.divmod(pairs, stride)
         self._cutoff = _class_cutoffs(
-            gather, n_classes, pd, labels[pg], config.predset_spec.classification_kind
+            gather, table.n_classes, pd, labels[pg], config.predset_spec.classification_kind
         )
         self._gt = gt_box[:, pg]
         self._det = det_box[:, pd]
@@ -885,16 +955,15 @@ def _check_precondition(config: CalibrationConfig, n: int) -> None:
 
 
 def _kernel(
-    samples: Sequence[ImageSample], config: CalibrationConfig, precondition: bool = False
+    table: _SampleTable, config: CalibrationConfig, precondition: bool = False
 ) -> _PrefixKernel:
     """The kernel of a non-empty calibration set under ``config``; checks the
     guarantee's precondition first when asked."""
-    samples = tuple(samples)
-    if not samples:
+    if not table.n:
         raise ValueError("empty calibration set")
     if precondition:
-        _check_precondition(config, len(samples))
-    return _PrefixKernel(samples, config)
+        _check_precondition(config, table.n)
+    return _PrefixKernel(table, config)
 
 
 def seqcrc_step1(
@@ -912,7 +981,7 @@ def seqcrc_step1(
     it then carries no guarantee. With the finite-sample correction on this
     always happens when ``alpha_cnf * (n + 1) < 1``.
     """
-    plus, minus, _, _ = _sweep_confidence(_kernel(samples, config))
+    plus, minus, _, _ = _sweep_confidence(_kernel(_SampleTable.from_samples(samples), config))
     return plus, minus
 
 
@@ -925,7 +994,7 @@ def seqcrc_step2(
     """Calibrate the second-step parameter for ``task`` ("loc" or "cls")."""
     if task not in ("loc", "cls"):
         raise ValueError(f"unknown task {task!r}")
-    lam, _ = _second_step(_kernel(samples, config), lambda_cnf_minus, task)
+    lam, _ = _second_step(_kernel(_SampleTable.from_samples(samples), config), lambda_cnf_minus, task)
     return lam
 
 
@@ -941,7 +1010,12 @@ def calibrate(
     domain returns ``lambda_cnf_plus = 1.0`` with a logged warning, as in
     ``seqcrc_step1``.
     """
-    kernel = _kernel(samples, config, precondition=True)
+    return _calibrate(_SampleTable.from_samples(samples), config)
+
+
+def _calibrate(table: _SampleTable, config: CalibrationConfig) -> CalibrationResult:
+    """``calibrate`` on the calibration set ``table``."""
+    kernel = _kernel(table, config, precondition=True)
     plus, minus, cnf_risk, _ = _sweep_confidence(kernel)
     lam_loc, loc_risk = _second_step(kernel, minus, "loc")
     lam_cls, cls_risk = _second_step(kernel, minus, "cls")

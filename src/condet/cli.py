@@ -30,7 +30,7 @@ from .calibration import (
     CalibrationConfig,
     CalibrationPreconditionError,
     InfeasibleRiskError,
-    calibrate,
+    _calibrate,
 )
 from .dataio import (
     DataFormatError,
@@ -38,6 +38,7 @@ from .dataio import (
     _from_json,
     _kept_positions,
     _load_json,
+    _load_table,
     _map_image_records,
     _sample,
     _write_json,
@@ -46,7 +47,6 @@ from .dataio import (
     config_from_dict,
     config_to_dict,
     import_coco,
-    load_dataset,
     load_result,
     save_result,
     write_dataset_file,
@@ -166,8 +166,7 @@ def _print_aligned(rows: list[tuple[str, str]]) -> None:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    samples = load_dataset(args.dataset, config.prefilter_threshold)
-    result = calibrate(samples, config)
+    result = _calibrate(_load_table(args.dataset, config.prefilter_threshold), config)
     save_result(result, args.out)
     _print_aligned(
         [

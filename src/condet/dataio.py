@@ -14,12 +14,15 @@ import logging
 import math
 from contextlib import closing
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, Union, get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from ._workers import ordered_map
-from .calibration import CalibrationConfig, CalibrationResult
+from .calibration import CalibrationConfig, CalibrationResult, _SampleTable
 from .geometry import BoundingBox
 from .losses import Detection, ImageSample, _check_box, _check_probs
 
@@ -341,16 +344,120 @@ def _span_outcome(raws: list, first: int, num_classes: int, path: PathLike, work
         return _WORK_ERROR, exc
 
 
-def _parse_span(records: list, num_classes: int, path: PathLike, work: Callable, args: tuple,
+def _only(values, kind: type) -> bool:
+    """Whether each of ``values`` is exactly of type ``kind``."""
+    return {*map(type, values)} <= {kind}
+
+
+def _float_rows(rows: list, width: int):
+    """``rows`` as a ``(len(rows), width)`` float64 array when each is a
+    list of ``width`` floats, else None."""
+    if not (_only(rows, list) and {*map(len, rows)} <= {width}):
+        return None
+    flat = [*chain.from_iterable(rows)]
+    return np.array(flat, dtype=float).reshape(-1, width) if _only(flat, float) else None
+
+
+def _boxes_hold(boxes) -> bool:
+    """Whether every row of the ``(m, 4)`` array ``boxes`` obeys the box rule."""
+    left, top, right, bottom = boxes.T
+    return bool(np.isfinite(boxes).all() and (left <= right).all() and (top <= bottom).all())
+
+
+def _span_table(raws: list, num_classes: int, prefilter_threshold: float) -> _SampleTable | None:
+    """The ``_SampleTable`` of the raw image records ``raws``, without the
+    detections below ``prefilter_threshold``, built from the decoded JSON
+    lists; None unless every record passes a bulk check.
+
+    The check accepts nothing that ``_image`` refuses, but it may refuse a
+    valid record, which ``_table_outcome`` then reads through ``_image``:
+    every number must be a float by type (image ids strings, class ids
+    integers), boxes finite and ordered, extents finite and >= 0,
+    confidences in [0, 1], class ids in [0, num_classes), and each
+    probability vector ``num_classes`` finite, non-negative entries whose
+    sum lies within ``1e-4 - num_classes * 1e-15`` of 1. As in
+    ``losses._check_probs``, a float sum of ``k`` non-negative entries, in
+    any order, lies within ``k * 2**-52`` of the exact sum, relative to it,
+    so inside that bound the exact sum is within 1e-4.
+    """
+    if not _only(raws, dict):
+        return None
+    ids = [rec.get("image_id") for rec in raws]
+    extents = [rec.get(key, 0.0) for rec in raws for key in ("width", "height")]
+    gt_lists = [rec.get("ground_truths", []) for rec in raws]
+    det_lists = [rec.get("detections", []) for rec in raws]
+    if not (_only(ids, str) and _only(extents, float) and _only(gt_lists, list) and _only(det_lists, list)):
+        return None
+    gts, dets = [*chain.from_iterable(gt_lists)], [*chain.from_iterable(det_lists)]
+    if not (_only(gts, dict) and _only(dets, dict)):
+        return None
+    labels = [g.get("class_id") for g in gts]
+    confidence = [d.get("confidence") for d in dets]
+    gt_box = _float_rows([g.get("box") for g in gts], 4)
+    det_box = _float_rows([d.get("box") for d in dets], 4)
+    probs = _float_rows([d.get("probs") for d in dets], num_classes)
+    if gt_box is None or det_box is None or probs is None:
+        return None
+    if not (_only(labels, int) and _only(confidence, float)):
+        return None
+    extents, confidence = np.array(extents, dtype=float), np.array(confidence, dtype=float)
+    if not (
+        ((0.0 <= extents) & (extents < math.inf)).all()
+        and _boxes_hold(gt_box)
+        and (not labels or (min(labels) >= 0 and max(labels) < num_classes))
+        and _boxes_hold(det_box)
+        and ((0.0 <= confidence) & (confidence <= 1.0)).all()
+        and ((probs >= 0.0) & (probs < math.inf)).all()
+        and (np.abs(probs.sum(axis=1) - 1.0) <= 1e-4 - num_classes * 1e-15).all()
+    ):
+        return None
+    det_img = np.repeat(np.arange(len(raws)), np.array([*map(len, det_lists)], dtype=np.int64))
+    kept = np.flatnonzero(confidence >= prefilter_threshold)
+    # ImageSample's order: by image, then a stable sort by descending confidence.
+    kept = kept[np.lexsort((-confidence[kept], det_img[kept]))]
+    n_gt = np.array([*map(len, gt_lists)], dtype=np.int64)
+    n_det = np.bincount(det_img[kept], minlength=len(raws))
+    return _SampleTable(
+        image_ids=tuple(ids),
+        gt_start=np.concatenate(([0], np.cumsum(n_gt))),
+        det_start=np.concatenate(([0], np.cumsum(n_det))),
+        gt_box=gt_box.T,
+        labels=np.array(labels, dtype=np.int64),
+        det_box=det_box[kept].T,
+        req=1.0 - confidence[kept],
+        probs=probs[kept],
+        n_classes=num_classes,
+    )
+
+
+def _table_outcome(raws: list, first: int, num_classes: int, path: PathLike,
+                   prefilter_threshold: float) -> tuple[int, object]:
+    """``(_VALUES, table)``, the ``_SampleTable`` of the raw records
+    ``raws`` numbered from ``first``, or the error outcome of the first bad
+    one. Records that fail ``_span_table``'s bulk check are read as
+    ``load_dataset`` reads them, so the rule of ``losses.py`` names the bad
+    record with its own message; the table is built from their samples."""
+    table = _span_table(raws, num_classes, prefilter_threshold)
+    if table is not None:
+        return _VALUES, table
+    kind, samples = _span_outcome(raws, first, num_classes, path, _samples, (prefilter_threshold,))
+    if kind != _VALUES:
+        return kind, samples
+    table = _SampleTable.from_samples(samples)
+    probs = np.array(table.probs, dtype=float).reshape(-1, num_classes)
+    return _VALUES, replace(table, probs=probs, n_classes=num_classes)
+
+
+def _parse_span(records: list, num_classes: int, path: PathLike, outcome: Callable, args: tuple,
                 span: tuple[int, int]) -> tuple[int, object]:
-    """The outcome of the loaded raw records ``records[start:stop]``."""
+    """``outcome`` of the loaded raw records ``records[start:stop]``."""
     start, stop = span
-    return _span_outcome(records[start:stop], start, num_classes, path, work, args)
+    return outcome(records[start:stop], start, num_classes, path, *args)
 
 
-def _decode_span(lines: list[str], num_classes: int, path: PathLike, work: Callable, args: tuple,
+def _decode_span(lines: list[str], num_classes: int, path: PathLike, outcome: Callable, args: tuple,
                  span: tuple[int, int]) -> tuple[int, object]:
-    """The outcome of the record lines ``lines[start:stop]``, each decoded
+    """``outcome`` of the record lines ``lines[start:stop]``, each decoded
     on its own; ``(_LINE_ERROR, None)`` when one does not decode.
 
     Each line holds one JSON value, followed by a comma unless it is the
@@ -368,13 +475,13 @@ def _decode_span(lines: list[str], num_classes: int, path: PathLike, work: Calla
             raws.append(json.loads(line))
         except (ValueError, RecursionError):
             return _LINE_ERROR, None
-    return _span_outcome(raws, start, num_classes, path, work, args)
+    return outcome(raws, start, num_classes, path, *args)
 
 
 def _collect(outcomes: Iterator[tuple[int, object]]) -> list | None:
-    """The values of the span outcomes ``outcomes``, in span order, or None
-    at the first ``_LINE_ERROR``. Otherwise the first bad record raises, and
-    then the first error of ``work``."""
+    """The values of the span outcomes ``outcomes``, one per span in span
+    order, or None at the first ``_LINE_ERROR``. Otherwise the first bad
+    record raises, and then the first error of the per-span work."""
     done = []
     with closing(outcomes):
         for outcome in outcomes:
@@ -384,7 +491,7 @@ def _collect(outcomes: Iterator[tuple[int, object]]) -> list | None:
     kind, first = min(done, key=itemgetter(0), default=(_VALUES, None))
     if kind != _VALUES:
         raise first
-    return [value for _, values in done for value in values]
+    return [value for _, value in done]
 
 
 def _record_lines(path: PathLike) -> tuple[dict, list[str]] | None:
@@ -415,10 +522,10 @@ def _record_lines(path: PathLike) -> tuple[dict, list[str]] | None:
     return head, lines[1:last]
 
 
-def _decode_records(path: PathLike, work: Callable, args: tuple) -> tuple | None:
-    """``_map_image_records`` over the record lines of ``path``, or None
-    when the file is not in the writer's layout, its header fails a check,
-    or a record line does not decode on its own."""
+def _decode_records(path: PathLike, outcome: Callable, args: tuple) -> tuple | None:
+    """``_map_spans`` over the record lines of ``path``, or None when the
+    file is not in the writer's layout, its header fails a check, or a
+    record line does not decode on its own."""
     layout = _record_lines(path)
     if layout is None:
         return None
@@ -428,8 +535,37 @@ def _decode_records(path: PathLike, work: Callable, args: tuple) -> tuple | None
     except DataFormatError:
         return None  # a record line that is not JSON would come first
     spans = _chunks([len(line) for line in lines], _CHUNK_CHARS)
-    values = _collect(ordered_map(_decode_span, (lines, num_classes, path, work, args), spans))
+    values = _collect(ordered_map(_decode_span, (lines, num_classes, path, outcome, args), spans))
     return None if values is None else (num_classes, class_names, values)
+
+
+def _map_spans(path: PathLike, outcome: Callable, *args) -> tuple[int, tuple[str, ...], list]:
+    """``num_classes``, the class names, and the value of ``outcome(raws,
+    first, num_classes, path, *args)`` for each contiguous span of the raw
+    image records of the native dataset file ``path``, in file order.
+
+    A file in the writer's layout (``_record_lines``) is read as bytes and
+    decoded as UTF-8 in this process; worker processes (``ordered_map``),
+    which inherit its lines, decode spans of about ``_CHUNK_CHARS``
+    characters line by line and run ``outcome`` on their records. A file in
+    any other layout, one whose header fails a check, and one with a record
+    line that does not decode on its own are loaded whole by ``json.load``
+    here instead; workers then run ``outcome`` on spans of about
+    ``_CHUNK_CELLS`` probabilities of the loaded records.
+
+    ``outcome`` returns ``(_VALUES, value)`` or an error outcome,
+    ``_RECORD_ERROR`` or ``_WORK_ERROR`` with the exception. Either way the
+    errors are raised in file order: a JSON error, a header error, the first
+    bad record's ``DataFormatError``, then the first work error. ``outcome``
+    must be a module-level function.
+    """
+    read = _decode_records(path, outcome, args)
+    if read is None:
+        num_classes, class_names, records = _check_header(_load_json(path), path)
+        spans = _chunks([_raw_cells(rec, num_classes) for rec in records])
+        values = _collect(ordered_map(_parse_span, (records, num_classes, path, outcome, args), spans))
+        read = num_classes, class_names, values
+    return read
 
 
 def _map_image_records(path: PathLike, work: Callable, *args) -> tuple[int, tuple[str, ...], list]:
@@ -437,28 +573,29 @@ def _map_image_records(path: PathLike, work: Callable, *args) -> tuple[int, tupl
     returns, one per image, for the parsed image records of the native
     dataset file ``path``, in file order.
 
-    A file in the writer's layout (``_record_lines``) is read as bytes and
-    decoded as UTF-8 in this process; worker processes (``ordered_map``),
-    which inherit its lines, decode contiguous spans of about
-    ``_CHUNK_CHARS`` characters line by line, parse the records and run
-    ``work`` on them. A file in any other layout, one whose header fails a
-    check, and one with a record line that does not decode on its own are
-    loaded whole by ``json.load`` here instead; workers then parse and
-    process spans of the loaded records.
-
-    Either way the values and the errors are those of ``json.load``, the
-    header checks, ``_image`` over the records and then ``work`` over the
-    images, in file order: a JSON error, a header error, the first bad
-    record's ``DataFormatError``, then the first error of ``work``. ``work``
-    must be a module-level function.
+    The worker processes of ``_map_spans`` parse their span's records with
+    ``_image`` and run ``work`` on them. The values and the errors are
+    those of ``json.load``, the header checks, ``_image`` over the records
+    and then ``work`` over the images, in file order, whatever the layout
+    and the number of workers. ``work`` must be a module-level function.
+    ``_load_table`` reads ``condet calibrate``'s file through the same
+    spans into arrays instead.
     """
-    read = _decode_records(path, work, args)
-    if read is None:
-        num_classes, class_names, records = _check_header(_load_json(path), path)
-        spans = _chunks([_raw_cells(rec, num_classes) for rec in records])
-        values = _collect(ordered_map(_parse_span, (records, num_classes, path, work, args), spans))
-        read = num_classes, class_names, values
-    return read
+    num_classes, class_names, spans = _map_spans(path, _span_outcome, work, args)
+    return num_classes, class_names, [value for values in spans for value in values]
+
+
+def _load_table(path: PathLike, prefilter_threshold: float) -> _SampleTable:
+    """The calibration set of the native dataset file ``path`` as one
+    ``_SampleTable``, with the errors of ``load_dataset``, for ``condet
+    calibrate``.
+
+    Each worker of ``_map_spans`` builds its span's table from the decoded
+    JSON lists (``_table_outcome``) and returns arrays; no ``Detection`` or
+    ``ImageSample`` is built for a span that passes the bulk check.
+    """
+    num_classes, _, tables = _map_spans(path, _table_outcome, prefilter_threshold)
+    return _SampleTable.concat(tables or [_span_table([], num_classes, prefilter_threshold)])
 
 
 def _encode_records(images: tuple[ImageRecord, ...], span: tuple[int, int]) -> str:
@@ -557,7 +694,10 @@ def load_dataset(path: PathLike, prefilter_threshold: float = 1e-3) -> list[Imag
 
     The samples are built in the worker processes that decode and check the
     records (``_map_image_records``), with the results and errors of
-    ``read_dataset_file`` followed by ``dataset_to_samples``.
+    ``read_dataset_file`` followed by ``dataset_to_samples``, and every one
+    is a validated ``ImageSample``. ``condet calibrate`` reads its file with
+    the same errors into arrays instead (``_load_table``), building no
+    samples.
     """
     return _map_image_records(path, _samples, prefilter_threshold)[2]
 

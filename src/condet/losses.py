@@ -64,7 +64,11 @@ def _check_probs(probs: Sequence[float], name: str) -> None:
     # exact sum, relative to it: inside the tolerance by more than that, it
     # decides the check as the exact sum would. Only a sum near or past the
     # bound, NaN or infinite is summed exactly.
-    if not abs(sum(probs) - 1.0) <= 1e-4 - len(probs) * 1e-15:
+    try:
+        near = abs(sum(probs) - 1.0) <= 1e-4 - len(probs) * 1e-15
+    except OverflowError:  # an integer beyond the float range
+        near = False
+    if not near:
         try:
             total = math.fsum(probs)
         except OverflowError:  # finite entries whose sum exceeds the float range

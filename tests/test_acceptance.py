@@ -40,7 +40,7 @@ from condet import (
     seqcrc_step1,
     seqcrc_step2,
 )
-from condet.calibration import _PrefixKernel, _sweep_confidence
+from condet.calibration import _PrefixKernel, _SampleTable, _sweep_confidence
 from condet.losses import ImageSample
 from condet.predsets import apply_margin, build_class_set
 from helpers import random_int_box, random_probs, random_sample
@@ -273,7 +273,7 @@ class TestCriterion4MonotonicitySuite:
                               box_noise_std=2.0, false_positive_rate=0.7)
                 )
                 config = _instance_config(rng, t, len(samples))
-                kernel = _PrefixKernel(tuple(samples), config)
+                kernel = _PrefixKernel(_SampleTable.from_samples(samples), config)
                 _, _, _, trace = _sweep_confidence(kernel)
                 risks = [r for _, r in trace]
                 assert all(b >= a for a, b in zip(risks, risks[1:]))

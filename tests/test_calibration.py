@@ -23,7 +23,7 @@ from condet import (
     seqcrc_step1,
     seqcrc_step2,
 )
-from condet.calibration import _PrefixKernel, _sweep_confidence, default_lambda_loc_bounds
+from condet.calibration import _PrefixKernel, _SampleTable, _sweep_confidence, default_lambda_loc_bounds
 from condet.predsets import select_confident
 from helpers import random_int_box, random_probs, random_sample
 from oracles import (
@@ -282,7 +282,7 @@ class TestStep1:
         rng = np.random.default_rng(3)
         for _ in range(50):
             samples = tuple(random_dataset(rng, int(rng.integers(1, 6)), min_dets=1))
-            kernel = _PrefixKernel(samples, random_config(rng, len(samples)))
+            kernel = _PrefixKernel(_SampleTable.from_samples(samples), random_config(rng, len(samples)))
             config = kernel.config
             _, _, _, trace = _sweep_confidence(kernel)
             lams = [lam for lam, _ in trace]
@@ -582,7 +582,7 @@ class TestCalibrate:
             want = reference(samples) if margin == "additive" else (0.0, 3.0)
             assert default_lambda_loc_bounds(samples, margin) == want, trial
             config = basic_config(lambda_loc_bounds=None, predset_spec=PredSetSpec(margin))
-            assert _PrefixKernel(samples, config).config.lambda_loc_bounds == want, trial
+            assert _PrefixKernel(_SampleTable.from_samples(samples), config).config.lambda_loc_bounds == want, trial
         assert default_lambda_loc_bounds([], "additive") == (0.0, 1.0)
 
     @pytest.mark.parametrize(
@@ -672,7 +672,7 @@ class TestEngineMatchesPurePath:
         for _ in range(150):
             n = int(rng.integers(1, 5))
             samples = tuple(random_dataset(rng, n))
-            kernel = _PrefixKernel(samples, random_config(rng, n))
+            kernel = _PrefixKernel(_SampleTable.from_samples(samples), random_config(rng, n))
             config = kernel.config
             rows = list(zip(kernel.row_img.tolist(), kernel.row_k.tolist()))
             conf = kernel.conf_losses()

@@ -25,7 +25,7 @@ from condet import (
     calibrate,
     match,
 )
-from condet.calibration import _PrefixKernel
+from condet.calibration import _PrefixKernel, _SampleTable
 from condet.matching import MATCH_KINDS
 from condet.losses import loc_loss
 from condet.predsets import apply_margin, margin_to_cover, select_confident
@@ -97,7 +97,7 @@ def config_for(kind, loc_loss="boxwise", loc_set="additive", cls_set="lac", agg=
 @settings(max_examples=150, deadline=None)
 @given(datasets(), st.sampled_from(MATCH_KINDS))
 def test_prefix_assignment_equals_match(samples, kind):
-    kernel = _PrefixKernel(samples, config_for(kind))
+    kernel = _PrefixKernel(_SampleTable.from_samples(samples), config_for(kind))
     spec = MatchDistanceSpec(kind, tau=0.25)
     for i, sample in enumerate(samples):
         preds = [(d.box, d.probs) for d in sample.detections]
@@ -108,7 +108,7 @@ def test_prefix_assignment_equals_match(samples, kind):
 @settings(max_examples=100, deadline=None)
 @given(datasets())
 def test_by_image_lays_out_each_images_rows_in_visit_order(samples):
-    kernel = _PrefixKernel(samples, config_for("hausdorff"))
+    kernel = _PrefixKernel(_SampleTable.from_samples(samples), config_for("hausdorff"))
     table = kernel.by_image([float(r + 1) for r in range(kernel.n_rows)]).T.tolist()
     rows = [[] for _ in samples]
     for r, i in enumerate(kernel.row_img.tolist()):
@@ -130,7 +130,7 @@ def test_by_image_lays_out_each_images_rows_in_visit_order(samples):
 )
 def test_row_losses_equal_set_based_losses(samples, kind, loc_loss, loc_set, cls_set, agg, lam_loc, lam_cls):
     config = config_for(kind, loc_loss, loc_set, cls_set, agg)
-    kernel = _PrefixKernel(samples, config)
+    kernel = _PrefixKernel(_SampleTable.from_samples(samples), config)
     conf = kernel.conf_losses()
     loc = kernel.loc_losses(lam_loc, kernel.n_rows)
     cls = kernel.cls_losses(lam_cls, kernel.n_rows)
@@ -154,7 +154,7 @@ def test_loc_losses_equal_set_path_at_requirements(samples, kind, loc_loss_kind,
     # and one float below it the containment test can go either way, and
     # the kernel must follow apply_margin/contains there too.
     config = config_for(kind, loc_loss_kind, loc_set)
-    kernel = _PrefixKernel(samples, config)
+    kernel = _PrefixKernel(_SampleTable.from_samples(samples), config)
     lams = set()
     for sample in samples:
         for gt_box, _ in sample.ground_truths:
@@ -209,7 +209,7 @@ def test_giou_zero_area_raises_exactly_when_matching_would(samples):
 
 def test_single_image_without_detections():
     sample = ImageSample("only", ((BoundingBox(0, 0, 2, 2), 1),), ())
-    kernel = _PrefixKernel([sample], config_for("hausdorff"))
+    kernel = _PrefixKernel(_SampleTable.from_samples([sample]), config_for("hausdorff"))
     assert kernel.visit_lams == []
     assert kernel.assignment(0, 0) == (None,)
     assert kernel.loc_losses(math.inf, kernel.n_rows).tolist() == [1.0]
@@ -223,7 +223,7 @@ def test_aps_set_is_full_at_one():
     box = BoundingBox(0, 0, 4, 4)
     sample = ImageSample("a", ((box, 3),), (Detection(box, probs, 0.9),))
     config = config_for("hausdorff", cls_set="aps")
-    kernel = _PrefixKernel([sample], config)
+    kernel = _PrefixKernel(_SampleTable.from_samples([sample]), config)
     assert pure_image_losses(sample, 0.1, 0.0, 1.0, config)[2] == 0.0
     assert kernel.cls_losses(1.0, kernel.n_rows)[0] == 0.0
 
@@ -235,6 +235,6 @@ def test_duplicate_confidences_share_one_visit(kind):
         Detection(BoundingBox(float(j), 0, float(j) + 4, 4), (1.0, 0.0, 0.0), c)
         for j, c in enumerate((0.9, 0.5, 0.5, 0.2))
     )
-    kernel = _PrefixKernel([ImageSample("a", (gt,), dets)], config_for(kind))
+    kernel = _PrefixKernel(_SampleTable.from_samples([ImageSample("a", (gt,), dets)]), config_for(kind))
     assert kernel.visit_lams == pytest.approx([0.8, 0.5, 0.1, 0.0])
     assert sorted(kernel.row_k.tolist()) == [0, 1, 3, 4]

@@ -26,7 +26,9 @@ from condet import (
 )
 from condet.cli import main
 from condet.dataio import _chunks, config_to_dict
+from condet.losses import Detection, ImageSample
 from helpers import one_value_per_line, samples_to_dataset_file
+from test_formats_golden import CLI_CASES, COCO_SPEC, GOLDEN, N_CAL, run_cli, sha
 
 
 @pytest.fixture
@@ -468,7 +470,8 @@ REPORT_SHA256 = "b39aeb64ee4ca08f34cfe9859f84499ade78b63537d877ffedf51b207114d4a
 
 
 #: Runs ``condet.cli.main`` on its arguments over two workers whose
-#: per-image work (``infer``'s and ``load_dataset``'s) kills its own process.
+#: per-span work (``infer``'s, and ``calibrate``'s table building) kills its
+#: own process.
 KILL_WORKER_SCRIPT = """
 import os, signal, sys
 from condet import _workers, cli, dataio
@@ -478,7 +481,7 @@ def kill(*args):
 
 if __name__ == "__main__":
     _workers._available_cpus = lambda: 2
-    cli._encoded_predictions = dataio._samples = kill
+    cli._encoded_predictions = dataio._span_table = kill
     sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -647,6 +650,51 @@ class TestParallelCommands:
         assert done.stderr.startswith('error code=1 kind=worker detail="A process in the process pool')
         assert len(done.stderr.splitlines()) == 1
         assert out.read_text() == "earlier output\n"
+
+    @pytest.fixture(scope="class")
+    def golden_calibration(self, tmp_path_factory):
+        """The calibration file and flags of the formats golden's
+        ``bench-cli-pixelwise`` case."""
+        path = tmp_path_factory.mktemp("golden") / "cal.json"
+        samples_to_dataset_file(generate(COCO_SPEC)[:N_CAL], COCO_SPEC.num_classes, path)
+        data, flags, config = CLI_CASES["bench-cli-pixelwise"]
+        assert data == "coco" and config is None
+        return path, flags
+
+    @pytest.mark.parametrize("cpus", [None, 1, 2, 4, "daemonic"])
+    def test_calibrate_outputs_equal_the_golden_bytes(self, golden_calibration, tmp_path, monkeypatch, cpus):
+        # Spans of 128 KiB cut the 1.9 MB file into several.
+        monkeypatch.setattr(dataio, "_CHUNK_CHARS", 1 << 17)
+        cal, flags = golden_calibration
+        out = tmp_path / "result.json"
+        argv = [str(a) for a in ["calibrate", "--dataset", cal, "--out", out, *flags]]
+        if cpus == "daemonic":
+            # A pool worker may not start children: the spans are read in it.
+            monkeypatch.setattr(_workers, "_available_cpus", lambda: 4)
+            with multiprocessing.get_context().Pool(1) as pool:
+                code, stdout = pool.apply_async(run_cli, (argv,)).get(timeout=120)
+        else:
+            if cpus is not None:
+                monkeypatch.setattr(_workers, "_available_cpus", lambda: cpus)
+            code, stdout = run_cli(argv)
+        assert code == 0
+        assert sha(out.read_bytes()) == GOLDEN["bench-cli-pixelwise/result"]
+        assert sha(stdout) == GOLDEN["bench-cli-pixelwise/calibrate-stdout"]
+        assert multiprocessing.active_children() == []
+
+    def test_calibrate_builds_no_sample_objects(self, golden_calibration, tmp_path, monkeypatch):
+        # A constructor spy, in this process: every span passes the bulk
+        # check, so none is read through Detection or ImageSample.
+        monkeypatch.setattr(_workers, "_available_cpus", lambda: 1)
+        built = []
+        for cls in (Detection, ImageSample):
+            monkeypatch.setattr(cls, "__post_init__", lambda self, init=cls.__post_init__: built.append(self) or init(self))
+        cal, flags = golden_calibration
+        code, _ = run_cli(["calibrate", "--dataset", cal, "--out", tmp_path / "result.json", *flags])
+        assert code == 0
+        assert built == []
+        # The spy sees the objects load_dataset builds.
+        assert len(condet.load_dataset(cal)) == sum(isinstance(obj, ImageSample) for obj in built) == N_CAL
 
     def test_runs_in_a_daemonic_process(self, files, tmp_path, monkeypatch):
         # A pool worker may not start children of its own; the records are

@@ -7,6 +7,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +30,7 @@ from condet import (
     SynthSpec,
 )
 from condet import _workers, dataio
+from condet.calibration import _SampleTable
 from condet.cli import _sample_outcomes
 from condet.dataio import (
     _chunks,
@@ -675,6 +677,135 @@ class TestParallelRead:
         assert multiprocessing.active_children() == []
 
 
+def table_bits(table):
+    """A ``_SampleTable`` as its image ids, each array's dtype, shape and
+    bytes, its probabilities' bytes as a float64 matrix and, when it has
+    detections, its class count: equal exactly when the tables hold the same
+    bits. (A table of samples without detections counts one class.)"""
+    arrays = {
+        name: (array.dtype.str, array.shape, array.tobytes())
+        for name in ("gt_start", "det_start", "gt_box", "labels", "det_box", "req")
+        for array in [getattr(table, name)]
+    }
+    probs = np.array(table.probs, dtype=float)
+    return table.image_ids, arrays, probs.tobytes(), table.n_classes if len(table.req) else None
+
+
+def reader_table(path, floor):
+    """``condet calibrate``'s table of ``path``, checked to hold a float64
+    probability matrix, as ``table_bits``."""
+    table = dataio._load_table(path, floor)
+    assert table.probs.dtype == np.float64 and table.probs.shape == (len(table.req), table.n_classes)
+    return table_bits(table)
+
+
+def samples_table(path, floor):
+    return table_bits(_SampleTable.from_samples(load_dataset(path, floor)))
+
+
+#: Confidences with ties, values below, at and above the floors drawn, and
+#: distinct ones whose ``1 - confidence`` are equal.
+TABLE_CONFIDENCES = (0.0, 1e-17, 2e-17, 5e-4, 1e-3, 0.2, 0.5, 0.9, 1.0)
+
+
+@st.composite
+def raw_records(draw, k):
+    """A raw image record in the writer's JSON form, with or without ground
+    truths and detections. In some records every integer-valued number is a
+    JSON integer, which the bulk check of the table reader refuses."""
+    def box():
+        left, top = draw(st.integers(0, 20)), draw(st.integers(0, 20))
+        return [float(left), float(top), float(left + draw(st.integers(0, 9))),
+                float(top + draw(st.integers(0, 9)))]
+
+    def probs():
+        if draw(st.booleans()):
+            hot = draw(st.integers(0, k - 1))
+            return [float(c == hot) for c in range(k)]
+        weights = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+        return [w / sum(weights) for w in weights]
+
+    rec = {
+        "image_id": draw(TEXT),
+        "width": 64.0,
+        "height": 48.0,
+        "ground_truths": [{"box": box(), "class_id": draw(st.integers(0, k - 1))}
+                          for _ in range(draw(st.integers(0, 3)))],
+        "detections": [{"box": box(), "confidence": draw(st.sampled_from(TABLE_CONFIDENCES)),
+                        "probs": probs()} for _ in range(draw(st.integers(0, 5)))],
+    }
+    if draw(st.integers(0, 3)) == 0:
+        rec = json.loads(json.dumps(rec), parse_float=_integral)
+    return rec
+
+
+def _integral(text):
+    """The JSON number ``text`` as an int when its value is integral."""
+    value = float(text)
+    return int(value) if value.is_integer() else value
+
+
+class TestReaderTable:
+    """``condet calibrate`` reads its dataset file into one ``_SampleTable``
+    in the reader's workers; it equals, bit for bit, the table of the
+    samples ``load_dataset`` returns."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("layout", ["writer", "wrapped"])
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(raw_records(k), max_size=10), st.sampled_from((0.0, 1e-3, 0.5)))))
+    def test_equals_the_table_of_the_loaded_samples(self, cpus, layout, drawn):
+        k, records, floor = drawn
+        head = {"schema_version": 1, "num_classes": k, "class_names": [], "images": []}
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            # Spans of a record or two, so a file has several.
+            patch.setattr(dataio, "_CHUNK_CHARS", 256)
+            patch.setattr(dataio, "_CHUNK_CELLS", 8)
+            patch.setattr(_workers, "_available_cpus", lambda: cpus)
+            path = Path(tmp) / "data.json"
+            if layout == "writer":
+                dataio._write_lines(path, head, [json.dumps(rec) for rec in records])
+            else:
+                path.write_text(json.dumps({**head, "images": records}, indent=1))
+            assert reader_table(path, floor) == samples_table(path, floor)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_every_layout_reads_as_the_samples(self, tmp_path, monkeypatch, cpus, layout):
+        monkeypatch.setattr(dataio, "_CHUNK_CHARS", 8192)
+        monkeypatch.setattr(_workers, "_available_cpus", lambda: cpus)
+        written = tmp_path / "data.json"
+        samples_to_dataset_file(generate(SynthSpec(seed=6, n_images=40, num_classes=10)), 10, written)
+        path = tmp_path / "variant.json"
+        path.write_bytes(LAYOUTS[layout][0](written))
+        assert outcome(reader_table, path, 1e-3) == outcome(samples_table, path, 1e-3)
+        assert multiprocessing.active_children() == []
+
+    def test_integer_span_builds_samples_and_the_others_none(self, tmp_path, monkeypatch):
+        # A constructor spy: only the span whose record holds an integer is
+        # read through Detection and ImageSample.
+        monkeypatch.setattr(dataio, "_CHUNK_CHARS", 8192)
+        monkeypatch.setattr(_workers, "_available_cpus", lambda: 1)
+        path = tmp_path / "data.json"
+        samples_to_dataset_file(generate(SynthSpec(seed=6, n_images=40, num_classes=10)), 10, path)
+        spans = TestParallelRead.spans(path)
+        assert len(spans) >= 3
+        built = []
+        for cls in (Detection, ImageSample):
+            monkeypatch.setattr(cls, "__post_init__", lambda self, init=cls.__post_init__: built.append(self) or init(self))
+        reader_table(path, 1e-3)
+        assert built == []
+        header, lines = writer_lines(path)
+        start, stop = spans[1]
+        lines[start] = edit_record(lambda rec: rec.update(width=64))(lines[start])
+        path.write_text(join_lines(header, lines), encoding="utf-8")
+        table = reader_table(path, 1e-3)
+        assert sum(isinstance(obj, ImageSample) for obj in built) == stop - start
+        built.clear()
+        assert table == samples_table(path, 1e-3)
+
+
 class TestCocoImport:
     def coco_pair(self, tmp_path, with_scores=False):
         gt = {
@@ -922,8 +1053,20 @@ def _edge_probs(draw):
     weights = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
     probs = [w / math.fsum(weights) * draw(st.sampled_from(EDGE_SCALES)) for w in weights]
     for _ in range(draw(st.integers(0, 2))):
-        probs[draw(st.integers(0, k - 1))] = draw(st.sampled_from(EDGE_PROBS))
+        # An edge value in place of an entry, or beside them, which leaves
+        # the sum as it was: a tiny negative entry then breaks no other rule.
+        at = draw(st.integers(0, len(probs) - 1))
+        if draw(st.booleans()):
+            probs[at] = draw(st.sampled_from(EDGE_PROBS))
+        else:
+            probs.insert(at, draw(st.sampled_from(EDGE_PROBS)))
     return probs
+
+
+#: Image ids, extents and class ids of each JSON type, in and out of range.
+EDGE_IDS = ("", 7, -1, None, 1.5, ["a"])
+EDGE_EXTENTS = (0.0, -0.0, 64.0, 64, 10**400, -1e-300, -1, 1e308, math.inf, math.nan, True, "64", None)
+EDGE_CLASS_IDS = (0, 1, 2, 3, -1, 10**30, True, False, 0.0, 1.0, "0", None)
 
 
 def one_record_file(directory, num_classes, record):
@@ -932,10 +1075,24 @@ def one_record_file(directory, num_classes, record):
     return write_payload(Path(directory), payload)
 
 
+def table_read(path):
+    """``condet calibrate``'s read of ``path`` beside ``read_dataset_file``'s:
+    it fails with the same exception type and message, or it returns the
+    table of the samples ``load_dataset`` returns."""
+    read = outcome(read_dataset_file, path)
+    table = outcome(reader_table, path, 1e-3)
+    if isinstance(read, DatasetFile):
+        assert table == samples_table(path, 1e-3)
+    else:
+        assert table == read
+    return read
+
+
 class TestOneValidityRule:
-    """The constructors and the file reader apply one rule: an object that
+    """The constructors and the file readers apply one rule: an object that
     cannot be built is a file that cannot be read, with the same message
-    after the record's name."""
+    after the record's name, by ``read_dataset_file`` and by ``condet
+    calibrate``'s table reader alike."""
 
     @settings(max_examples=400, deadline=None)
     @given(_edge_boxes(), _edge_probs(),
@@ -945,7 +1102,7 @@ class TestOneValidityRule:
         record = {"detections": [{"box": box, "confidence": confidence, "probs": probs}]}
         with tempfile.TemporaryDirectory() as tmp:
             path = one_record_file(tmp, len(probs), record)
-            read = outcome(read_dataset_file, path)
+            read = table_read(path)
         if isinstance(built, Detection):
             assert repr(read.images[0].detections) == repr((built,))
         else:
@@ -958,13 +1115,71 @@ class TestOneValidityRule:
         built = outcome(ImageSample, "a", ((BoundingBox(*box), 0),), ())
         with tempfile.TemporaryDirectory() as tmp:
             path = one_record_file(tmp, 1, {"ground_truths": [{"box": box, "class_id": 0}]})
-            read = outcome(read_dataset_file, path)
+            read = table_read(path)
         if isinstance(built, ImageSample):
             assert repr(read.images[0].ground_truths) == repr(built.ground_truths)
         else:
             assert built[0] is ValueError and built[1].startswith("image 'a': ground truth #0: ")
             rule = built[1].removeprefix("image 'a': ground truth #0: ")
             assert read == (DataFormatError, f"{path}: image 'a' ground truth #0: {rule}")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3), st.dictionaries(
+        st.sampled_from(("image_id", "width", "height", "class_id")),
+        st.sampled_from(EDGE_IDS + EDGE_EXTENTS + EDGE_CLASS_IDS), max_size=2))
+    def test_record_fields_read_alike(self, k, edges):
+        # The JSON-type and range checks of the reader, which the table
+        # reader's bulk check must not let through either.
+        fields = {"image_id": "a", "width": 64.0, "height": 48.0, "class_id": k - 1, **edges}
+        record = {
+            "image_id": fields["image_id"], "width": fields["width"], "height": fields["height"],
+            "ground_truths": [{"box": [0.0, 0.0, 2.0, 2.0], "class_id": fields["class_id"]}],
+            "detections": [{"box": [0.0, 0.0, 2.0, 2.0], "confidence": 0.5, "probs": [1.0] + [0.0] * (k - 1)}],
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_payload(Path(tmp), {"schema_version": 1, "num_classes": k, "images": [record]})
+            read = table_read(path)
+        image_id, class_id = fields["image_id"], fields["class_id"]
+        valid = (isinstance(image_id, str) or type(image_id) is int) and type(class_id) is int and 0 <= class_id < k
+        assert isinstance(read, DatasetFile) == (valid and all(
+            type(v) in (int, float) and 0.0 <= v <= 1e308 for v in (fields["width"], fields["height"])))
+
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("rank") / "data.json"
+        samples_to_dataset_file(generate(SynthSpec(seed=6, n_images=40, num_classes=10)), 10, path)
+        return path
+
+    @staticmethod
+    def edited(path, out, edits):
+        """``path`` with ``edit`` applied to the first record line of span
+        ``k`` for each ``(k, edit)`` of ``edits``, written to ``out``."""
+        spans = TestParallelRead.spans(path)
+        assert len(spans) >= 5
+        header, lines = writer_lines(path)
+        for k, edit in edits:
+            lines[spans[k][0]] = edit(lines[spans[k][0]])
+        out.write_text(join_lines(header, lines), encoding="utf-8")
+        return out
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_error_rank_across_spans(self, written, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(dataio, "_CHUNK_CHARS", 8192)
+        monkeypatch.setattr(_workers, "_available_cpus", lambda: cpus)
+        integers = edit_record(lambda rec: rec.update(width=64, height=48))
+        # A span the bulk check refuses, read through the rule, then a bad
+        # record in a later span: the bad record is named.
+        path = self.edited(written, tmp_path / "a.json", [(0, integers), (3, edit_record(bad_probs))])
+        kind, message = table_read(path)
+        assert kind is DataFormatError and message.endswith("probs sum to 5.000000, expected 1 within 1e-4")
+        # A bad record, then a later line that is not JSON: the JSON error.
+        path = self.edited(written, tmp_path / "b.json", [(0, edit_record(bad_probs)), (-1, truncate)])
+        kind, message = table_read(path)
+        assert kind is DataFormatError and message.startswith(f"{path}: not valid JSON: ")
+        # The integers alone read as the samples do.
+        path = self.edited(written, tmp_path / "c.json", [(0, integers), (2, integers)])
+        assert isinstance(table_read(path), DatasetFile)
+        assert multiprocessing.active_children() == []
 
 
 class TestResultPersistence:

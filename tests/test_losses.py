@@ -235,6 +235,10 @@ class TestSampleInvariants:
             (0.5, (), "probs must not be empty"),
             (0.5, (0.5, -0.0, 0.5, -5e-324), "probs must be non-negative"),
             (0.5, (1e308, 1e308), "probs sum to inf, expected 1 within 1e-4"),
+            # An integer beyond the float range escaped the sum test as a
+            # bare OverflowError.
+            (0.5, (10**400, 0), "probs sum to inf, expected 1 within 1e-4"),
+            (0.5, (0.5, 10**400), "probs sum to inf, expected 1 within 1e-4"),
         ],
     )
     def test_confidence_and_probability_rule(self, confidence, probs, message):
