@@ -62,8 +62,13 @@ reads its dataset file straight into one):
   ``contains(apply_margin(box, lam), gt)`` holds, computed with the same
   operations, so the kernel agrees with ``evaluate`` and ``infer`` at every
   parameter. ``margin_to_cover`` is the covering margin only in exact
-  arithmetic, so each one is raised to the first float at which that test
-  holds before it becomes a candidate.
+  arithmetic: rounded, it can fall short of a float at which that test
+  holds, or sit a few ulps above the first such float. One that falls short
+  is raised to the first float at which the test holds before it becomes a
+  candidate; one at which it holds is kept. Step 2 therefore returns the
+  smallest feasible tabulated requirement, which can lie a few ulps above
+  the smallest feasible float; a larger parameter only lowers each loss, so
+  the guarantee holds at it.
 
 The kernel returns the same floats as evaluating each loss one image at a
 time: sums run in the same order (step 1's increments in visit-then-image
@@ -462,11 +467,13 @@ def _contains(outer, inner) -> np.ndarray:
 
 
 def _covering_margins(gt, det, kind: str) -> np.ndarray:
-    """``margin_to_cover`` of each pair, every finite non-negative value raised
-    to the first float at which the margined box contains the ground truth.
+    """``margin_to_cover`` of each pair, every finite non-negative value at
+    which the margined box does not contain the ground truth raised to the
+    first float at which it does. A value at which it does is kept, though a
+    lower float may do too.
 
     ``margin_to_cover`` is that margin in exact arithmetic, but its rounded
-    subtraction or division can land an ulp or so short of it.
+    subtraction or division can land an ulp or so either side of it.
     """
     need = _margin_to_cover(gt, det, kind)
     short = np.flatnonzero(np.isfinite(need) & (need >= 0.0))
@@ -589,11 +596,11 @@ class _SampleTable:
     ``labels``; its detections are entries ``det_start[i]:det_start[i + 1]``
     of ``det_box``, ``req`` (``1 - confidence``) and ``probs``, prefiltered
     and in the order ``ImageSample`` keeps them (a stable sort by descending
-    confidence). ``probs`` is an ``(n_det, n_classes)`` float64 matrix in a
-    table read from a dataset file, and one probability vector per detection
-    in a table of samples (``from_samples``): a matrix built from the
-    vectors would cost as much as a whole ``calibrate`` on ``dense``, while
-    the kernel reads only the rows of the pairs it scores.
+    confidence). ``probs`` is an ``(n_det, k)`` float64 matrix for ``k``
+    classes in a table read from a dataset file, and one probability vector
+    per detection in a table of samples (``from_samples``): a matrix built
+    from the vectors would cost as much as a whole ``calibrate`` on
+    ``dense``, while the kernel reads only the rows of the pairs it scores.
     """
 
     image_ids: tuple[str, ...]
@@ -604,7 +611,6 @@ class _SampleTable:
     det_box: np.ndarray
     req: np.ndarray
     probs: object
-    n_classes: int
 
     @property
     def n(self) -> int:
@@ -630,7 +636,6 @@ class _SampleTable:
             det_box=_coords([d.box for d in dets]),
             req=1.0 - np.array([d.confidence for d in dets], dtype=float),
             probs=[d.probs for d in dets],
-            n_classes=lengths.pop() if lengths else 1,
         )
 
     @classmethod
@@ -650,7 +655,6 @@ class _SampleTable:
             det_box=np.concatenate([t.det_box for t in tables], axis=1),
             req=np.concatenate([t.req for t in tables]),
             probs=np.concatenate([t.probs for t in tables]),
-            n_classes=tables[0].n_classes,
         )
 
 
@@ -730,9 +734,8 @@ class _PrefixKernel:
         stride = max(len(req), 1)
         pairs, self._pair = np.unique(eg * stride + ed, return_inverse=True)
         pg, pd = np.divmod(pairs, stride)
-        self._cutoff = _class_cutoffs(
-            gather, table.n_classes, pd, labels[pg], config.predset_spec.classification_kind
-        )
+        k = len(table.probs[0]) if len(pd) else 1  # the class count; a pair has a detection
+        self._cutoff = _class_cutoffs(gather, k, pd, labels[pg], config.predset_spec.classification_kind)
         self._gt = gt_box[:, pg]
         self._det = det_box[:, pd]
         if config.loss_spec.localization_kind == "pixelwise":

@@ -24,7 +24,7 @@ import numpy as np
 from ._workers import ordered_map
 from .calibration import CalibrationConfig, CalibrationResult, _SampleTable
 from .geometry import BoundingBox
-from .losses import Detection, ImageSample, _check_box, _check_probs
+from .losses import Detection, ImageSample, _check_box, _check_probs, _sum_near_one
 
 __all__ = [
     "DATASET_SCHEMA_VERSION",
@@ -36,7 +36,6 @@ __all__ = [
     "DatasetFile",
     "read_dataset_file",
     "write_dataset_file",
-    "dataset_to_samples",
     "load_dataset",
     "import_coco",
     "config_to_dict",
@@ -89,7 +88,6 @@ class DatasetFile:
     num_classes: int
     class_names: tuple[str, ...]
     images: tuple[ImageRecord, ...]
-    schema_version: int = DATASET_SCHEMA_VERSION
 
 
 def _require(condition: bool, message: str) -> None:
@@ -102,10 +100,13 @@ def _is_number(value, kind=(int, float)) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def _all_numbers(values) -> bool:
-    # A JSON number loads as exactly ``int`` or ``float``; comparing the
-    # types as a set keeps the check cheap on long probability vectors.
-    return {*map(type, values)} <= {int, float}
+def _only(values, *kinds: type) -> bool:
+    """Whether each of ``values`` is exactly of one of the types ``kinds``.
+
+    A JSON number loads as exactly ``int`` or ``float``, never ``bool``;
+    comparing the types as a set keeps the check cheap on long vectors.
+    """
+    return {*map(type, values)} <= {*kinds}
 
 
 def _load_json(path: PathLike):
@@ -134,7 +135,7 @@ def _as_floats(values: list, message: str) -> list:
     is, else a converted copy. Raises with ``message`` on a non-number."""
     if [*map(type, values)].count(float) == len(values):
         return values
-    if not _all_numbers(values):
+    if not _only(values, int, float):
         raise DataFormatError(message)
     try:
         return [*map(float, values)]
@@ -291,7 +292,8 @@ def read_dataset_file(path: PathLike) -> DatasetFile:
     return DatasetFile(num_classes=num_classes, class_names=class_names, images=tuple(images))
 
 
-#: Probability cells per chunk of records that one worker encodes.
+#: Probability cells per chunk of records that one worker encodes, and per
+#: span of the loaded records of a whole document that one worker parses.
 _CHUNK_CELLS = 1 << 16
 
 #: Characters of record lines per chunk that one worker decodes.
@@ -344,11 +346,6 @@ def _span_outcome(raws: list, first: int, num_classes: int, path: PathLike, work
         return _WORK_ERROR, exc
 
 
-def _only(values, kind: type) -> bool:
-    """Whether each of ``values`` is exactly of type ``kind``."""
-    return {*map(type, values)} <= {kind}
-
-
 def _float_rows(rows: list, width: int):
     """``rows`` as a ``(len(rows), width)`` float64 array when each is a
     list of ``width`` floats, else None."""
@@ -375,10 +372,7 @@ def _span_table(raws: list, num_classes: int, prefilter_threshold: float) -> _Sa
     integers), boxes finite and ordered, extents finite and >= 0,
     confidences in [0, 1], class ids in [0, num_classes), and each
     probability vector ``num_classes`` finite, non-negative entries whose
-    sum lies within ``1e-4 - num_classes * 1e-15`` of 1. As in
-    ``losses._check_probs``, a float sum of ``k`` non-negative entries, in
-    any order, lies within ``k * 2**-52`` of the exact sum, relative to it,
-    so inside that bound the exact sum is within 1e-4.
+    row sum passes ``losses._sum_near_one``.
     """
     if not _only(raws, dict):
         return None
@@ -408,7 +402,7 @@ def _span_table(raws: list, num_classes: int, prefilter_threshold: float) -> _Sa
         and _boxes_hold(det_box)
         and ((0.0 <= confidence) & (confidence <= 1.0)).all()
         and ((probs >= 0.0) & (probs < math.inf)).all()
-        and (np.abs(probs.sum(axis=1) - 1.0) <= 1e-4 - num_classes * 1e-15).all()
+        and _sum_near_one(probs.sum(axis=1), num_classes).all()
     ):
         return None
     det_img = np.repeat(np.arange(len(raws)), np.array([*map(len, det_lists)], dtype=np.int64))
@@ -426,7 +420,6 @@ def _span_table(raws: list, num_classes: int, prefilter_threshold: float) -> _Sa
         det_box=det_box[kept].T,
         req=1.0 - confidence[kept],
         probs=probs[kept],
-        n_classes=num_classes,
     )
 
 
@@ -445,7 +438,7 @@ def _table_outcome(raws: list, first: int, num_classes: int, path: PathLike,
         return kind, samples
     table = _SampleTable.from_samples(samples)
     probs = np.array(table.probs, dtype=float).reshape(-1, num_classes)
-    return _VALUES, replace(table, probs=probs, n_classes=num_classes)
+    return _VALUES, replace(table, probs=probs)
 
 
 def _parse_span(records: list, num_classes: int, path: PathLike, outcome: Callable, args: tuple,
@@ -656,7 +649,7 @@ def write_dataset_file(dataset: DatasetFile, path: PathLike) -> None:
     raises ``json``'s own error, from the first such chunk in file order.
     """
     head = {
-        "schema_version": dataset.schema_version,
+        "schema_version": DATASET_SCHEMA_VERSION,
         "num_classes": dataset.num_classes,
         "class_names": dataset.class_names,
         "images": [],
@@ -682,22 +675,15 @@ def _samples(images: Sequence[ImageRecord], prefilter_threshold: float) -> list[
     return [_sample(rec, prefilter_threshold) for rec in images]
 
 
-def dataset_to_samples(
-    dataset: DatasetFile, prefilter_threshold: float
-) -> list[ImageSample]:
-    """Convert records to samples, dropping detections below the floor."""
-    return _samples(dataset.images, prefilter_threshold)
-
-
 def load_dataset(path: PathLike, prefilter_threshold: float = 1e-3) -> list[ImageSample]:
     """Read a native dataset file and return prefiltered, sorted samples.
 
     The samples are built in the worker processes that decode and check the
     records (``_map_image_records``), with the results and errors of
-    ``read_dataset_file`` followed by ``dataset_to_samples``, and every one
-    is a validated ``ImageSample``. ``condet calibrate`` reads its file with
-    the same errors into arrays instead (``_load_table``), building no
-    samples.
+    ``read_dataset_file`` followed by dropping the detections below the
+    floor, and every one is a validated ``ImageSample``. ``condet
+    calibrate`` reads its file with the same errors into arrays instead
+    (``_load_table``), building no samples.
     """
     return _map_image_records(path, _samples, prefilter_threshold)[2]
 
@@ -765,6 +751,14 @@ def _import_coco_parsed(gt, det, gt_path, det_path, categories) -> DatasetFile:
     def entry(image_id: str, width: float = 0.0, height: float = 0.0) -> tuple:
         return entries.setdefault(image_id, (width, height, [], []))
 
+    def parse(raw, where: str) -> tuple[tuple, int, BoundingBox]:
+        """The image entry, dense class index and box of the annotation or
+        detection ``raw``; ``where`` names it in the errors."""
+        image = entry(_image_id(raw["image_id"], f"{where}: image_id"))
+        cat = raw.get("category_id")
+        _require(cat in cat_index, f"{where} has unknown category id {cat!r}")
+        return image, cat_index[cat], _coco_bbox(raw["bbox"], where)
+
     # Image ids and extents follow the native reader's rules.
     for n, img in enumerate(gt.get("images", ())):
         where = f"{gt_path}: images entry #{n}"
@@ -775,11 +769,8 @@ def _import_coco_parsed(gt, det, gt_path, det_path, categories) -> DatasetFile:
         entry(image_id, _extent(img, "width", where), _extent(img, "height", where))
 
     for j, ann in enumerate(gt.get("annotations", ())):
-        gts = entry(_image_id(ann["image_id"], f"{gt_path}: annotation #{j}: image_id"))[2]
-        cat = ann.get("category_id")
-        _require(cat in cat_index, f"{gt_path}: annotation #{j} has unknown category id {cat!r}")
-        box = _coco_bbox(ann["bbox"], f"{gt_path}: annotation #{j}")
-        gts.append((box, cat_index[cat]))
+        image, label, box = parse(ann, f"{gt_path}: annotation #{j}")
+        image[2].append((box, label))
 
     if isinstance(det, dict):
         det = det.get("annotations", det.get("detections", []))
@@ -787,11 +778,8 @@ def _import_coco_parsed(gt, det, gt_path, det_path, categories) -> DatasetFile:
     eps = 1e-6
     synthesized = 0
     for j, rec in enumerate(det):
-        dets = entry(_image_id(rec["image_id"], f"{det_path}: detection #{j}: image_id"))[3]
-        cat = rec.get("category_id")
-        _require(cat in cat_index, f"{det_path}: detection #{j} has unknown category id {cat!r}")
         where = f"{det_path}: detection #{j}"
-        box = _coco_bbox(rec["bbox"], where)
+        image, label, box = parse(rec, where)
         score = rec.get("score", 0.0)
         (score,) = _as_floats([score], f"{where}: score must be a number, got {score!r}")
         _require(math.isfinite(score), f"{where}: score must be finite")
@@ -799,7 +787,7 @@ def _import_coco_parsed(gt, det, gt_path, det_path, categories) -> DatasetFile:
         if scores is not None:
             _require(
                 isinstance(scores, list) and len(scores) == num_classes,
-                f"{det_path}: detection #{j} scores must have length {num_classes}",
+                f"{where} scores must have length {num_classes}",
             )
             probs = _as_floats(scores, f"{where}: scores must be numbers")
             _require(all(math.isfinite(p) for p in probs), f"{where}: scores must be finite")
@@ -814,9 +802,9 @@ def _import_coco_parsed(gt, det, gt_path, det_path, categories) -> DatasetFile:
             else:
                 off = eps / (num_classes - 1)
                 probs = tuple(
-                    1.0 - eps if k == cat_index[cat] else off for k in range(num_classes)
+                    1.0 - eps if k == label else off for k in range(num_classes)
                 )
-        dets.append(Detection(box, probs, min(max(score, 0.0), 1.0)))
+        image[3].append(Detection(box, probs, min(max(score, 0.0), 1.0)))
 
     if synthesized:
         log.warning(

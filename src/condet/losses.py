@@ -50,6 +50,19 @@ def _check_box(box: BoundingBox, where: str = "") -> None:
         raise ValueError(f"{where}box corners out of order (left<=right, top<=bottom required)")
 
 
+def _sum_near_one(total, k: int):
+    """Whether ``total``, a float sum in any order of ``k`` non-negative
+    entries, or each of an array of such sums, proves that the exact sum of
+    the entries lies within 1e-4 of 1.
+
+    The float sum of ``k`` non-negative floats, in any order, lies within
+    ``k * 2**-52`` of the exact sum, relative to it: inside the tolerance by
+    more than that, it decides the check as the exact sum would. A sum that
+    fails may still be near enough once summed exactly.
+    """
+    return abs(total - 1.0) <= 1e-4 - k * 1e-15
+
+
 def _check_probs(probs: Sequence[float], name: str) -> None:
     """The probability rule: raise ``ValueError`` unless ``probs`` (the
     vector called ``name``) is non-empty, its entries are finite and
@@ -60,12 +73,9 @@ def _check_probs(probs: Sequence[float], name: str) -> None:
     # only in the first entry; a NaN elsewhere makes the sums NaN below.
     if not min(probs) >= 0.0:
         raise ValueError(f"{name} must be non-negative")
-    # The plain sum of n non-negative floats lies within n * 2**-52 of the
-    # exact sum, relative to it: inside the tolerance by more than that, it
-    # decides the check as the exact sum would. Only a sum near or past the
-    # bound, NaN or infinite is summed exactly.
+    # Only a sum near or past the bound, NaN or infinite is summed exactly.
     try:
-        near = abs(sum(probs) - 1.0) <= 1e-4 - len(probs) * 1e-15
+        near = _sum_near_one(sum(probs), len(probs))
     except OverflowError:  # an integer beyond the float range
         near = False
     if not near:
@@ -114,8 +124,9 @@ class ImageSample:
     confidence threshold always selects a prefix.
 
     A sample is valid once built: every ground-truth box obeys the box rule,
-    every detection's probability vector has one length ``k``, and, when the
-    image has detections, every label lies in [0, k). The constructor raises
+    every label equals an integer and is kept as an ``int``, every
+    detection's probability vector has one length ``k``, and, when the image
+    has detections, every label lies in [0, k). The constructor raises
     ``ValueError`` naming the image otherwise; the detections checked
     themselves (``Detection``). ``calibrate``, ``evaluate`` and ``infer``
     therefore read only valid samples and check none of this again.
@@ -126,18 +137,25 @@ class ImageSample:
     detections: tuple[Detection, ...]
 
     def __post_init__(self) -> None:
-        gts = tuple((box, int(label)) for box, label in self.ground_truths)
         dets = tuple(sorted(self.detections, key=lambda d: -d.confidence))
-        object.__setattr__(self, "ground_truths", gts)
-        object.__setattr__(self, "detections", dets)
         k = len(dets[0].probs) if dets else None
         if any(len(d.probs) != k for d in dets):
             raise ValueError(f"image {self.image_id!r}: probability vectors of different lengths")
-        for j, (box, label) in enumerate(gts):
+        gts = []
+        for j, (box, label) in enumerate(self.ground_truths):
             where = f"image {self.image_id!r}: ground truth #{j}: "
             _check_box(box, where)
-            if dets and not 0 <= label < k:
-                raise ValueError(f"{where}class label {label} outside [0, {k})")
+            try:
+                value = int(label)
+            except (TypeError, ValueError, OverflowError):  # not a number, NaN, infinite
+                value = None
+            if value is None or value != label:
+                raise ValueError(f"{where}class label {label!r} is not an integer")
+            if dets and not 0 <= value < k:
+                raise ValueError(f"{where}class label {value} outside [0, {k})")
+            gts.append((box, value))
+        object.__setattr__(self, "ground_truths", tuple(gts))
+        object.__setattr__(self, "detections", dets)
 
     @property
     def n_ground_truths(self) -> int:

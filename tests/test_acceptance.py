@@ -366,13 +366,13 @@ class TestCriterion6EdgeCaseConformance:
 class TestCriterion7RealDataSmoke:
     def test_end_to_end_on_user_supplied_coco(self, tmp_path):
         from condet import calibrate, evaluate, import_coco
-        from condet.dataio import dataset_to_samples
+        from condet.dataio import _samples
 
         with criterion(7, "real-data end-to-end smoke"):
             dataset = import_coco(
                 os.environ["CONDET_COCO_GT"], os.environ["CONDET_COCO_DET"]
             )
-            samples = dataset_to_samples(dataset, MC_CONFIG.prefilter_threshold)
+            samples = _samples(dataset.images, MC_CONFIG.prefilter_threshold)
             half = len(samples) // 2
             assert half >= 10, "need at least 20 images for the smoke test"
             config = replace(MC_CONFIG, lambda_loc_bounds=None)

@@ -486,6 +486,7 @@ if __name__ == "__main__":
 """
 
 
+@pytest.mark.workers
 class TestParallelCommands:
     """``infer`` and ``evaluate`` over a file of five chunks of records."""
 
@@ -709,6 +710,7 @@ class TestParallelCommands:
         assert sha256(commands["evaluate"][1]) == REPORT_SHA256
 
 
+@pytest.mark.workers
 class TestBadValueCommands:
     """Each file command exits 1 with ``kind=data`` on each value the
     validity rule refuses, named as the reader names it. The bad record sits

@@ -420,6 +420,7 @@ def cells(dataset):
     return [len(rec.detections) * dataset.num_classes for rec in dataset.images]
 
 
+@pytest.mark.workers
 class TestParallelWrite:
     @pytest.fixture(scope="class")
     def dataset(self):
@@ -563,6 +564,7 @@ LAYOUTS = {
 }
 
 
+@pytest.mark.workers
 class TestParallelRead:
     """The reader over a file of several spans of record lines: the same
     values and errors as loading the document whole."""
@@ -680,22 +682,25 @@ class TestParallelRead:
 def table_bits(table):
     """A ``_SampleTable`` as its image ids, each array's dtype, shape and
     bytes, its probabilities' bytes as a float64 matrix and, when it has
-    detections, its class count: equal exactly when the tables hold the same
-    bits. (A table of samples without detections counts one class.)"""
+    detections, that matrix's shape: equal exactly when the tables hold the
+    same bits. (The vectors of a table of samples without detections make
+    no matrix of any width.)"""
     arrays = {
         name: (array.dtype.str, array.shape, array.tobytes())
         for name in ("gt_start", "det_start", "gt_box", "labels", "det_box", "req")
         for array in [getattr(table, name)]
     }
     probs = np.array(table.probs, dtype=float)
-    return table.image_ids, arrays, probs.tobytes(), table.n_classes if len(table.req) else None
+    return table.image_ids, arrays, probs.tobytes(), probs.shape if len(table.req) else None
 
 
 def reader_table(path, floor):
     """``condet calibrate``'s table of ``path``, checked to hold a float64
-    probability matrix, as ``table_bits``."""
+    probability matrix one row per detection and ``num_classes`` wide, as
+    ``table_bits``."""
     table = dataio._load_table(path, floor)
-    assert table.probs.dtype == np.float64 and table.probs.shape == (len(table.req), table.n_classes)
+    num_classes = json.loads(Path(path).read_text(encoding="utf-8"))["num_classes"]
+    assert table.probs.dtype == np.float64 and table.probs.shape == (len(table.req), num_classes)
     return table_bits(table)
 
 
@@ -745,6 +750,7 @@ def _integral(text):
     return int(value) if value.is_integer() else value
 
 
+@pytest.mark.workers
 class TestReaderTable:
     """``condet calibrate`` reads its dataset file into one ``_SampleTable``
     in the reader's workers; it equals, bit for bit, the table of the
@@ -1088,6 +1094,7 @@ def table_read(path):
     return read
 
 
+@pytest.mark.workers
 class TestOneValidityRule:
     """The constructors and the file readers apply one rule: an object that
     cannot be built is a file that cannot be read, with the same message

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from condet import (
     BoundingBox,
@@ -16,6 +18,7 @@ from condet import (
     loc_loss,
     match,
 )
+from condet.losses import _sum_near_one
 from condet.predsets import apply_margin, build_class_set, select_confident
 from helpers import random_sample
 
@@ -260,6 +263,14 @@ class TestSampleInvariants:
             ((0, 5, 5, 0), 0, "image 'a': ground truth #1: box corners out of order"),
             ((0, 0, 5, 5), 3, "image 'a': ground truth #1: class label 3 outside [0, 3)"),
             ((0, 0, 5, 5), -1, "image 'a': ground truth #1: class label -1 outside [0, 3)"),
+            # Each was truncated by int(): 1.7 was kept as class 1, -0.5 as
+            # class 0 inside [0, 3), "1" as 1, and inf raised a bare
+            # OverflowError.
+            ((0, 0, 5, 5), 1.7, "image 'a': ground truth #1: class label 1.7 is not an integer"),
+            ((0, 0, 5, 5), -0.5, "image 'a': ground truth #1: class label -0.5 is not an integer"),
+            ((0, 0, 5, 5), "1", "image 'a': ground truth #1: class label '1' is not an integer"),
+            ((0, 0, 5, 5), math.inf, "image 'a': ground truth #1: class label inf is not an integer"),
+            ((0, 0, 5, 5), math.nan, "image 'a': ground truth #1: class label nan is not an integer"),
         ],
     )
     def test_invalid_ground_truth_names_the_image(self, gt_box, label, message):
@@ -271,6 +282,19 @@ class TestSampleInvariants:
     def test_labels_unchecked_without_detections(self):
         # With no detection there is no vector for a label to index.
         assert ImageSample("a", ((BoundingBox(0, 0, 5, 5), 7),), ()).ground_truths[0][1] == 7
+
+    @pytest.mark.parametrize("label", [1.7, -0.5, "1", math.inf])
+    def test_labels_are_integers_without_detections(self, label):
+        message = f"image 'a': ground truth #0: class label {label!r} is not an integer"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ImageSample("a", ((BoundingBox(0, 0, 5, 5), label),), ())
+
+    @pytest.mark.parametrize("label", [1, 2.0, np.int64(2), np.float64(1.0), -0.0])
+    def test_integer_labels_kept_as_int(self, label):
+        det = Detection(BoundingBox(0, 0, 5, 5), (0.2, 0.3, 0.5), 0.5)
+        for dets in ((det,), ()):
+            ((_, kept),) = ImageSample("a", ((BoundingBox(0, 0, 5, 5), label),), dets).ground_truths
+            assert kept == label and type(kept) is int
 
     def test_one_vector_length_per_image(self):
         dets = (Detection(BoundingBox(0, 0, 5, 5), (0.5, 0.5), 0.5),
@@ -290,3 +314,35 @@ class TestSampleInvariants:
         # A NaN tau made the thresholded classification loss identically 0.
         with pytest.raises(ValueError, match="aggregation_tau must lie in"):
             LossSpec(classification_aggregation="thresholded", aggregation_tau=tau)
+
+
+#: Entries of a probability vector: ordinary floats, subnormals and zeros.
+PROB_ENTRIES = st.one_of(
+    st.floats(0.0, 1.0), st.floats(0.0, 2.2250738585072014e-308), st.just(0.0)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(PROB_ENTRIES, min_size=1, max_size=100),
+    side=st.sampled_from([-1.0, 1.0]),
+    at_tolerance=st.booleans(),
+    ulps=st.integers(-4, 4),
+)
+# Its plain sum passes ``<= 1e-4`` but its exact sum is an ulp past 1e-4.
+@example(weights=[1.0, 0.8125, 0.5437506794213111, 0.0], side=-1.0, at_tolerance=True, ulps=-1)
+def test_sum_bound_proves_the_exact_sum(weights, side, at_tolerance, ulps):
+    # Entries summing to about 1 +- (1e-4 - k * 1e-15), the shared bound of
+    # ``_check_probs`` and the table reader, or to 1 +- 1e-4, a few ulps
+    # either side: when the plain or the numpy row sum passes the bound,
+    # the exact sum is within 1e-4.
+    k = len(weights)
+    target = 1.0 + side * (1e-4 if at_tolerance else 1e-4 - k * 1e-15)
+    for _ in range(abs(ulps)):
+        target = math.nextafter(target, math.copysign(math.inf, ulps))
+    scale = math.fsum(weights)
+    entries = [w / scale * target for w in weights] if scale > 0.0 else [0.0] * (k - 1) + [target]
+    entries[-1] = max(0.0, target - math.fsum(entries[:-1]))
+    exact_near = abs(math.fsum(entries) - 1.0) <= 1e-4
+    assert exact_near or not _sum_near_one(sum(entries), k)
+    assert exact_near or not _sum_near_one(np.array([entries]).sum(axis=1), k)[0]

@@ -287,6 +287,7 @@ def serial_trials(spec, config, trials, n_cal, n_test):
     return out
 
 
+@pytest.mark.workers
 class TestParallelTrials:
     SPEC = SynthSpec(seed=11, objects_min=1, objects_max=3)
 

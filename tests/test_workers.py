@@ -5,7 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import condet
+
+pytestmark = pytest.mark.workers
 
 #: Maps a function that kills its own worker process on item 3 of 8 over two
 #: workers, then prints the exception the map raised and the children left.
