@@ -400,7 +400,7 @@ def _loc_bounds(coords: np.ndarray, localization_kind: str) -> tuple[float, floa
     """``default_lambda_loc_bounds`` of the boxes whose ``_coords`` are ``coords``."""
     if localization_kind == "multiplicative":
         return (0.0, 3.0)
-    span = float(np.max(coords[2:], initial=0.0) - np.min(coords[:2], initial=0.0))
+    span = float(np.max(coords[2:], initial=0.0)) - float(np.min(coords[:2], initial=0.0))
     if not math.isfinite(span):
         raise ValueError("calibration boxes must have finite coordinates")
     return (0.0, span + 1.0)
@@ -676,13 +676,15 @@ class _PrefixKernel:
     The constructor reads the calibration set from its table alone and fills
     in ``lambda_loc_bounds`` when the config leaves them to the data
     (``default_lambda_loc_bounds``' rule). The table holds valid samples
-    (``ImageSample``'s rule); the constructor checks only what depends on the
-    config, raising ``ValueError``: GIoU's positive areas and a coordinate
-    span within the float range.
+    (``ImageSample``'s rule); the constructor raises ``ValueError`` for an
+    empty set and otherwise checks only what depends on the config: GIoU's
+    positive areas and a coordinate span within the float range.
     """
 
     def __init__(self, table: _SampleTable, config: CalibrationConfig) -> None:
         n = self.n = table.n
+        if not n:
+            raise ValueError("empty calibration set")
         self._gt_start, det_start = table.gt_start, table.det_start
         n_gt, n_det = np.diff(self._gt_start), np.diff(det_start)
         gt_img = np.repeat(np.arange(n), n_gt)
@@ -957,18 +959,6 @@ def _check_precondition(config: CalibrationConfig, n: int) -> None:
             )
 
 
-def _kernel(
-    table: _SampleTable, config: CalibrationConfig, precondition: bool = False
-) -> _PrefixKernel:
-    """The kernel of a non-empty calibration set under ``config``; checks the
-    guarantee's precondition first when asked."""
-    if not table.n:
-        raise ValueError("empty calibration set")
-    if precondition:
-        _check_precondition(config, table.n)
-    return _PrefixKernel(table, config)
-
-
 def seqcrc_step1(
     samples: Sequence[ImageSample], config: CalibrationConfig
 ) -> tuple[float, float]:
@@ -984,7 +974,7 @@ def seqcrc_step1(
     it then carries no guarantee. With the finite-sample correction on this
     always happens when ``alpha_cnf * (n + 1) < 1``.
     """
-    plus, minus, _, _ = _sweep_confidence(_kernel(_SampleTable.from_samples(samples), config))
+    plus, minus, _, _ = _sweep_confidence(_PrefixKernel(_SampleTable.from_samples(samples), config))
     return plus, minus
 
 
@@ -997,7 +987,7 @@ def seqcrc_step2(
     """Calibrate the second-step parameter for ``task`` ("loc" or "cls")."""
     if task not in ("loc", "cls"):
         raise ValueError(f"unknown task {task!r}")
-    lam, _ = _second_step(_kernel(_SampleTable.from_samples(samples), config), lambda_cnf_minus, task)
+    lam, _ = _second_step(_PrefixKernel(_SampleTable.from_samples(samples), config), lambda_cnf_minus, task)
     return lam
 
 
@@ -1017,8 +1007,11 @@ def calibrate(
 
 
 def _calibrate(table: _SampleTable, config: CalibrationConfig) -> CalibrationResult:
-    """``calibrate`` on the calibration set ``table``."""
-    kernel = _kernel(table, config, precondition=True)
+    """``calibrate`` on the calibration set ``table``. The errors come in
+    this order: an empty set, the precondition, then the kernel's own."""
+    if table.n:
+        _check_precondition(config, table.n)
+    kernel = _PrefixKernel(table, config)
     plus, minus, cnf_risk, _ = _sweep_confidence(kernel)
     lam_loc, loc_risk = _second_step(kernel, minus, "loc")
     lam_cls, cls_risk = _second_step(kernel, minus, "cls")

@@ -135,10 +135,10 @@ def _build_config(args: argparse.Namespace, raw: dict | None = None) -> Calibrat
         value = _flag_value(args, flag)
         if value is not None:
             spec, _, key = path.rpartition(".")
-            if spec:
-                raw[spec] = {**raw.get(spec, {}), key: value}
-            else:
+            if not spec:
                 raw[key] = value
+            elif isinstance(raw.get(spec, {}), dict):  # else config_from_dict names the spec
+                raw[spec] = {**raw.get(spec, {}), key: value}
     if args.lambda_loc_min is not None or args.lambda_loc_max is not None:
         lo = args.lambda_loc_min if args.lambda_loc_min is not None else 0.0
         hi = args.lambda_loc_max
@@ -279,30 +279,31 @@ def cmd_import_coco(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+#: ``condet validate``'s trial settings: each spec key, which is also its
+#: flag's dest, with its type and default, below the spec file and the flag.
+_VALIDATE_SETTINGS = {"trials": (int, 20), "n_cal": (int, 200), "n_test": (int, 200), "slack": (float, 0.01)}
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     raw = _load_json(args.spec) if args.spec else {}
     if not isinstance(raw, dict):
         raise DataFormatError(f"{args.spec}: validation spec must be a JSON object")
-    unknown = sorted(set(raw) - {"synth", "calibration", "trials", "n_cal", "n_test", "slack"})
+    unknown = sorted(set(raw) - {"synth", "calibration", *_VALIDATE_SETTINGS})
     if unknown:
         raise DataFormatError(f"{args.spec}: unknown keys {unknown} in validation spec")
-    synth_raw = dict(raw.get("synth", {}))
-    if args.seed is not None:
-        synth_raw["seed"] = args.seed
+    synth_raw = raw.get("synth", {})
+    if args.seed is not None and isinstance(synth_raw, dict):  # else _from_json names it
+        synth_raw = {**synth_raw, "seed": args.seed}
     spec = _from_json(SynthSpec, synth_raw, "synth", SynthSpec())
     config = _build_config(args, raw.get("calibration"))
-
-    def setting(name: str, tp: type, default):
+    settings = {}
+    for name, (tp, default) in _VALIDATE_SETTINGS.items():
         flag = getattr(args, name)
-        return flag if flag is not None else _from_json(tp, raw.get(name, default), name)
-
-    trials = setting("trials", int, 20)
-    n_cal = setting("n_cal", int, 200)
-    n_test = setting("n_test", int, 200)
-    slack = setting("slack", float, 0.01)
+        settings[name] = flag if flag is not None else _from_json(tp, raw.get(name, default), name)
+    slack = settings.pop("slack")
     if not 0.0 <= slack < math.inf:
         raise DataFormatError(f"slack must be finite and >= 0, got {slack}")
-    report = monte_carlo_validate(spec, config, trials=trials, n_cal=n_cal, n_test=n_test)
+    report = monte_carlo_validate(spec, config, **settings)
     print(format_report_table(report))
     if args.out:
         _write_output(

@@ -83,11 +83,30 @@ class ImageRecord:
 
 @dataclass(frozen=True)
 class DatasetFile:
-    """Parsed native dataset: class inventory plus per-image records."""
+    """Parsed native dataset: class inventory plus per-image records.
+
+    A ``DatasetFile`` holds nothing that ``read_dataset_file`` would refuse
+    once written: the constructor applies the reader's checks of the class
+    inventory and of each record's image id, extents, ground truths and
+    probability-vector lengths (the detections checked themselves), and
+    raises ``DataFormatError``, a ``ValueError``, with the reader's message
+    naming the image and the record but no file. ``ImageRecord``, which the
+    reader builds for every image, checks nothing.
+    """
 
     num_classes: int
     class_names: tuple[str, ...]
     images: tuple[ImageRecord, ...]
+
+    def __post_init__(self) -> None:
+        k = self.num_classes
+        _class_names(k, self.class_names, "")
+        for n, rec in enumerate(self.images):
+            image = f"image {_image_id(rec.image_id, f'image record #{n}: image_id')!r}"
+            for key in ("width", "height"):
+                _extent(getattr(rec, key), key, image)
+            _parse_records(_check_ground_truth, rec.ground_truths, k, image, "ground truth")
+            _parse_records(_check_probs_length, rec.detections, k, image, "detection")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -151,15 +170,25 @@ def _box(raw) -> BoundingBox:
     return BoundingBox(*_as_floats(raw, message))
 
 
+def _check_ground_truth(gt: tuple[BoundingBox, int], num_classes: int) -> None:
+    """A file's rule for the ground truth ``(box, class_id)``: the box rule,
+    and a ``class_id`` that is an integer in [0, num_classes)."""
+    box, label = gt
+    _check_box(box)
+    if not (_is_number(label, int) and 0 <= label < num_classes):
+        raise DataFormatError(f"class_id {label!r} is not an integer in [0, {num_classes})")
+
+
 def _ground_truth(raw, num_classes: int) -> tuple[BoundingBox, int]:
     if not isinstance(raw, dict):
         raise DataFormatError("must be an object")
-    box = _box(raw.get("box"))
-    _check_box(box)
-    label = raw.get("class_id")
-    if not (_is_number(label, int) and 0 <= label < num_classes):
-        raise DataFormatError(f"class_id {label!r} is not an integer in [0, {num_classes})")
-    return box, label
+    gt = _box(raw.get("box")), raw.get("class_id")
+    _check_ground_truth(gt, num_classes)
+    return gt
+
+
+def _probs_length_error(num_classes: int) -> DataFormatError:
+    return DataFormatError(f"probs must be a length-{num_classes} array")
 
 
 def _detection(raw, num_classes: int) -> Detection:
@@ -171,7 +200,7 @@ def _detection(raw, num_classes: int) -> Detection:
         if not _is_number(confidence):
             raise DataFormatError(f"confidence {confidence!r} is not a number in [0, 1]")
         if not (isinstance(probs, list) and len(probs) == num_classes):
-            raise DataFormatError(f"probs must be a length-{num_classes} array")
+            raise _probs_length_error(num_classes)
         probs = _as_floats(probs, "probs must be numbers")
     except DataFormatError:
         # Faults are reported in field order: the constructor, given neutral
@@ -181,10 +210,17 @@ def _detection(raw, num_classes: int) -> Detection:
     return Detection(box, probs, confidence)
 
 
+def _check_probs_length(det: Detection, num_classes: int) -> None:
+    """The one rule of a file that the detection ``det`` did not check."""
+    if len(det.probs) != num_classes:
+        raise _probs_length_error(num_classes)
+
+
 def _parse_records(parse, raws: list, num_classes: int, image: str, kind: str) -> tuple:
-    """``parse`` applied to each raw record; a failure, of the JSON types or
-    of the rule that ``Detection`` and ``_check_box`` enforce, is prefixed
-    with the record's name, ``<image> <kind> #<index>``."""
+    """``parse`` applied to each raw record, or to each held one of a
+    ``DatasetFile``; a failure, of the JSON types or of the rule that
+    ``Detection`` and ``_check_box`` enforce, is prefixed with the record's
+    name, ``<image> <kind> #<index>``."""
     out = []
     try:
         for j, raw in enumerate(raws):
@@ -194,10 +230,9 @@ def _parse_records(parse, raws: list, num_classes: int, image: str, kind: str) -
     return tuple(out)
 
 
-def _extent(rec: dict, key: str, image: str) -> float:
-    """``rec[key]`` (absent means 0) as a finite float >= 0; ``image`` names
+def _extent(value, key: str, image: str) -> float:
+    """The ``key`` extent ``value`` as a finite float >= 0; ``image`` names
     the record in the error."""
-    value = rec.get(key, 0.0)
     if _is_number(value) and 0.0 <= value < math.inf:
         try:
             return float(value)
@@ -219,7 +254,7 @@ def _image(rec, n: int, num_classes: int, path: PathLike) -> ImageRecord:
         raise DataFormatError(f"{path}: image record #{n} must be an object")
     image_id = _image_id(rec.get("image_id", f"image_{n}"), f"{path}: image record #{n}: image_id")
     image = f"{path}: image {image_id!r}"
-    width, height = _extent(rec, "width", image), _extent(rec, "height", image)
+    width, height = (_extent(rec.get(key, 0.0), key, image) for key in ("width", "height"))
     gts_raw = rec.get("ground_truths", [])
     dets_raw = rec.get("detections", [])
     if not (isinstance(gts_raw, list) and isinstance(dets_raw, list)):
@@ -233,6 +268,38 @@ def _image(rec, n: int, num_classes: int, path: PathLike) -> ImageRecord:
     )
 
 
+def _check_version(raw: dict, kind: str, expected: int, path: PathLike) -> None:
+    """Raise ``SchemaVersionError`` unless the ``schema_version`` of the
+    loaded ``kind`` file ``raw`` is the integer ``expected``."""
+    version = raw.get("schema_version")
+    if not (_is_number(version, int) and version == expected):
+        raise SchemaVersionError(
+            f"{path}: unsupported {kind} schema version {version!r} (expected {expected})"
+        )
+
+
+def _class_names(num_classes, class_names, where: str) -> tuple[str, ...]:
+    """The names of ``num_classes`` classes, ``class_names`` or, when that is
+    absent or empty, ``class_0, class_1, ...``; raises ``DataFormatError``,
+    prefixed with ``where``, unless ``num_classes`` is a positive integer and
+    the names are an array of that many strings."""
+    _require(
+        _is_number(num_classes, int) and num_classes >= 1,
+        f"{where}num_classes must be a positive integer, got {num_classes!r}",
+    )
+    if class_names in (None, [], ()):
+        class_names = [f"class_{k}" for k in range(num_classes)]
+    _require(
+        isinstance(class_names, (list, tuple)) and all(isinstance(n, str) for n in class_names),
+        f"{where}class_names must be an array of strings, got {class_names!r}",
+    )
+    _require(
+        len(class_names) == num_classes,
+        f"{where}class_names length {len(class_names)} != num_classes {num_classes}",
+    )
+    return tuple(class_names)
+
+
 def _check_header(raw, path: PathLike) -> tuple[int, tuple[str, ...], list]:
     """Check all of the loaded native dataset document ``raw`` but the image
     records.
@@ -241,31 +308,12 @@ def _check_header(raw, path: PathLike) -> tuple[int, tuple[str, ...], list]:
     ``_image`` to parse one by one.
     """
     _require(isinstance(raw, dict), f"{path}: top level must be an object")
-    version = raw.get("schema_version")
-    if not (_is_number(version, int) and version == DATASET_SCHEMA_VERSION):
-        raise SchemaVersionError(
-            f"{path}: unsupported dataset schema version {version!r} "
-            f"(expected {DATASET_SCHEMA_VERSION})"
-        )
+    _check_version(raw, "dataset", DATASET_SCHEMA_VERSION, path)
     num_classes = raw.get("num_classes")
-    _require(
-        _is_number(num_classes, int) and num_classes >= 1,
-        f"{path}: num_classes must be a positive integer, got {num_classes!r}",
-    )
-    class_names = raw.get("class_names")
-    if class_names is None or class_names == []:
-        class_names = [f"class_{k}" for k in range(num_classes)]
-    _require(
-        isinstance(class_names, list) and all(isinstance(n, str) for n in class_names),
-        f"{path}: class_names must be an array of strings, got {class_names!r}",
-    )
-    _require(
-        len(class_names) == num_classes,
-        f"{path}: class_names length {len(class_names)} != num_classes {num_classes}",
-    )
+    class_names = _class_names(num_classes, raw.get("class_names"), f"{path}: ")
     records = raw.get("images", [])
     _require(isinstance(records, list), f"{path}: 'images' must be an array")
-    return num_classes, tuple(class_names), records
+    return num_classes, class_names, records
 
 
 def read_dataset_file(path: PathLike) -> DatasetFile:
@@ -737,9 +785,14 @@ def _coco_bbox(raw, where: str) -> BoundingBox:
 
 
 def _import_coco_parsed(gt, det, gt_path, det_path, categories) -> DatasetFile:
-    cat_ids = sorted(c["id"] for c in categories)
+    names_by_id = {}
+    for c in categories:
+        _require(
+            c["id"] not in names_by_id, f"{gt_path}: category id {c['id']!r} appears twice in 'categories'"
+        )
+        names_by_id[c["id"]] = str(c.get("name", c["id"]))
+    cat_ids = sorted(names_by_id)
     cat_index = {cid: k for k, cid in enumerate(cat_ids)}
-    names_by_id = {c["id"]: str(c.get("name", c["id"])) for c in categories}
     num_classes = len(cat_ids)
     class_names = tuple(names_by_id[cid] for cid in cat_ids)
 
@@ -766,7 +819,7 @@ def _import_coco_parsed(gt, det, gt_path, det_path, categories) -> DatasetFile:
         _require(
             image_id not in entries, f"{gt_path}: image id {image_id!r} appears twice in 'images'"
         )
-        entry(image_id, _extent(img, "width", where), _extent(img, "height", where))
+        entry(image_id, *(_extent(img.get(key, 0.0), key, where) for key in ("width", "height")))
 
     for j, ann in enumerate(gt.get("annotations", ())):
         image, label, box = parse(ann, f"{gt_path}: annotation #{j}")
@@ -929,19 +982,16 @@ def save_result(result: CalibrationResult, path: PathLike) -> None:
 def load_result(path: PathLike) -> CalibrationResult:
     """Read a calibration result, verifying schema version and digest.
 
-    The result is checked field by field like a config file: the λ's and the
+    ``schema_version`` must be the integer 2 (``SchemaVersionError``
+    otherwise, also for ``2.0``), by the rule that dataset files follow. The
+    result is checked field by field like a config file: the λ's and the
     diagnostics must be JSON numbers and ``n_calibration`` an integer; every
     field is required, and any mismatch or inconsistency (such as
     ``lambda_cnf_minus > lambda_cnf_plus``) raises ``DataFormatError``.
     """
     raw = _load_json(path)
     _require(isinstance(raw, dict), f"{path}: result file must be an object")
-    version = raw.get("schema_version")
-    if version != RESULT_SCHEMA_VERSION:
-        raise SchemaVersionError(
-            f"{path}: unsupported result schema version {version!r} "
-            f"(expected {RESULT_SCHEMA_VERSION})"
-        )
+    _check_version(raw, "result", RESULT_SCHEMA_VERSION, path)
     body = {k: v for k, v in raw.items() if k not in ("schema_version", "config_digest")}
     try:
         result = _from_json(CalibrationResult, body, "result")

@@ -5,14 +5,15 @@ losses are evaluated through the public pure functions, the monotonization
 supremum is taken by brute force over an explicit point set, and the infima
 are located by scanning a fixed grid or, for the second step's step-function
 losses, every point where a loss can change. They exist solely to
-cross-check ``seqcrc_step1`` / ``seqcrc_step2``.
+cross-check ``seqcrc_step1`` / ``seqcrc_step2``; ``check_against_oracles``
+makes that comparison.
 """
 
 from __future__ import annotations
 
 import math
 
-from condet import contains, match
+from condet import InfeasibleRiskError, contains, match, seqcrc_step1, seqcrc_step2
 from condet.calibration import CalibrationConfig
 from condet.losses import cls_loss, conf_loss, loc_loss
 from condet.predsets import (
@@ -222,3 +223,36 @@ def exact_step2_oracle(samples, lam_minus: float, task: str, config: Calibration
         if _feasible(samples, states, task, cand, config):
             return cand
     return None
+
+
+def check_against_oracles(samples, config: CalibrationConfig, trial) -> int:
+    """Assert that ``seqcrc_step1`` and ``seqcrc_step2`` agree with the
+    oracles on ``samples`` under ``config``; ``trial`` tags the failures.
+
+    Step 1 must be within the grid step of ``grid_step1_oracle``. Step 2 must
+    equal ``exact_step2_oracle``, or be within a grid step of the domain of
+    ``grid_step2_oracle`` for the pixelwise loss, which changes
+    continuously; an infeasible task must be infeasible for the oracle too.
+    Returns the number of feasible step-2 tasks checked.
+    """
+    plus, minus = seqcrc_step1(samples, config)
+    o_plus, o_minus = grid_step1_oracle(samples, config)
+    assert abs(plus - o_plus) <= 1e-3 + 1e-12, trial
+    assert abs(minus - o_minus) <= 1e-3 + 1e-12, trial
+    checked = 0
+    for task in ("loc", "cls"):
+        lo, hi = config.lambda_loc_bounds if task == "loc" else config.lambda_cls_bounds
+        grid = task == "loc" and config.loss_spec.localization_kind == "pixelwise"
+        oracle = (grid_step2_oracle if grid else exact_step2_oracle)(samples, minus, task, config)
+        try:
+            got = seqcrc_step2(samples, minus, task, config)
+        except InfeasibleRiskError:
+            assert oracle is None, (trial, task)
+            continue
+        assert oracle is not None, (trial, task)
+        if grid:
+            assert abs(got - oracle) <= (hi - lo) * 1e-3 + 1e-12, (trial, task, got, oracle)
+        else:
+            assert got == oracle, (trial, task, got, oracle)
+        checked += 1
+    return checked

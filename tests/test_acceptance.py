@@ -18,7 +18,6 @@ import pytest
 from condet import (
     BoundingBox,
     CalibrationConfig,
-    InfeasibleRiskError,
     LossSpec,
     MatchDistanceSpec,
     PredSetSpec,
@@ -38,13 +37,12 @@ from condet import (
     monte_carlo_validate,
     select_confident,
     seqcrc_step1,
-    seqcrc_step2,
 )
 from condet.calibration import _PrefixKernel, _SampleTable, _sweep_confidence
 from condet.losses import ImageSample
 from condet.predsets import apply_margin, build_class_set
 from helpers import random_int_box, random_probs, random_sample
-from oracles import exact_step2_oracle, grid_step1_oracle, grid_step2_oracle
+from oracles import check_against_oracles
 
 
 @contextlib.contextmanager
@@ -114,33 +112,8 @@ class TestCriterion1BruteForceOracle:
                 n = len(samples)
                 config = _instance_config(rng, trial, n)
 
-                plus, minus = seqcrc_step1(samples, config)
-                o_plus, o_minus = grid_step1_oracle(samples, config)
-                assert abs(plus - o_plus) <= 1e-3 + 1e-12, trial
-                assert abs(minus - o_minus) <= 1e-3 + 1e-12, trial
+                step2_checked += check_against_oracles(samples, config, trial)
                 step1_checked += 1
-
-                for task in ("loc", "cls"):
-                    lo, hi = (
-                        config.lambda_loc_bounds if task == "loc" else config.lambda_cls_bounds
-                    )
-                    # the pixelwise loss changes continuously, so only a grid
-                    # can check it; every other loss has an exact infimum
-                    grid = task == "loc" and config.loss_spec.localization_kind == "pixelwise"
-                    oracle = (grid_step2_oracle if grid else exact_step2_oracle)(
-                        samples, minus, task, config
-                    )
-                    try:
-                        got = seqcrc_step2(samples, minus, task, config)
-                    except InfeasibleRiskError:
-                        assert oracle is None, (trial, task)
-                        continue
-                    assert oracle is not None, (trial, task)
-                    if grid:
-                        assert abs(got - oracle) <= (hi - lo) * 1e-3 + 1e-12, (trial, task, got, oracle)
-                    else:
-                        assert got == oracle, (trial, task, got, oracle)
-                    step2_checked += 1
             elapsed = time.time() - start
             assert step1_checked >= 500
             assert step2_checked >= 900

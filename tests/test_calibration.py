@@ -27,10 +27,9 @@ from condet.calibration import _PrefixKernel, _SampleTable, _sweep_confidence, d
 from condet.predsets import select_confident
 from helpers import random_int_box, random_probs, random_sample
 from oracles import (
+    check_against_oracles,
     confidence_visit_points,
     exact_step2_oracle,
-    grid_step1_oracle,
-    grid_step2_oracle,
     pure_image_losses,
 )
 
@@ -494,6 +493,38 @@ class TestStep2:
 
 
 class TestCalibrate:
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            calibrate,
+            seqcrc_step1,
+            lambda samples, config: seqcrc_step2(samples, 0.5, "loc", config),
+        ],
+        ids=["calibrate", "step1", "step2"],
+    )
+    def test_empty_set_refused_by_every_entry(self, entry):
+        # alpha_loc breaks the precondition: the empty set is named first.
+        config = basic_config(alpha_cnf=0.5, alpha_loc=0.1)
+        with pytest.raises(ValueError, match="^empty calibration set$") as caught:
+            entry([], config)
+        assert not isinstance(caught.value, CalibrationPreconditionError)
+
+    def test_vector_lengths_differ_across_images(self):
+        gt = BoundingBox(10, 10, 30, 30)
+        samples = [
+            ImageSample("i0", ((gt, 0),), (covering_detection(gt, 0.8, k=2),)),
+            ImageSample("i1", ((gt, 0),), (covering_detection(gt, 0.8, k=3),)),
+        ]
+        with pytest.raises(ValueError, match="^all probability vectors must have the same length$"):
+            calibrate(samples, basic_config(alpha_cnf=0.1, alpha_loc=0.9, alpha_cls=0.9))
+
+    def test_data_bounds_of_an_overflowing_span_refused(self):
+        # Each coordinate is finite; their span is not.
+        gt = BoundingBox(-1e308, 0, 1e308, 10)
+        samples = [ImageSample("i0", ((gt, 0),), (covering_detection(BoundingBox(0, 0, 10, 10), 0.8),))]
+        with pytest.raises(ValueError, match="^calibration boxes must have finite coordinates$"):
+            calibrate(samples, basic_config(alpha_cnf=0.1, alpha_loc=0.9, alpha_cls=0.9, lambda_loc_bounds=None))
+
     def test_precondition_violation_names_inequality(self):
         rng = np.random.default_rng(5)
         samples = random_dataset(rng, 5, min_dets=1)
@@ -697,25 +728,4 @@ class TestOracleAgreementSmoke:
             n = int(rng.integers(2, 6))
             samples = random_dataset(rng, n, max_gts=2, max_dets=3, span=40.0)
             config = replace(random_config(rng, n), lambda_loc_bounds=(0.0, 90.0))
-            plus, minus = seqcrc_step1(samples, config)
-            o_plus, o_minus = grid_step1_oracle(samples, config)
-            assert abs(plus - o_plus) <= 1e-3 + 1e-12, trial
-            assert abs(minus - o_minus) <= 1e-3 + 1e-12, trial
-            for task in ("loc", "cls"):
-                lo, hi = (
-                    config.lambda_loc_bounds if task == "loc" else config.lambda_cls_bounds
-                )
-                grid = task == "loc" and config.loss_spec.localization_kind == "pixelwise"
-                oracle = (grid_step2_oracle if grid else exact_step2_oracle)(
-                    samples, minus, task, config
-                )
-                try:
-                    got = seqcrc_step2(samples, minus, task, config)
-                except InfeasibleRiskError:
-                    assert oracle is None, (trial, task)
-                    continue
-                assert oracle is not None, (trial, task)
-                if grid:
-                    assert abs(got - oracle) <= (hi - lo) * 1e-3 + 1e-12, (trial, task)
-                else:
-                    assert got == oracle, (trial, task, got, oracle)
+            check_against_oracles(samples, config, trial)

@@ -9,7 +9,7 @@ One test uses off-lattice float boxes, where ``margin_to_cover`` rounds.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from condet import (
@@ -127,6 +127,13 @@ def test_by_image_lays_out_each_images_rows_in_visit_order(samples):
     st.sampled_from(["average", "max", "thresholded"]),
     st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 3.0]),
     st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+)
+# Zero-area ground truths under the pixelwise loss count as covered only
+# when contained: one inside its detection's box, one outside it.
+@example(
+    [ImageSample(f"img{i}", ((gt, 0),), (Detection(BoundingBox(0, 0, 4, 4), (1.0, 0.0, 0.0), 0.9),))
+     for i, gt in enumerate((BoundingBox(1, 1, 1, 3), BoundingBox(6, 2, 6, 2)))],
+    "hausdorff", "pixelwise", "additive", "lac", "average", 0.5, 0.5,
 )
 def test_row_losses_equal_set_based_losses(samples, kind, loc_loss, loc_set, cls_set, agg, lam_loc, lam_cls):
     config = config_for(kind, loc_loss, loc_set, cls_set, agg)

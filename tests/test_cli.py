@@ -235,6 +235,58 @@ class TestCalibrateCommand:
         assert message in err and "code=1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "calibration, flags, message",
+        [
+            # Each ended in "'int' (or 'list') object is not a mapping".
+            ({"loss_spec": 5}, ["--loss-localization", "boxwise"], "loss_spec must be an object"),
+            ({"match_spec": [["kind", "giou"]]}, ["--tau", "0.5"], "match_spec must be an object"),
+        ],
+    )
+    def test_invalid_config_file_with_flag_exit_1(self, dataset_paths, tmp_path, capsys, calibration,
+                                                  flags, message):
+        cal, _ = dataset_paths
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"calibration": {
+            "alpha_cnf": 0.05, "alpha_loc": 0.4, "alpha_cls": 0.4, **calibration,
+        }}))
+        out = tmp_path / "r.json"
+        code = run(["calibrate", "--dataset", cal, "--out", out, "--config", cfg] + flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f'code=1 kind=data detail="invalid calibration config: {message}"' in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config, flags, message",
+        [
+            ([0.05], [], "calibration config must be a JSON object"),
+            ({"calibration": "x"}, [], "calibration config must be a JSON object"),
+            (None, ["--lambda-loc-min", "1"], "--lambda-loc-max is required when --lambda-loc-min is given"),
+        ],
+    )
+    def test_invalid_config_shape_exit_1(self, dataset_paths, tmp_path, capsys, config, flags, message):
+        cal, _ = dataset_paths
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            flags = flags + ["--config", cfg]
+        code = run(["calibrate", "--dataset", cal, "--out", tmp_path / "r.json"] + flags)
+        assert code == 1
+        assert f'code=1 kind=data detail="{message}"' in capsys.readouterr().err
+
+    def test_precondition_exit_2_ahead_of_a_giou_zero_area_error(self, dataset_paths, tmp_path, capsys):
+        cal, _ = dataset_paths
+        payload = json.loads(cal.read_text())
+        image = next(rec for rec in payload["images"] if rec["ground_truths"] and rec["detections"])
+        image["ground_truths"][0]["box"] = [10.0, 10.0, 10.0, 20.0]
+        cal.write_text(json.dumps(payload))
+        flags = ["calibrate", "--dataset", cal, "--out", tmp_path / "r.json", "--match", "giou"]
+        assert run(flags + ["--alpha-cnf", "0.05", "--alpha-loc", "0.3", "--alpha-cls", "0.3"]) == 1
+        assert "giou_distance requires boxes with positive area" in capsys.readouterr().err
+        assert run(flags + ["--alpha-cnf", "0.2", "--alpha-loc", "0.21", "--alpha-cls", "0.5"]) == 2
+        assert "code=2 kind=precondition detail=\"alpha_loc=0.21 violates" in capsys.readouterr().err
+
     @pytest.mark.parametrize("threshold", ["nan", "2"])
     def test_invalid_prefilter_exit_1(self, dataset_paths, tmp_path, capsys, threshold):
         # Such a floor dropped every detection and ended in exit 3, "infeasible".
@@ -962,6 +1014,10 @@ class TestValidateCommand:
             ({"slack": -0.5}, "slack must be finite and >= 0, got -0.5"),
             ({"n_cal": -2}, "n_cal must be >= 1, got -2"),
             ({"n_test": 0}, "n_test must be >= 1, got 0"),
+            # The first ran its trials as if an object; the second exited
+            # with dict()'s own message.
+            ({"synth": [["seed", 5], ["n_images", 30]]}, "synth must be an object"),
+            ({"synth": "ab"}, "synth must be an object"),
         ],
     )
     def test_invalid_spec_value_exit_1(self, tmp_path, capsys, overrides, message):
@@ -972,6 +1028,17 @@ class TestValidateCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert message in err and "code=1" in err
+
+    def test_seed_flag_over_a_non_object_synth_exit_1(self, tmp_path, capsys):
+        spec = self.spec_file(tmp_path, synth=[["n_images", 30]])
+        assert run(["validate", "--spec", spec, "--seed", "5"]) == 1
+        assert 'code=1 kind=data detail="synth must be an object' in capsys.readouterr().err
+
+    def test_spec_file_not_an_object_exit_1(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text("[1]")
+        assert run(["validate", "--spec", spec]) == 1
+        assert f'code=1 kind=data detail="{spec}: validation spec must be a JSON object"' in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags, message",

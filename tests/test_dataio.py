@@ -5,6 +5,8 @@ import multiprocessing
 import re
 import tempfile
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,7 @@ from condet import (
 )
 from condet import _workers, dataio
 from condet.calibration import _SampleTable
-from condet.cli import _sample_outcomes
+from condet.cli import _sample_outcomes, main as cli_main
 from condet.dataio import (
     _chunks,
     DatasetFile,
@@ -74,6 +76,29 @@ def two_image_payload():
             },
         ],
     }
+
+
+def float_payload():
+    """``two_image_payload`` with every number but the class ids a float."""
+    payload = two_image_payload()
+    for rec in payload["images"]:
+        rec["width"], rec["height"] = float(rec["width"]), float(rec["height"])
+        for obj in rec["ground_truths"] + rec["detections"]:
+            obj["box"] = [float(v) for v in obj["box"]]
+    return payload
+
+
+def held_dataset(payload):
+    """The ``DatasetFile`` holding the values of the native dataset document
+    ``payload`` as they are, unchecked by the reader."""
+    return DatasetFile(payload["num_classes"], tuple(payload["class_names"]), tuple(
+        ImageRecord(
+            rec["image_id"], rec["width"], rec["height"],
+            tuple((BoundingBox(*g["box"]), g["class_id"]) for g in rec["ground_truths"]),
+            tuple(Detection(BoundingBox(*d["box"]), d["probs"], d["confidence"]) for d in rec["detections"]),
+        )
+        for rec in payload["images"]
+    ))
 
 
 #: Values whose text form is easy to get wrong: signed zero, the smallest
@@ -339,6 +364,68 @@ class TestDatasetFile:
         with pytest.raises(SchemaVersionError):
             read_dataset_file(write_payload(tmp_path, payload))
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p.update(class_names=["cat", "dog"]), "class_names length 2 != num_classes 3"),
+            (lambda p: p.update(num_classes=0, class_names=[]), "num_classes must be a positive integer, got 0"),
+            (lambda p: p.update(num_classes=2, class_names=["cat", "dog"]),
+             "image 'a' detection #0: probs must be a length-2 array"),
+            (lambda p: p["images"][0]["ground_truths"][0].update(class_id=5),
+             "image 'a' ground truth #0: class_id 5 is not an integer in [0, 3)"),
+            (lambda p: p["images"][0]["ground_truths"][0].update(class_id=1.0),
+             "image 'a' ground truth #0: class_id 1.0 is not an integer in [0, 3)"),
+            (lambda p: p["images"][0]["ground_truths"][0].update(box=[10, 2, 1, 12]),
+             "image 'a' ground truth #0: box corners out of order (left<=right, top<=bottom required)"),
+            (lambda p: p["images"][1].update(width=math.nan), "image 'b': width must be a finite number >= 0, got nan"),
+            (lambda p: p["images"][0].update(height=-1), "image 'a': height must be a finite number >= 0, got -1"),
+            (lambda p: p["images"][1].update(image_id=None),
+             "image record #1: image_id must be a string or an integer, got None"),
+        ],
+    )
+    def test_refuses_what_the_reader_refuses(self, tmp_path, edit, message):
+        # Each was written without an error, and the reader refused it.
+        payload = two_image_payload()
+        edit(payload)
+        assert outcome(held_dataset, payload) == (DataFormatError, message)
+        path = write_payload(tmp_path, payload)
+        assert outcome(read_dataset_file, path) == (DataFormatError, f"{path}: {message}")
+
+    def test_holds_what_the_reader_reads(self, tmp_path):
+        payload = two_image_payload()
+        dataset = held_dataset(payload)
+        write_dataset_file(dataset, tmp_path / "data.json")
+        assert read_dataset_file(tmp_path / "data.json") == read_dataset_file(write_payload(tmp_path, payload))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p["images"][0]["ground_truths"][0].update(box=[1.0, 2.0, 10.0]),
+             "image 'a' ground truth #0: box must be a 4-element [left, top, right, bottom] array of numbers"),
+            (lambda p: p["images"][0]["detections"][0].update(box="1 2 10 12"),
+             "image 'a' detection #0: box must be a 4-element [left, top, right, bottom] array of numbers"),
+            (lambda p: p["images"][0]["detections"][1].update(probs=[0.5, 0.5]),
+             "image 'a' detection #1: probs must be a length-3 array"),
+            (lambda p: p["images"].__setitem__(1, 5), "image record #1 must be an object"),
+            (lambda p: p["images"][0].update(ground_truths={}),
+             "image 'a': ground_truths and detections must be arrays"),
+            (lambda p: p["images"][1].update(detections=None),
+             "image 'b': ground_truths and detections must be arrays"),
+            (lambda p: p["images"][0]["ground_truths"].__setitem__(0, 5), "image 'a' ground truth #0: must be an object"),
+            (lambda p: p["images"][0]["detections"].__setitem__(0, [1]), "image 'a' detection #0: must be an object"),
+        ],
+    )
+    def test_shape_errors_read_alike(self, tmp_path, capsys, edit, message):
+        # The payload passes the table reader's bulk check until edited, so
+        # condet calibrate meets each error through a refusal of that check.
+        payload = float_payload()
+        assert dataio._span_table(payload["images"], 3, 1e-3) is not None
+        edit(payload)
+        path = write_payload(tmp_path, payload)
+        assert outcome(load_dataset, path) == (DataFormatError, f"{path}: {message}")
+        assert cli_main(["calibrate", "--dataset", str(path), "--out", str(tmp_path / "r.json")]) == 1
+        assert f'code=1 kind=data detail="{path}: {message}"' in capsys.readouterr().err
+
     def test_write_read_round_trip_idempotent(self, tmp_path):
         first = read_dataset_file(write_payload(tmp_path, two_image_payload()))
         write_dataset_file(first, tmp_path / "second.json")
@@ -456,9 +543,13 @@ class TestParallelWrite:
         monkeypatch.setattr(_workers, "_available_cpus", lambda: cpus)
         spans = _chunks(cells(dataset))
         images = list(dataset.images)
-        for (start, _), bad in ((spans[3], object()), (spans[4], {1})):
-            images[start] = replace(images[start], image_id=bad)
-        with pytest.raises(TypeError, match="^Object of type object is not JSON serializable$"):
+        # Coordinates that obey the box rule but that json cannot encode:
+        # every field DatasetFile checks against the reader is encodable.
+        for (start, _), kind in ((spans[3], Decimal), (spans[4], Fraction)):
+            det, *rest = images[start].detections
+            det = replace(det, box=BoundingBox(*map(kind, det.box.as_tuple())))
+            images[start] = replace(images[start], detections=(det, *rest))
+        with pytest.raises(TypeError, match="^Object of type Decimal is not JSON serializable$"):
             write_dataset_file(replace(dataset, images=tuple(images)), tmp_path / "data.json")
         assert multiprocessing.active_children() == []
 
@@ -931,6 +1022,37 @@ class TestCocoImport:
         with pytest.raises(DataFormatError, match="image id '2' appears twice in 'images'"):
             import_coco(gt_path, det_path)
 
+    def test_repeated_category_id_rejected(self, tmp_path):
+        # It gave num_classes 3 and class names ('b', 'b', 'c'): class 0
+        # unused and name 'a' lost.
+        gt_path, det_path = self.coco_pair(tmp_path)
+        gt = json.loads(gt_path.read_text())
+        gt["categories"] = [{"id": 3, "name": "a"}, {"id": 3, "name": "b"}, {"id": 5, "name": "c"}]
+        gt["annotations"], det = [], []
+        gt_path.write_text(json.dumps(gt))
+        det_path.write_text(json.dumps(det))
+        where = f"{gt_path}: category id 3 appears twice in 'categories'"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(where)}$"):
+            import_coco(gt_path, det_path)
+
+    @pytest.mark.parametrize("key", ["annotations", "detections"])
+    def test_results_object_holds_the_array(self, tmp_path, key):
+        gt_path, det_path = self.coco_pair(tmp_path)
+        listed = import_coco(gt_path, det_path)
+        det_path.write_text(json.dumps({key: json.loads(det_path.read_text())}))
+        assert import_coco(gt_path, det_path) == listed
+
+    def test_one_category_without_scores(self, tmp_path):
+        gt_path, det_path = self.coco_pair(tmp_path)
+        gt = json.loads(gt_path.read_text())
+        gt["categories"] = [{"id": 3, "name": "cat"}]
+        gt["annotations"] = [ann for ann in gt["annotations"] if ann["category_id"] == 3]
+        gt_path.write_text(json.dumps(gt))
+        det_path.write_text(json.dumps([rec for rec in json.loads(det_path.read_text()) if rec["category_id"] == 3]))
+        dataset = import_coco(gt_path, det_path)
+        assert dataset.num_classes == 1
+        assert [d.probs for rec in dataset.images for d in rec.detections] == [(1.0,)]
+
     def test_unknown_category_rejected(self, tmp_path):
         gt_path, det_path = self.coco_pair(tmp_path)
         det = json.loads(det_path.read_text())
@@ -1279,6 +1401,18 @@ class TestResultPersistence:
         del raw["n_calibration"]
         path.write_text(json.dumps(raw))
         with pytest.raises(DataFormatError, match=r"missing keys \['n_calibration'\] in result"):
+            load_result(path)
+
+    @pytest.mark.parametrize("value", [True, 2.0, "2", 1])
+    def test_schema_version_must_be_the_integer_2(self, tmp_path, value):
+        # 2.0 loaded; a dataset file's 1.0 was already refused.
+        path = tmp_path / "result.json"
+        save_result(self.build_result(), path)
+        raw = json.loads(path.read_text())
+        raw["schema_version"] = value
+        path.write_text(json.dumps(raw))
+        message = f"{path}: unsupported result schema version {value!r} (expected 2)"
+        with pytest.raises(SchemaVersionError, match=f"^{re.escape(message)}$"):
             load_result(path)
 
     def test_version_1_rejected(self, tmp_path):
