@@ -70,6 +70,11 @@ reads its dataset file straight into one):
   the smallest feasible float; a larger parameter only lowers each loss, so
   the guarantee holds at it.
 
+The kernel's array arithmetic runs under ``np.errstate(over="ignore",
+invalid="ignore")``: a box coordinate near the float limit overflows to an
+infinite margin, area or span, and ``0 * inf`` gives NaN, silently, as in the
+scalar code of ``predsets`` and ``losses`` that it mirrors.
+
 The kernel returns the same floats as evaluating each loss one image at a
 time: sums run in the same order (step 1's increments in visit-then-image
 order, pixelwise coverage ground truth by ground truth, never a numpy
@@ -974,7 +979,8 @@ def seqcrc_step1(
     it then carries no guarantee. With the finite-sample correction on this
     always happens when ``alpha_cnf * (n + 1) < 1``.
     """
-    plus, minus, _, _ = _sweep_confidence(_PrefixKernel(_SampleTable.from_samples(samples), config))
+    with np.errstate(over="ignore", invalid="ignore"):
+        plus, minus, _, _ = _sweep_confidence(_PrefixKernel(_SampleTable.from_samples(samples), config))
     return plus, minus
 
 
@@ -987,7 +993,8 @@ def seqcrc_step2(
     """Calibrate the second-step parameter for ``task`` ("loc" or "cls")."""
     if task not in ("loc", "cls"):
         raise ValueError(f"unknown task {task!r}")
-    lam, _ = _second_step(_PrefixKernel(_SampleTable.from_samples(samples), config), lambda_cnf_minus, task)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam, _ = _second_step(_PrefixKernel(_SampleTable.from_samples(samples), config), lambda_cnf_minus, task)
     return lam
 
 
@@ -1011,10 +1018,11 @@ def _calibrate(table: _SampleTable, config: CalibrationConfig) -> CalibrationRes
     this order: an empty set, the precondition, then the kernel's own."""
     if table.n:
         _check_precondition(config, table.n)
-    kernel = _PrefixKernel(table, config)
-    plus, minus, cnf_risk, _ = _sweep_confidence(kernel)
-    lam_loc, loc_risk = _second_step(kernel, minus, "loc")
-    lam_cls, cls_risk = _second_step(kernel, minus, "cls")
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel = _PrefixKernel(table, config)
+        plus, minus, cnf_risk, _ = _sweep_confidence(kernel)
+        lam_loc, loc_risk = _second_step(kernel, minus, "loc")
+        lam_cls, cls_risk = _second_step(kernel, minus, "cls")
     diagnostics = {
         "cnf_monotonized_risk": cnf_risk,
         "loc_monotonized_risk": loc_risk,

@@ -281,6 +281,7 @@ def cmd_import_coco(args: argparse.Namespace) -> int:
 
 #: ``condet validate``'s trial settings: each spec key, which is also its
 #: flag's dest, with its type and default, below the spec file and the flag.
+#: A flag's value is decoded by the rule of the key it overrides.
 _VALIDATE_SETTINGS = {"trials": (int, 20), "n_cal": (int, 200), "n_test": (int, 200), "slack": (float, 0.01)}
 
 
@@ -299,7 +300,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     settings = {}
     for name, (tp, default) in _VALIDATE_SETTINGS.items():
         flag = getattr(args, name)
-        settings[name] = flag if flag is not None else _from_json(tp, raw.get(name, default), name)
+        settings[name] = _from_json(tp, flag if flag is not None else raw.get(name, default), name)
     slack = settings.pop("slack")
     if not 0.0 <= slack < math.inf:
         raise DataFormatError(f"slack must be finite and >= 0, got {slack}")
@@ -395,7 +396,7 @@ def main(argv=None) -> int:
         return _fail(EXIT_INFEASIBLE, "infeasible", exc)
     except DigestMismatchError as exc:
         return _fail(EXIT_DIGEST, "digest-mismatch", exc)
-    except (DataFormatError, OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:  # DataFormatError is a ValueError
         return _fail(EXIT_DATA, "data", exc)
     except RuntimeError as exc:
         # A worker map that lost a worker raises BrokenProcessPool. Imported

@@ -119,6 +119,46 @@ def _is_number(value, kind=(int, float)) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+#: An ``int`` field takes an integer in numpy's int64 range, which bounds the
+#: counts, class labels and seeds it reaches.
+_INT64_END = 1 << 63
+
+
+def _number_fault(value, kind: type) -> str | None:
+    """The number rule of every file the package reads: None when ``value``
+    is a number that a ``kind`` field (``int`` or ``float``) takes, else
+    ``""`` for a value that is not a number of that kind, or the range that
+    an integer breaks.
+
+    A number is an ``int`` or a ``float``, never a ``bool``. A float field
+    takes a value that ``float()`` converts without overflow; an integer
+    field takes an integer in [-2**63, 2**63). A value is kept as given, so
+    ``1`` and ``1.0`` stay distinct.
+    """
+    if kind is float:
+        if not _is_number(value):
+            return ""
+        try:
+            float(value)
+        except OverflowError:
+            return "an integer is beyond the float range"
+    elif not _is_number(value, int):
+        return ""
+    elif not -_INT64_END <= value < _INT64_END:
+        return "an integer is beyond the int64 range"
+    return None
+
+
+def _number(value, kind: type, message: str):
+    """``value`` when the number rule (``_number_fault``) takes it for a
+    ``kind`` field; else ``DataFormatError(message)``, with the broken range
+    appended for an integer out of range."""
+    fault = _number_fault(value, kind)
+    if fault is None:
+        return value
+    raise DataFormatError(f"{message}; {fault}" if fault else message)
+
+
 def _only(values, *kinds: type) -> bool:
     """Whether each of ``values`` is exactly of one of the types ``kinds``.
 
@@ -151,15 +191,11 @@ def _write_json(path: PathLike, payload, sort_keys: bool = False) -> None:
 
 def _as_floats(values: list, message: str) -> list:
     """``values`` with every entry a float: the list itself when it already
-    is, else a converted copy. Raises with ``message`` on a non-number."""
+    is, else a converted copy. Raises with ``message`` on the first entry
+    that the number rule refuses for a float field."""
     if [*map(type, values)].count(float) == len(values):
         return values
-    if not _only(values, int, float):
-        raise DataFormatError(message)
-    try:
-        return [*map(float, values)]
-    except OverflowError:
-        raise DataFormatError(f"{message}; an integer is beyond the float range") from None
+    return [float(_number(v, float, message)) for v in values]
 
 
 def _box(raw) -> BoundingBox:
@@ -231,13 +267,10 @@ def _parse_records(parse, raws: list, num_classes: int, image: str, kind: str) -
 
 
 def _extent(value, key: str, image: str) -> float:
-    """The ``key`` extent ``value`` as a finite float >= 0; ``image`` names
-    the record in the error."""
-    if _is_number(value) and 0.0 <= value < math.inf:
-        try:
-            return float(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
+    """The ``key`` extent ``value``, a number by the number rule, as a
+    finite float >= 0; ``image`` names the record in the error."""
+    if _number_fault(value, float) is None and 0.0 <= value < math.inf:
+        return float(value)
     raise DataFormatError(f"{image}: {key} must be a finite number >= 0, got {value!r}")
 
 
@@ -283,10 +316,8 @@ def _class_names(num_classes, class_names, where: str) -> tuple[str, ...]:
     absent or empty, ``class_0, class_1, ...``; raises ``DataFormatError``,
     prefixed with ``where``, unless ``num_classes`` is a positive integer and
     the names are an array of that many strings."""
-    _require(
-        _is_number(num_classes, int) and num_classes >= 1,
-        f"{where}num_classes must be a positive integer, got {num_classes!r}",
-    )
+    message = f"{where}num_classes must be a positive integer, got {num_classes!r}"
+    _require(_number(num_classes, int, message) >= 1, message)
     if class_names in (None, [], ()):
         class_names = [f"class_{k}" for k in range(num_classes)]
     _require(
@@ -872,9 +903,10 @@ def _import_coco_parsed(gt, det, gt_path, det_path, categories) -> DatasetFile:
     images = []
     for image_id, (width, height, gts, dets) in entries.items():
         if width <= 0.0 and dets:
-            # No extent given: estimate it from the detections.
-            width = max(d.box.right for d in dets)
-            height = max(d.box.bottom for d in dets)
+            # No extent given: estimate it from the detections' far edges,
+            # at least 0, which is what an absent extent reads as.
+            width = max(0.0, *(d.box.right for d in dets))
+            height = max(0.0, *(d.box.bottom for d in dets))
         images.append(ImageRecord(image_id, width, height, tuple(gts), tuple(dets)))
     return DatasetFile(num_classes=num_classes, class_names=class_names, images=tuple(images))
 
@@ -904,12 +936,8 @@ def config_from_dict(raw: dict) -> CalibrationConfig:
         raise DataFormatError(f"invalid calibration config: {exc}") from None
 
 
-_JSON_SCALARS = {
-    bool: ("true or false", lambda v: isinstance(v, bool)),
-    int: ("an integer", lambda v: _is_number(v, int)),
-    float: ("a number", _is_number),
-    str: ("a string", lambda v: isinstance(v, str)),
-}
+#: What a scalar field of each type must hold, in the error message.
+_JSON_SCALARS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
 def _from_json(tp, value, where: str, base=None):
@@ -953,8 +981,10 @@ def _from_json(tp, value, where: str, base=None):
             f"{where} must be an array of {len(args)} values, got {value!r}",
         )
         return tuple(_from_json(arg, v, where) for arg, v in zip(args, value))
-    name, check = _JSON_SCALARS[tp]
-    _require(check(value), f"{where} must be {name}, got {value!r}")
+    message = f"{where} must be {_JSON_SCALARS[tp]}, got {value!r}"
+    if tp in (int, float):
+        return _number(value, tp, message)
+    _require(isinstance(value, tp), message)
     return value
 
 

@@ -53,9 +53,12 @@ class SynthSpec:
     and ``confidence_noise_coupling`` how fast that logit drops per unit of
     normalized corner error. With ``box_noise_std`` 0 the detector is exact:
     boxes coincide with the ground truths and the probability vectors are
-    noise-free (argmax at the true class unless flipped). Every float field
-    must be finite; the image extents and ``softmax_temperature`` must be
-    positive, ``box_noise_std`` and ``false_positive_rate`` non-negative.
+    noise-free (argmax at the true class unless flipped). ``seed`` must be
+    non-negative, as numpy's seeding requires. Every float field must be
+    finite; the image extents and ``softmax_temperature`` must be positive,
+    ``box_noise_std`` and ``false_positive_rate`` non-negative, and
+    ``false_positive_rate`` at most 9.2e18, about the largest Poisson mean
+    numpy draws from.
     """
 
     seed: int = 0
@@ -73,6 +76,8 @@ class SynthSpec:
     softmax_temperature: float = 0.35
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_images < 1:
             raise ValueError("n_images must be >= 1")
         if self.num_classes < 2:
@@ -89,10 +94,16 @@ class SynthSpec:
         for name in ("box_noise_std", "false_positive_rate"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
+        if self.false_positive_rate > _POISSON_MAX:
+            raise ValueError(
+                f"false_positive_rate must be <= {_POISSON_MAX:g}, got {self.false_positive_rate}"
+            )
         if not 0.0 <= self.label_flip_probability <= 1.0:
             raise ValueError("label_flip_probability must lie in [0, 1]")
 
 
+#: The largest Poisson mean numpy draws from (its int64 counts bound it).
+_POISSON_MAX = 9.2e18
 _CONF_FLOOR = 0.01
 _CONF_CEIL = 0.999
 _MIN_EXTENT = 1.0
@@ -181,7 +192,8 @@ def generate(spec: SynthSpec) -> list[ImageSample]:
         logit = spec.confidence_base - spec.confidence_noise_coupling * err
         if noisy:
             logit += rng.normal(0.0, 0.3)
-        return min(max(1.0 / (1.0 + math.exp(-logit)), _CONF_FLOOR), _CONF_CEIL)
+        # exp overflows past 709.78; any logit below -709 gives the floor.
+        return min(max(1.0 / (1.0 + math.exp(min(-logit, 709.0))), _CONF_FLOOR), _CONF_CEIL)
 
     def flush() -> None:
         probs = iter(_softmax_rows(spec, class_noise[: len(labels)], labels))

@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -524,6 +525,31 @@ class TestCalibrate:
         samples = [ImageSample("i0", ((gt, 0),), (covering_detection(BoundingBox(0, 0, 10, 10), 0.8),))]
         with pytest.raises(ValueError, match="^calibration boxes must have finite coordinates$"):
             calibrate(samples, basic_config(alpha_cnf=0.1, alpha_loc=0.9, alpha_cls=0.9, lambda_loc_bounds=None))
+
+    @pytest.mark.parametrize("localization", ["boxwise", "pixelwise"])
+    @pytest.mark.parametrize("margins", ["additive", "multiplicative"])
+    @pytest.mark.parametrize("match", ["hausdorff", "giou"])
+    def test_coordinates_near_the_float_limit_warn_nothing(self, localization, margins, match):
+        # Their spans, areas and margins overflow to inf, silently in the
+        # scalar code; the kernel printed "RuntimeWarning: overflow encountered".
+        huge, small = BoundingBox(0, 0, 1e308, 1e308), BoundingBox(0, 0, 10, 10)
+        samples = [
+            ImageSample(f"i{i}", ((huge, 0), (small, 1)),
+                        (covering_detection(small, 0.9), covering_detection(huge, 0.5 + i / 20)))
+            for i in range(6)
+        ]
+        config = basic_config(
+            loss_spec=LossSpec(localization_kind=localization),
+            predset_spec=PredSetSpec(localization_kind=margins),
+            match_spec=MatchDistanceSpec(match),
+            lambda_loc_bounds=(0.0, 1e308),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                calibrate(samples, config)
+            except InfeasibleRiskError:
+                pass  # an answer too (the pixelwise loss of an infinite area is NaN)
 
     def test_precondition_violation_names_inequality(self):
         rng = np.random.default_rng(5)

@@ -47,6 +47,17 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+#: A JSON integer past the float range, and the reasons the number rule
+#: gives for an integer past a float or an int64 field's range.
+BIG = 10**400
+FLOAT_RANGE = "an integer is beyond the float range"
+INT64_RANGE = "an integer is beyond the int64 range"
+
+
+def no_trial(*args, **kwargs):
+    raise AssertionError("a validation run started")
+
+
 class TestCalibrateCommand:
     def test_happy_path(self, dataset_paths, tmp_path, capsys):
         cal, _ = dataset_paths
@@ -287,6 +298,18 @@ class TestCalibrateCommand:
         assert run(flags + ["--alpha-cnf", "0.2", "--alpha-loc", "0.21", "--alpha-cls", "0.5"]) == 2
         assert "code=2 kind=precondition detail=\"alpha_loc=0.21 violates" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bounds", [[0, BIG], [BIG, 5]], ids=["upper", "lower"])
+    def test_config_bound_past_the_float_range_exit_1(self, dataset_paths, tmp_path, capsys, bounds):
+        # Escaped from CalibrationConfig as OverflowError: int too large to convert to float.
+        cal, _ = dataset_paths
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"lambda_loc_bounds": bounds}))
+        out = tmp_path / "r.json"
+        assert run(["calibrate", "--dataset", cal, "--config", config, "--out", out]) == 1
+        detail = f"invalid calibration config: lambda_loc_bounds must be a number, got {BIG}; {FLOAT_RANGE}"
+        assert capsys.readouterr().err == f'error code=1 kind=data detail="{detail}"\n'
+        assert not out.exists()
+
     @pytest.mark.parametrize("threshold", ["nan", "2"])
     def test_invalid_prefilter_exit_1(self, dataset_paths, tmp_path, capsys, threshold):
         # Such a floor dropped every detection and ended in exit 3, "infeasible".
@@ -470,6 +493,54 @@ class TestInferEvaluateCommands:
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("error code=1") == 1 and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["infer", "evaluate"])
+    @pytest.mark.parametrize(
+        "key",
+        ["lambda_cnf_plus", "lambda_cnf_minus", "lambda_loc_plus", "lambda_cls_plus",
+         "diagnostics.cnf_monotonized_risk", "diagnostics.loc_monotonized_risk",
+         "diagnostics.cls_monotonized_risk", "diagnostics.n_confidence_breakpoints",
+         "config.lambda_loc_bounds.0", "config.lambda_loc_bounds.1",
+         "config.lambda_cls_bounds.0", "config.lambda_cls_bounds.1"],
+    )
+    def test_result_number_past_the_float_range_exit_1(self, dataset_paths, tmp_path, capsys, command, key):
+        # Each escaped as OverflowError: int too large to convert to float.
+        result, test = self.calibrated(dataset_paths, tmp_path)
+        payload = json.loads(result.read_text())
+        *parents, last = key.split(".")
+        node = payload
+        for part in parents:
+            node = node[part]
+        node[int(last) if isinstance(node, list) else last] = BIG
+        result.write_text(json.dumps(payload))
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        assert run([command, "--result", result, "--dataset", test, "--out", out]) == 1
+        name = key.removesuffix(f".{last}") if last.isdigit() else key
+        detail = f"{result}: result.{name} must be a number, got {BIG}; {FLOAT_RANGE}"
+        assert capsys.readouterr().err == f'error code=1 kind=data detail="{detail}"\n'
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "infer", "evaluate"])
+    def test_num_classes_past_the_int64_range_exit_1(self, dataset_paths, tmp_path, capsys, command):
+        # Without class names, the reader built class_0, class_1, ... until
+        # memory ran out.
+        result, test = self.calibrated(dataset_paths, tmp_path)
+        payload = json.loads(test.read_text())
+        del payload["class_names"]
+        payload["num_classes"] = BIG
+        test.write_text(json.dumps(payload))
+        out = tmp_path / "out.json"
+        argv = {
+            "calibrate": ["calibrate", "--dataset", test, "--out", out],
+            "infer": ["infer", "--result", result, "--dataset", test, "--out", out],
+            "evaluate": ["evaluate", "--result", result, "--dataset", test, "--out", out],
+        }[command]
+        capsys.readouterr()
+        assert run(argv) == 1
+        detail = f"{test}: num_classes must be a positive integer, got {BIG}; {INT64_RANGE}"
+        assert capsys.readouterr().err == f'error code=1 kind=data detail="{detail}"\n'
         assert not out.exists()
 
     def test_evaluate_prints_report(self, dataset_paths, tmp_path, capsys):
@@ -1055,6 +1126,39 @@ class TestValidateCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert message in err and "code=1" in err
+
+    @pytest.mark.parametrize(
+        "key, kind, reason",
+        [
+            # Each escaped: OverflowError from SynthSpec and from the trial
+            # seeds, numpy's "high is out of bounds for int64", and a run
+            # that did not end.
+            ("synth.image_width", "a number", FLOAT_RANGE),
+            ("synth.objects_max", "an integer", INT64_RANGE),
+            ("trials", "an integer", INT64_RANGE),
+            ("n_cal", "an integer", INT64_RANGE),
+        ],
+    )
+    def test_spec_number_past_its_range_exit_1(self, tmp_path, capsys, monkeypatch, key, kind, reason):
+        monkeypatch.setattr(condet.cli, "monte_carlo_validate", no_trial)
+        spec = self.spec_file(tmp_path)
+        payload = json.loads(spec.read_text())
+        section, _, name = key.rpartition(".")
+        (payload[section] if section else payload)[name] = BIG
+        spec.write_text(json.dumps(payload))
+        assert run(["validate", "--spec", spec]) == 1
+        detail = f"{key} must be {kind}, got {BIG}; {reason}"
+        assert capsys.readouterr().err == f'error code=1 kind=data detail="{detail}"\n'
+
+    @pytest.mark.parametrize("flag", ["--trials", "--n-cal", "--n-test"])
+    def test_count_flag_past_the_int64_range_exit_1(self, tmp_path, capsys, monkeypatch, flag):
+        # A flag's value bypassed the spec keys' rule: --trials of 400
+        # digits overflowed, --n-cal started a run that did not end.
+        monkeypatch.setattr(condet.cli, "monte_carlo_validate", no_trial)
+        digits = "1" + "0" * 399
+        assert run(["validate", "--spec", self.spec_file(tmp_path), flag, digits]) == 1
+        detail = f"{flag[2:].replace('-', '_')} must be an integer, got {digits}; {INT64_RANGE}"
+        assert capsys.readouterr().err == f'error code=1 kind=data detail="{detail}"\n'
 
     def test_same_tight_spec_passes_with_correction(self, tmp_path):
         spec = self.spec_file(

@@ -961,6 +961,16 @@ class TestCocoImport:
         assert extra[0].ground_truths == ()
         assert len(extra[0].detections) == 1
 
+    def test_detection_only_extent_is_at_least_zero(self, tmp_path):
+        # The estimate was the boxes' far edges, -15 here, which the reader
+        # refuses as an extent.
+        gt_path, det_path = self.coco_pair(tmp_path)
+        det = json.loads(det_path.read_text())
+        det.append({"image_id": 7, "category_id": 3, "bbox": [-20, -20, 5, 5], "score": 0.5})
+        det_path.write_text(json.dumps(det))
+        (rec,) = [rec for rec in import_coco(gt_path, det_path).images if rec.image_id == "7"]
+        assert (rec.width, rec.height) == (0.0, 0.0)
+
     def test_ground_truth_count_preserved(self, tmp_path):
         dataset = import_coco(*self.coco_pair(tmp_path))
         assert sum(len(rec.ground_truths) for rec in dataset.images) == 2
@@ -1413,6 +1423,21 @@ class TestResultPersistence:
         path.write_text(json.dumps(raw))
         message = f"{path}: unsupported result schema version {value!r} (expected 2)"
         with pytest.raises(SchemaVersionError, match=f"^{re.escape(message)}$"):
+            load_result(path)
+
+    @pytest.mark.parametrize("value", [2**63 - 1, 2**63, -(2**63) - 1])
+    def test_integer_field_takes_the_int64_range(self, tmp_path, value):
+        path = tmp_path / "result.json"
+        save_result(self.build_result(), path)
+        raw = json.loads(path.read_text())
+        raw["n_calibration"] = value
+        path.write_text(json.dumps(raw))
+        if value == 2**63 - 1:
+            assert load_result(path).n_calibration == value
+            return
+        message = (f"{path}: result.n_calibration must be an integer, got {value}; "
+                   "an integer is beyond the int64 range")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
             load_result(path)
 
     def test_version_1_rejected(self, tmp_path):

@@ -263,11 +263,20 @@ class TestMonteCarlo:
             ("false_positive_rate", math.inf, "false_positive_rate must be finite, got inf"),
             ("softmax_temperature", 0.0, "softmax_temperature must be > 0"),
             ("label_flip_probability", math.nan, "label_flip_probability must lie in [0, 1]"),
+            # numpy refused these with messages that named no field.
+            ("seed", -1, "seed must be >= 0, got -1"),
+            ("false_positive_rate", 1e308, "false_positive_rate must be <= 9.2e+18, got 1e+308"),
         ],
     )
     def test_rejects_bad_extents_and_non_finite_values(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SynthSpec(**{field: value})
+
+    def test_steep_confidence_coupling_gives_the_floor(self):
+        # exp(-logit) overflowed (OverflowError: math range error) once the
+        # logit fell below -709.
+        samples = generate(SynthSpec(seed=2, n_images=4, objects_min=1, confidence_noise_coupling=1e308))
+        assert {d.confidence for s in samples for d in s.detections} == {0.01}
 
 
 def serial_trials(spec, config, trials, n_cal, n_test):
