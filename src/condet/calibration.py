@@ -35,8 +35,9 @@ reads its dataset file straight into one):
   out in the per-image row table (``_PrefixKernel.by_image``: column ``i``
   holds image ``i``'s rows in visit order, 0 past its last) and takes the
   running maximum down each column, which is the monotonization. Its
-  increments, summed left to right in row order, give the risk at every
-  breakpoint: the whole monotonized curve.
+  increments, summed in row order, estimate the risk at every breakpoint:
+  the whole monotonized curve. The estimate locates each stop point; the
+  test below confirms it on each image's monotonized losses.
 * **The confidence cut** (``_PrefixKernel.rows_at``). A confidence
   parameter ``lam`` reaches the rows of the states at every parameter in
   ``[lam, 1]``: the ``n`` full prefixes for ``lam >= 1``, else every row up
@@ -52,12 +53,13 @@ reads its dataset file straight into one):
   shares the search: a bisection over the indices of the sorted candidates
   (``_smallest_admitted``), exact because every risk is monotone. Each
   candidate is scored over all visited rows at once: the per-image maxima
-  of the table and a left-to-right sum in image order (``_fold_sum``).
-* **One test decides every constraint.** ``_admits`` tests the summed
-  losses, ``total + B <= alpha * (n + 1)``, for ``crc_calibrate``'s floor
-  and search, both of step 1's stop points (over the whole curve at once)
-  and step 2; no decision goes through ``n * (total / n)``, a different
-  float for some sums. The reported risks are ``total / n``.
+  of the table.
+* **One exact test decides every constraint.** ``_admits`` takes the losses
+  themselves and returns the exact truth of ``sum(L) + B <= alpha * (n + 1)``,
+  ``alpha`` read as the rational it holds, for ``crc_calibrate``'s floor and
+  search, both of step 1's stop points and step 2. No decision depends on
+  the order of the images or on how a sum rounds. The reported risks are
+  ``math.fsum(L) / n``, the same floats in every order.
 * **Coverage in floats.** A ground truth is covered when
   ``contains(apply_margin(box, lam), gt)`` holds, computed with the same
   operations, so the kernel agrees with ``evaluate`` and ``infer`` at every
@@ -75,12 +77,11 @@ invalid="ignore")``: a box coordinate near the float limit overflows to an
 infinite margin, area or span, and ``0 * inf`` gives NaN, silently, as in the
 scalar code of ``predsets`` and ``losses`` that it mirrors.
 
-The kernel returns the same floats as evaluating each loss one image at a
-time: sums run in the same order (step 1's increments in visit-then-image
-order, pixelwise coverage ground truth by ground truth, never a numpy
-pairwise sum), and every loss is computed with the same operations. That matters because
-the guarantee is about the returned parameters: a last-ulp change in a sum
-can move a parameter across a feasibility boundary.
+Each image's losses are the same floats as evaluating it alone: every loss
+is computed with the same operations (pixelwise coverage summed ground truth
+by ground truth, as the scalar loss does). The guarantee is about the
+returned parameters, and a last-ulp change in one loss can move a parameter
+across a feasibility boundary. No sum of losses needs an order.
 """
 
 from __future__ import annotations
@@ -89,7 +90,8 @@ import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from functools import partial
+from fractions import Fraction
+from functools import lru_cache, partial
 from itertools import chain
 from operator import attrgetter
 from typing import Optional, Sequence
@@ -171,11 +173,11 @@ def crc_calibrate(
 ) -> float:
     """Smallest parameter whose corrected empirical risk is below ``alpha``.
 
-    The candidate ``lam`` is feasible when the summed losses satisfy
-    ``sum_i L_i(lam) + loss_bound <= alpha * (n + 1)`` (``_admits``). Since
-    the curves are step functions, the infimum is attained at a curve
-    breakpoint or at the domain minimum; the search therefore only visits
-    those points.
+    The candidate ``lam`` is feasible when the losses satisfy
+    ``sum_i L_i(lam) + loss_bound <= alpha * (n + 1)``, decided exactly
+    (``_admits``). Since the curves are step functions, the infimum is
+    attained at a curve breakpoint or at the domain minimum; the search
+    therefore only visits those points.
 
     Raises
     ------
@@ -199,55 +201,62 @@ def crc_calibrate(
         raise ValueError(f"invalid domain ({lo}, {hi})")
     if any(curve.values[0] > loss_bound for curve in loss_curves):
         raise ValueError(f"every loss must be at most loss_bound={loss_bound}")
-    if not _admits(0.0, n, alpha, loss_bound):
+    if not _admits((), n, alpha, loss_bound):
         raise InfeasibleRiskError(
             f"alpha={alpha} is below the finite-sample floor "
             f"{loss_bound}/(n+1)={loss_bound / (n + 1):.6g}"
         )
     return _smallest_admitted(
         [t for curve in loss_curves for t in curve.thresholds], lo, hi,
-        lambda lam: _fold_sum([curve.value_at(lam) for curve in loss_curves]),
+        lambda lam: [curve.value_at(lam) for curve in loss_curves],
         n, alpha, loss_bound,
         "no feasible parameter in the domain; loss curves do not vanish at the upper endpoint",
     )[0]
 
 
-def _admits(total, n: int, alpha: float, b: float):
-    """Conformal Risk Control's test ``total + b <= alpha * (n + 1)`` of the
-    summed losses ``total`` of ``n`` samples, each loss at most ``b``; a
-    float, or an array of sums tested elementwise.
+def _admits(values, n: int, alpha: float, b: float) -> bool:
+    """Conformal Risk Control's test ``sum(values) + b <= alpha * (n + 1)``
+    of the losses ``values`` of ``n`` samples, each at most ``b``, decided
+    exactly: ``alpha`` is read as the rational it holds, and the answer does
+    not depend on the order of ``values``. A NaN loss is refused.
 
-    Every constraint of this module is decided here, on the sum itself: its
-    ``n * (total / n)`` is a different float for some sums, which at a tie
-    decides the other way.
+    Every constraint of this module is decided here, in two steps:
+
+    * The float test ``t <= bound`` (``t`` the float sum plus ``b``) is
+      exact when the two are further apart than their errors. Summing ``m``
+      non-negative floats in any order errs by less than
+      ``(m - 1) * 2**-53 / (1 - (m - 1) * 2**-53)`` of the sum, adding
+      ``b`` and rounding ``alpha * (n + 1)`` by ``2**-53`` more each; the
+      band ``(m + 4) * 2**-52 * (t + bound)`` is over twice that, which
+      also covers the rounding of the test itself.
+    * Inside the band, ``P = alpha * (n + 1)`` is split into the floats
+      ``hi = float(P)`` and ``lo = float(P - hi)``, which sum to ``P``
+      exactly while ``n + 1 < 2**53``: ``P - hi`` is a multiple of
+      ``alpha``'s last bit, at most half of ``hi``'s, so it fits in 53 bits.
+      The exact sum of ``values``, ``b``, ``-hi`` and ``-lo`` is a multiple
+      of ``2**-1074``, so it is 0 or at least that in size, and
+      ``math.fsum``, correctly rounded, keeps its sign.
     """
-    return total + b <= alpha * (n + 1)
+    t = float(np.add.reduce(values)) + b
+    bound = alpha * (n + 1)
+    if abs(t - bound) > (len(values) + 4) * 2.0**-52 * (t + bound):
+        return t <= bound
+    p = Fraction(alpha) * (n + 1)
+    hi = float(p)
+    return math.fsum([*values, b, -hi, -float(p - Fraction(hi))]) <= 0.0
 
 
-def _fold_sum(values) -> float:
-    """``(x0 + x1) + x2 ...`` over a non-empty sequence of floats, one
-    rounding per addition in the given order, on every Python version.
-
-    Every risk sum behind a feasibility decision is such a fold (step 1
-    reads its running sums off one ``np.add.accumulate``). Python 3.12's
-    ``sum`` compensates its rounding errors and numpy's ``sum`` is pairwise;
-    either can land a sum on the other side of ``alpha * (n + 1)``.
-    ``np.add.accumulate`` adds strictly left to right.
-    """
-    return float(np.add.accumulate(np.asarray(values, dtype=float))[-1])
-
-
-def _smallest_admitted(points, lo: float, hi: float, total_at, n: int, alpha: float,
-                       b: float, failure: str) -> tuple[float, float]:
-    """The smallest candidate parameter whose summed losses ``total_at(lam)``
-    pass ``_admits``, and that sum.
+def _smallest_admitted(points, lo: float, hi: float, losses_at, n: int, alpha: float,
+                       b: float, failure: str) -> tuple[float, object]:
+    """The smallest candidate parameter whose losses ``losses_at(lam)`` pass
+    ``_admits``, and those losses.
 
     The candidates are ``lo``, ``hi`` and the ``points`` in ``(lo, hi]``, or,
     when ``points`` is None, the grid ``lo + (hi - lo) * j / 2**_GRID_BITS``,
     ``j = 1 .. 2**_GRID_BITS``, indexed without being built. Every summed
     loss here is non-increasing in its parameter, so the admitted candidates
     are the ones from some index on, and a bisection over the indices finds
-    the first with about ``log2(count)`` sums. Raises
+    the first with about ``log2(count)`` tests. Raises
     ``InfeasibleRiskError(failure)`` when no candidate is admitted.
     """
     if points is None:
@@ -261,17 +270,17 @@ def _smallest_admitted(points, lo: float, hi: float, total_at, n: int, alpha: fl
         cands = np.sort(np.concatenate(([lo, hi], points[(points > lo) & (points <= hi)])))
         cands = cands[np.concatenate(([True], cands[1:] != cands[:-1]))]
         count, value = len(cands), cands.tolist().__getitem__
-    first, last, total = 0, count, None
+    first, last, losses = 0, count, None
     while first < last:
         mid = (first + last) // 2
-        at = total_at(value(mid))
+        at = losses_at(value(mid))
         if _admits(at, n, alpha, b):
-            last, total = mid, at
+            last, losses = mid, at
         else:
             first = mid + 1
-    if total is None:
+    if losses is None:
         raise InfeasibleRiskError(failure)
-    return value(last), total
+    return value(last), losses
 
 
 # --------------------------------------------------------------------------
@@ -860,63 +869,86 @@ class _PrefixKernel:
 # --------------------------------------------------------------------------
 
 
-def _stop(lams: list, breaks: np.ndarray) -> tuple[float, int]:
-    """Where a downward sweep over the points ``lams`` stops, and the index
-    of that point: the point before the first one that ``breaks`` the
-    constraint, the top (1.0) when that is the first, and the domain minimum
-    0.0 (at the last point) when none does."""
-    if not breaks.any():
-        return 0.0, len(lams) - 1
-    at = max(int(np.argmax(breaks)) - 1, 0)
-    return lams[at], at
-
-
 def _sweep_confidence(kernel: _PrefixKernel):
     """The monotonized combined risk at every sweep point and both stop points.
 
     Returns ``(lam_plus, lam_minus, risk_plus, trace)``: ``trace`` holds
-    ``(lam, risk)`` at 1.0 and at every visited breakpoint, ``risk_plus`` its
+    ``(lam, risk)`` at 1.0 and at every visited breakpoint, ``risk_plus`` the
     risk at ``lam_plus``. The conservative parameter uses the worst-case
     correction for the unseen test loss, the optimistic one omits it. A
     conservative parameter that fails already at 1.0 carries no guarantee
     and logs a warning (always the case when ``alpha_cnf * (n + 1) < 1``).
 
-    The increments of each image's running maximum, summed left to right in
-    row order, are the same floats as running sums updated row by row. They
-    are never negative and rounding is monotone, so the summed curve never
-    decreases, which is checked exactly.
+    The risks of ``trace`` are float estimates: the increments of each
+    image's running maximum, summed in row order. They are never negative
+    and rounding is monotone, so the estimate never decreases, which is
+    checked. A point fails when one task's losses fail, so each task finds
+    its own first failing point: its estimate guesses it, and ``_admits`` on
+    each image's monotonized losses moves the guess while the two disagree.
+    The task's exact risk changes only where one of its losses rises, so the
+    guess moves from one such point to the next, and as the exact risk
+    never decreases along the sweep the walk ends at the exact first failure.
     """
     cfg = kernel.config
     n = kernel.n
-    b = kernel.loss_bound
-    rows = kernel.n_rows
-    cell = kernel._cell
-    ends = np.concatenate(([n], kernel.visit_end)) - 1
-    sums = []
+    reached = np.concatenate(([n], kernel.visit_end))
+    tasks = []
     for losses in (
         kernel.conf_losses(),
-        kernel.loc_losses(cfg.lambda_loc_bounds[1], rows),
-        kernel.cls_losses(cfg.lambda_cls_bounds[1], rows),
+        kernel.loc_losses(cfg.lambda_loc_bounds[1], kernel.n_rows),
+        kernel.cls_losses(cfg.lambda_cls_bounds[1], kernel.n_rows),
     ):
         mono = np.maximum.accumulate(kernel.by_image(losses), axis=0).ravel()
-        grown = mono[cell] - np.where(kernel.row_depth > 0, mono[cell - n], 0.0)
-        sums.append(np.add.accumulate(grown)[ends])
-    totals = np.max(sums, axis=0)
+        grown = mono[kernel._cell] - np.where(kernel.row_depth > 0, mono[kernel._cell - n], 0.0)
+        rises = np.flatnonzero(np.diff(np.cumsum(grown != 0.0)[reached - 1], prepend=-1))
+        tasks.append((mono, np.add.accumulate(grown)[reached - 1], rises))
+    totals = np.max([sums for _, sums, _ in tasks], axis=0)
     if (totals[1:] < totals[:-1]).any():
         raise AssertionError("monotonized risk decreased along the confidence sweep")
     lams = [1.0, *kernel.visit_lams]
-    breaks = ~_admits(totals, n, cfg.alpha_cnf, b)
-    lam_plus, at = _stop(lams, breaks)
-    lam_minus, _ = _stop(lams, ~_admits(totals, n, cfg.alpha_cnf, 0.0))
-    if breaks[0]:
+
+    @lru_cache(maxsize=None)
+    def cells_at(p: int) -> np.ndarray:
+        """Each image's cell at the depth its rows reach by point ``p``."""
+        return (np.bincount(kernel.row_img[: reached[p]], minlength=n) - 1) * n + np.arange(n)
+
+    def stop(b: float) -> tuple[float, int, bool]:
+        """Where the sweep stops under the correction ``b``, the index of that
+        point, and whether the top (1.0) fails already: the point before the
+        first one that fails the constraint (``k``), the top when that is
+        the first, and the domain minimum 0.0 (at the last point) when none
+        fails. Each task lowers ``k`` to its own first failure below it.
+        Its losses stay the same from one rise to the next, so a rise is
+        tested at its last point before the next rise and before ``k``:
+        after the first task, mostly the point before ``k``, read once."""
+        k = len(lams)
+        for mono, sums, rises in tasks:
+            def admits(j: int) -> bool:
+                last = min(int(rises[j + 1]) if j + 1 < len(rises) else len(lams), k) - 1
+                return _admits(mono[cells_at(last)], n, cfg.alpha_cnf, b)
+
+            guess = np.searchsorted(sums, cfg.alpha_cnf * (n + 1) - b, side="right")
+            j = int(np.searchsorted(rises, min(k, guess)))
+            while j < len(rises) and rises[j] < k and admits(j):
+                j += 1
+            while j > 0 and not admits(j - 1):
+                j -= 1
+            k = int(rises[j]) if j < len(rises) and rises[j] < k else k
+        at = max(k - 1, 0)
+        return (lams[at] if k < len(lams) else 0.0), at, k == 0
+
+    lam_plus, at, fails_at_top = stop(kernel.loss_bound)
+    lam_minus, _, _ = stop(0.0)
+    if fails_at_top:
         log.warning(
             "the corrected step-1 constraint fails already at lambda_cnf = 1 "
             "(alpha_cnf=%r, n=%d, alpha_cnf*(n+1)=%.6g < summed loss + B = %.6g + %g): "
             "lambda_cnf_plus = 1.0 is returned but carries no guarantee",
-            cfg.alpha_cnf, n, cfg.alpha_cnf * (n + 1), totals[0], b,
+            cfg.alpha_cnf, n, cfg.alpha_cnf * (n + 1), totals[0], kernel.loss_bound,
         )
-    risks = (totals / n).tolist()
-    return lam_plus, lam_minus, risks[at], list(zip(lams, risks))
+    # The correctly rounded sums: the same floats in every order.
+    risk_plus = max(math.fsum(mono[cells_at(at)].tolist()) for mono, _, _ in tasks) / n
+    return lam_plus, lam_minus, risk_plus, list(zip(lams, (totals / n).tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -939,14 +971,14 @@ def _second_step(kernel: _PrefixKernel, lambda_cnf_minus: float, task: str):
     else:
         alpha, (lo, hi), loss_at = cfg.alpha_cls, cfg.lambda_cls_bounds, kernel.cls_losses
     rows = kernel.rows_at(lambda_cnf_minus)
-    lam, total = _smallest_admitted(
+    lam, losses = _smallest_admitted(
         kernel.requirements(task, rows), lo, hi,
-        lambda lam: _fold_sum(kernel.by_image(loss_at(lam, rows)).max(axis=0)),
+        lambda lam: kernel.by_image(loss_at(lam, rows)).max(axis=0),
         kernel.n, alpha, kernel.loss_bound,
         f"no feasible {task} parameter in [{lo}, {hi}]; "
         f"alpha_{task}={alpha} is too small for this data and loss",
     )
-    return lam, total / kernel.n
+    return lam, math.fsum(losses.tolist()) / kernel.n
 
 
 # --------------------------------------------------------------------------

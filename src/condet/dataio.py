@@ -902,10 +902,12 @@ def _import_coco_parsed(gt, det, gt_path, det_path, categories) -> DatasetFile:
 
     images = []
     for image_id, (width, height, gts, dets) in entries.items():
+        # An extent not given (absent or 0) is estimated from the detections'
+        # far edges, each on its own, at least 0, which is what an absent
+        # extent reads as.
         if width <= 0.0 and dets:
-            # No extent given: estimate it from the detections' far edges,
-            # at least 0, which is what an absent extent reads as.
             width = max(0.0, *(d.box.right for d in dets))
+        if height <= 0.0 and dets:
             height = max(0.0, *(d.box.bottom for d in dets))
         images.append(ImageRecord(image_id, width, height, tuple(gts), tuple(dets)))
     return DatasetFile(num_classes=num_classes, class_names=class_names, images=tuple(images))

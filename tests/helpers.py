@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from condet import BoundingBox, Detection, ImageSample
+from condet import BoundingBox, Detection, ImageSample, calibrate
 from condet.dataio import DatasetFile, ImageRecord, write_dataset_file
 
 
@@ -57,6 +57,14 @@ def random_sample(
     )
     dets = tuple(random_detection(rng, k, span) for _ in range(n_det))
     return ImageSample(image_id=image_id, ground_truths=gts, detections=dets)
+
+
+def calibration_outcome(samples, config):
+    """``calibrate``'s result, or the type of the error it raises."""
+    try:
+        return calibrate(samples, config)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
 
 
 def samples_to_dataset(samples, num_classes: int, size: float = 100.0) -> DatasetFile:

@@ -12,6 +12,8 @@ makes that comparison.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from functools import lru_cache
 
 from condet import InfeasibleRiskError, contains, match, seqcrc_step1, seqcrc_step2
 from condet.calibration import CalibrationConfig
@@ -23,6 +25,19 @@ from condet.predsets import (
     margin_to_cover,
     select_confident,
 )
+
+
+@lru_cache(maxsize=1 << 12)
+def exact_sum(losses: tuple) -> Fraction:
+    """The sum of the floats ``losses`` as a rational. Cached: a sweep's
+    loss vectors change only at its breakpoints."""
+    return sum(map(Fraction, losses), Fraction(0))
+
+
+def admitted(total: Fraction, n: int, alpha: float, b: int) -> bool:
+    """Conformal Risk Control's test ``total + b <= alpha * (n + 1)`` on the
+    summed losses ``total`` of ``n`` samples, in rationals."""
+    return total + b <= Fraction(alpha) * (n + 1)
 
 
 def pure_image_losses(sample, lam_cnf, lam_loc, lam_cls, config: CalibrationConfig):
@@ -82,12 +97,47 @@ def grid_step1_oracle(samples, config: CalibrationConfig, grid_step: float = 1e-
             mono_loc[i] = max(mono_loc[i], lo)
             mono_cls[i] = max(mono_cls[i], cl)
         if p in grid:
-            risk = max(sum(cnf), sum(mono_loc), sum(mono_cls)) / n
-            if n * risk / (n + 1) + 1.0 / (n + 1) <= alpha:
+            worst = max(map(exact_sum, (tuple(cnf), tuple(mono_loc), tuple(mono_cls))))
+            if admitted(worst, n, alpha, 1):
                 plus = p
-            if n * risk / (n + 1) <= alpha:
+            if admitted(worst, n, alpha, 0):
                 minus = p
     return (1.0 if plus is None else plus, 1.0 if minus is None else minus)
+
+
+def exact_step1_sums(samples, config: CalibrationConfig) -> list:
+    """``(point, sum)`` at every sweep point (``confidence_visit_points``):
+    the largest of the three tasks' summed monotonized losses, a rational."""
+    mono = [[0.0] * len(samples) for _ in range(3)]
+    out = []
+    for p in confidence_visit_points(samples):
+        for i, sample in enumerate(samples):
+            losses = pure_image_losses(
+                sample, p, config.lambda_loc_bounds[1], config.lambda_cls_bounds[1], config
+            )
+            for task, loss in enumerate(losses):
+                mono[task][i] = max(mono[task][i], loss)
+        out.append((p, max(exact_sum(tuple(m)) for m in mono)))
+    return out
+
+
+def exact_step1_oracle(samples, config: CalibrationConfig) -> tuple[float, float]:
+    """``(lam_plus, lam_minus)`` by the documented stop rule, decided in
+    rationals at every sweep point: the point before the first one whose
+    sum fails the constraint, 1.0 when that is the first, and 0.0 when none
+    fails. Needs at least one detection in the set."""
+    n = len(samples)
+    sums = exact_step1_sums(samples, config)
+
+    def stop(b: int) -> float:
+        before = 1.0
+        for p, total in sums:
+            if not admitted(total, n, config.alpha_cnf, b):
+                return before
+            before = p
+        return 0.0
+
+    return stop(1 if config.finite_sample_correction else 0), stop(0)
 
 
 def _task_domain(task: str, config: CalibrationConfig):
@@ -129,7 +179,7 @@ def _feasible(samples, states, task: str, cand: float, config: CalibrationConfig
     spec = config.loss_spec
     loc_kind = config.predset_spec.localization_kind
     cls_kind = config.predset_spec.classification_kind
-    total = 0.0
+    worsts = []
     for i, sample in enumerate(samples):
         worst = 0.0
         for preds, assignment in states[i]:
@@ -147,10 +197,9 @@ def _feasible(samples, states, task: str, cand: float, config: CalibrationConfig
                 )
             if value > worst:
                 worst = value
-        total += worst
-    risk = total / n
+        worsts.append(worst)
     alpha, _ = _task_domain(task, config)
-    return n * risk / (n + 1) + 1.0 / (n + 1) <= alpha
+    return admitted(exact_sum(tuple(worsts)), n, alpha, 1)
 
 
 def grid_step2_oracle(

@@ -19,14 +19,16 @@ from condet import (
     MatchDistanceSpec,
     PredSetSpec,
     StepLossCurve,
+    SynthSpec,
     calibrate,
     crc_calibrate,
+    generate,
     seqcrc_step1,
     seqcrc_step2,
 )
 from condet.calibration import _PrefixKernel, _SampleTable, _sweep_confidence, default_lambda_loc_bounds
 from condet.predsets import select_confident
-from helpers import random_int_box, random_probs, random_sample
+from helpers import calibration_outcome, random_int_box, random_probs, random_sample
 from oracles import (
     check_against_oracles,
     confidence_visit_points,
@@ -721,6 +723,115 @@ class TestCalibrate:
             assert loose_result.lambda_cnf_plus <= tight_result.lambda_cnf_plus
             assert loose_result.lambda_loc_plus <= tight_result.lambda_loc_plus + 1e-12
             assert loose_result.lambda_cls_plus <= tight_result.lambda_cls_plus + 1e-12
+
+
+def lattice_dataset(seed: int, n: int) -> list:
+    """``n`` synthetic images with every box on the integer pixel lattice, so
+    that translating a box by an integer and scaling it by a power of two
+    are exact."""
+    def snap(box):
+        left, top = float(round(box.left)), float(round(box.top))
+        return BoundingBox(left, top, max(float(round(box.right)), left + 1.0),
+                           max(float(round(box.bottom)), top + 1.0))
+
+    spec = SynthSpec(seed=seed, n_images=n, num_classes=4, image_width=40.0, image_height=40.0,
+                     objects_min=0, objects_max=3, box_noise_std=2.5, false_positive_rate=1.2,
+                     label_flip_probability=0.1)
+    return mapped(generate(spec), box=snap)
+
+
+def mapped(samples, box=lambda b: b, label=lambda c: c, probs=lambda p: p) -> list:
+    """``samples`` with ``box`` applied to every box, ``label`` to every
+    ground-truth class and ``probs`` to every probability vector."""
+    return [
+        ImageSample(
+            s.image_id,
+            tuple((box(b), label(c)) for b, c in s.ground_truths),
+            tuple(Detection(box(d.box), probs(d.probs), d.confidence) for d in s.detections),
+        )
+        for s in samples
+    ]
+
+
+def relation_case(seed: int, **kinds):
+    """A lattice calibration set and a config of random kinds, the ones in
+    ``kinds`` fixed (``localization``, ``margin``, ``classes``, ``match``)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 10))
+    alpha_cnf = float(rng.uniform(0.05, 0.3))
+    alpha_loc, alpha_cls = (alpha_cnf + 1.0 / (n + 1) + float(rng.uniform(0.05, 0.4)) for _ in "lc")
+
+    def kind(name, choices):
+        return kinds.get(name, str(rng.choice(choices)))
+
+    margin = kind("margin", ["additive", "multiplicative"])
+    config = CalibrationConfig(
+        alpha_cnf=alpha_cnf,
+        alpha_loc=min(0.95, alpha_loc),
+        alpha_cls=min(0.95, alpha_cls),
+        loss_spec=LossSpec(
+            confidence_kind=kind("confidence", ["box_count_threshold", "box_count_recall"]),
+            localization_kind=kind("localization", ["boxwise", "pixelwise", "thresholded"]),
+            localization_tau=float(rng.choice([0.5, 1.0])),
+            classification_aggregation=kind("aggregation", ["average", "max", "thresholded"]),
+        ),
+        predset_spec=PredSetSpec(margin, kind("classes", ["lac", "aps"])),
+        match_spec=MatchDistanceSpec(kind("match", ["hausdorff", "lac", "mix", "giou"])),
+        lambda_loc_bounds=(0.0, 90.0) if margin == "additive" else (0.0, 3.0),
+    )
+    return lattice_dataset(8100 + seed, n), config
+
+
+def lambdas(samples, config, loc_scale: float = 1.0):
+    """The λ's, with ``lambda_loc_plus`` divided by ``loc_scale``, and the
+    diagnostics of ``calibrate``; or the type of the error it raises."""
+    r = calibration_outcome(samples, config)
+    if isinstance(r, type):
+        return r
+    return (r.lambda_cnf_plus, r.lambda_cnf_minus, r.lambda_loc_plus / loc_scale,
+            r.lambda_cls_plus, r.diagnostics)
+
+
+class TestRelations:
+    """Transformations of the calibration set that map every λ exactly."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_integer_translation_keeps_every_lambda(self, seed):
+        # The pixelwise loss is left out: a grid margin added to a
+        # translated coordinate rounds at that coordinate's magnitude.
+        samples, config = relation_case(
+            seed, margin="additive", localization=("boxwise", "thresholded")[seed % 2]
+        )
+        shift = float(np.random.default_rng(seed).integers(-300, 300))
+        moved = mapped(samples, box=lambda b: BoundingBox(
+            b.left + shift, b.top + shift, b.right + shift, b.bottom + shift))
+        assert lambdas(moved, config) == lambdas(samples, config)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_power_of_two_scaling_maps_lambda_loc(self, seed):
+        # Not the mix distance, which adds a probability to a length.
+        samples, config = relation_case(
+            seed, localization=("boxwise", "pixelwise", "thresholded")[seed % 3],
+            match=("hausdorff", "lac", "giou")[seed % 3],
+        )
+        factor = 2.0 ** (-3, 5)[seed % 2]
+        scaled = mapped(samples, box=lambda b: BoundingBox(
+            b.left * factor, b.top * factor, b.right * factor, b.bottom * factor))
+        if config.predset_spec.localization_kind == "additive":
+            lo, hi = config.lambda_loc_bounds
+            assert lambdas(scaled, replace(config, lambda_loc_bounds=(lo * factor, hi * factor)),
+                           factor) == lambdas(samples, config)
+        else:  # a multiplicative margin is relative to the box
+            assert lambdas(scaled, config) == lambdas(samples, config)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_class_relabeling_keeps_every_lambda_under_lac(self, seed):
+        samples, config = relation_case(seed, classes="lac")
+        sigma = np.random.default_rng(seed).permutation(4).tolist()
+        inverse = np.argsort(sigma).tolist()
+        relabeled = mapped(samples, label=sigma.__getitem__,
+                           probs=lambda p: tuple(p[inverse[c]] for c in range(len(p))))
+        assert lambdas(relabeled, config) == lambdas(samples, config)
 
 
 class TestEngineMatchesPurePath:

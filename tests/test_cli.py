@@ -12,6 +12,7 @@ import pytest
 
 import condet
 from condet import (
+    BoundingBox,
     CalibrationConfig,
     CalibrationResult,
     LossSpec,
@@ -25,9 +26,9 @@ from condet import (
     save_result,
 )
 from condet.cli import main
-from condet.dataio import _chunks, config_to_dict
+from condet.dataio import _chunks, config_to_dict, write_dataset_file
 from condet.losses import Detection, ImageSample
-from helpers import one_value_per_line, samples_to_dataset_file
+from helpers import one_value_per_line, samples_to_dataset, samples_to_dataset_file
 from test_formats_golden import CLI_CASES, COCO_SPEC, GOLDEN, N_CAL, run_cli, sha
 
 
@@ -75,6 +76,29 @@ class TestCalibrateCommand:
         assert "lambda_cnf_plus" in stdout
         payload = json.loads(out.read_text())
         assert payload["config"]["alpha_loc"] == 0.3
+
+    def test_detections_below_the_prefilter_leave_the_result(self, tmp_path):
+        # The reader drops them, so the result file is the same bytes.
+        samples = generate(SynthSpec(seed=23, n_images=30, objects_min=1, objects_max=3,
+                                     box_noise_std=1.5, num_classes=4, false_positive_rate=1.0))
+        plain = samples_to_dataset(samples, 4, size=64.0)
+        low = tuple(
+            Detection(BoundingBox(4.0 * j, 2.0, 4.0 * j + 9.0, 11.0), (0.25,) * 4, confidence)
+            for j, confidence in enumerate((0.0, 5e-4, 9.99e-4))
+        )
+        padded = replace(plain, images=tuple(
+            replace(rec, detections=low[: i % 4] + rec.detections)
+            for i, rec in enumerate(plain.images)
+        ))
+        for name, dataset in (("plain", plain), ("padded", padded)):
+            write_dataset_file(dataset, tmp_path / f"{name}.json")
+            assert run([
+                "calibrate", "--dataset", tmp_path / f"{name}.json", "--out", tmp_path / f"{name}.out",
+                "--alpha-cnf", "0.1", "--alpha-loc", "0.3", "--alpha-cls", "0.3",
+                "--loss-confidence", "box_count_recall",
+            ]) == 0
+        assert (tmp_path / "padded.out").read_bytes() == (tmp_path / "plain.out").read_bytes()
+        assert json.loads((tmp_path / "plain.out").read_text())["lambda_cnf_minus"] > 0.0
 
     def test_precondition_violation_exit_2(self, dataset_paths, tmp_path, capsys):
         cal, _ = dataset_paths

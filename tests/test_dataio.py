@@ -971,6 +971,22 @@ class TestCocoImport:
         (rec,) = [rec for rec in import_coco(gt_path, det_path).images if rec.image_id == "7"]
         assert (rec.width, rec.height) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("given, extent", [
+        ({"width": 0, "height": 480}, (30.0, 480.0)),
+        ({"width": 640}, (640.0, 30.0)),
+    ])
+    def test_each_extent_is_estimated_on_its_own(self, tmp_path, given, extent):
+        # A given height was replaced too whenever the width was 0.
+        gt_path, det_path = self.coco_pair(tmp_path)
+        gt = json.loads(gt_path.read_text())
+        gt["images"].append({"id": 9, **given})
+        gt_path.write_text(json.dumps(gt))
+        det = json.loads(det_path.read_text())
+        det.append({"image_id": 9, "category_id": 3, "bbox": [10, 10, 20, 20], "score": 0.5})
+        det_path.write_text(json.dumps(det))
+        (rec,) = [rec for rec in import_coco(gt_path, det_path).images if rec.image_id == "9"]
+        assert (rec.width, rec.height) == extent
+
     def test_ground_truth_count_preserved(self, tmp_path):
         dataset = import_coco(*self.coco_pair(tmp_path))
         assert sum(len(rec.ground_truths) for rec in dataset.images) == 2

@@ -18,7 +18,10 @@ of ``--allow-config-mismatch`` began to name the config flags beside
 began to write one entry per line, as dataset files are written, instead of
 the whole document indented by 2: their ``predictions-content`` digests, of
 the loaded JSON value re-encoded with sorted keys, were recorded before that
-change and did not change with it.
+change and did not change with it. Four ``result`` files were re-recorded
+when the reported risks became ``math.fsum`` of the losses over ``n``: a
+field-by-field diff showed one or two risk diagnostics each, moved by 1 to 3
+ulps, and no λ.
 
 Recorded per case (SHA-256 of the exact bytes):
 
@@ -281,7 +284,7 @@ GOLDEN = {
     "bench-dense/predictions-content": "30a82152d66992ea25174acc349094982e928155289bcda1d4b5fe918d586c9c",
     "bench-dense/report": "f34236d042970b348b702b65a755796da23de5e554249cfbefd7cc7613a83b69",
     "bench-dense/evaluate-stdout": "fe13fc3edcdbbbc205f5c29bdd8d32b5d59c43aaa48a066c601a165a447151c3",
-    "bench-cli-pixelwise/result": "38825caafbca6a750b26266425e293cc65a03a395fa602d3ae618022b2a5fefa",
+    "bench-cli-pixelwise/result": "ee4067a7e8cc89012d06c3635cd805f19fa44c7ea8619ae0dd65541e625d59b3",
     "bench-cli-pixelwise/config_digest": "0cc5db5432fe7092dee784e1c3019d237d02b6d33f42e3e4b756c973636b63b5",
     "bench-cli-pixelwise/calibrate-stdout": "3416d639b85ba7fa207609b2a5a950b410e2a6413e2aaac9398b3cd5de9d63d8",
     "bench-cli-pixelwise/predictions": "85a2f9ab1d3c6374daaf1e42865639434f9273ca10e303a16240742fa2a8f9ae",
@@ -302,7 +305,7 @@ GOLDEN = {
     "flags-every-switch/predictions-content": "aaabccd7aa7aed03ef767b77aedff0a11d632097b32e7e3393a2b66e517b65cb",
     "flags-every-switch/report": "f582e630628db5a48ef8b1fcfcf2a686b3bb257123b52b97dc38e8de711468ad",
     "flags-every-switch/evaluate-stdout": "998c727e96fa58752677050a1b5b88dbd30567c919b94220d827dc2452d75c34",
-    "file-full-with-overrides/result": "384b8a4eabb764314b812235ecceb2d175caf9ba6fa66d8dce462b1a505307e9",
+    "file-full-with-overrides/result": "c6b7cda265b69af630a4d8008147a138f371ab80aac096abbfcc5cdbff679abb",
     "file-full-with-overrides/config_digest": "52c0b9d3e59b47d147308d8e4b2e99c5f3d48d29af20674daa90a5b121d6ed69",
     "file-full-with-overrides/calibrate-stdout": "823e6fb58ba16dda66ed8c8dfc31005873aeb1bc07a4657bf061e74d6e5a10fe",
     "file-full-with-overrides/predictions": "4051ac9e57c4dcdb8163f67c5ddf038f56c58d75a09424c1854b8e7987be56e8",
@@ -323,14 +326,14 @@ GOLDEN = {
     "file-integers/predictions-content": "6e4d0e7db715295c19b3e2b43970dc7d97035cb85e5d8150654a308adc95226b",
     "file-integers/report": "93e195fc10ed714d7883ecbf44c6d652250b1cad8cf551fba38905c3c527188e",
     "file-integers/evaluate-stdout": "393b20caa8372f571f0d6b75d4696ea31f38401cb771852656f2ce2bb6d9572e",
-    "flags-tau-without-match/result": "3993c7c46553d4249471230c750d4355e2b0b589fdc9b81d2fea36e979c9672c",
+    "flags-tau-without-match/result": "0e820e49daf1b42306c8391ead5acb5a7cb5304b5562caf1f2ba756b57f40389",
     "flags-tau-without-match/config_digest": "abee9183fb0251291df572f5b6673f51163730e7b9d8bc1a3a187f0b520ecdc5",
     "flags-tau-without-match/calibrate-stdout": "efb2e26a3915d559dfd1cf947097cb26a999f9be53909270aacdb766ef342e66",
     "flags-tau-without-match/predictions": "25161e802472bb5058a3a727dc559a40e479af48a1229ad6d430d21c5aa58404",
     "flags-tau-without-match/predictions-content": "bfaf6e7cc9207f8eaa7c7b372e39649beba7c4c3d2f625f0551bd2c35f46234b",
     "flags-tau-without-match/report": "87e4ce71ef45e6aa1cfa3ed6d6492441d54d89723758f5d1a73fe07132f149cd",
     "flags-tau-without-match/evaluate-stdout": "2ef73cf9c44662cf513c92a03a81dce31bb5357f458ebe58490e43d20bd0b92d",
-    "cli-default-alphas/result": "a610c2d1b66beb8d9c5aa7bf7d244b01357e97f5f89b83fa3410c92e38c9e355",
+    "cli-default-alphas/result": "b20cc6a38432519b1153d55e7508ddd2233717e553c9bf16064d03e8a6f4afa9",
     "cli-default-alphas/config_digest": "b24ac8050ccb84eda27b58010fbdb23734556f1a58a0f30a913311899fda1af9",
     "cli-default-alphas/calibrate-stdout": "0d9dcb0be491c253f64bc66975b036e4c15f19ae0077bce5fe498292bdd0ac4d",
     "cli-default-alphas/predictions": "d2295853d2839081b01249ae7117c89f31aedb914be40a59bb2f709980ff8071",
