@@ -34,10 +34,10 @@ reads its dataset file straight into one):
 * **Step 1** lays each task's losses at the loosest second-step parameters
   out in the per-image row table (``_PrefixKernel.by_image``: column ``i``
   holds image ``i``'s rows in visit order, 0 past its last) and takes the
-  running maximum down each column, which is the monotonization. Its
-  increments, summed in row order, estimate the risk at every breakpoint:
-  the whole monotonized curve. The estimate locates each stop point; the
-  test below confirms it on each image's monotonized losses.
+  running maximum down each column, which is the monotonization. A task's
+  losses at a confidence parameter are each image's maximum at the depth its
+  rows reach there, so its risk never decreases as the parameter falls, and
+  each stop point is the largest of the tasks' smallest admitted parameters.
 * **The confidence cut** (``_PrefixKernel.rows_at``). A confidence
   parameter ``lam`` reaches the rows of the states at every parameter in
   ``[lam, 1]``: the ``n`` full prefixes for ``lam >= 1``, else every row up
@@ -49,11 +49,13 @@ reads its dataset file straight into one):
   reaches. Its losses change only where a ground truth becomes covered, so
   the candidates are the domain ends and the requirements of the visited
   rows' entries; the pixelwise loss changes continuously and uses the fixed
-  grid ``lo + (hi - lo) * j / 2**32``, ``j = 1 .. 2**32``. ``crc_calibrate``
-  shares the search: a bisection over the indices of the sorted candidates
-  (``_smallest_admitted``), exact because every risk is monotone. Each
-  candidate is scored over all visited rows at once: the per-image maxima
-  of the table.
+  grid ``lo + (hi - lo) * j / 2**32``, ``j = 1 .. 2**32``. Each candidate
+  is scored over all visited rows at once: the per-image maxima of the
+  table.
+* **One search finds every parameter.** ``crc_calibrate``, both of step 1's
+  stop points (over ``0``, ``1`` and the breakpoints) and both step-2 tasks
+  bisect over the indices of their sorted candidates
+  (``_smallest_admitted``), exact because every risk is monotone.
 * **One exact test decides every constraint.** ``_admits`` takes the losses
   themselves and returns the exact truth of ``sum(L) + B <= alpha * (n + 1)``,
   ``alpha`` read as the rational it holds, for ``crc_calibrate``'s floor and
@@ -726,7 +728,8 @@ class _PrefixKernel:
             req, n_det, det_img, det_start
         )
         self.n_rows = len(self.row_img)
-        self._neg_lams = -np.array(self.visit_lams, dtype=float)
+        # The breakpoints ascending: step 1's candidates and rows_at's index.
+        self.lams = np.array(self.visit_lams[::-1], dtype=float)
         by_image = np.argsort(self.row_img, kind="stable")
         img = self.row_img[by_image]
         self.row_depth = np.empty_like(by_image)
@@ -767,7 +770,7 @@ class _PrefixKernel:
         confidence cut of the module docstring)."""
         if lam >= 1.0:
             return self.n
-        v = int(np.searchsorted(self._neg_lams, -lam))  # first breakpoint <= lam
+        v = len(self.lams) - int(np.searchsorted(self.lams, lam, side="right"))  # first breakpoint <= lam
         return int(self.visit_end[v]) if v < len(self.visit_end) else self.n_rows
 
     def by_image(self, values: np.ndarray) -> np.ndarray:
@@ -869,86 +872,66 @@ class _PrefixKernel:
 # --------------------------------------------------------------------------
 
 
-def _sweep_confidence(kernel: _PrefixKernel):
-    """The monotonized combined risk at every sweep point and both stop points.
+def _sweep_confidence(kernel: _PrefixKernel) -> tuple[float, float, float]:
+    """Both stop points of the confidence sweep and the risk at the first.
 
-    Returns ``(lam_plus, lam_minus, risk_plus, trace)``: ``trace`` holds
-    ``(lam, risk)`` at 1.0 and at every visited breakpoint, ``risk_plus`` the
-    risk at ``lam_plus``. The conservative parameter uses the worst-case
-    correction for the unseen test loss, the optimistic one omits it. A
-    conservative parameter that fails already at 1.0 carries no guarantee
-    and logs a warning (always the case when ``alpha_cnf * (n + 1) < 1``).
-
-    The risks of ``trace`` are float estimates: the increments of each
-    image's running maximum, summed in row order. They are never negative
-    and rounding is monotone, so the estimate never decreases, which is
-    checked. A point fails when one task's losses fail, so each task finds
-    its own first failing point: its estimate guesses it, and ``_admits`` on
-    each image's monotonized losses moves the guess while the two disagree.
-    The task's exact risk changes only where one of its losses rises, so the
-    guess moves from one such point to the next, and as the exact risk
-    never decreases along the sweep the walk ends at the exact first failure.
+    Returns ``(lam_plus, lam_minus, risk_plus)``, ``risk_plus`` the largest
+    task's monotonized risk at ``lam_plus``. The conservative parameter uses
+    the worst-case correction for the unseen test loss, the optimistic one
+    omits it. A stop point is the smallest candidate (0.0, 1.0 or a visited
+    breakpoint) at which every task's monotonized losses pass ``_admits``.
+    Each task's losses at ``lam`` are each image's running maximum at the
+    depth its rows reach, so its risk never decreases as ``lam`` falls and
+    ``_smallest_admitted`` finds its smallest; searched from the previous
+    task's on, the last task's is the largest. When a task fails already at
+    1.0, the top of the domain, 1.0 is returned without a guarantee; for
+    ``lam_plus`` that logs a warning (always the case when
+    ``alpha_cnf * (n + 1) < 1``).
     """
     cfg = kernel.config
     n = kernel.n
-    reached = np.concatenate(([n], kernel.visit_end))
-    tasks = []
-    for losses in (
-        kernel.conf_losses(),
-        kernel.loc_losses(cfg.lambda_loc_bounds[1], kernel.n_rows),
-        kernel.cls_losses(cfg.lambda_cls_bounds[1], kernel.n_rows),
-    ):
-        mono = np.maximum.accumulate(kernel.by_image(losses), axis=0).ravel()
-        grown = mono[kernel._cell] - np.where(kernel.row_depth > 0, mono[kernel._cell - n], 0.0)
-        rises = np.flatnonzero(np.diff(np.cumsum(grown != 0.0)[reached - 1], prepend=-1))
-        tasks.append((mono, np.add.accumulate(grown)[reached - 1], rises))
-    totals = np.max([sums for _, sums, _ in tasks], axis=0)
-    if (totals[1:] < totals[:-1]).any():
-        raise AssertionError("monotonized risk decreased along the confidence sweep")
-    lams = [1.0, *kernel.visit_lams]
+    monos = [
+        np.maximum.accumulate(kernel.by_image(losses), axis=0).ravel()
+        for losses in (
+            kernel.conf_losses(),
+            kernel.loc_losses(cfg.lambda_loc_bounds[1], kernel.n_rows),
+            kernel.cls_losses(cfg.lambda_cls_bounds[1], kernel.n_rows),
+        )
+    ]
 
     @lru_cache(maxsize=None)
-    def cells_at(p: int) -> np.ndarray:
-        """Each image's cell at the depth its rows reach by point ``p``."""
-        return (np.bincount(kernel.row_img[: reached[p]], minlength=n) - 1) * n + np.arange(n)
+    def cells(lam: float) -> np.ndarray:
+        """Each image's cell at the depth its rows reach at ``lam``."""
+        rows = kernel.rows_at(lam)
+        return (np.bincount(kernel.row_img[:rows], minlength=n) - 1) * n + np.arange(n)
 
-    def stop(b: float) -> tuple[float, int, bool]:
-        """Where the sweep stops under the correction ``b``, the index of that
-        point, and whether the top (1.0) fails already: the point before the
-        first one that fails the constraint (``k``), the top when that is
-        the first, and the domain minimum 0.0 (at the last point) when none
-        fails. Each task lowers ``k`` to its own first failure below it.
-        Its losses stay the same from one rise to the next, so a rise is
-        tested at its last point before the next rise and before ``k``:
-        after the first task, mostly the point before ``k``, read once."""
-        k = len(lams)
-        for mono, sums, rises in tasks:
-            def admits(j: int) -> bool:
-                last = min(int(rises[j + 1]) if j + 1 < len(rises) else len(lams), k) - 1
-                return _admits(mono[cells_at(last)], n, cfg.alpha_cnf, b)
+    def stop(b: float) -> Optional[float]:
+        """The stop point under the correction ``b``; None when 1.0 fails."""
+        lam = 0.0
+        for mono in monos:
+            try:
+                lam, _ = _smallest_admitted(
+                    kernel.lams, lam, 1.0, lambda p: mono[cells(p)], n, cfg.alpha_cnf, b,
+                    "the step-1 constraint fails at lambda_cnf = 1",
+                )
+            except InfeasibleRiskError:
+                return None
+        return lam
 
-            guess = np.searchsorted(sums, cfg.alpha_cnf * (n + 1) - b, side="right")
-            j = int(np.searchsorted(rises, min(k, guess)))
-            while j < len(rises) and rises[j] < k and admits(j):
-                j += 1
-            while j > 0 and not admits(j - 1):
-                j -= 1
-            k = int(rises[j]) if j < len(rises) and rises[j] < k else k
-        at = max(k - 1, 0)
-        return (lams[at] if k < len(lams) else 0.0), at, k == 0
+    def risk(lam: float) -> float:
+        """The largest task's summed losses at ``lam``, correctly rounded."""
+        return max(math.fsum(mono[cells(lam)].tolist()) for mono in monos)
 
-    lam_plus, at, fails_at_top = stop(kernel.loss_bound)
-    lam_minus, _, _ = stop(0.0)
-    if fails_at_top:
+    lam_plus, lam_minus = stop(kernel.loss_bound), stop(0.0)
+    if lam_plus is None:
+        lam_plus = 1.0
         log.warning(
             "the corrected step-1 constraint fails already at lambda_cnf = 1 "
             "(alpha_cnf=%r, n=%d, alpha_cnf*(n+1)=%.6g < summed loss + B = %.6g + %g): "
             "lambda_cnf_plus = 1.0 is returned but carries no guarantee",
-            cfg.alpha_cnf, n, cfg.alpha_cnf * (n + 1), totals[0], kernel.loss_bound,
+            cfg.alpha_cnf, n, cfg.alpha_cnf * (n + 1), risk(1.0), kernel.loss_bound,
         )
-    # The correctly rounded sums: the same floats in every order.
-    risk_plus = max(math.fsum(mono[cells_at(at)].tolist()) for mono, _, _ in tasks) / n
-    return lam_plus, lam_minus, risk_plus, list(zip(lams, (totals / n).tolist()))
+    return lam_plus, 1.0 if lam_minus is None else lam_minus, risk(lam_plus) / n
 
 
 # --------------------------------------------------------------------------
@@ -987,12 +970,13 @@ def _second_step(kernel: _PrefixKernel, lambda_cnf_minus: float, task: str):
 
 
 def _check_precondition(config: CalibrationConfig, n: int) -> None:
-    floor = config.alpha_cnf + 1.0 / (n + 1)
+    """``alpha_task >= alpha_cnf + 1/(n+1)`` for both tasks, decided exactly."""
+    floor = Fraction(config.alpha_cnf) + Fraction(1, n + 1)
     for name, value in (("alpha_loc", config.alpha_loc), ("alpha_cls", config.alpha_cls)):
-        if value < floor:
+        if Fraction(value) < floor:
             raise CalibrationPreconditionError(
                 f"{name}={value} violates {name} >= alpha_cnf + 1/(n+1) "
-                f"= {config.alpha_cnf} + 1/{n + 1} = {floor:.6g}"
+                f"= {config.alpha_cnf} + 1/{n + 1} = {float(floor):.6g}"
             )
 
 
@@ -1001,10 +985,12 @@ def seqcrc_step1(
 ) -> tuple[float, float]:
     """Calibrate the confidence parameters ``(conservative, optimistic)``.
 
-    Both parameters satisfy the corrected combined-risk constraint at level
-    ``alpha_cnf``, where the combined risk is the maximum of the confidence
-    risk and the monotonized localization/classification risks evaluated at
-    their loosest second-step parameters.
+    Each parameter is the smallest sweep point (or 0.0) at which the
+    combined risk meets level ``alpha_cnf``, corrected (conservative) or not
+    (optimistic). The combined risk is the maximum of the confidence risk
+    and the monotonized localization/classification risks evaluated at
+    their loosest second-step parameters; each of the three is searched for
+    on its own, exactly, as in ``calibrate``.
 
     When the constraint fails already at ``lambda_cnf = 1``, the top of the
     domain, that parameter is returned as 1.0 anyway and a warning is logged:
@@ -1012,7 +998,7 @@ def seqcrc_step1(
     always happens when ``alpha_cnf * (n + 1) < 1``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        plus, minus, _, _ = _sweep_confidence(_PrefixKernel(_SampleTable.from_samples(samples), config))
+        plus, minus, _ = _sweep_confidence(_PrefixKernel(_SampleTable.from_samples(samples), config))
     return plus, minus
 
 
@@ -1052,7 +1038,7 @@ def _calibrate(table: _SampleTable, config: CalibrationConfig) -> CalibrationRes
         _check_precondition(config, table.n)
     with np.errstate(over="ignore", invalid="ignore"):
         kernel = _PrefixKernel(table, config)
-        plus, minus, cnf_risk, _ = _sweep_confidence(kernel)
+        plus, minus, cnf_risk = _sweep_confidence(kernel)
         lam_loc, loc_risk = _second_step(kernel, minus, "loc")
         lam_cls, cls_risk = _second_step(kernel, minus, "cls")
     diagnostics = {

@@ -14,6 +14,7 @@ import numpy as np
 
 from condet import BoundingBox, Detection, ImageSample, calibrate
 from condet.dataio import DatasetFile, ImageRecord, write_dataset_file
+from oracles import exact_sum
 
 
 def random_int_box(rng: np.random.Generator, span: int = 100) -> BoundingBox:
@@ -65,6 +66,24 @@ def calibration_outcome(samples, config):
         return calibrate(samples, config)
     except (ValueError, RuntimeError) as exc:
         return type(exc)
+
+
+def exact_task_sums(kernel) -> list[list]:
+    """Each step-1 task's exact summed monotonized losses at every point of
+    ``[1.0, *kernel.visit_lams]``: per image, the largest of its losses at
+    the loosest second-step parameters over the rows the point reaches,
+    read from the rows themselves, not from step 1's running-max table."""
+    cfg = kernel.config
+    tasks = (
+        kernel.conf_losses(),
+        kernel.loc_losses(cfg.lambda_loc_bounds[1], kernel.n_rows),
+        kernel.cls_losses(cfg.lambda_cls_bounds[1], kernel.n_rows),
+    )
+    return [
+        [exact_sum(tuple(kernel.by_image(losses[: kernel.rows_at(lam)]).max(axis=0).tolist()))
+         for lam in (1.0, *kernel.visit_lams)]
+        for losses in tasks
+    ]
 
 
 def samples_to_dataset(samples, num_classes: int, size: float = 100.0) -> DatasetFile:

@@ -38,10 +38,10 @@ from condet import (
     select_confident,
     seqcrc_step1,
 )
-from condet.calibration import _PrefixKernel, _SampleTable, _sweep_confidence
+from condet.calibration import _PrefixKernel, _SampleTable
 from condet.losses import ImageSample
 from condet.predsets import apply_margin, build_class_set
-from helpers import random_int_box, random_probs, random_sample
+from helpers import exact_task_sums, random_int_box, random_probs, random_sample
 from oracles import check_against_oracles
 
 
@@ -237,7 +237,8 @@ class TestCriterion4MonotonicitySuite:
                 assert cls_set_lac(probs, float(lo)) <= cls_set_lac(probs, float(hi))
                 assert cls_set_aps(probs, float(lo)) <= cls_set_aps(probs, float(hi))
 
-            # monotonized risk trace never decreases as the sweep descends
+            # each task's exact monotonized sum never decreases as the sweep
+            # descends, which step 1's bisection rests on
             for t in range(100):
                 samples = generate(
                     SynthSpec(seed=5000 + t, n_images=int(rng.integers(1, 8)),
@@ -247,9 +248,8 @@ class TestCriterion4MonotonicitySuite:
                 )
                 config = _instance_config(rng, t, len(samples))
                 kernel = _PrefixKernel(_SampleTable.from_samples(samples), config)
-                _, _, _, trace = _sweep_confidence(kernel)
-                risks = [r for _, r in trace]
-                assert all(b >= a for a, b in zip(risks, risks[1:]))
+                for sums in exact_task_sums(kernel):
+                    assert sums == sorted(sums)
 
             # conservative/optimistic ordering on 1000 random instances
             for t in range(1000):

@@ -26,12 +26,15 @@ from condet import (
     seqcrc_step1,
     seqcrc_step2,
 )
-from condet.calibration import _PrefixKernel, _SampleTable, _sweep_confidence, default_lambda_loc_bounds
+from condet import calibration as calibration_module
+from condet.calibration import _PrefixKernel, _SampleTable, default_lambda_loc_bounds
 from condet.predsets import select_confident
-from helpers import calibration_outcome, random_int_box, random_probs, random_sample
+from helpers import calibration_outcome, exact_task_sums, random_int_box, random_probs, random_sample
 from oracles import (
     check_against_oracles,
     confidence_visit_points,
+    exact_step1_oracle,
+    exact_step1_sums,
     exact_step2_oracle,
     pure_image_losses,
 )
@@ -281,33 +284,49 @@ class TestStep1:
         assert plus == crc_calibrate(curves, alpha, 1.0, (0.0, 1.0)) == 0.48
 
     def test_monotonized_trace_non_decreasing_downward(self):
+        # The exact per-task sums at every sweep point, read from the rows
+        # each point reaches, equal brute-force monotonization of the public
+        # per-image losses.
         rng = np.random.default_rng(3)
         for _ in range(50):
             samples = tuple(random_dataset(rng, int(rng.integers(1, 6)), min_dets=1))
             kernel = _PrefixKernel(_SampleTable.from_samples(samples), random_config(rng, len(samples)))
-            config = kernel.config
-            _, _, _, trace = _sweep_confidence(kernel)
-            lams = [lam for lam, _ in trace]
-            risks = [r for _, r in trace]
-            assert lams == sorted(lams, reverse=True)
-            assert all(b >= a - 1e-12 for a, b in zip(risks, risks[1:]))
-            # The whole curve, point by point, against brute-force
-            # monotonization of the public per-image losses.
-            assert lams == confidence_visit_points(samples)
-            n = len(samples)
-            mono_loc = [0.0] * n
-            mono_cls = [0.0] * n
-            cnf = [0.0] * n
-            for lam, risk in trace:
-                for i, sample in enumerate(samples):
-                    c, lo, cl = pure_image_losses(
-                        sample, lam, config.lambda_loc_bounds[1], config.lambda_cls_bounds[1], config
-                    )
-                    cnf[i] = c
-                    mono_loc[i] = max(mono_loc[i], lo)
-                    mono_cls[i] = max(mono_cls[i], cl)
-                want = max(sum(cnf), sum(mono_loc), sum(mono_cls)) / n
-                assert abs(risk - want) <= 1e-12, (lam, risk, want)
+            sums = exact_task_sums(kernel)
+            points = [1.0, *kernel.visit_lams]
+            assert list(zip(points, map(max, *sums))) == exact_step1_sums(samples, kernel.config)
+
+    def test_exact_tests_stay_logarithmic(self, monkeypatch):
+        # A long tied plateau: 48 images keep their top detection down to
+        # lambda_cnf 0.01, below 432 breakpoints of lower detections, while
+        # 15 images without one hold every task's summed loss at 15, and
+        # alpha_cnf * (n + 1) = 16 = 15 + B exactly.
+        gt = BoundingBox(10, 10, 30, 30)
+        samples = [ImageSample(f"e{i}", ((gt, 0),), ()) for i in range(15)]
+        samples += [
+            ImageSample(f"p{i}", ((gt, 0),), (covering_detection(gt, 0.99 + i / 10000),) + tuple(
+                covering_detection(gt, 0.3 + 0.6 * (9 * i + j) / 432) for j in range(9)
+            ))
+            for i in range(48)
+        ]
+        config = basic_config(alpha_cnf=16 / 64, alpha_loc=0.9, alpha_cls=0.9)
+        calls = []
+        admits = calibration_module._admits
+        monkeypatch.setattr(calibration_module, "_admits", lambda *a: calls.append(1) or admits(*a))
+        sweep = calibration_module._sweep_confidence
+        step1 = []
+
+        def counted_sweep(kernel):
+            before = len(calls)
+            out = sweep(kernel)
+            step1.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(calibration_module, "_sweep_confidence", counted_sweep)
+        result = calibrate(samples, config)
+        points = int(result.diagnostics["n_confidence_breakpoints"])
+        assert points == 481
+        assert (result.lambda_cnf_plus, result.lambda_cnf_minus) == exact_step1_oracle(samples, config)
+        assert step1[0] <= 2 * 3 * (math.ceil(math.log2(points + 2)) + 1)
 
     def test_empty_calibration_set(self):
         with pytest.raises(ValueError):
@@ -555,11 +574,14 @@ class TestCalibrate:
 
     def test_precondition_violation_names_inequality(self):
         rng = np.random.default_rng(5)
-        samples = random_dataset(rng, 5, min_dets=1)
-        config = CalibrationConfig(alpha_cnf=0.1, alpha_loc=0.12, alpha_cls=0.5,
-                                   lambda_loc_bounds=(0.0, 300.0))
-        with pytest.raises(CalibrationPreconditionError, match="alpha_loc"):
-            calibrate(samples, config)
+        # In floats 0.29 + 1/277 rounds to 0.2936101083032491 itself, which
+        # lies below the rational floor.
+        for n, alpha_cnf, alpha_loc in ((5, 0.1, 0.12), (276, 0.29, 0.2936101083032491)):
+            samples = random_dataset(rng, n, min_dets=1)
+            config = CalibrationConfig(alpha_cnf=alpha_cnf, alpha_loc=alpha_loc, alpha_cls=0.5,
+                                       lambda_loc_bounds=(0.0, 300.0))
+            with pytest.raises(CalibrationPreconditionError, match="alpha_loc"):
+                calibrate(samples, config)
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
