@@ -27,10 +27,14 @@ reads its dataset file straight into one):
   For each row and ground truth the kernel gathers what the matched detection
   requires: the smallest margin that covers the ground truth
   (``margin_to_cover``), the smallest label-set parameter that contains its
-  class (``class_miss_cutoff``; APS via a stable descending argsort and a
-  sequential ``cumsum``) and the matched box. A classification loss at any
-  parameter is then a comparison against the cutoffs; a localization loss
-  is the containment or covered-area test on the matched boxes.
+  class (``class_miss_cutoff``; APS as a sequential ``cumsum`` of the values
+  ahead of the label, sorted by value) and the matched box. These are
+  computed once per distinct (ground truth, matched detection) pair, found
+  by marking the pairs' cells of the matching table. A classification loss
+  at any parameter is then a comparison against the cutoffs; a localization
+  loss is the containment or covered-area test on the matched boxes. A row's
+  count of missed or covered ground truths is a difference of one running
+  count over all entries.
 * **Step 1** lays each task's losses at the loosest second-step parameters
   out in the per-image row table (``_PrefixKernel.by_image``: column ``i``
   holds image ``i``'s rows in visit order, 0 past its last) and takes the
@@ -55,7 +59,10 @@ reads its dataset file straight into one):
 * **One search finds every parameter.** ``crc_calibrate``, both of step 1's
   stop points (over ``0``, ``1`` and the breakpoints) and both step-2 tasks
   bisect over the indices of their sorted candidates
-  (``_smallest_admitted``), exact because every risk is monotone.
+  (``_smallest_admitted``), exact because every risk is monotone. The
+  candidates are sorted once per domain (``_candidates``): step 1 sorts
+  ``0``, ``1`` and the breakpoints once, and each of its task searches reads
+  the slice from the previous task's parameter on.
 * **One exact test decides every constraint.** ``_admits`` takes the losses
   themselves and returns the exact truth of ``sum(L) + B <= alpha * (n + 1)``,
   ``alpha`` read as the rational it holds, for ``crc_calibrate``'s floor and
@@ -95,7 +102,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, getitem
 from typing import Optional, Sequence
 
 import numpy as np
@@ -209,7 +216,7 @@ def crc_calibrate(
             f"{loss_bound}/(n+1)={loss_bound / (n + 1):.6g}"
         )
     return _smallest_admitted(
-        [t for curve in loss_curves for t in curve.thresholds], lo, hi,
+        _candidates([t for curve in loss_curves for t in curve.thresholds], lo, hi), lo, hi,
         lambda lam: [curve.value_at(lam) for curve in loss_curves],
         n, alpha, loss_bound,
         "no feasible parameter in the domain; loss curves do not vanish at the upper endpoint",
@@ -248,30 +255,34 @@ def _admits(values, n: int, alpha: float, b: float) -> bool:
     return math.fsum([*values, b, -hi, -float(p - Fraction(hi))]) <= 0.0
 
 
-def _smallest_admitted(points, lo: float, hi: float, losses_at, n: int, alpha: float,
-                       b: float, failure: str) -> tuple[float, object]:
+def _candidates(points, lo: float, hi: float) -> np.ndarray:
+    """``lo``, ``hi`` and the ``points`` in ``(lo, hi]``, sorted, each once."""
+    points = np.asarray(points, dtype=float)
+    # np.unique's sort and dedupe, without the numpy.ma import it makes.
+    cands = np.sort(np.concatenate(([lo, hi], points[(points > lo) & (points <= hi)])))
+    return cands[np.concatenate(([True], cands[1:] != cands[:-1]))]
+
+
+def _smallest_admitted(cands: Optional[np.ndarray], lo: float, hi: float, losses_at, n: int,
+                       alpha: float, b: float, failure: str) -> tuple[float, object]:
     """The smallest candidate parameter whose losses ``losses_at(lam)`` pass
     ``_admits``, and those losses.
 
-    The candidates are ``lo``, ``hi`` and the ``points`` in ``(lo, hi]``, or,
-    when ``points`` is None, the grid ``lo + (hi - lo) * j / 2**_GRID_BITS``,
+    The candidates are the sorted distinct ``cands`` (``_candidates``), or,
+    when ``cands`` is None, the grid ``lo + (hi - lo) * j / 2**_GRID_BITS``,
     ``j = 1 .. 2**_GRID_BITS``, indexed without being built. Every summed
     loss here is non-increasing in its parameter, so the admitted candidates
     are the ones from some index on, and a bisection over the indices finds
-    the first with about ``log2(count)`` tests. Raises
-    ``InfeasibleRiskError(failure)`` when no candidate is admitted.
+    the first with about ``log2(count)`` tests, each reading one candidate.
+    Raises ``InfeasibleRiskError(failure)`` when no candidate is admitted.
     """
-    if points is None:
+    if cands is None:
         count = 1 << _GRID_BITS
 
         def value(j: int) -> float:
             return lo + (hi - lo) * ((j + 1) / count)
     else:
-        points = np.asarray(points, dtype=float)
-        # np.unique's sort and dedupe, without the numpy.ma import it makes.
-        cands = np.sort(np.concatenate(([lo, hi], points[(points > lo) & (points <= hi)])))
-        cands = cands[np.concatenate(([True], cands[1:] != cands[:-1]))]
-        count, value = len(cands), cands.tolist().__getitem__
+        count, value = len(cands), cands.item
     first, last, losses = 0, count, None
     while first < last:
         mid = (first + last) // 2
@@ -508,37 +519,34 @@ def _gather_probs(probs, dets: np.ndarray, classes=None) -> np.ndarray:
         return probs[dets] if classes is None else probs[dets, classes]
     if classes is None:
         return np.array([probs[d] for d in dets.tolist()], dtype=float)
-    return np.array([probs[d][c] for d, c in zip(dets.tolist(), classes.tolist())], dtype=float)
+    return np.fromiter(map(getitem, map(probs.__getitem__, dets.tolist()), classes.tolist()),
+                       dtype=float, count=len(dets))
 
 
 def _class_cutoffs(gather, k: int, dets: np.ndarray, labels: np.ndarray, kind: str) -> np.ndarray:
     """``predsets.class_miss_cutoff`` of each (detection, label) pair, with
     ``gather`` reading the ``k``-class probabilities (``_gather_probs``).
 
-    APS orders classes by a stable argsort of the negated probabilities (ties
-    by ascending class index) and accumulates them with a sequential
-    ``cumsum``, the same additions in the same order as the scalar version,
-    and caps the result at 1 as it does. The label's rank in that order is
-    the count of classes ahead of it: larger, or equal with a lower index.
+    APS sums the probabilities of the classes ahead of the label (larger, or
+    equal with a lower index) in descending order with a sequential
+    ``cumsum``, as the scalar version does, and caps the result at 1 as it
+    does. The other classes are set to 0 and each row is sorted by value:
+    equal values give the same partial sums in any order, and the trailing
+    zeros add nothing, so no stable argsort is needed.
     """
-    keys, inverse = np.unique(dets * k + labels, return_inverse=True)
     if kind == "lac":
-        return (1.0 - gather(keys // k, keys % k))[inverse]
-    out = np.empty(len(keys))
+        return 1.0 - gather(dets, labels)
+    out = np.empty(len(dets))
     step = max(1, _BLOCK_CELLS // k)
     cols = np.arange(k)
-    for lo in range(0, len(keys), step):
-        block = keys[lo : lo + step]
-        table = gather(block // k)
-        order = np.argsort(-table, axis=1, kind="stable")
-        ahead = np.zeros_like(table)
-        np.cumsum(np.take_along_axis(table, order, axis=1)[:, :-1], axis=1, out=ahead[:, 1:])
-        rows = np.arange(len(block))
-        label = block % k
-        own = table[rows, label][:, None]
-        rank = np.count_nonzero((table > own) | ((table == own) & (cols < label[:, None])), axis=1)
-        out[lo : lo + step] = ahead[rows, rank]
-    return np.minimum(out, 1.0)[inverse]
+    for lo in range(0, len(dets), step):
+        table = gather(dets[lo : lo + step])
+        label = labels[lo : lo + step, None]
+        own = np.take_along_axis(table, label, axis=1)
+        table[~((table > own) | ((table == own) & (cols < label)))] = 0.0
+        table.sort(axis=1)
+        out[lo : lo + step] = np.cumsum(table[:, ::-1], axis=1)[:, -1]
+    return np.minimum(out, 1.0)
 
 
 def _prefix_matches(
@@ -589,7 +597,7 @@ def _sweep_rows(req: np.ndarray, n_det: np.ndarray, det_img: np.ndarray, det_sta
     values, group = np.unique(req, return_inverse=True)
     top = int(len(values) > 0 and values[-1] >= 1.0)
     tail = [0.0] if len(values) and values[0] > 0.0 else []
-    visit_lams = [float(v) for v in values[::-1][top:]] + tail
+    visit_lams = values[::-1][top:].tolist() + tail
     col = np.arange(len(req)) - det_start[det_img]
     first = np.flatnonzero((col == 0) | (req != np.roll(req, 1)))
     pos = group[first]
@@ -749,12 +757,18 @@ class _PrefixKernel:
         owner = np.repeat(np.arange(len(self._vrows)), self._vgt)
         img = self.row_img[self._vrows][owner]
         eg = self._gt_start[img] + np.arange(len(owner)) - self._vstart[owner]
-        ed = det_start[img] + self._best[eg, self.row_k[self._vrows][owner] - 1]
-        stride = max(len(req), 1)
-        pairs, self._pair = np.unique(eg * stride + ed, return_inverse=True)
-        pg, pd = np.divmod(pairs, stride)
+        # A pair's id is its ground truth and matched column in ``_best``;
+        # marking the ids finds the distinct pairs in ascending order.
+        width = self._best.shape[1]
+        ids = eg * width + self._best[eg, self.row_k[self._vrows][owner] - 1]
+        seen = np.zeros(len(labels) * width, dtype=bool)
+        seen[ids] = True
+        pg, col = np.divmod(np.flatnonzero(seen), width)
+        self._pair = (np.cumsum(seen) - 1)[ids]
+        pd = det_start[gt_img[pg]] + col
         k = len(table.probs[0]) if len(pd) else 1  # the class count; a pair has a detection
         self._cutoff = _class_cutoffs(gather, k, pd, labels[pg], config.predset_spec.classification_kind)
+        self._entry_cutoff = self._cutoff[self._pair]
         self._gt = gt_box[:, pg]
         self._det = det_box[:, pd]
         if config.loss_spec.localization_kind == "pixelwise":
@@ -798,17 +812,24 @@ class _PrefixKernel:
         return np.where(n_gt > 0, loss, 0.0)
 
     def _per_row(self, hits: np.ndarray, nv: int) -> np.ndarray:
-        return np.add.reduceat(hits, self._vstart[:nv], dtype=np.int64)
+        """How many of the first ``nv`` visited rows' entries ``hits`` marks,
+        row by row: its running count at each row's last entry, differenced."""
+        counts = np.cumsum(hits)[self._vstart[1 : nv + 1] - 1]
+        counts[1:] -= counts[:-1]
+        return counts
 
     def requirements(self, task: str, rows: int) -> Optional[np.ndarray]:
         """The parameters at which a ``task`` loss of the first ``rows`` rows
-        can change: the covering margins or the class cutoffs of their
-        entries. None for the pixelwise loss, which changes continuously."""
+        can change: the covering margins or the class cutoffs of the pairs
+        their entries point at, each pair once. None for the pixelwise loss,
+        which changes continuously."""
         table = self._cutoff if task == "cls" else self._loc_req
         if table is None:
             return None
         nv = int(np.searchsorted(self._vrows, rows))
-        return table[self._pair[: self._vstart[nv]]]
+        reached = np.zeros(len(table), dtype=bool)
+        reached[self._pair[: self._vstart[nv]]] = True
+        return table[reached]
 
     def loc_losses(self, lam: float, rows: int) -> np.ndarray:
         out = self._base[:rows].copy()
@@ -856,7 +877,7 @@ class _PrefixKernel:
         nv = int(np.searchsorted(self._vrows, rows))
         if nv == 0:
             return out
-        misses = self._per_row((lam < self._cutoff)[self._pair[: self._vstart[nv]]], nv)
+        misses = self._per_row(lam < self._entry_cutoff[: self._vstart[nv]], nv)
         spec = self.config.loss_spec
         if spec.classification_aggregation == "max":
             out[self._vrows[:nv]] = np.where(misses > 0, 1.0, 0.0)
@@ -905,14 +926,18 @@ def _sweep_confidence(kernel: _PrefixKernel) -> tuple[float, float, float]:
         rows = kernel.rows_at(lam)
         return (np.bincount(kernel.row_img[:rows], minlength=n) - 1) * n + np.arange(n)
 
+    # Every candidate of every task: a task's search starts at the previous
+    # task's parameter, which is itself a candidate.
+    base = _candidates(kernel.lams, 0.0, 1.0)
+
     def stop(b: float) -> Optional[float]:
         """The stop point under the correction ``b``; None when 1.0 fails."""
         lam = 0.0
         for mono in monos:
             try:
                 lam, _ = _smallest_admitted(
-                    kernel.lams, lam, 1.0, lambda p: mono[cells(p)], n, cfg.alpha_cnf, b,
-                    "the step-1 constraint fails at lambda_cnf = 1",
+                    base[np.searchsorted(base, lam) :], lam, 1.0, lambda p: mono[cells(p)],
+                    n, cfg.alpha_cnf, b, "the step-1 constraint fails at lambda_cnf = 1",
                 )
             except InfeasibleRiskError:
                 return None
@@ -954,8 +979,9 @@ def _second_step(kernel: _PrefixKernel, lambda_cnf_minus: float, task: str):
     else:
         alpha, (lo, hi), loss_at = cfg.alpha_cls, cfg.lambda_cls_bounds, kernel.cls_losses
     rows = kernel.rows_at(lambda_cnf_minus)
+    reqs = kernel.requirements(task, rows)
     lam, losses = _smallest_admitted(
-        kernel.requirements(task, rows), lo, hi,
+        None if reqs is None else _candidates(reqs, lo, hi), lo, hi,
         lambda lam: kernel.by_image(loss_at(lam, rows)).max(axis=0),
         kernel.n, alpha, kernel.loss_bound,
         f"no feasible {task} parameter in [{lo}, {hi}]; "

@@ -328,6 +328,16 @@ class TestStep1:
         assert (result.lambda_cnf_plus, result.lambda_cnf_minus) == exact_step1_oracle(samples, config)
         assert step1[0] <= 2 * 3 * (math.ceil(math.log2(points + 2)) + 1)
 
+    def test_candidates_are_sorted_once_per_domain(self, monkeypatch):
+        # Step 1 sorts its candidates once for its three tasks and both stop
+        # points; step 2 once per task (neither loss here is pixelwise).
+        samples = generate(SynthSpec(seed=5, n_images=40, num_classes=4, false_positive_rate=3.0))
+        calls = []
+        candidates = calibration_module._candidates
+        monkeypatch.setattr(calibration_module, "_candidates", lambda *a: calls.append(1) or candidates(*a))
+        calibrate(samples, basic_config(alpha_cnf=0.1, alpha_loc=0.5, alpha_cls=0.5))
+        assert len(calls) == 3
+
     def test_empty_calibration_set(self):
         with pytest.raises(ValueError):
             seqcrc_step1([], basic_config())

@@ -28,7 +28,7 @@ from condet import (
 from condet.calibration import _PrefixKernel, _SampleTable
 from condet.matching import MATCH_KINDS
 from condet.losses import loc_loss
-from condet.predsets import apply_margin, margin_to_cover, select_confident
+from condet.predsets import apply_margin, class_miss_cutoff, margin_to_cover, select_confident
 from oracles import pure_image_losses
 
 K = 3
@@ -59,7 +59,18 @@ def probs(draw):
 
 
 @st.composite
-def images(draw, min_extent=1, box=None):
+def tied_probs(draw):
+    """Probability vectors heavy in ties: repeated values and zeros, some
+    nudged up by an ulp, so that sums ahead of a class can round above 1."""
+    weights = draw(st.lists(st.integers(0, 2), min_size=K, max_size=K).filter(any))
+    vector = [w / sum(weights) for w in weights]
+    for j in draw(st.lists(st.integers(0, K - 1), max_size=3)):
+        vector[j] = math.nextafter(vector[j], 2.0)
+    return tuple(vector)
+
+
+@st.composite
+def images(draw, min_extent=1, box=None, vector=None):
     box = boxes(min_extent) if box is None else box
     gts = draw(st.lists(st.tuples(box, st.integers(0, K - 1)), max_size=4))
     dets = draw(
@@ -67,7 +78,7 @@ def images(draw, min_extent=1, box=None):
             st.builds(
                 Detection,
                 box,
-                probs(),
+                probs() if vector is None else vector,
                 st.sampled_from([0.0, 0.2, 0.5, 0.5, 0.9, 1.0]),
             ),
             max_size=5,
@@ -76,8 +87,8 @@ def images(draw, min_extent=1, box=None):
     return gts, dets
 
 
-def datasets(min_extent=1, box=None):
-    return st.lists(images(min_extent, box), min_size=1, max_size=4).map(
+def datasets(min_extent=1, box=None, vector=None):
+    return st.lists(images(min_extent, box, vector), min_size=1, max_size=4).map(
         lambda rows: [ImageSample(f"img{i}", tuple(g), tuple(d)) for i, (g, d) in enumerate(rows)]
     )
 
@@ -183,6 +194,55 @@ def test_loc_losses_equal_set_path_at_requirements(samples, kind, loc_loss_kind,
             for sample, assignment, preds in states
         ]
         assert got == want, lam
+
+
+@settings(max_examples=150, deadline=None)
+@given(datasets(vector=tied_probs()), st.sampled_from(MATCH_KINDS), st.sampled_from(["lac", "aps"]))
+# Two classes at 0.5 + 1 ulp sum to just above 1 ahead of the zero-probability
+# label, so the APS cutoff is capped; the second detection ties the label
+# with a lower-index class.
+@example(
+    [ImageSample("a", ((BoundingBox(0, 0, 4, 4), 2), (BoundingBox(1, 0, 5, 4), 1)), (
+        Detection(BoundingBox(0, 0, 4, 4), (math.nextafter(0.5, 1.0), math.nextafter(0.5, 1.0), 0.0), 0.9),
+        Detection(BoundingBox(1, 0, 5, 4), (0.25, 0.25, 0.5), 0.5),
+    ))],
+    "hausdorff", "aps",
+)
+def test_every_entrys_class_cutoff_is_class_miss_cutoff(samples, kind, cls_set):
+    # Each entry of a visited row carries the cutoff of its ground truth's
+    # label in its matched detection's probabilities, bit for bit.
+    config = config_for(kind, cls_set=cls_set)
+    kernel = _PrefixKernel(_SampleTable.from_samples(samples), config)
+    cutoffs = kernel._cutoff[kernel._pair].tolist()
+    for v, r in enumerate(kernel._vrows.tolist()):
+        i, k = kernel.row_img[r], kernel.row_k[r]
+        sample = samples[i]
+        want = [class_miss_cutoff(sample.detections[d].probs, label, cls_set)
+                for d, (_, label) in zip(kernel.assignment(i, k), sample.ground_truths)]
+        assert cutoffs[kernel._vstart[v] : kernel._vstart[v + 1]] == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    datasets(),
+    st.sampled_from(MATCH_KINDS),
+    st.sampled_from(["boxwise", "pixelwise", "thresholded"]),
+    st.sampled_from(["lac", "aps"]),
+    st.sampled_from(["average", "max", "thresholded"]),
+    st.sampled_from([0.0, 0.5, 1.5, 3.0]),
+    st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+)
+def test_losses_of_a_prefix_of_rows_are_the_full_losses_first(samples, kind, loc_loss, cls_set, agg,
+                                                              lam_loc, lam_cls):
+    # Step 2 scores the rows lambda_cnf_minus reaches, the end of a visit or
+    # the n full prefixes; every prefix of the rows is checked here.
+    kernel = _PrefixKernel(_SampleTable.from_samples(samples), config_for(kind, loc_loss, "additive", cls_set, agg))
+    loc = kernel.loc_losses(lam_loc, kernel.n_rows).tolist()
+    cls = kernel.cls_losses(lam_cls, kernel.n_rows).tolist()
+    assert {kernel.n, *kernel.visit_end.tolist()} <= set(range(kernel.n_rows + 1))
+    for rows in range(kernel.n_rows + 1):
+        assert kernel.loc_losses(lam_loc, rows).tolist() == loc[:rows]
+        assert kernel.cls_losses(lam_cls, rows).tolist() == cls[:rows]
 
 
 def _match_raises(samples):
