@@ -24,17 +24,21 @@ reads its dataset file straight into one):
   columns that takes a new column only on a strict ``<``, which is
   ``match()``'s lowest-index tie-break, so every prefix is matched at once.
 * **Requirement tables.** Every (image, prefix) the sweep can reach is a row.
-  For each row and ground truth the kernel gathers what the matched detection
-  requires: the smallest margin that covers the ground truth
-  (``margin_to_cover``), the smallest label-set parameter that contains its
-  class (``class_miss_cutoff``; APS as a sequential ``cumsum`` of the values
-  ahead of the label, sorted by value) and the matched box. These are
-  computed once per distinct (ground truth, matched detection) pair, found
-  by marking the pairs' cells of the matching table. A classification loss
-  at any parameter is then a comparison against the cutoffs; a localization
-  loss is the containment or covered-area test on the matched boxes. A row's
-  count of missed or covered ground truths is a difference of one running
-  count over all entries.
+  Rows of one image whose prefixes share a matching have the same losses,
+  so entries exist once per distinct (image, matching): the first row of
+  each run of equal matchings carries them, and the image's deeper rows of
+  that run read its losses. For each entry, one per ground truth, the
+  kernel gathers what the matched detection requires: the smallest margin
+  that covers the ground truth (``margin_to_cover``), the smallest label-set
+  parameter that contains its class (``class_miss_cutoff``; APS as a
+  sequential ``cumsum`` of the values ahead of the label, sorted by value)
+  and the matched box. These are computed once per distinct (ground truth,
+  matched detection) pair, found by marking the pairs' cells of the
+  matching table. A classification loss at any parameter is then a
+  comparison against the cutoffs; a localization loss is the containment or
+  covered-area test on the matched boxes. A row's count of missed or
+  covered ground truths is a difference of one running count over all
+  entries.
 * **Step 1** lays each task's losses at the loosest second-step parameters
   out in the per-image row table (``_PrefixKernel.by_image``: column ``i``
   holds image ``i``'s rows in visit order, 0 past its last) and takes the
@@ -551,10 +555,15 @@ def _class_cutoffs(gather, k: int, dets: np.ndarray, labels: np.ndarray, kind: s
 
 def _prefix_matches(
     spec: MatchDistanceSpec, gt_box, labels, gt_img, det_box, gather, n_det, det_start
-) -> np.ndarray:
-    """Column ``k - 1`` holds each ground truth's match under its image's
-    first ``k`` detections, as an index into those detections; ``gather``
-    reads the probabilities the LAC distances need (``_gather_probs``).
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(best, moves)``: column ``k - 1`` of ``best`` holds each ground
+    truth's match under its image's first ``k`` detections, as an index into
+    those detections; ``moves[i * width + j]`` (``width`` the columns of
+    ``best``) marks that a ground truth of image ``i`` takes column ``j``,
+    so image ``i``'s matchings under ``k`` and ``k' > k`` detections are
+    equal exactly when none of ``moves[i * width + k : i * width + k']`` is
+    set. ``gather`` reads the probabilities the LAC distances need
+    (``_gather_probs``).
 
     A running argmin over the first k columns that moves only on a strict
     ``<``, which is ``match()``'s lowest-index tie-break; columns past an
@@ -564,6 +573,7 @@ def _prefix_matches(
     width = int(n_det.max())
     cols = np.arange(width)
     best = np.zeros((len(labels), width), dtype=np.int64)
+    moves = np.zeros(len(n_det) * width, dtype=bool)
     step = max(1, _BLOCK_CELLS // max(width, 1))
     for lo in range(0, len(labels), step):
         g = np.arange(lo, min(lo + step, len(labels)))
@@ -579,7 +589,9 @@ def _prefix_matches(
         moved = np.ones(dist.shape, dtype=bool)
         moved[:, 1:] = dist[:, 1:] < np.minimum.accumulate(dist, axis=1)[:, :-1]
         best[g] = np.maximum.accumulate(np.where(moved, cols, 0), axis=1)
-    return best
+        at, col = np.nonzero(moved)
+        moves[gt_img[lo + at] * width + col] = True
+    return best, moves
 
 
 def _sweep_rows(req: np.ndarray, n_det: np.ndarray, det_img: np.ndarray, det_start: np.ndarray):
@@ -690,12 +702,14 @@ class _PrefixKernel:
     the rows reached by the end of visit ``v`` are the first
     ``visit_end[v]``. ``row_depth`` is a row's position among its image's
     rows (0 for the full prefix); ``depth`` is the most rows of one image.
-    For every row with a detection and a ground truth there is one *entry*
-    per ground truth, pointing at the (ground truth, matched detection) pair
-    whose requirements on the second-step parameters it carries. The loss
-    methods score the first ``rows`` rows at one parameter. Every loss lies in
-    [0, 1], so ``loss_bound``, Conformal Risk Control's ``B``, is 1, or 0
-    when the config disables the finite-sample correction.
+    A row whose matching equals that of its image's row one depth up reads
+    that row's losses (``_rep``); every other row with a detection and a
+    ground truth has one *entry* per ground truth, pointing at the (ground
+    truth, matched detection) pair whose requirements on the second-step
+    parameters it carries. The loss methods score the first ``rows`` rows at
+    one parameter. Every loss lies in [0, 1], so ``loss_bound``, Conformal
+    Risk Control's ``B``, is 1, or 0 when the config disables the
+    finite-sample correction.
 
     The constructor reads the calibration set from its table alone and fills
     in ``lambda_loc_bounds`` when the config leaves them to the data
@@ -729,7 +743,7 @@ class _PrefixKernel:
         self.config = config
         self.loss_bound = 1.0 if config.finite_sample_correction else 0.0
 
-        self._best = _prefix_matches(
+        self._best, moves = _prefix_matches(
             config.match_spec, gt_box, labels, gt_img, det_box, gather, n_det, det_start
         )
         self.visit_lams, self.row_img, self.row_k, self.visit_end = _sweep_rows(
@@ -740,18 +754,35 @@ class _PrefixKernel:
         self.lams = np.array(self.visit_lams[::-1], dtype=float)
         by_image = np.argsort(self.row_img, kind="stable")
         img = self.row_img[by_image]
+        pos = np.arange(self.n_rows)
+        first = np.searchsorted(img, img)
         self.row_depth = np.empty_like(by_image)
-        self.row_depth[by_image] = np.arange(self.n_rows) - np.searchsorted(img, img)
+        self.row_depth[by_image] = pos - first
         self.depth = int(self.row_depth.max()) + 1
         self._cell = self.row_depth * n + self.row_img
 
-        # Entries: (row, ground truth) for rows with a detection and a ground
-        # truth, grouped by row in ground-truth order. Each points at its
-        # (ground truth, matched detection) pair; a pair recurs in many rows,
-        # so the requirements are computed once per distinct pair.
+        # Two rows of one image have the same matching, and so the same
+        # losses, when no ground truth takes a column between their prefix
+        # lengths, that is when the running count of the moves before their
+        # cells is equal. A matching never recurs once it changes, as the
+        # prefixes only shrink, so ``_rep`` maps each row to the first row of
+        # its image with its matching. That row is never deeper, so it lies
+        # in every prefix of the rows that holds the row.
+        width = self._best.shape[1]
+        count = np.concatenate(([0], np.cumsum(moves)))[self.row_img * width + self.row_k][by_image]
+        new = pos == first
+        new[1:] |= count[1:] != count[:-1]
+        self._rep = np.empty_like(by_image)
+        self._rep[by_image] = by_image[np.maximum.accumulate(np.where(new, pos, 0))]
+
+        # Entries: (row, ground truth) for the rows with a detection and a
+        # ground truth that are their own representatives, grouped by row in
+        # ground-truth order. Each points at its (ground truth, matched
+        # detection) pair; a pair recurs in many rows, so the requirements
+        # are computed once per distinct pair.
         row_gt = self._row_gt = n_gt[self.row_img]
         self._base = np.where(row_gt > 0, 1.0, 0.0)
-        self._vrows = np.flatnonzero((self.row_k > 0) & (row_gt > 0))
+        self._vrows = np.flatnonzero((self._rep == pos) & (self.row_k > 0) & (row_gt > 0))
         self._vgt = row_gt[self._vrows]
         self._vstart = np.concatenate(([0], np.cumsum(self._vgt)))
         owner = np.repeat(np.arange(len(self._vrows)), self._vgt)
@@ -759,7 +790,6 @@ class _PrefixKernel:
         eg = self._gt_start[img] + np.arange(len(owner)) - self._vstart[owner]
         # A pair's id is its ground truth and matched column in ``_best``;
         # marking the ids finds the distinct pairs in ascending order.
-        width = self._best.shape[1]
         ids = eg * width + self._best[eg, self.row_k[self._vrows][owner] - 1]
         seen = np.zeros(len(labels) * width, dtype=bool)
         seen[ids] = True
@@ -831,11 +861,18 @@ class _PrefixKernel:
         reached[self._pair[: self._vstart[nv]]] = True
         return table[reached]
 
-    def loc_losses(self, lam: float, rows: int) -> np.ndarray:
+    def _row_losses(self, rows: int, nv: int, values: np.ndarray) -> np.ndarray:
+        """The losses of the first ``rows`` rows, ``values`` those of the
+        first ``nv`` rows with entries: each row reads its representative's,
+        and a row without entries has its base loss."""
         out = self._base[:rows].copy()
+        out[self._vrows[:nv]] = values
+        return out[self._rep[:rows]]
+
+    def loc_losses(self, lam: float, rows: int) -> np.ndarray:
         nv = int(np.searchsorted(self._vrows, rows))
         if nv == 0:
-            return out
+            return self._base[:rows].copy()
         e = self._vstart[nv]
         n_gt = self._vgt[:nv]
         spec = self.config.loss_spec
@@ -848,16 +885,13 @@ class _PrefixKernel:
             for j in range(int(n_gt.max())):
                 have = np.flatnonzero(n_gt > j)
                 total[have] += fractions[starts[have] + j]
-            out[self._vrows[:nv]] = 1.0 - total / n_gt
-            return out
+            return self._row_losses(rows, nv, 1.0 - total / n_gt)
         kind = self.config.predset_spec.localization_kind
         inside = _contains(_margined(self._det, lam, kind), self._gt)
         covered = self._per_row(inside[self._pair[:e]], nv) / n_gt
         if spec.localization_kind == "boxwise":
-            out[self._vrows[:nv]] = 1.0 - covered
-        else:
-            out[self._vrows[:nv]] = np.where(covered >= spec.localization_tau, 0.0, 1.0)
-        return out
+            return self._row_losses(rows, nv, 1.0 - covered)
+        return self._row_losses(rows, nv, np.where(covered >= spec.localization_tau, 0.0, 1.0))
 
     def _covered_fractions(self, lam: float) -> np.ndarray:
         """Covered area fraction of each pair's ground truth at margin ``lam``."""
@@ -873,19 +907,18 @@ class _PrefixKernel:
         return np.divide(inter, area, out=np.where(inside, 1.0, 0.0), where=area > 0.0)
 
     def cls_losses(self, lam: float, rows: int) -> np.ndarray:
-        out = self._base[:rows].copy()
         nv = int(np.searchsorted(self._vrows, rows))
         if nv == 0:
-            return out
+            return self._base[:rows].copy()
         misses = self._per_row(lam < self._entry_cutoff[: self._vstart[nv]], nv)
         spec = self.config.loss_spec
         if spec.classification_aggregation == "max":
-            out[self._vrows[:nv]] = np.where(misses > 0, 1.0, 0.0)
+            values = np.where(misses > 0, 1.0, 0.0)
         elif spec.classification_aggregation == "average":
-            out[self._vrows[:nv]] = misses / self._vgt[:nv]
+            values = misses / self._vgt[:nv]
         else:
-            out[self._vrows[:nv]] = np.where(misses / self._vgt[:nv] > spec.aggregation_tau, 1.0, 0.0)
-        return out
+            values = np.where(misses / self._vgt[:nv] > spec.aggregation_tau, 1.0, 0.0)
+        return self._row_losses(rows, nv, values)
 
 
 # --------------------------------------------------------------------------

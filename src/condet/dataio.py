@@ -100,7 +100,7 @@ class DatasetFile:
 
     def __post_init__(self) -> None:
         k = self.num_classes
-        _class_names(k, self.class_names, "")
+        _check_classes(k, self.class_names, "")
         for n, rec in enumerate(self.images):
             image = f"image {_image_id(rec.image_id, f'image record #{n}: image_id')!r}"
             for key in ("width", "height"):
@@ -311,15 +311,15 @@ def _check_version(raw: dict, kind: str, expected: int, path: PathLike) -> None:
         )
 
 
-def _class_names(num_classes, class_names, where: str) -> tuple[str, ...]:
-    """The names of ``num_classes`` classes, ``class_names`` or, when that is
-    absent or empty, ``class_0, class_1, ...``; raises ``DataFormatError``,
-    prefixed with ``where``, unless ``num_classes`` is a positive integer and
-    the names are an array of that many strings."""
+def _check_classes(num_classes, class_names, where: str) -> None:
+    """Raise ``DataFormatError``, prefixed with ``where``, unless
+    ``num_classes`` is a positive integer and ``class_names`` is absent,
+    empty or an array of that many strings. No default name is made: a
+    valid ``num_classes`` may be too large for one name per class."""
     message = f"{where}num_classes must be a positive integer, got {num_classes!r}"
     _require(_number(num_classes, int, message) >= 1, message)
     if class_names in (None, [], ()):
-        class_names = [f"class_{k}" for k in range(num_classes)]
+        return
     _require(
         isinstance(class_names, (list, tuple)) and all(isinstance(n, str) for n in class_names),
         f"{where}class_names must be an array of strings, got {class_names!r}",
@@ -328,20 +328,27 @@ def _class_names(num_classes, class_names, where: str) -> tuple[str, ...]:
         len(class_names) == num_classes,
         f"{where}class_names length {len(class_names)} != num_classes {num_classes}",
     )
-    return tuple(class_names)
 
 
-def _check_header(raw, path: PathLike) -> tuple[int, tuple[str, ...], list]:
+def _class_names(num_classes: int, class_names) -> tuple[str, ...]:
+    """The checked ``class_names`` (``_check_classes``) of ``num_classes``
+    classes, or ``class_0, class_1, ...`` when they are absent or empty."""
+    return tuple(class_names or (f"class_{k}" for k in range(num_classes)))
+
+
+def _check_header(raw, path: PathLike) -> tuple[int, list | None, list]:
     """Check all of the loaded native dataset document ``raw`` but the image
     records.
 
-    Returns ``num_classes``, the class names and the raw image records, for
+    Returns ``num_classes``, the class names as given (None when absent;
+    ``_class_names`` makes the defaults) and the raw image records, for
     ``_image`` to parse one by one.
     """
     _require(isinstance(raw, dict), f"{path}: top level must be an object")
     _check_version(raw, "dataset", DATASET_SCHEMA_VERSION, path)
     num_classes = raw.get("num_classes")
-    class_names = _class_names(num_classes, raw.get("class_names"), f"{path}: ")
+    class_names = raw.get("class_names")
+    _check_classes(num_classes, class_names, f"{path}: ")
     records = raw.get("images", [])
     _require(isinstance(records, list), f"{path}: 'images' must be an array")
     return num_classes, class_names, records
@@ -368,7 +375,8 @@ def read_dataset_file(path: PathLike) -> DatasetFile:
     """
     # ``list`` keeps each span's records as they are.
     num_classes, class_names, images = _map_image_records(path, list)
-    return DatasetFile(num_classes=num_classes, class_names=class_names, images=tuple(images))
+    return DatasetFile(num_classes=num_classes, class_names=_class_names(num_classes, class_names),
+                       images=tuple(images))
 
 
 #: Probability cells per chunk of records that one worker encodes, and per
@@ -611,10 +619,11 @@ def _decode_records(path: PathLike, outcome: Callable, args: tuple) -> tuple | N
     return None if values is None else (num_classes, class_names, values)
 
 
-def _map_spans(path: PathLike, outcome: Callable, *args) -> tuple[int, tuple[str, ...], list]:
-    """``num_classes``, the class names, and the value of ``outcome(raws,
-    first, num_classes, path, *args)`` for each contiguous span of the raw
-    image records of the native dataset file ``path``, in file order.
+def _map_spans(path: PathLike, outcome: Callable, *args) -> tuple[int, list | None, list]:
+    """``num_classes``, the class names as given (``_check_header``), and
+    the value of ``outcome(raws, first, num_classes, path, *args)`` for each
+    contiguous span of the raw image records of the native dataset file
+    ``path``, in file order.
 
     A file in the writer's layout (``_record_lines``) is read as bytes and
     decoded as UTF-8 in this process; worker processes (``ordered_map``),
@@ -640,10 +649,10 @@ def _map_spans(path: PathLike, outcome: Callable, *args) -> tuple[int, tuple[str
     return read
 
 
-def _map_image_records(path: PathLike, work: Callable, *args) -> tuple[int, tuple[str, ...], list]:
-    """``num_classes``, the class names, and the values ``work(images, *args)``
-    returns, one per image, for the parsed image records of the native
-    dataset file ``path``, in file order.
+def _map_image_records(path: PathLike, work: Callable, *args) -> tuple[int, list | None, list]:
+    """``num_classes``, the class names as given (``_check_header``), and
+    the values ``work(images, *args)`` returns, one per image, for the
+    parsed image records of the native dataset file ``path``, in file order.
 
     The worker processes of ``_map_spans`` parse their span's records with
     ``_image`` and run ``work`` on them. The values and the errors are

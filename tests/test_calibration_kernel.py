@@ -22,7 +22,9 @@ from condet import (
     LossSpec,
     MatchDistanceSpec,
     PredSetSpec,
+    SynthSpec,
     calibrate,
+    generate,
     match,
 )
 from condet.calibration import _PrefixKernel, _SampleTable
@@ -209,17 +211,41 @@ def test_loc_losses_equal_set_path_at_requirements(samples, kind, loc_loss_kind,
     "hausdorff", "aps",
 )
 def test_every_entrys_class_cutoff_is_class_miss_cutoff(samples, kind, cls_set):
-    # Each entry of a visited row carries the cutoff of its ground truth's
-    # label in its matched detection's probabilities, bit for bit.
+    # Every row with a detection and a ground truth reads, through its
+    # representative's entries, the cutoff of each ground truth's label in
+    # the probabilities of the detection it matches at the row's own
+    # prefix, bit for bit.
     config = config_for(kind, cls_set=cls_set)
     kernel = _PrefixKernel(_SampleTable.from_samples(samples), config)
     cutoffs = kernel._cutoff[kernel._pair].tolist()
-    for v, r in enumerate(kernel._vrows.tolist()):
-        i, k = kernel.row_img[r], kernel.row_k[r]
+    entries = {r: v for v, r in enumerate(kernel._vrows.tolist())}
+    for r, (i, k) in enumerate(zip(kernel.row_img.tolist(), kernel.row_k.tolist())):
         sample = samples[i]
+        if k == 0 or not sample.ground_truths:
+            continue
+        v = entries[kernel._rep[r]]
         want = [class_miss_cutoff(sample.detections[d].probs, label, cls_set)
                 for d, (_, label) in zip(kernel.assignment(i, k), sample.ground_truths)]
         assert cutoffs[kernel._vstart[v] : kernel._vstart[v + 1]] == want
+
+
+@settings(deadline=None)
+@given(datasets(), st.sampled_from(MATCH_KINDS))
+def test_rows_of_one_matching_read_its_first_row(samples, kind):
+    # Each row reads its losses from a row of its own image, no deeper, with
+    # the same matching; the rows with entries are exactly the first row of
+    # each distinct (image, matching) among the rows with a detection and a
+    # ground truth, and every such row reads that first row.
+    kernel = _PrefixKernel(_SampleTable.from_samples(samples), config_for(kind))
+    rows = list(zip(kernel.row_img.tolist(), kernel.row_k.tolist()))
+    rep, depth = kernel._rep.tolist(), kernel.row_depth.tolist()
+    firsts = {}
+    for r, (i, k) in enumerate(rows):
+        assert rows[rep[r]][0] == i and depth[rep[r]] <= depth[r]
+        assert kernel.assignment(*rows[rep[r]]) == kernel.assignment(i, k)
+        if k > 0 and samples[i].ground_truths:
+            assert rep[r] == firsts.setdefault((i, kernel.assignment(i, k)), r)
+    assert kernel._vrows.tolist() == sorted(firsts.values())
 
 
 @settings(max_examples=150, deadline=None)
@@ -272,6 +298,24 @@ def test_giou_zero_area_raises_exactly_when_matching_would(samples):
     except InfeasibleRiskError:
         raised = False
     assert raised == _match_raises(samples)
+
+
+def test_rows_of_one_matching_share_their_entries():
+    # A 500-image set at COCO-val-like density: 17,224 of its 17,724 rows
+    # have a detection and a ground truth, 80,087 (row, ground truth) pairs,
+    # but only 2,565 distinct (image, matching) states carry entries, 14,484
+    # of them. The distinct (ground truth, matched detection) pairs are the
+    # same 5,651.
+    samples = generate(SynthSpec(
+        seed=1, n_images=500, num_classes=80, image_width=640.0, image_height=480.0,
+        objects_min=1, objects_max=8, box_noise_std=8.0, false_positive_rate=30.0,
+    ))
+    config = CalibrationConfig(0.02, 0.1, 0.1, lambda_loc_bounds=(0.0, 2000.0))
+    kernel = _PrefixKernel(_SampleTable.from_samples(samples), config)
+    scored = (kernel.row_k > 0) & (kernel._row_gt > 0)
+    assert (kernel.n_rows, int(scored.sum()), int(kernel._row_gt[scored].sum())) == (17_724, 17_224, 80_087)
+    assert (len(kernel._vrows), int(kernel._vstart[-1])) == (2_565, 14_484)
+    assert len(kernel._cutoff) == 5_651
 
 
 def test_single_image_without_detections():

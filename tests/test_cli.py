@@ -567,6 +567,30 @@ class TestInferEvaluateCommands:
         assert capsys.readouterr().err == f'error code=1 kind=data detail="{detail}"\n'
         assert not out.exists()
 
+    def test_num_classes_without_names_makes_no_names(self, tmp_path):
+        # A class count inside the int64 range without class names: no
+        # default name is made for `calibrate`, so the file is read in far
+        # less memory than 10**9 names would take. The address-space limit
+        # holds in the child only; one BLAS thread keeps numpy's own
+        # reservation small on machines with many CPUs.
+        pytest.importorskip("resource")
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"schema_version": 1, "num_classes": 10**9, "images": []}))
+        script = (
+            "import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000)); "
+            "from condet.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        src = str(Path(condet.__file__).parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", script, "calibrate", "--dataset", str(path), "--out", str(tmp_path / "r.json")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stderr == 'error code=1 kind=data detail="empty calibration set"\n'
+
     def test_evaluate_prints_report(self, dataset_paths, tmp_path, capsys):
         result, test = self.calibrated(dataset_paths, tmp_path)
         out = tmp_path / "report.json"
