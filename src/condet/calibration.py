@@ -23,43 +23,48 @@ reads its dataset file straight into one):
   ground truth's match under prefix k is a running argmin over the first k
   columns that takes a new column only on a strict ``<``, which is
   ``match()``'s lowest-index tie-break, so every prefix is matched at once.
-* **Requirement tables.** Every (image, prefix) the sweep can reach is a row.
-  Rows of one image whose prefixes share a matching have the same losses,
-  so entries exist once per distinct (image, matching): the first row of
-  each run of equal matchings carries them, and the image's deeper rows of
-  that run read its losses. For each entry, one per ground truth, the
-  kernel gathers what the matched detection requires: the smallest margin
-  that covers the ground truth (``margin_to_cover``), the smallest label-set
-  parameter that contains its class (``class_miss_cutoff``; APS as a
-  sequential ``cumsum`` of the values ahead of the label, sorted by value)
-  and the matched box. These are computed once per distinct (ground truth,
-  matched detection) pair, found by marking the pairs' cells of the
-  matching table. A classification loss at any parameter is then a
-  comparison against the cutoffs; a localization loss is the containment or
-  covered-area test on the matched boxes. A row's count of missed or
-  covered ground truths is a difference of one running count over all
-  entries.
-* **Step 1** lays each task's losses at the loosest second-step parameters
-  out in the per-image row table (``_PrefixKernel.by_image``: column ``i``
-  holds image ``i``'s rows in visit order, 0 past its last) and takes the
-  running maximum down each column, which is the monotonization. A task's
-  losses at a confidence parameter are each image's maximum at the depth its
-  rows reach there, so its risk never decreases as the parameter falls, and
-  each stop point is the largest of the tasks' smallest admitted parameters.
-* **The confidence cut** (``_PrefixKernel.rows_at``). A confidence
-  parameter ``lam`` reaches the rows of the states at every parameter in
-  ``[lam, 1]``: the ``n`` full prefixes for ``lam >= 1``, else every row up
-  to the end of the first visit whose breakpoint is ``<= lam`` (that visit's
-  state is the one at ``lam``). At ``lambda_cnf_minus = 1`` step 2 therefore
-  sees the full prefixes alone.
+* **States.** The sweep moves each image through shorter and shorter
+  prefixes. A run of prefixes with one matching is one *state*; its losses
+  at any second-step parameter are the same at every prefix of the run. The
+  kernel lists each image's states in the order the sweep enters them, from
+  its full prefix, and records each state's prefix length (the run's
+  longest) and *entry visit*, the sweep visit at which the image enters it.
+  A state with a detection and a ground truth has one *entry* per ground
+  truth. For each entry the kernel gathers what the matched detection
+  requires: the smallest margin that covers the ground truth
+  (``margin_to_cover``), the smallest label-set parameter that contains its
+  class (``class_miss_cutoff``; APS as a sequential ``cumsum`` of the values
+  ahead of the label, sorted by value) and the matched box. These are
+  computed once per distinct (ground truth, matched detection) pair, found
+  by marking the pairs' cells of the matching table. A classification loss
+  at any parameter is then a comparison against the cutoffs; a localization
+  loss is the containment or covered-area test on the matched boxes; a
+  state's count of missed or covered ground truths is one segment sum over
+  its entries.
+* **The confidence cut** (``_PrefixKernel.visit_at``). A confidence
+  parameter ``lam`` holds the state of the first visit whose breakpoint is
+  ``<= lam``, or the full prefixes for ``lam >= 1`` (visit -1). It reaches
+  every state the sweep passes through on ``[lam, 1]``: each image's states
+  entered at or before that visit, a leading run of its list. At
+  ``lambda_cnf_minus = 1`` step 2 therefore sees the full prefixes alone.
+* **Step 1** searches each task's monotonized losses at the loosest
+  second-step parameters as functions of the visit. For ``loc`` and ``cls``
+  that is each image's running maximum along its states, read at the state
+  the visit holds. The confidence loss depends on the prefix length alone
+  and never falls as the prefix shrinks, so its running maximum is its value
+  at the image's current prefix length. Every task's risk therefore never
+  decreases as the parameter falls, and each stop point is the largest of
+  the tasks' smallest admitted parameters.
 * **Step 2** returns the smallest feasible parameter (Conformal Risk
-  Control), each image's loss maximized over the rows ``lambda_cnf_minus``
-  reaches. Its losses change only where a ground truth becomes covered, so
-  the candidates are the domain ends and the requirements of the visited
-  rows' entries; the pixelwise loss changes continuously and uses the fixed
-  grid ``lo + (hi - lo) * j / 2**32``, ``j = 1 .. 2**32``. Each candidate
-  is scored over all visited rows at once: the per-image maxima of the
-  table.
+  Control), each image's loss maximized over the states
+  ``lambda_cnf_minus`` reaches. Those states and their entries are
+  compacted once (``_PrefixKernel.reach``). The losses change only where a
+  ground truth becomes covered, so the candidates are the domain ends and
+  the requirements of the reached entries; the pixelwise loss changes
+  continuously and uses the fixed grid ``lo + (hi - lo) * j / 2**32``,
+  ``j = 1 .. 2**32``. Each candidate scores the reached entries and takes
+  each image's maximum over its reached states with one
+  ``np.maximum.reduceat``.
 * **One search finds every parameter.** ``crc_calibrate``, both of step 1's
   stop points (over ``0``, ``1`` and the breakpoints) and both step-2 tasks
   bisect over the indices of their sorted candidates
@@ -197,7 +202,8 @@ def crc_calibrate(
     ValueError
         For an empty set, ``alpha`` outside (0, 1), a ``loss_bound`` that is
         not a finite number >= 0, a non-finite domain or one with
-        ``lo > hi``, and a curve whose largest value exceeds ``loss_bound``.
+        ``lo > hi``, and a curve with a value outside ``[0, loss_bound]``
+        (``_admits``' decision is exact for non-negative losses only).
     InfeasibleRiskError
         When ``alpha < loss_bound/(n+1)`` (no parameter can ever satisfy the
         constraint) or when no candidate in the domain is feasible.
@@ -212,8 +218,10 @@ def crc_calibrate(
     lo, hi = lambda_domain
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise ValueError(f"invalid domain ({lo}, {hi})")
-    if any(curve.values[0] > loss_bound for curve in loss_curves):
-        raise ValueError(f"every loss must be at most loss_bound={loss_bound}")
+    if any(curve.values[0] > loss_bound or curve.values[-1] < 0.0 for curve in loss_curves):
+        raise ValueError(
+            f"every loss must lie in [0, loss_bound]: at least 0 and at most loss_bound={loss_bound}"
+        )
     if not _admits((), n, alpha, loss_bound):
         raise InfeasibleRiskError(
             f"alpha={alpha} is below the finite-sample floor "
@@ -595,32 +603,39 @@ def _prefix_matches(
 
 
 def _sweep_rows(req: np.ndarray, n_det: np.ndarray, det_img: np.ndarray, det_start: np.ndarray):
-    """Breakpoints of the downward confidence sweep and the rows it reaches.
+    """Breakpoints of the downward confidence sweep and the prefixes it moves
+    each image through.
 
     ``req`` holds ``1 - confidence`` of every detection, image by image.
     Equal values form one group; an image's group drops out at the next
     lower breakpoint of the whole set (or at 0), which moves the image to
-    the prefix before the group. Returns ``(visit_lams, row_img, row_k,
-    visit_end)``: the breakpoints in decreasing order, the image and prefix
-    length of every row (full prefixes first, then in visit-then-image
-    order) and, per visit, the number of rows reached by its end.
+    the prefix before the group. Returns ``(visit_lams, drop, row_img,
+    row_k, row_visit)``: the breakpoints in decreasing order, the visit at
+    which each detection drops out (``len(visit_lams)`` for one that never
+    does) and one row per prefix the sweep moves an image to, image by image
+    and each image's in visit order: its image, its prefix length and its
+    visit, -1 for the full prefix.
     """
     n = len(n_det)
     values, group = np.unique(req, return_inverse=True)
     top = int(len(values) > 0 and values[-1] >= 1.0)
     tail = [0.0] if len(values) and values[0] > 0.0 else []
     visit_lams = values[::-1][top:].tolist() + tail
+    drop = len(values) - top - group
     col = np.arange(len(req)) - det_start[det_img]
     first = np.flatnonzero((col == 0) | (req != np.roll(req, 1)))
-    pos = group[first]
-    keep = (pos > 0) | bool(tail)
-    ev_visit = (len(values) - top - pos)[keep]
-    ev_img, ev_k = det_img[first][keep], col[first][keep]
-    order = np.lexsort((ev_img, ev_visit))
-    row_img = np.concatenate((np.arange(n), ev_img[order]))
-    row_k = np.concatenate((n_det, ev_k[order]))
-    visit_end = n + np.searchsorted(ev_visit[order], np.arange(len(visit_lams)), side="right")
-    return visit_lams, row_img, row_k, visit_end
+    first = first[drop[first] < len(visit_lams)]
+    # Image i's rows start at start[i] with its full prefix; its groups
+    # follow last group first, as the sweep drops them.
+    img = det_img[first]
+    count = np.bincount(img, minlength=n) + 1
+    start = np.cumsum(count) - count
+    at = 2 * start[img] - img + count[img] - 1 - np.arange(len(first))
+    row_k = np.empty(count.sum(), dtype=np.int64)
+    row_visit = np.empty_like(row_k)
+    row_k[start], row_k[at] = n_det, col[first]
+    row_visit[start], row_visit[at] = -1, drop[first]
+    return visit_lams, drop, np.repeat(np.arange(n), count), row_k, row_visit
 
 
 @dataclass(frozen=True, eq=False)
@@ -695,20 +710,19 @@ class _SampleTable:
 
 
 class _PrefixKernel:
-    """Matchings and loss requirements of every (image, prefix) a sweep visits.
+    """Matchings and loss requirements of every state a sweep visits.
 
-    A row is one image at one selected prefix length; rows ``0..n-1`` are the
-    full prefixes of images ``0..n-1`` and the rest follow in sweep order, so
-    the rows reached by the end of visit ``v`` are the first
-    ``visit_end[v]``. ``row_depth`` is a row's position among its image's
-    rows (0 for the full prefix); ``depth`` is the most rows of one image.
-    A row whose matching equals that of its image's row one depth up reads
-    that row's losses (``_rep``); every other row with a detection and a
-    ground truth has one *entry* per ground truth, pointing at the (ground
-    truth, matched detection) pair whose requirements on the second-step
-    parameters it carries. The loss methods score the first ``rows`` rows at
-    one parameter. Every loss lies in [0, 1], so ``loss_bound``, Conformal
-    Risk Control's ``B``, is 1, or 0 when the config disables the
+    A state is one image at a run of prefixes with one matching (the module
+    docstring's "States"). States are numbered image by image, each image's
+    in visit order from its full prefix: state ``s`` is image ``_img[s]`` at
+    prefix length ``_k[s]``, the run's longest, entered at visit
+    ``_visit[s]`` (-1 for the full prefix). A state with a detection and a
+    ground truth has ``_count[s]`` entries, one per ground truth, in state
+    then ground-truth order; each points at the (ground truth, matched
+    detection) pair (``_pair``) whose requirements on the second-step
+    parameters it carries. ``reach`` compacts the states of one confidence
+    parameter for scoring. Every loss lies in [0, 1], so ``loss_bound``,
+    Conformal Risk Control's ``B``, is 1, or 0 when the config disables the
     finite-sample correction.
 
     The constructor reads the calibration set from its table alone and fills
@@ -746,51 +760,41 @@ class _PrefixKernel:
         self._best, moves = _prefix_matches(
             config.match_spec, gt_box, labels, gt_img, det_box, gather, n_det, det_start
         )
-        self.visit_lams, self.row_img, self.row_k, self.visit_end = _sweep_rows(
-            req, n_det, det_img, det_start
-        )
-        self.n_rows = len(self.row_img)
-        # The breakpoints ascending: step 1's candidates and rows_at's index.
+        self.visit_lams, drop, row_img, row_k, row_visit = _sweep_rows(req, n_det, det_img, det_start)
+        visits = len(self.visit_lams)
+        # The breakpoints ascending: step 1's candidates and visit_at's index.
         self.lams = np.array(self.visit_lams[::-1], dtype=float)
-        by_image = np.argsort(self.row_img, kind="stable")
-        img = self.row_img[by_image]
-        pos = np.arange(self.n_rows)
-        first = np.searchsorted(img, img)
-        self.row_depth = np.empty_like(by_image)
-        self.row_depth[by_image] = pos - first
-        self.depth = int(self.row_depth.max()) + 1
-        self._cell = self.row_depth * n + self.row_img
+        # Sorted search keys, image by image, in [_image_key[i], _image_key[i]
+        # + visits + 1]: a state's grows with its entry visit, a detection's
+        # with how early it drops out.
+        self._image_key = np.arange(n) * (visits + 2)
+        self._det_key = self._image_key[det_img] + visits + 1 - drop
+        self._det_start, self._n_gt = det_start, n_gt
 
-        # Two rows of one image have the same matching, and so the same
-        # losses, when no ground truth takes a column between their prefix
-        # lengths, that is when the running count of the moves before their
-        # cells is equal. A matching never recurs once it changes, as the
-        # prefixes only shrink, so ``_rep`` maps each row to the first row of
-        # its image with its matching. That row is never deeper, so it lies
-        # in every prefix of the rows that holds the row.
+        # Consecutive rows of one image have the same matching, and so the
+        # same losses, when no ground truth takes a column between their
+        # prefix lengths, that is when the running count of the moves before
+        # their cells is equal. A matching never recurs once it changes, as
+        # the prefixes only shrink, so each run of equal matchings is one
+        # state, entered at its first row.
         width = self._best.shape[1]
-        count = np.concatenate(([0], np.cumsum(moves)))[self.row_img * width + self.row_k][by_image]
-        new = pos == first
+        count = np.concatenate(([0], np.cumsum(moves)))[row_img * width + row_k]
+        new = row_visit < 0
         new[1:] |= count[1:] != count[:-1]
-        self._rep = np.empty_like(by_image)
-        self._rep[by_image] = by_image[np.maximum.accumulate(np.where(new, pos, 0))]
+        self._img, self._k, self._visit = row_img[new], row_k[new], row_visit[new]
+        self._state_key = self._image_key[self._img] + self._visit + 1
 
-        # Entries: (row, ground truth) for the rows with a detection and a
-        # ground truth that are their own representatives, grouped by row in
-        # ground-truth order. Each points at its (ground truth, matched
-        # detection) pair; a pair recurs in many rows, so the requirements
-        # are computed once per distinct pair.
-        row_gt = self._row_gt = n_gt[self.row_img]
-        self._base = np.where(row_gt > 0, 1.0, 0.0)
-        self._vrows = np.flatnonzero((self._rep == pos) & (self.row_k > 0) & (row_gt > 0))
-        self._vgt = row_gt[self._vrows]
-        self._vstart = np.concatenate(([0], np.cumsum(self._vgt)))
-        owner = np.repeat(np.arange(len(self._vrows)), self._vgt)
-        img = self.row_img[self._vrows][owner]
-        eg = self._gt_start[img] + np.arange(len(owner)) - self._vstart[owner]
+        # Entries: one per ground truth of each state with a detection and a
+        # ground truth. Each points at its (ground truth, matched detection)
+        # pair; a pair recurs in many states, so the requirements are
+        # computed once per distinct pair.
+        self._count = np.where(self._k > 0, n_gt[self._img], 0)
+        owner = np.repeat(np.arange(len(self._k)), self._count)
+        first = np.cumsum(self._count) - self._count
+        eg = self._gt_start[self._img[owner]] + np.arange(len(owner)) - first[owner]
         # A pair's id is its ground truth and matched column in ``_best``;
         # marking the ids finds the distinct pairs in ascending order.
-        ids = eg * width + self._best[eg, self.row_k[self._vrows][owner] - 1]
+        ids = eg * width + self._best[eg, self._k[owner] - 1]
         seen = np.zeros(len(labels) * width, dtype=bool)
         seen[ids] = True
         pg, col = np.divmod(np.flatnonzero(seen), width)
@@ -798,32 +802,49 @@ class _PrefixKernel:
         pd = det_start[gt_img[pg]] + col
         k = len(table.probs[0]) if len(pd) else 1  # the class count; a pair has a detection
         self._cutoff = _class_cutoffs(gather, k, pd, labels[pg], config.predset_spec.classification_kind)
-        self._entry_cutoff = self._cutoff[self._pair]
-        self._gt = gt_box[:, pg]
-        self._det = det_box[:, pd]
+        self._gt = gt_box.take(pg, axis=1)
+        self._det = det_box.take(pd, axis=1)
+        self._gt_area = self._loc_req = None
         if config.loss_spec.localization_kind == "pixelwise":
             self._gt_area = (self._gt[2] - self._gt[0]) * (self._gt[3] - self._gt[1])
-            self._loc_req = None
         else:
             self._loc_req = _covering_margins(
                 self._gt, self._det, config.predset_spec.localization_kind
             )
 
-    def rows_at(self, lam: float) -> int:
-        """How many rows the confidence parameter ``lam`` reaches (the
-        confidence cut of the module docstring)."""
+    def visit_at(self, lam: float) -> int:
+        """The visit whose state the confidence parameter ``lam`` holds (the
+        confidence cut of the module docstring), -1 for ``lam >= 1``."""
         if lam >= 1.0:
-            return self.n
-        v = len(self.lams) - int(np.searchsorted(self.lams, lam, side="right"))  # first breakpoint <= lam
-        return int(self.visit_end[v]) if v < len(self.visit_end) else self.n_rows
+            return -1
+        return len(self.lams) - int(np.searchsorted(self.lams, lam, side="right"))
 
-    def by_image(self, values: np.ndarray) -> np.ndarray:
-        """``(depth, n)`` table holding the value of each of the first
-        ``len(values)`` rows at its depth and image, and 0 elsewhere. Images
-        are columns, so a reduction over depths runs across whole rows."""
-        table = np.zeros(self.depth * self.n)
-        table[self._cell[: len(values)]] = values
-        return table.reshape(self.depth, self.n)
+    def states_at(self, v: int) -> np.ndarray:
+        """Each image's state at visit ``v``: its last one entered by then."""
+        return np.searchsorted(self._state_key, self._image_key + v + 1, side="right") - 1
+
+    def prefix_lengths(self, v: int) -> np.ndarray:
+        """Each image's prefix length at visit ``v``: how many of its
+        detections drop out after ``v``."""
+        query = self._image_key + len(self.lams) + 1 - v
+        return np.searchsorted(self._det_key, query) - self._det_start[:-1]
+
+    def reach(self, v: int) -> "_Reach":
+        """The states reached at visit ``v`` (``visit_at``): each image's
+        states entered at or before ``v``."""
+        return _Reach(self, self._visit <= v)
+
+    def running_max(self, values: np.ndarray) -> np.ndarray:
+        """Each state's value in ``values`` maximized over its image's states
+        up to it. A doubling scan: after the pass with ``step``, each state
+        holds the maximum over its image's last ``2 * step`` states up to
+        it."""
+        pos = np.arange(len(values)) - np.flatnonzero(self._visit < 0)[self._img]
+        out, step = values.copy(), 1
+        while step <= pos.max():
+            out[step:] = np.where(pos[step:] >= step, np.maximum(out[step:], out[:-step]), out[step:])
+            step *= 2
+        return out
 
     def assignment(self, i: int, k: int) -> tuple:
         """``match(gts, preds[:k])`` of image ``i``, read from the table."""
@@ -832,98 +853,123 @@ class _PrefixKernel:
             return tuple(None for _ in range(hi - lo))
         return tuple(self._best[lo:hi, k - 1].tolist())
 
-    def conf_losses(self) -> np.ndarray:
-        k = self.row_k
-        n_gt = self._row_gt
+    def conf_losses(self, v: int) -> np.ndarray:
+        """Each image's confidence loss at visit ``v``."""
+        k = self.prefix_lengths(v)
+        n_gt = self._n_gt
         if self.config.loss_spec.confidence_kind == "box_count_threshold":
-            loss = np.where(k >= n_gt, 0.0, 1.0)
-        else:
-            loss = np.maximum(0, n_gt - k) / np.maximum(n_gt, 1)
-        return np.where(n_gt > 0, loss, 0.0)
+            return np.where(k >= n_gt, 0.0, 1.0)
+        return np.maximum(0, n_gt - k) / np.maximum(n_gt, 1)
 
-    def _per_row(self, hits: np.ndarray, nv: int) -> np.ndarray:
-        """How many of the first ``nv`` visited rows' entries ``hits`` marks,
-        row by row: its running count at each row's last entry, differenced."""
-        counts = np.cumsum(hits)[self._vstart[1 : nv + 1] - 1]
-        counts[1:] -= counts[:-1]
-        return counts
 
-    def requirements(self, task: str, rows: int) -> Optional[np.ndarray]:
-        """The parameters at which a ``task`` loss of the first ``rows`` rows
-        can change: the covering margins or the class cutoffs of the pairs
-        their entries point at, each pair once. None for the pixelwise loss,
-        which changes continuously."""
-        table = self._cutoff if task == "cls" else self._loc_req
-        if table is None:
-            return None
-        nv = int(np.searchsorted(self._vrows, rows))
-        reached = np.zeros(len(table), dtype=bool)
-        reached[self._pair[: self._vstart[nv]]] = True
-        return table[reached]
+class _Reach:
+    """The states ``reached`` marks (``_PrefixKernel.reach``), image by image
+    and each image's in visit order, with their entries and the distinct
+    pairs these point at, compacted for scoring.
 
-    def _row_losses(self, rows: int, nv: int, values: np.ndarray) -> np.ndarray:
-        """The losses of the first ``rows`` rows, ``values`` those of the
-        first ``nv`` rows with entries: each row reads its representative's,
-        and a row without entries has its base loss."""
-        out = self._base[:rows].copy()
-        out[self._vrows[:nv]] = values
-        return out[self._rep[:rows]]
+    Image ``i``'s states start at ``starts[i]``. A state without entries has
+    the loss ``base``: 1 for an image with ground truths, as the state then
+    has no detection, else 0. The states with entries are at ``scored``;
+    the ``j``-th has ``n_gt[j]`` entries from ``entry_start[j]`` on. Entry
+    ``e`` points at pair ``pair[e]``, which holds the ground-truth and
+    matched-detection coordinates (``gt``, ``det``), class cutoff, covering
+    margin (``loc_req``, None for the pixelwise loss) and ground-truth area
+    (``gt_area``, pixelwise only). The loss methods return each state's loss
+    at one second-step parameter; ``maxima`` takes each image's largest.
+    """
 
-    def loc_losses(self, lam: float, rows: int) -> np.ndarray:
-        nv = int(np.searchsorted(self._vrows, rows))
-        if nv == 0:
-            return self._base[:rows].copy()
-        e = self._vstart[nv]
-        n_gt = self._vgt[:nv]
+    def __init__(self, kernel: _PrefixKernel, reached: np.ndarray) -> None:
+        self.config = kernel.config
+        self.starts = np.flatnonzero(kernel._visit[reached] < 0)
+        self.base = np.where(kernel._n_gt[kernel._img[reached]] > 0, 1.0, 0.0)
+        count = kernel._count[reached]
+        self.scored = np.flatnonzero(count)
+        self.n_gt = count[self.scored]
+        self.entry_start = np.cumsum(self.n_gt) - self.n_gt
+        pair = kernel._pair[np.repeat(reached, kernel._count)]
+        used = np.zeros(len(kernel._cutoff), dtype=bool)
+        used[pair] = True
+        ids = np.flatnonzero(used)
+        self.pair = (np.cumsum(used) - 1)[pair]
+        self.gt, self.det = kernel._gt.take(ids, axis=1), kernel._det.take(ids, axis=1)
+        self.cutoff = kernel._cutoff[ids]
+        self.loc_req, self.gt_area = (
+            None if table is None else table[ids] for table in (kernel._loc_req, kernel._gt_area)
+        )
+
+    def maxima(self, losses: np.ndarray) -> np.ndarray:
+        return np.maximum.reduceat(losses, self.starts)
+
+    def _with(self, values: np.ndarray) -> np.ndarray:
+        """The states' losses, ``values`` those of the scored states."""
+        out = self.base.copy()
+        out[self.scored] = values
+        return out
+
+    def _per_state(self, hits: np.ndarray) -> np.ndarray:
+        """How many of each scored state's entries ``hits`` marks."""
+        return np.add.reduceat(hits, self.entry_start, dtype=np.int64)
+
+    def loc_losses(self, lam: float) -> np.ndarray:
         spec = self.config.loss_spec
+        margined = _margined(self.det, lam, self.config.predset_spec.localization_kind)
         if spec.localization_kind == "pixelwise":
             # Sum column by column, in ground-truth order, as the scalar loss
             # does; numpy's pairwise sums would round differently.
-            fractions = self._covered_fractions(lam)[self._pair[:e]]
-            total = np.zeros(nv)
-            starts = self._vstart[:nv]
-            for j in range(int(n_gt.max())):
-                have = np.flatnonzero(n_gt > j)
-                total[have] += fractions[starts[have] + j]
-            return self._row_losses(rows, nv, 1.0 - total / n_gt)
-        kind = self.config.predset_spec.localization_kind
-        inside = _contains(_margined(self._det, lam, kind), self._gt)
-        covered = self._per_row(inside[self._pair[:e]], nv) / n_gt
+            fractions = _covered_fractions(self.gt, margined, self.gt_area)[self.pair]
+            total = np.zeros(len(self.n_gt))
+            for j in range(int(self.n_gt.max(initial=0))):
+                have = np.flatnonzero(self.n_gt > j)
+                total[have] += fractions[self.entry_start[have] + j]
+            return self._with(1.0 - total / self.n_gt)
+        covered = self._per_state(_contains(margined, self.gt)[self.pair]) / self.n_gt
         if spec.localization_kind == "boxwise":
-            return self._row_losses(rows, nv, 1.0 - covered)
-        return self._row_losses(rows, nv, np.where(covered >= spec.localization_tau, 0.0, 1.0))
+            return self._with(1.0 - covered)
+        return self._with(np.where(covered >= spec.localization_tau, 0.0, 1.0))
 
-    def _covered_fractions(self, lam: float) -> np.ndarray:
-        """Covered area fraction of each pair's ground truth at margin ``lam``."""
-        gl, gtop, gr, gb = self._gt
-        margined = _margined(self._det, lam, self.config.predset_spec.localization_kind)
-        ml, mt, mr, mb = margined
-        area = self._gt_area
-        inside = _contains(margined, self._gt)
-        # intersect(): a negative extent is the empty box, of area 0
-        width = np.minimum(gr, mr) - np.maximum(gl, ml)
-        height = np.minimum(gb, mb) - np.maximum(gtop, mt)
-        inter = np.where((width < 0.0) | (height < 0.0), 0.0, width * height)
-        return np.divide(inter, area, out=np.where(inside, 1.0, 0.0), where=area > 0.0)
-
-    def cls_losses(self, lam: float, rows: int) -> np.ndarray:
-        nv = int(np.searchsorted(self._vrows, rows))
-        if nv == 0:
-            return self._base[:rows].copy()
-        misses = self._per_row(lam < self._entry_cutoff[: self._vstart[nv]], nv)
+    def cls_losses(self, lam: float) -> np.ndarray:
+        misses = self._per_state((lam < self.cutoff)[self.pair])
         spec = self.config.loss_spec
         if spec.classification_aggregation == "max":
-            values = np.where(misses > 0, 1.0, 0.0)
-        elif spec.classification_aggregation == "average":
-            values = misses / self._vgt[:nv]
-        else:
-            values = np.where(misses / self._vgt[:nv] > spec.aggregation_tau, 1.0, 0.0)
-        return self._row_losses(rows, nv, values)
+            return self._with(np.where(misses > 0, 1.0, 0.0))
+        if spec.classification_aggregation == "average":
+            return self._with(misses / self.n_gt)
+        return self._with(np.where(misses / self.n_gt > spec.aggregation_tau, 1.0, 0.0))
+
+
+def _covered_fractions(gt, margined, area) -> np.ndarray:
+    """Covered area fraction of each ground truth ``gt`` of area ``area`` by
+    its ``margined`` box."""
+    gl, gtop, gr, gb = gt
+    ml, mt, mr, mb = margined
+    inside = _contains(margined, gt)
+    # intersect(): a negative extent is the empty box, of area 0
+    width = np.minimum(gr, mr) - np.maximum(gl, ml)
+    height = np.minimum(gb, mb) - np.maximum(gtop, mt)
+    inter = np.where((width < 0.0) | (height < 0.0), 0.0, width * height)
+    return np.divide(inter, area, out=np.where(inside, 1.0, 0.0), where=area > 0.0)
 
 
 # --------------------------------------------------------------------------
 # Step 1: confidence parameters
 # --------------------------------------------------------------------------
+
+
+def _monotonized(kernel: _PrefixKernel) -> list:
+    """Step 1's tasks, confidence, ``loc`` and ``cls``, each a memoized
+    function of a visit ``v`` that returns every image's monotonized loss
+    there, at the loosest second-step parameters: its largest over the
+    states it passes through down to ``v``. For ``loc`` and ``cls`` that is
+    the running maximum along its states, read at its state at ``v``; the
+    confidence loss never falls as the prefix shrinks, so it is its value
+    at the image's prefix length at ``v``."""
+    cfg = kernel.config
+    every = kernel.reach(len(kernel.visit_lams))
+    states_at = lru_cache(maxsize=None)(kernel.states_at)
+    monos = (kernel.running_max(every.loc_losses(cfg.lambda_loc_bounds[1])),
+             kernel.running_max(every.cls_losses(cfg.lambda_cls_bounds[1])))
+    return [lru_cache(maxsize=None)(kernel.conf_losses),
+            *(lambda v, mono=mono: mono[states_at(v)] for mono in monos)]
 
 
 def _sweep_confidence(kernel: _PrefixKernel) -> tuple[float, float, float]:
@@ -933,9 +979,8 @@ def _sweep_confidence(kernel: _PrefixKernel) -> tuple[float, float, float]:
     task's monotonized risk at ``lam_plus``. The conservative parameter uses
     the worst-case correction for the unseen test loss, the optimistic one
     omits it. A stop point is the smallest candidate (0.0, 1.0 or a visited
-    breakpoint) at which every task's monotonized losses pass ``_admits``.
-    Each task's losses at ``lam`` are each image's running maximum at the
-    depth its rows reach, so its risk never decreases as ``lam`` falls and
+    breakpoint) at which every task's monotonized losses (``_monotonized``)
+    pass ``_admits``. A task's risk never decreases as ``lam`` falls, so
     ``_smallest_admitted`` finds its smallest; searched from the previous
     task's on, the last task's is the largest. When a task fails already at
     1.0, the top of the domain, 1.0 is returned without a guarantee; for
@@ -944,21 +989,7 @@ def _sweep_confidence(kernel: _PrefixKernel) -> tuple[float, float, float]:
     """
     cfg = kernel.config
     n = kernel.n
-    monos = [
-        np.maximum.accumulate(kernel.by_image(losses), axis=0).ravel()
-        for losses in (
-            kernel.conf_losses(),
-            kernel.loc_losses(cfg.lambda_loc_bounds[1], kernel.n_rows),
-            kernel.cls_losses(cfg.lambda_cls_bounds[1], kernel.n_rows),
-        )
-    ]
-
-    @lru_cache(maxsize=None)
-    def cells(lam: float) -> np.ndarray:
-        """Each image's cell at the depth its rows reach at ``lam``."""
-        rows = kernel.rows_at(lam)
-        return (np.bincount(kernel.row_img[:rows], minlength=n) - 1) * n + np.arange(n)
-
+    tasks = _monotonized(kernel)
     # Every candidate of every task: a task's search starts at the previous
     # task's parameter, which is itself a candidate.
     base = _candidates(kernel.lams, 0.0, 1.0)
@@ -966,10 +997,11 @@ def _sweep_confidence(kernel: _PrefixKernel) -> tuple[float, float, float]:
     def stop(b: float) -> Optional[float]:
         """The stop point under the correction ``b``; None when 1.0 fails."""
         lam = 0.0
-        for mono in monos:
+        for losses in tasks:
             try:
                 lam, _ = _smallest_admitted(
-                    base[np.searchsorted(base, lam) :], lam, 1.0, lambda p: mono[cells(p)],
+                    base[np.searchsorted(base, lam) :], lam, 1.0,
+                    lambda p: losses(kernel.visit_at(p)),
                     n, cfg.alpha_cnf, b, "the step-1 constraint fails at lambda_cnf = 1",
                 )
             except InfeasibleRiskError:
@@ -978,7 +1010,7 @@ def _sweep_confidence(kernel: _PrefixKernel) -> tuple[float, float, float]:
 
     def risk(lam: float) -> float:
         """The largest task's summed losses at ``lam``, correctly rounded."""
-        return max(math.fsum(mono[cells(lam)].tolist()) for mono in monos)
+        return max(math.fsum(losses(kernel.visit_at(lam)).tolist()) for losses in tasks)
 
     lam_plus, lam_minus = stop(kernel.loss_bound), stop(0.0)
     if lam_plus is None:
@@ -997,25 +1029,25 @@ def _sweep_confidence(kernel: _PrefixKernel) -> tuple[float, float, float]:
 # --------------------------------------------------------------------------
 
 
-def _second_step(kernel: _PrefixKernel, lambda_cnf_minus: float, task: str):
+def _second_step(kernel: _PrefixKernel, reach: _Reach, task: str):
     """Smallest feasible second-step parameter of ``task`` ("loc" or "cls").
 
-    Each candidate is scored with the monotonized risk: per image, the
-    maximum of the task loss over the rows ``lambda_cnf_minus`` reaches. The
-    candidates are the requirements of the visited rows' entries, or the
-    grid for the pixelwise loss (``_smallest_admitted``). Returns
-    ``(parameter, risk_at_parameter)``.
+    ``reach`` holds the states ``lambda_cnf_minus`` reaches. Each candidate
+    is scored with the monotonized risk: per image, the maximum of the task
+    loss over those states. The candidates are the requirements of their
+    entries, or the grid for the pixelwise loss (``_smallest_admitted``).
+    Returns ``(parameter, risk_at_parameter)``.
     """
     cfg = kernel.config
     if task == "loc":
-        alpha, (lo, hi), loss_at = cfg.alpha_loc, cfg.lambda_loc_bounds, kernel.loc_losses
+        alpha, (lo, hi), loss_at = cfg.alpha_loc, cfg.lambda_loc_bounds, reach.loc_losses
+        reqs = reach.loc_req
     else:
-        alpha, (lo, hi), loss_at = cfg.alpha_cls, cfg.lambda_cls_bounds, kernel.cls_losses
-    rows = kernel.rows_at(lambda_cnf_minus)
-    reqs = kernel.requirements(task, rows)
+        alpha, (lo, hi), loss_at = cfg.alpha_cls, cfg.lambda_cls_bounds, reach.cls_losses
+        reqs = reach.cutoff
     lam, losses = _smallest_admitted(
         None if reqs is None else _candidates(reqs, lo, hi), lo, hi,
-        lambda lam: kernel.by_image(loss_at(lam, rows)).max(axis=0),
+        lambda lam: reach.maxima(loss_at(lam)),
         kernel.n, alpha, kernel.loss_bound,
         f"no feasible {task} parameter in [{lo}, {hi}]; "
         f"alpha_{task}={alpha} is too small for this data and loss",
@@ -1071,7 +1103,8 @@ def seqcrc_step2(
     if task not in ("loc", "cls"):
         raise ValueError(f"unknown task {task!r}")
     with np.errstate(over="ignore", invalid="ignore"):
-        lam, _ = _second_step(_PrefixKernel(_SampleTable.from_samples(samples), config), lambda_cnf_minus, task)
+        kernel = _PrefixKernel(_SampleTable.from_samples(samples), config)
+        lam, _ = _second_step(kernel, kernel.reach(kernel.visit_at(lambda_cnf_minus)), task)
     return lam
 
 
@@ -1098,8 +1131,9 @@ def _calibrate(table: _SampleTable, config: CalibrationConfig) -> CalibrationRes
     with np.errstate(over="ignore", invalid="ignore"):
         kernel = _PrefixKernel(table, config)
         plus, minus, cnf_risk = _sweep_confidence(kernel)
-        lam_loc, loc_risk = _second_step(kernel, minus, "loc")
-        lam_cls, cls_risk = _second_step(kernel, minus, "cls")
+        reach = kernel.reach(kernel.visit_at(minus))
+        lam_loc, loc_risk = _second_step(kernel, reach, "loc")
+        lam_cls, cls_risk = _second_step(kernel, reach, "cls")
     diagnostics = {
         "cnf_monotonized_risk": cnf_risk,
         "loc_monotonized_risk": loc_risk,

@@ -70,20 +70,23 @@ def calibration_outcome(samples, config):
 
 def exact_task_sums(kernel) -> list[list]:
     """Each step-1 task's exact summed monotonized losses at every point of
-    ``[1.0, *kernel.visit_lams]``: per image, the largest of its losses at
-    the loosest second-step parameters over the rows the point reaches,
-    read from the rows themselves, not from step 1's running-max table."""
+    ``[1.0, *kernel.visit_lams]``: per image, the largest of its ``loc`` and
+    ``cls`` losses at the loosest second-step parameters over the states the
+    point reaches, read as step 2 reads them (``reach`` and ``maxima``), not
+    from step 1's running maxima, and its confidence loss at the point's
+    prefix."""
     cfg = kernel.config
-    tasks = (
-        kernel.conf_losses(),
-        kernel.loc_losses(cfg.lambda_loc_bounds[1], kernel.n_rows),
-        kernel.cls_losses(cfg.lambda_cls_bounds[1], kernel.n_rows),
-    )
-    return [
-        [exact_sum(tuple(kernel.by_image(losses[: kernel.rows_at(lam)]).max(axis=0).tolist()))
-         for lam in (1.0, *kernel.visit_lams)]
-        for losses in tasks
-    ]
+    sums = [[], [], []]
+    for v in range(-1, len(kernel.visit_lams)):
+        reach = kernel.reach(v)
+        losses = (
+            kernel.conf_losses(v),
+            reach.maxima(reach.loc_losses(cfg.lambda_loc_bounds[1])),
+            reach.maxima(reach.cls_losses(cfg.lambda_cls_bounds[1])),
+        )
+        for task, values in zip(sums, losses):
+            task.append(exact_sum(tuple(values.tolist())))
+    return sums
 
 
 def samples_to_dataset(samples, num_classes: int, size: float = 100.0) -> DatasetFile:

@@ -60,6 +60,24 @@ def pure_image_losses(sample, lam_cnf, lam_loc, lam_cls, config: CalibrationConf
     )
 
 
+def loosest_losses(samples, config: CalibrationConfig):
+    """``losses(i, lam_cnf)``: ``pure_image_losses`` of image ``i`` at the
+    confidence parameter ``lam_cnf`` and the loosest second-step parameters.
+    The selection is a prefix of the detections and the other parameters
+    are fixed, so the losses depend on the prefix length alone; each
+    (image, prefix length) is evaluated once."""
+    lam_loc, lam_cls = config.lambda_loc_bounds[1], config.lambda_cls_bounds[1]
+    memo = {}
+
+    def losses(i: int, lam_cnf: float) -> tuple:
+        key = (i, len(select_confident(samples[i], lam_cnf)))
+        if key not in memo:
+            memo[key] = pure_image_losses(samples[i], lam_cnf, lam_loc, lam_cls, config)
+        return memo[key]
+
+    return losses
+
+
 def confidence_visit_points(samples) -> list[float]:
     """Evaluation points of the downward confidence sweep: 1, every value of
     1 - confidence in decreasing order, then 0."""
@@ -80,8 +98,7 @@ def grid_step1_oracle(samples, config: CalibrationConfig, grid_step: float = 1e-
     """
     n = len(samples)
     alpha = config.alpha_cnf
-    lam_loc_bar = config.lambda_loc_bounds[1]
-    lam_cls_bar = config.lambda_cls_bounds[1]
+    losses_at = loosest_losses(samples, config)
     steps = round(1.0 / grid_step)
     grid = {k / steps for k in range(steps + 1)}
     points = sorted(grid | set(confidence_visit_points(samples)), reverse=True)
@@ -91,8 +108,8 @@ def grid_step1_oracle(samples, config: CalibrationConfig, grid_step: float = 1e-
     plus = None
     minus = None
     for p in points:
-        for i, sample in enumerate(samples):
-            c, lo, cl = pure_image_losses(sample, p, lam_loc_bar, lam_cls_bar, config)
+        for i in range(n):
+            c, lo, cl = losses_at(i, p)
             cnf[i] = c
             mono_loc[i] = max(mono_loc[i], lo)
             mono_cls[i] = max(mono_cls[i], cl)
@@ -109,13 +126,11 @@ def exact_step1_sums(samples, config: CalibrationConfig) -> list:
     """``(point, sum)`` at every sweep point (``confidence_visit_points``):
     the largest of the three tasks' summed monotonized losses, a rational."""
     mono = [[0.0] * len(samples) for _ in range(3)]
+    losses_at = loosest_losses(samples, config)
     out = []
     for p in confidence_visit_points(samples):
-        for i, sample in enumerate(samples):
-            losses = pure_image_losses(
-                sample, p, config.lambda_loc_bounds[1], config.lambda_cls_bounds[1], config
-            )
-            for task, loss in enumerate(losses):
+        for i in range(len(samples)):
+            for task, loss in enumerate(losses_at(i, p)):
                 mono[task][i] = max(mono[task][i], loss)
         out.append((p, max(exact_sum(tuple(m)) for m in mono)))
     return out

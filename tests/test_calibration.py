@@ -3,6 +3,7 @@ import math
 import re
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -132,6 +133,18 @@ class TestCrcCalibrate:
     def test_empty_calibration_set(self):
         with pytest.raises(ValueError):
             crc_calibrate([], 0.5, 1.0, (0.0, 1.0))
+
+    def test_negative_loss_is_refused(self):
+        # The constraint holds exactly for these losses, but _admits' error
+        # band assumes non-negative losses, and a float test refused it.
+        # Losses lie in [0, loss_bound], so the curve at -3.8 is refused.
+        values = [0.15142010875655154, 0.03626899424341401, 0.34420100553679467, 0.6152394833248576,
+                  0.7424596231257796, 0.11311490301807692, 0.33721377319664525, 0.03081085762668856,
+                  0.448653262492294, -3.808382011321102]
+        assert sum(map(Fraction, values)) + 1 <= Fraction(0.001) * 11
+        curves = [StepLossCurve((), (v,)) for v in values]
+        with pytest.raises(ValueError, match=r"every loss must lie in \[0, loss_bound\]"):
+            crc_calibrate(curves, alpha=0.001, loss_bound=1.0, lambda_domain=(0.0, 1.0))
 
     @pytest.mark.parametrize(
         "make, message",
@@ -284,7 +297,7 @@ class TestStep1:
         assert plus == crc_calibrate(curves, alpha, 1.0, (0.0, 1.0)) == 0.48
 
     def test_monotonized_trace_non_decreasing_downward(self):
-        # The exact per-task sums at every sweep point, read from the rows
+        # The exact per-task sums at every sweep point, read from the states
         # each point reaches, equal brute-force monotonization of the public
         # per-image losses.
         rng = np.random.default_rng(3)
@@ -874,18 +887,22 @@ class TestEngineMatchesPurePath:
             samples = tuple(random_dataset(rng, n))
             kernel = _PrefixKernel(_SampleTable.from_samples(samples), random_config(rng, n))
             config = kernel.config
-            rows = list(zip(kernel.row_img.tolist(), kernel.row_k.tolist()))
-            conf = kernel.conf_losses()
+            every = kernel.reach(len(kernel.visit_lams))
             for i in range(n):
                 lam_cnf = float(rng.uniform(0, 1))
                 lam_loc = float(rng.uniform(0, config.lambda_loc_bounds[1]))
                 lam_cls = float(rng.uniform(0, 1))
-                # every prefix a threshold selects is a row of the kernel
-                r = rows.index((i, len(select_confident(samples[i], lam_cnf))))
+                # the prefix a threshold selects is the image's prefix at
+                # the threshold's visit, and lies in the state of that visit
+                v = kernel.visit_at(lam_cnf)
+                k = len(select_confident(samples[i], lam_cnf))
+                s = kernel.states_at(v)[i]
+                assert kernel.prefix_lengths(v)[i] == k
+                assert kernel.assignment(i, kernel._k[s]) == kernel.assignment(i, k)
                 pure = pure_image_losses(samples[i], lam_cnf, lam_loc, lam_cls, config)
-                assert conf[r] == pure[0]
-                assert kernel.loc_losses(lam_loc, kernel.n_rows)[r] == pure[1]
-                assert kernel.cls_losses(lam_cls, kernel.n_rows)[r] == pure[2]
+                assert kernel.conf_losses(v)[i] == pure[0]
+                assert every.loc_losses(lam_loc)[s] == pure[1]
+                assert every.cls_losses(lam_cls)[s] == pure[2]
 
 
 class TestOracleAgreementSmoke:

@@ -7,7 +7,9 @@ One test uses off-lattice float boxes, where ``margin_to_cover`` rounds.
 """
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -27,9 +29,9 @@ from condet import (
     generate,
     match,
 )
-from condet.calibration import _PrefixKernel, _SampleTable
+from condet.calibration import _monotonized, _PrefixKernel, _SampleTable, _sweep_confidence
 from condet.matching import MATCH_KINDS
-from condet.losses import loc_loss
+from condet.losses import CONF_LOSS_KINDS, loc_loss
 from condet.predsets import apply_margin, class_miss_cutoff, margin_to_cover, select_confident
 from oracles import pure_image_losses
 
@@ -118,16 +120,30 @@ def test_prefix_assignment_equals_match(samples, kind):
             assert kernel.assignment(i, k) == match(sample.ground_truths, preds[:k], spec)
 
 
+def sweep_points(kernel):
+    """``(visit, point)`` of the sweep: ``(-1, 1.0)``, then each breakpoint."""
+    return list(enumerate([1.0, *kernel.visit_lams], start=-1))
+
+
 @settings(max_examples=100, deadline=None)
-@given(datasets())
-def test_by_image_lays_out_each_images_rows_in_visit_order(samples):
-    kernel = _PrefixKernel(_SampleTable.from_samples(samples), config_for("hausdorff"))
-    table = kernel.by_image([float(r + 1) for r in range(kernel.n_rows)]).T.tolist()
-    rows = [[] for _ in samples]
-    for r, i in enumerate(kernel.row_img.tolist()):
-        rows[i].append(float(r + 1))
-    assert kernel.depth == max(map(len, rows))
-    assert table == [own + [0.0] * (kernel.depth - len(own)) for own in rows]
+@given(datasets(), st.sampled_from(MATCH_KINDS))
+def test_states_list_each_images_runs_in_visit_order(samples, kind):
+    # Walking the sweep's points with the set-based functions, the runs of
+    # one matching of each image, in order, are its states: image by image,
+    # each with the prefix length at its run's first point (the longest)
+    # and that point's visit.
+    kernel = _PrefixKernel(_SampleTable.from_samples(samples), config_for(kind))
+    spec = MatchDistanceSpec(kind, tau=0.25)
+    want = []
+    for i, sample in enumerate(samples):
+        last = None
+        for v, p in sweep_points(kernel):
+            k = len(select_confident(sample, p))
+            matching = match(sample.ground_truths, [(d.box, d.probs) for d in sample.detections[:k]], spec)
+            if v < 0 or matching != last:
+                want.append((i, k, v))
+            last = matching
+    assert list(zip(kernel._img.tolist(), kernel._k.tolist(), kernel._visit.tolist())) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -148,18 +164,23 @@ def test_by_image_lays_out_each_images_rows_in_visit_order(samples):
      for i, gt in enumerate((BoundingBox(1, 1, 1, 3), BoundingBox(6, 2, 6, 2)))],
     "hausdorff", "pixelwise", "additive", "lac", "average", 0.5, 0.5,
 )
-def test_row_losses_equal_set_based_losses(samples, kind, loc_loss, loc_set, cls_set, agg, lam_loc, lam_cls):
+def test_state_losses_equal_set_based_losses(samples, kind, loc_loss, loc_set, cls_set, agg, lam_loc, lam_cls):
+    # Each state's losses, and each image's confidence loss at every visit,
+    # are the set-based losses at its prefix.
     config = config_for(kind, loc_loss, loc_set, cls_set, agg)
     kernel = _PrefixKernel(_SampleTable.from_samples(samples), config)
-    conf = kernel.conf_losses()
-    loc = kernel.loc_losses(lam_loc, kernel.n_rows)
-    cls = kernel.cls_losses(lam_cls, kernel.n_rows)
-    for r, (i, k) in enumerate(zip(kernel.row_img.tolist(), kernel.row_k.tolist())):
+    every = kernel.reach(len(kernel.visit_lams))
+    loc = every.loc_losses(lam_loc)
+    cls = every.cls_losses(lam_cls)
+    for s, (i, k) in enumerate(zip(kernel._img.tolist(), kernel._k.tolist())):
         # the largest confidence parameter that selects exactly k detections
         reqs = [1.0 - d.confidence for d in samples[i].detections]
         lam_cnf = reqs[k - 1] if k else 0.0
         assert len(select_confident(samples[i], lam_cnf)) == k
-        assert (conf[r], loc[r], cls[r]) == pure_image_losses(samples[i], lam_cnf, lam_loc, lam_cls, config)
+        assert (loc[s], cls[s]) == pure_image_losses(samples[i], lam_cnf, lam_loc, lam_cls, config)[1:]
+    for v, p in sweep_points(kernel):
+        conf = kernel.conf_losses(v).tolist()
+        assert conf == [pure_image_losses(sample, p, lam_loc, lam_cls, config)[0] for sample in samples]
 
 
 @settings(max_examples=150, deadline=None)
@@ -184,12 +205,13 @@ def test_loc_losses_equal_set_path_at_requirements(samples, kind, loc_loss_kind,
                     lams.add(need)
                     lams.add(max(0.0, math.nextafter(need, -math.inf)))
     states = []
-    for i, k in zip(kernel.row_img.tolist(), kernel.row_k.tolist()):
+    for i, k in zip(kernel._img.tolist(), kernel._k.tolist()):
         preds = [d.box for d in samples[i].detections[:k]]
         states.append((samples[i], kernel.assignment(i, k), preds))
+    every = kernel.reach(len(kernel.visit_lams))
     spec = config.loss_spec
     for lam in sorted(lams):
-        got = kernel.loc_losses(lam, kernel.n_rows).tolist()
+        got = every.loc_losses(lam).tolist()
         want = [
             loc_loss(sample, assignment, [apply_margin(b, lam, loc_set) for b in preds],
                      spec.localization_kind, spec.localization_tau)
@@ -211,41 +233,51 @@ def test_loc_losses_equal_set_path_at_requirements(samples, kind, loc_loss_kind,
     "hausdorff", "aps",
 )
 def test_every_entrys_class_cutoff_is_class_miss_cutoff(samples, kind, cls_set):
-    # Every row with a detection and a ground truth reads, through its
-    # representative's entries, the cutoff of each ground truth's label in
-    # the probabilities of the detection it matches at the row's own
-    # prefix, bit for bit.
+    # Every state with a detection and a ground truth has, in its entries,
+    # the cutoff of each ground truth's label in the probabilities of the
+    # detection it matches at the state's prefix, bit for bit. Every prefix
+    # of the sweep reads a state with its own matching
+    # (test_each_prefix_reads_the_state_of_its_matching).
     config = config_for(kind, cls_set=cls_set)
     kernel = _PrefixKernel(_SampleTable.from_samples(samples), config)
-    cutoffs = kernel._cutoff[kernel._pair].tolist()
-    entries = {r: v for v, r in enumerate(kernel._vrows.tolist())}
-    for r, (i, k) in enumerate(zip(kernel.row_img.tolist(), kernel.row_k.tolist())):
+    every = kernel.reach(len(kernel.visit_lams))
+    cutoffs = every.cutoff[every.pair].tolist()
+    scored = every.scored.tolist()
+    for s, (i, k) in enumerate(zip(kernel._img.tolist(), kernel._k.tolist())):
         sample = samples[i]
         if k == 0 or not sample.ground_truths:
+            assert s not in scored
             continue
-        v = entries[kernel._rep[r]]
+        j = scored.index(s)
+        start = every.entry_start[j]
         want = [class_miss_cutoff(sample.detections[d].probs, label, cls_set)
                 for d, (_, label) in zip(kernel.assignment(i, k), sample.ground_truths)]
-        assert cutoffs[kernel._vstart[v] : kernel._vstart[v + 1]] == want
+        assert cutoffs[start : start + every.n_gt[j]] == want
 
 
 @settings(deadline=None)
 @given(datasets(), st.sampled_from(MATCH_KINDS))
-def test_rows_of_one_matching_read_its_first_row(samples, kind):
-    # Each row reads its losses from a row of its own image, no deeper, with
-    # the same matching; the rows with entries are exactly the first row of
-    # each distinct (image, matching) among the rows with a detection and a
-    # ground truth, and every such row reads that first row.
+def test_each_prefix_reads_the_state_of_its_matching(samples, kind):
+    # At every point of the sweep each image's prefix (the set-based
+    # selection) reads a state of its own image, entered no later, with the
+    # prefix's matching, and never a longer prefix than that state's. The
+    # states with entries are exactly one per distinct (image, matching)
+    # among the prefixes with a detection and a ground truth, every such
+    # prefix reads that one, and it has one entry per ground truth.
     kernel = _PrefixKernel(_SampleTable.from_samples(samples), config_for(kind))
-    rows = list(zip(kernel.row_img.tolist(), kernel.row_k.tolist()))
-    rep, depth = kernel._rep.tolist(), kernel.row_depth.tolist()
     firsts = {}
-    for r, (i, k) in enumerate(rows):
-        assert rows[rep[r]][0] == i and depth[rep[r]] <= depth[r]
-        assert kernel.assignment(*rows[rep[r]]) == kernel.assignment(i, k)
-        if k > 0 and samples[i].ground_truths:
-            assert rep[r] == firsts.setdefault((i, kernel.assignment(i, k)), r)
-    assert kernel._vrows.tolist() == sorted(firsts.values())
+    for v, p in sweep_points(kernel):
+        states, lengths = kernel.states_at(v).tolist(), kernel.prefix_lengths(v).tolist()
+        for i, sample in enumerate(samples):
+            s, k = states[i], lengths[i]
+            assert k == len(select_confident(sample, p))
+            assert kernel._img[s] == i and kernel._visit[s] <= v and kernel._k[s] >= k
+            assert kernel.assignment(i, kernel._k[s]) == kernel.assignment(i, k)
+            if k > 0 and sample.ground_truths:
+                assert s == firsts.setdefault((i, kernel.assignment(i, k)), s)
+    scored = sorted(firsts.values())
+    assert np.flatnonzero(kernel._count).tolist() == scored
+    assert kernel._count[scored].tolist() == [len(samples[kernel._img[s]].ground_truths) for s in scored]
 
 
 @settings(max_examples=150, deadline=None)
@@ -258,17 +290,55 @@ def test_rows_of_one_matching_read_its_first_row(samples, kind):
     st.sampled_from([0.0, 0.5, 1.5, 3.0]),
     st.sampled_from([0.0, 0.25, 0.5, 1.0]),
 )
-def test_losses_of_a_prefix_of_rows_are_the_full_losses_first(samples, kind, loc_loss, cls_set, agg,
-                                                              lam_loc, lam_cls):
-    # Step 2 scores the rows lambda_cnf_minus reaches, the end of a visit or
-    # the n full prefixes; every prefix of the rows is checked here.
+def test_losses_of_a_reach_are_the_full_losses_of_its_states(samples, kind, loc_loss, cls_set, agg,
+                                                             lam_loc, lam_cls):
+    # Step 2 scores the states lambda_cnf_minus reaches, those entered at or
+    # before its visit (the n full prefixes at visit -1). At every visit the
+    # compacted reach scores exactly those states as the whole sweep's
+    # reach does, each image's from its full prefix on, and its maxima are
+    # each image's largest over them.
     kernel = _PrefixKernel(_SampleTable.from_samples(samples), config_for(kind, loc_loss, "additive", cls_set, agg))
-    loc = kernel.loc_losses(lam_loc, kernel.n_rows).tolist()
-    cls = kernel.cls_losses(lam_cls, kernel.n_rows).tolist()
-    assert {kernel.n, *kernel.visit_end.tolist()} <= set(range(kernel.n_rows + 1))
-    for rows in range(kernel.n_rows + 1):
-        assert kernel.loc_losses(lam_loc, rows).tolist() == loc[:rows]
-        assert kernel.cls_losses(lam_cls, rows).tolist() == cls[:rows]
+    every = kernel.reach(len(kernel.visit_lams))
+    assert len(every.base) == len(kernel._k)
+    losses = (every.loc_losses(lam_loc), every.cls_losses(lam_cls))
+    for v in range(-1, len(kernel.visit_lams) + 1):
+        reached = kernel._visit <= v
+        reach = kernel.reach(v)
+        assert kernel._img[reached][reach.starts].tolist() == list(range(kernel.n))
+        assert kernel._visit[reached][reach.starts].tolist() == [-1] * kernel.n
+        for got, full in zip((reach.loc_losses(lam_loc), reach.cls_losses(lam_cls)), losses):
+            assert got.tolist() == full[reached].tolist()
+            assert reach.maxima(got).tolist() == [
+                max(full[reached & (kernel._img == i)]) for i in range(kernel.n)
+            ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    datasets(),
+    st.sampled_from(MATCH_KINDS),
+    st.sampled_from(CONF_LOSS_KINDS),
+    st.sampled_from(["boxwise", "pixelwise", "thresholded"]),
+    st.sampled_from(["additive", "multiplicative"]),
+    st.sampled_from(["lac", "aps"]),
+    st.sampled_from(["average", "max", "thresholded"]),
+)
+def test_monotonized_losses_are_the_largest_over_the_prefixes_reached(samples, kind, conf, loc_loss,
+                                                                      loc_set, cls_set, agg):
+    # Step 1's losses at each visit and at 1.0: per image and task, the
+    # largest set-based loss, at the loosest second-step parameters, over
+    # the prefixes of every point from 1.0 down to that point.
+    config = config_for(kind, loc_loss, loc_set, cls_set, agg)
+    config = replace(config, loss_spec=replace(config.loss_spec, confidence_kind=conf))
+    kernel = _PrefixKernel(_SampleTable.from_samples(samples), config)
+    tasks = _monotonized(kernel)
+    loosest = (config.lambda_loc_bounds[1], config.lambda_cls_bounds[1])
+    worst = [[0.0] * len(samples) for _ in tasks]
+    for v, p in sweep_points(kernel):
+        for i, sample in enumerate(samples):
+            for task, loss in enumerate(pure_image_losses(sample, p, *loosest, config)):
+                worst[task][i] = max(worst[task][i], loss)
+        assert [losses(v).tolist() for losses in tasks] == worst
 
 
 def _match_raises(samples):
@@ -301,20 +371,20 @@ def test_giou_zero_area_raises_exactly_when_matching_would(samples):
 
 
 def test_rows_of_one_matching_share_their_entries():
-    # A 500-image set at COCO-val-like density: 17,224 of its 17,724 rows
-    # have a detection and a ground truth, 80,087 (row, ground truth) pairs,
-    # but only 2,565 distinct (image, matching) states carry entries, 14,484
-    # of them. The distinct (ground truth, matched detection) pairs are the
-    # same 5,651.
+    # A 500-image set at COCO-val-like density: the sweep moves its images
+    # through about one prefix per detection, but these hold only 3,065
+    # distinct (image, matching) states, 835 of them reached at
+    # lambda_cnf_minus. 2,565 states carry entries, 14,484 of them, which
+    # point at 5,651 distinct (ground truth, matched detection) pairs.
     samples = generate(SynthSpec(
         seed=1, n_images=500, num_classes=80, image_width=640.0, image_height=480.0,
         objects_min=1, objects_max=8, box_noise_std=8.0, false_positive_rate=30.0,
     ))
     config = CalibrationConfig(0.02, 0.1, 0.1, lambda_loc_bounds=(0.0, 2000.0))
     kernel = _PrefixKernel(_SampleTable.from_samples(samples), config)
-    scored = (kernel.row_k > 0) & (kernel._row_gt > 0)
-    assert (kernel.n_rows, int(scored.sum()), int(kernel._row_gt[scored].sum())) == (17_724, 17_224, 80_087)
-    assert (len(kernel._vrows), int(kernel._vstart[-1])) == (2_565, 14_484)
+    _, minus, _ = _sweep_confidence(kernel)
+    assert (len(kernel._k), int((kernel._visit <= kernel.visit_at(minus)).sum())) == (3_065, 835)
+    assert (int((kernel._count > 0).sum()), int(kernel._count.sum())) == (2_565, 14_484)
     assert len(kernel._cutoff) == 5_651
 
 
@@ -323,7 +393,7 @@ def test_single_image_without_detections():
     kernel = _PrefixKernel(_SampleTable.from_samples([sample]), config_for("hausdorff"))
     assert kernel.visit_lams == []
     assert kernel.assignment(0, 0) == (None,)
-    assert kernel.loc_losses(math.inf, kernel.n_rows).tolist() == [1.0]
+    assert kernel.reach(0).loc_losses(math.inf).tolist() == [1.0]
 
 
 def test_aps_set_is_full_at_one():
@@ -336,7 +406,7 @@ def test_aps_set_is_full_at_one():
     config = config_for("hausdorff", cls_set="aps")
     kernel = _PrefixKernel(_SampleTable.from_samples([sample]), config)
     assert pure_image_losses(sample, 0.1, 0.0, 1.0, config)[2] == 0.0
-    assert kernel.cls_losses(1.0, kernel.n_rows)[0] == 0.0
+    assert kernel.reach(-1).cls_losses(1.0)[0] == 0.0
 
 
 @pytest.mark.parametrize("kind", MATCH_KINDS)
@@ -348,4 +418,4 @@ def test_duplicate_confidences_share_one_visit(kind):
     )
     kernel = _PrefixKernel(_SampleTable.from_samples([ImageSample("a", (gt,), dets)]), config_for(kind))
     assert kernel.visit_lams == pytest.approx([0.8, 0.5, 0.1, 0.0])
-    assert sorted(kernel.row_k.tolist()) == [0, 1, 3, 4]
+    assert [int(kernel.prefix_lengths(v)[0]) for v in range(-1, 4)] == [4, 4, 3, 1, 0]
