@@ -24,7 +24,7 @@ import numpy as np
 from ._workers import ordered_map
 from .calibration import CalibrationConfig, CalibrationResult, _SampleTable
 from .geometry import BoundingBox
-from .losses import Detection, ImageSample, _check_box, _check_probs, _sum_near_one
+from .losses import Detection, ImageSample, _block_holds, _check_box, _check_probs
 
 __all__ = [
     "DATASET_SCHEMA_VERSION",
@@ -442,24 +442,19 @@ def _float_rows(rows: list, width: int):
     return np.array(flat, dtype=float).reshape(-1, width) if _only(flat, float) else None
 
 
-def _boxes_hold(boxes) -> bool:
-    """Whether every row of the ``(m, 4)`` array ``boxes`` obeys the box rule."""
-    left, top, right, bottom = boxes.T
-    return bool(np.isfinite(boxes).all() and (left <= right).all() and (top <= bottom).all())
-
-
 def _span_table(raws: list, num_classes: int, prefilter_threshold: float) -> _SampleTable | None:
     """The ``_SampleTable`` of the raw image records ``raws``, without the
     detections below ``prefilter_threshold``, built from the decoded JSON
     lists; None unless every record passes a bulk check.
 
     The check accepts nothing that ``_image`` refuses, but it may refuse a
-    valid record, which ``_table_outcome`` then reads through ``_image``:
-    every number must be a float by type (image ids strings, class ids
-    integers), boxes finite and ordered, extents finite and >= 0,
-    confidences in [0, 1], class ids in [0, num_classes), and each
-    probability vector ``num_classes`` finite, non-negative entries whose
-    row sum passes ``losses._sum_near_one``.
+    valid record, which ``_table_outcome`` then reads through ``_image``.
+    Here it checks the JSON types and the extents: every number must be a
+    float by type (image ids strings), each probability vector must have
+    ``num_classes`` entries, and extents must be finite and >= 0. The
+    values themselves go through the validity rule's bulk form,
+    ``losses._block_holds``, which also requires the class ids to be
+    ``int``s in [0, num_classes).
     """
     if not _only(raws, dict):
         return None
@@ -479,17 +474,12 @@ def _span_table(raws: list, num_classes: int, prefilter_threshold: float) -> _Sa
     probs = _float_rows([d.get("probs") for d in dets], num_classes)
     if gt_box is None or det_box is None or probs is None:
         return None
-    if not (_only(labels, int) and _only(confidence, float)):
+    if not _only(confidence, float):
         return None
     extents, confidence = np.array(extents, dtype=float), np.array(confidence, dtype=float)
     if not (
         ((0.0 <= extents) & (extents < math.inf)).all()
-        and _boxes_hold(gt_box)
-        and (not labels or (min(labels) >= 0 and max(labels) < num_classes))
-        and _boxes_hold(det_box)
-        and ((0.0 <= confidence) & (confidence <= 1.0)).all()
-        and ((probs >= 0.0) & (probs < math.inf)).all()
-        and _sum_near_one(probs.sum(axis=1), num_classes).all()
+        and _block_holds(np.concatenate((gt_box, det_box)), labels, confidence, probs)
     ):
         return None
     det_img = np.repeat(np.arange(len(raws)), np.array([*map(len, det_lists)], dtype=np.int64))

@@ -16,6 +16,8 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .geometry import BoundingBox, area, contains, intersect
 from .matching import MatchingAssignment
 
@@ -89,6 +91,41 @@ def _check_probs(probs: Sequence[float], name: str) -> None:
             raise ValueError(f"{name} sum to {total:.6f}, expected 1 within 1e-4")
 
 
+def _block_holds(boxes: np.ndarray, labels: Sequence[int], confidences: np.ndarray,
+                 probs: np.ndarray) -> bool:
+    """The validity rule over a block of values at once: whether every row
+    of the ``(m, 4)`` float array ``boxes`` obeys the box rule, every entry
+    of ``confidences`` lies in [0, 1], every row of the ``(d, k)`` float
+    array ``probs`` holds finite, non-negative entries whose sum passes
+    ``_sum_near_one``, and every one of the ground-truth ``labels`` is
+    exactly an ``int`` in [0, k).
+
+    It accepts nothing that the constructors refuse: objects built from a
+    block that passes, with ``Detection._trusted`` and
+    ``ImageSample._trusted``, are those the constructors build. It may
+    refuse values the constructors accept, such as the label ``2.0``, or a
+    label outside [0, k) in an image without detections; the caller then
+    builds through the constructors, which name the fault.
+    """
+    left, top, right, bottom = boxes.T
+    # An infinite entry makes its row sum infinite, which fails the bound.
+    return bool(
+        np.isfinite(boxes).all()
+        and (left <= right).all()
+        and (top <= bottom).all()
+        and ((0.0 <= confidences) & (confidences <= 1.0)).all()
+        and (probs >= 0.0).all()
+        and _sum_near_one(probs.sum(axis=1), probs.shape[1]).all()
+        and {*map(type, labels)} <= {int}
+        and (not labels or (min(labels) >= 0 and max(labels) < probs.shape[1]))
+    )
+
+
+def _by_confidence(detections) -> tuple:
+    """``detections`` stably sorted by descending confidence."""
+    return tuple(sorted(detections, key=lambda d: -d.confidence))
+
+
 @dataclass(frozen=True)
 class Detection:
     """One predicted object: box, class probability vector, confidence score.
@@ -115,6 +152,16 @@ class Detection:
         object.__setattr__(self, "probs", probs)
         _check_probs(probs, "probs")
 
+    @classmethod
+    def _trusted(cls, box: BoundingBox, probs: Sequence[float], confidence: float) -> "Detection":
+        """``Detection(box, probs, confidence)`` built without checking, for
+        values of a block that passed ``_block_holds``."""
+        det = object.__new__(cls)
+        object.__setattr__(det, "box", box)
+        object.__setattr__(det, "probs", tuple(probs))
+        object.__setattr__(det, "confidence", float(confidence))
+        return det
+
 
 @dataclass(frozen=True)
 class ImageSample:
@@ -137,7 +184,7 @@ class ImageSample:
     detections: tuple[Detection, ...]
 
     def __post_init__(self) -> None:
-        dets = tuple(sorted(self.detections, key=lambda d: -d.confidence))
+        dets = _by_confidence(self.detections)
         k = len(dets[0].probs) if dets else None
         if any(len(d.probs) != k for d in dets):
             raise ValueError(f"image {self.image_id!r}: probability vectors of different lengths")
@@ -156,6 +203,17 @@ class ImageSample:
             gts.append((box, value))
         object.__setattr__(self, "ground_truths", tuple(gts))
         object.__setattr__(self, "detections", dets)
+
+    @classmethod
+    def _trusted(cls, image_id: str, ground_truths, detections) -> "ImageSample":
+        """``ImageSample(image_id, ground_truths, detections)`` built without
+        checking, for values of a block that passed ``_block_holds`` (its
+        labels are ``int``s) and detections built from that block."""
+        sample = object.__new__(cls)
+        object.__setattr__(sample, "image_id", image_id)
+        object.__setattr__(sample, "ground_truths", tuple((box, label) for box, label in ground_truths))
+        object.__setattr__(sample, "detections", _by_confidence(detections))
+        return sample
 
     @property
     def n_ground_truths(self) -> int:

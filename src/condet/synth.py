@@ -14,6 +14,13 @@ it. The order of the random draws and the float arithmetic are pinned by
 stream order matters; the class-noise softmax runs once per block of
 detections, reducing each row in the order numpy reduces a lone vector.
 
+Each block is checked at once by the bulk form of the validity rule,
+``losses._block_holds``: its probability matrix and every box, label and
+confidence of its images. A block that passes is built through the private
+constructors ``Detection._trusted`` and ``ImageSample._trusted``, which store
+what the checked constructors would and check nothing again; a block that
+fails is built through the checked constructors, so any error is theirs.
+
 ``monte_carlo_validate`` repeatedly draws calibration/test splits from the
 same distribution, calibrates, and averages the test risks across trials:
 the across-trial mean of each risk must stay below its target level. The
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +40,7 @@ from ._workers import ordered_map
 from .calibration import CalibrationConfig, InfeasibleRiskError, calibrate
 from .geometry import BoundingBox
 from .inference_metrics import evaluate
-from .losses import Detection, ImageSample
+from .losses import Detection, ImageSample, _block_holds
 
 __all__ = [
     "SynthSpec",
@@ -112,8 +120,9 @@ _MIN_EXTENT = 1.0
 _BLOCK_CELLS = 1 << 14
 
 
-def _softmax_rows(spec: SynthSpec, noise: np.ndarray, labels: list[int]) -> list[list[float]]:
-    """Class probabilities of a block of detections, one row per detection.
+def _softmax_rows(spec: SynthSpec, noise: np.ndarray, labels: list[int]) -> np.ndarray:
+    """Class probabilities of a block of detections: a ``(len(labels), k)``
+    float array, one row per detection.
 
     Row ``i`` is the softmax of ``(onehot(labels[i]) + 0.35 * noise[i]) / T``
     after subtracting the row max (``noise`` is all zeros for a noiseless
@@ -126,7 +135,7 @@ def _softmax_rows(spec: SynthSpec, noise: np.ndarray, labels: list[int]) -> list
     logits -= logits.max(axis=1, keepdims=True)
     weights = np.exp(logits, out=logits)
     weights /= weights.sum(axis=1, keepdims=True)
-    return weights.tolist()
+    return weights
 
 
 def _box_from_uniforms(spec: SynthSpec, u: list[float]) -> BoundingBox:
@@ -196,10 +205,22 @@ def generate(spec: SynthSpec) -> list[ImageSample]:
         return min(max(1.0 / (1.0 + math.exp(min(-logit, 709.0))), _CONF_FLOOR), _CONF_CEIL)
 
     def flush() -> None:
-        probs = iter(_softmax_rows(spec, class_noise[: len(labels)], labels))
-        for image_id, gts, dets in pending:
-            detections = tuple(Detection(box, next(probs), conf) for box, conf in dets)
-            samples.append(ImageSample(image_id, gts, detections))
+        weights = _softmax_rows(spec, class_noise[: len(labels)], labels)
+        gts = [gt for _, image_gts, _ in pending for gt in image_gts]
+        dets = [det for _, _, image_dets in pending for det in image_dets]
+        boxes = chain.from_iterable(box.as_tuple() for box, _ in chain(gts, dets))
+        trusted = _block_holds(
+            np.fromiter(boxes, float, 4 * (len(gts) + len(dets))).reshape(-1, 4),
+            [label for _, label in gts],
+            np.fromiter((conf for _, conf in dets), float, len(dets)),
+            weights,
+        )
+        detection = Detection._trusted if trusted else Detection
+        sample = ImageSample._trusted if trusted else ImageSample
+        probs = iter(weights.tolist())
+        for image_id, image_gts, image_dets in pending:
+            detections = [detection(box, next(probs), conf) for box, conf in image_dets]
+            samples.append(sample(image_id, image_gts, detections))
         pending.clear()
         labels.clear()
 

@@ -34,10 +34,16 @@ def exact_sum(losses: tuple) -> Fraction:
     return sum(map(Fraction, losses), Fraction(0))
 
 
-def admitted(total: Fraction, n: int, alpha: float, b: int) -> bool:
-    """Conformal Risk Control's test ``total + b <= alpha * (n + 1)`` on the
-    summed losses ``total`` of ``n`` samples, in rationals."""
-    return total + b <= Fraction(alpha) * (n + 1)
+def level(n: int, alpha: float) -> Fraction:
+    """Conformal Risk Control's bound ``alpha * (n + 1)`` on the summed
+    losses of ``n`` samples, as a rational."""
+    return Fraction(alpha) * (n + 1)
+
+
+def admitted(total: Fraction, bound: Fraction, b: int) -> bool:
+    """Conformal Risk Control's test ``total + b <= bound`` on the summed
+    losses ``total``, in rationals; ``bound`` is ``level(n, alpha)``."""
+    return total + b <= bound
 
 
 def pure_image_losses(sample, lam_cnf, lam_loc, lam_cls, config: CalibrationConfig):
@@ -94,10 +100,11 @@ def grid_step1_oracle(samples, config: CalibrationConfig, grid_step: float = 1e-
     """Grid-search the two confidence rules with brute-force monotonization.
 
     Returns ``(lam_plus, lam_minus)``: the smallest grid points satisfying the
-    corrected / uncorrected constraints, or 1.0 when none does.
+    corrected / uncorrected constraints, or 1.0 when none does. The two
+    constraints are decided again only after some loss changed.
     """
     n = len(samples)
-    alpha = config.alpha_cnf
+    bound = level(n, config.alpha_cnf)
     losses_at = loosest_losses(samples, config)
     steps = round(1.0 / grid_step)
     grid = {k / steps for k in range(steps + 1)}
@@ -107,17 +114,21 @@ def grid_step1_oracle(samples, config: CalibrationConfig, grid_step: float = 1e-
     cnf = [0.0] * n
     plus = None
     minus = None
+    changed = True
     for p in points:
         for i in range(n):
             c, lo, cl = losses_at(i, p)
-            cnf[i] = c
-            mono_loc[i] = max(mono_loc[i], lo)
-            mono_cls[i] = max(mono_cls[i], cl)
+            if c != cnf[i] or lo > mono_loc[i] or cl > mono_cls[i]:
+                cnf[i], mono_loc[i], mono_cls[i] = c, max(mono_loc[i], lo), max(mono_cls[i], cl)
+                changed = True
         if p in grid:
-            worst = max(map(exact_sum, (tuple(cnf), tuple(mono_loc), tuple(mono_cls))))
-            if admitted(worst, n, alpha, 1):
+            if changed:
+                worst = max(map(exact_sum, (tuple(cnf), tuple(mono_loc), tuple(mono_cls))))
+                holds = admitted(worst, bound, 1), admitted(worst, bound, 0)
+                changed = False
+            if holds[0]:
                 plus = p
-            if admitted(worst, n, alpha, 0):
+            if holds[1]:
                 minus = p
     return (1.0 if plus is None else plus, 1.0 if minus is None else minus)
 
@@ -141,13 +152,13 @@ def exact_step1_oracle(samples, config: CalibrationConfig) -> tuple[float, float
     rationals at every sweep point: the point before the first one whose
     sum fails the constraint, 1.0 when that is the first, and 0.0 when none
     fails. Needs at least one detection in the set."""
-    n = len(samples)
+    bound = level(len(samples), config.alpha_cnf)
     sums = exact_step1_sums(samples, config)
 
     def stop(b: int) -> float:
         before = 1.0
         for p, total in sums:
-            if not admitted(total, n, config.alpha_cnf, b):
+            if not admitted(total, bound, b):
                 return before
             before = p
         return 0.0
@@ -214,7 +225,7 @@ def _feasible(samples, states, task: str, cand: float, config: CalibrationConfig
                 worst = value
         worsts.append(worst)
     alpha, _ = _task_domain(task, config)
-    return admitted(exact_sum(tuple(worsts)), n, alpha, 1)
+    return admitted(exact_sum(tuple(worsts)), level(n, alpha), 1)
 
 
 def grid_step2_oracle(

@@ -22,8 +22,9 @@ from condet import (
     match,
     monte_carlo_validate,
 )
-from condet import _workers
+from condet import _workers, synth
 from condet.synth import format_report_table, report_to_dict
+from test_synth_golden import DIGESTS, SPECS, samples_digest
 
 
 class TestGenerate:
@@ -101,6 +102,42 @@ class TestGenerate:
                     close += 1
         assert close / total_gts >= 0.99
         assert injective / images >= 0.95
+
+
+class TestBlockScreen:
+    """``generate`` screens each block with ``losses._block_holds`` and
+    builds a block that passes without checking each value again; a block
+    that fails goes through the checked constructors."""
+
+    def test_generated_blocks_pass_the_screen(self, monkeypatch):
+        screen = synth._block_holds
+        verdicts = []
+
+        def recorded(*block):
+            verdicts.append(screen(*block))
+            return verdicts[-1]
+
+        monkeypatch.setattr(synth, "_block_holds", recorded)
+        for spec in SPECS.values():
+            generate(spec)
+        assert verdicts and all(verdicts)
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_checked_path_gives_the_golden_samples(self, name, monkeypatch):
+        monkeypatch.setattr(synth, "_block_holds", lambda *block: False)
+        assert samples_digest(generate(SPECS[name])) == DIGESTS[name]
+
+    def test_refused_block_raises_the_constructors_message(self, monkeypatch):
+        softmax_rows = synth._softmax_rows
+
+        def negative_entry(*args):
+            rows = softmax_rows(*args)
+            rows[0, 0] = -rows[0, 0] - 1e-3
+            return rows
+
+        monkeypatch.setattr(synth, "_softmax_rows", negative_entry)
+        with pytest.raises(ValueError, match="^probs must be non-negative$"):
+            generate(SynthSpec(seed=1, n_images=5))
 
 
 @st.composite
