@@ -10,9 +10,25 @@ parameters.
 ``generate``'s output is a fixed function of the spec, down to the last bit:
 the benchmark inputs, the seeded tests and every Monte Carlo trial rely on
 it. The order of the random draws and the float arithmetic are pinned by
-``tests/test_synth_golden.py``. Each detection makes only the draws whose
-stream order matters; the class-noise softmax runs once per block of
-detections, reducing each row in the order numpy reduces a lone vector.
+``tests/test_synth_golden.py``. The random draws keep their calls and
+their stream order (bounded integers and normals take a variable number of
+words, so merging calls would change the stream); the vector draws write
+into the buffers of the current block of detections. Everything else runs
+once per block, as array passes: the boxes from their uniforms, the noisy
+copies (clipped, corners ordered, expanded to the minimum extent), the
+errors, the confidence logits and the class-noise softmax. Each pass
+applies the same float operations in the same order as the per-value
+arithmetic it replaced and reduces rows in the order numpy reduces a lone
+vector, so the bits stay. Box noise is ``0.0 + std * z``, which is how
+numpy's ``normal(0.0, std)`` scales a standard normal; the logistic's
+exponential stays a ``math.exp`` call per confidence, because ``np.exp``
+need not round as libm does. Overflow in these passes (a steep confidence
+coupling) gives the infinities the per-value arithmetic gave, silently.
+
+The cyclic garbage collector is paused while ``generate`` builds its
+samples, which hold no reference cycles; the collector ran on the
+allocations alone, for about a fifth of a large call. It is re-enabled
+afterwards only if the caller had it enabled.
 
 Each block is checked at once by the bulk form of the validity rule,
 ``losses._block_holds``: its probability matrix and every box, label and
@@ -29,9 +45,10 @@ trials run side by side in worker processes.
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import asdict, dataclass, replace
-from itertools import chain
+from itertools import compress, starmap
 from typing import Sequence
 
 import numpy as np
@@ -138,36 +155,66 @@ def _softmax_rows(spec: SynthSpec, noise: np.ndarray, labels: list[int]) -> np.n
     return weights
 
 
-def _box_from_uniforms(spec: SynthSpec, u: list[float]) -> BoundingBox:
+def _boxes(spec: SynthSpec, uniforms: np.ndarray) -> np.ndarray:
+    """Corner boxes ``(left, top, right, bottom)`` of a block, one row per row
+    of four uniforms."""
     # numpy's ``uniform(low, high)`` is ``low + (high - low) * u``; with low 0,
     # that is ``high * u`` exactly.
-    w = (0.12 + (0.35 - 0.12) * u[0]) * spec.image_width
-    h = (0.12 + (0.35 - 0.12) * u[1]) * spec.image_height
-    x = (spec.image_width - w) * u[2]
-    y = (spec.image_height - h) * u[3]
-    return BoundingBox(x, y, x + w, y + h)
+    w = (0.12 + (0.35 - 0.12) * uniforms[:, 0]) * spec.image_width
+    h = (0.12 + (0.35 - 0.12) * uniforms[:, 1]) * spec.image_height
+    x = (spec.image_width - w) * uniforms[:, 2]
+    y = (spec.image_height - h) * uniforms[:, 3]
+    return np.column_stack((x, y, x + w, y + h))
 
 
-def _noisy_copy(spec: SynthSpec, box: BoundingBox, noise: list[float]) -> BoundingBox:
+def _noisy_copies(spec: SynthSpec, boxes: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The noisy copies of a block of boxes and their normalized corner
+    errors, from four standard normals per box."""
+    std = spec.box_noise_std
+    # numpy's ``normal(0.0, std)`` is ``0.0 + std * z``.
+    noise = 0.0 + std * normals
     # Clip to one image-size beyond the canvas: keeps every required margin
     # below a fixed bound (three image sizes), so losses provably vanish at
     # the loosest parameters no matter what the noise draws.
-    w, h = spec.image_width, spec.image_height
-    x_lo, x_hi = sorted(
-        (min(max(box.left + noise[0], -w), 2 * w), min(max(box.right + noise[2], -w), 2 * w))
-    )
-    y_lo, y_hi = sorted(
-        (min(max(box.top + noise[1], -h), 2 * h), min(max(box.bottom + noise[3], -h), 2 * h))
-    )
+    extent = np.array([spec.image_width, spec.image_height] * 2)
+    corners = np.minimum(np.maximum(boxes + noise, -extent), 2 * extent)
+    # Order each axis's two corners as ``sorted`` does: swap only when the
+    # second is smaller.
+    first, second = corners[:, :2], corners[:, 2:]
+    swap = second < first
+    lo, hi = np.where(swap, second, first), np.where(swap, first, second)
     # Degenerate predicted boxes break GIoU matching and multiplicative
     # margins; expand to a minimal extent when noise collapses a side.
-    if x_hi - x_lo < _MIN_EXTENT:
-        mid = (x_lo + x_hi) / 2.0
-        x_lo, x_hi = mid - _MIN_EXTENT / 2.0, mid + _MIN_EXTENT / 2.0
-    if y_hi - y_lo < _MIN_EXTENT:
-        mid = (y_lo + y_hi) / 2.0
-        y_lo, y_hi = mid - _MIN_EXTENT / 2.0, mid + _MIN_EXTENT / 2.0
-    return BoundingBox(x_lo, y_lo, x_hi, y_hi)
+    short = hi - lo < _MIN_EXTENT
+    mid = (lo + hi) / 2.0
+    lo = np.where(short, mid - _MIN_EXTENT / 2.0, lo)
+    hi = np.where(short, mid + _MIN_EXTENT / 2.0, hi)
+    # Mean |noise| summed left to right, the order numpy uses for fewer than
+    # 8 elements; the golden test pins these bits.
+    size = np.abs(noise)
+    err = (size[:, 0] + size[:, 1] + size[:, 2] + size[:, 3]) / 4 / std
+    return np.concatenate((lo, hi), axis=1), err
+
+
+def _confidences(spec: SynthSpec, err: np.ndarray, normals: np.ndarray | None) -> np.ndarray:
+    """Confidences of a block of detections from their errors and, for a
+    noisy spec, one standard normal each."""
+    logit = spec.confidence_base - spec.confidence_noise_coupling * err
+    if normals is not None:
+        logit += 0.0 + 0.3 * normals  # numpy's ``normal(0.0, 0.3)``
+    # exp overflows past 709.78; any logit below -709 gives the floor. The
+    # exponential is libm's, one value at a time: np.exp may round otherwise.
+    exps = np.fromiter(map(math.exp, np.minimum(-logit, 709.0).tolist()), float, len(logit))
+    return np.minimum(np.maximum(1.0 / (1.0 + exps), _CONF_FLOOR), _CONF_CEIL)
+
+
+def _grown(rows: int, *buffers: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``buffers`` copied into zeroed ones of at least ``rows`` rows, doubling."""
+    size = max(rows, 2 * len(buffers[0]))
+    out = tuple(np.zeros((size,) + b.shape[1:]) for b in buffers)
+    for old, new in zip(buffers, out):
+        new[: len(old)] = old
+    return out
 
 
 def generate(spec: SynthSpec) -> list[ImageSample]:
@@ -177,88 +224,114 @@ def generate(spec: SynthSpec) -> list[ImageSample]:
     box noise (four normals), label flip, class noise (``num_classes``
     normals) and confidence noise; then the false-positive count and per
     false positive its class, box, class noise, error level and confidence
-    noise. The class-noise softmax runs per block of detections.
+    noise. Each is drawn by its own call, in that order, the vectors into
+    the block's buffers: ``rng.random(out=...)`` and
+    ``rng.standard_normal(out=...)`` for the box uniforms, box noise and
+    class noise. When a block fills, at an image boundary, its boxes, noisy
+    copies, errors, confidences and class-noise softmax are computed as
+    array passes with the per-value arithmetic's bits (see the module
+    docstring), screened by ``losses._block_holds`` and built into samples.
+
+    The cyclic garbage collector is paused for the call and restored to the
+    caller's setting on return or error: a caller that had it disabled
+    keeps it disabled.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _generate(spec)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _generate(spec: SynthSpec) -> list[ImageSample]:
     rng = np.random.default_rng(spec.seed)
     k = spec.num_classes
-    std = spec.box_noise_std
-    noisy = std > 0.0
+    noisy = spec.box_noise_std > 0.0
     flip = spec.label_flip_probability
-    class_noise = np.zeros((max(1, _BLOCK_CELLS // k), k))
-    labels: list[int] = []  # class of each row of class_noise in use
-    pending = []  # (image id, ground truths, [(box, confidence), ...]) awaiting probabilities
+    # One row per detection of the block: its box's uniforms (the ground
+    # truth's for a noisy copy), its box normals and its class noise.
+    uniforms = np.zeros((64, 4))
+    normals = np.zeros((64, 4))
+    class_noise = np.zeros((64, k))
+    r = 0  # rows in use
+    gt_labels: list[int] = []
+    labels: list[int] = []  # class of each row
+    fp_uniforms: list[float] = []  # error level of each false positive
+    conf_normals: list[float] = []  # confidence noise of each row
+    pending: list[tuple[str, int, int]] = []  # (image id, objects, false positives)
     samples = []
 
-    def add_class_noise(label: int) -> None:
-        nonlocal class_noise
-        if len(labels) == len(class_noise):
-            class_noise = np.concatenate((class_noise, np.zeros_like(class_noise)))
-        if noisy:
-            rng.standard_normal(out=class_noise[len(labels)])
-        labels.append(label)
-
-    def confidence(err: float) -> float:
-        logit = spec.confidence_base - spec.confidence_noise_coupling * err
-        if noisy:
-            logit += rng.normal(0.0, 0.3)
-        # exp overflows past 709.78; any logit below -709 gives the floor.
-        return min(max(1.0 / (1.0 + math.exp(min(-logit, 709.0))), _CONF_FLOOR), _CONF_CEIL)
-
     def flush() -> None:
-        weights = _softmax_rows(spec, class_noise[: len(labels)], labels)
-        gts = [gt for _, image_gts, _ in pending for gt in image_gts]
-        dets = [det for _, _, image_dets in pending for det in image_dets]
-        boxes = chain.from_iterable(box.as_tuple() for box, _ in chain(gts, dets))
-        trusted = _block_holds(
-            np.fromiter(boxes, float, 4 * (len(gts) + len(dets))).reshape(-1, 4),
-            [label for _, label in gts],
-            np.fromiter((conf for _, conf in dets), float, len(dets)),
-            weights,
-        )
+        nonlocal r
+        counts = np.array([(n_obj, n_fp) for _, n_obj, n_fp in pending]).ravel()
+        is_obj = np.repeat(np.tile([True, False], len(pending)), counts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            boxes = _boxes(spec, uniforms[:r])
+            gt_rows = boxes[is_obj]
+            err = np.zeros(r)  # a noiseless copy's
+            err[~is_obj] = 1.5 + (3.5 - 1.5) * np.array(fp_uniforms)  # numpy's uniform(1.5, 3.5)
+            if noisy:
+                boxes[is_obj], err[is_obj] = _noisy_copies(spec, gt_rows, normals[:r][is_obj])
+            confidences = _confidences(spec, err, np.array(conf_normals) if noisy else None)
+        weights = _softmax_rows(spec, class_noise[:r], labels)
+        trusted = _block_holds(np.concatenate((gt_rows, boxes)), gt_labels, confidences, weights)
         detection = Detection._trusted if trusted else Detection
         sample = ImageSample._trusted if trusted else ImageSample
-        probs = iter(weights.tolist())
-        for image_id, image_gts, image_dets in pending:
-            detections = [detection(box, next(probs), conf) for box, conf in image_dets]
-            samples.append(sample(image_id, image_gts, detections))
-        pending.clear()
-        labels.clear()
+        det_boxes = list(starmap(BoundingBox, boxes.tolist()))
+        # A noiseless detection shares its ground truth's box.
+        gt_boxes = (list(starmap(BoundingBox, gt_rows.tolist())) if noisy
+                    else list(compress(det_boxes, is_obj.tolist())))
+        gts = list(zip(gt_boxes, gt_labels))
+        probs, confs = weights.tolist(), confidences.tolist()
+        g = d = 0
+        for image_id, n_obj, n_fp in pending:
+            e = d + n_obj + n_fp
+            detections = list(map(detection, det_boxes[d:e], probs[d:e], confs[d:e]))
+            samples.append(sample(image_id, gts[g : g + n_obj], detections))
+            g, d = g + n_obj, e
+        for pile in (gt_labels, labels, fp_uniforms, conf_normals, pending):
+            pile.clear()
+        r = 0
 
     for i in range(spec.n_images):
         n_obj = int(rng.integers(spec.objects_min, spec.objects_max + 1))
-        gts = []
-        dets = []
+        if r + n_obj > len(uniforms):
+            uniforms, normals, class_noise = _grown(r + n_obj, uniforms, normals, class_noise)
         for _ in range(n_obj):
-            box = _box_from_uniforms(spec, rng.random(4).tolist())
+            rng.random(out=uniforms[r])
             label = int(rng.integers(k))
-            gts.append((box, label))
-            det_box, err = box, 0.0
+            gt_labels.append(label)
             if noisy:
-                noise = rng.normal(0.0, std, 4).tolist()
-                det_box = _noisy_copy(spec, box, noise)
-                # Mean |noise| summed left to right, the order numpy uses for
-                # fewer than 8 elements; the golden test pins these bits.
-                err = (abs(noise[0]) + abs(noise[1]) + abs(noise[2]) + abs(noise[3])) / 4 / std
-            det_label = label
+                rng.standard_normal(out=normals[r])
             if flip > 0.0 and rng.random() < flip:
-                det_label = (label + 1 + int(rng.integers(k - 1))) % k
-            add_class_noise(det_label)
-            dets.append((det_box, confidence(err)))
+                label = (label + 1 + int(rng.integers(k - 1))) % k
+            labels.append(label)
+            if noisy:
+                rng.standard_normal(out=class_noise[r])
+                conf_normals.append(rng.standard_normal())
+            r += 1
         n_fp = int(rng.poisson(spec.false_positive_rate))
+        # Loosest-parameter losses vanish only when something is predicted.
         if n_obj == 0 and n_fp == 0:
             n_fp = 1
+        if r + n_fp > len(uniforms):
+            uniforms, normals, class_noise = _grown(r + n_fp, uniforms, normals, class_noise)
         for _ in range(n_fp):
-            label = int(rng.integers(k))
-            box = _box_from_uniforms(spec, rng.random(4).tolist())
-            add_class_noise(label)
-            err = 1.5 + (3.5 - 1.5) * rng.random()  # numpy's uniform(1.5, 3.5)
-            dets.append((box, confidence(err)))
-        # Loosest-parameter losses vanish only when something is predicted.
-        assert len(dets) >= max(1, n_obj)
-        pending.append((f"synth-{spec.seed}-{i:05d}", tuple(gts), dets))
-        if len(labels) * k >= _BLOCK_CELLS:
+            labels.append(int(rng.integers(k)))
+            rng.random(out=uniforms[r])
+            if noisy:
+                rng.standard_normal(out=class_noise[r])
+            fp_uniforms.append(rng.random())
+            if noisy:
+                conf_normals.append(rng.standard_normal())
+            r += 1
+        pending.append((f"synth-{spec.seed}-{i:05d}", n_obj, n_fp))
+        if r * k >= _BLOCK_CELLS:
             flush()
-    flush()
+    if pending:
+        flush()
     return samples
 
 

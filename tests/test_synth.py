@@ -1,3 +1,4 @@
+import gc
 import math
 import multiprocessing
 import os
@@ -128,16 +129,95 @@ class TestBlockScreen:
         assert samples_digest(generate(SPECS[name])) == DIGESTS[name]
 
     def test_refused_block_raises_the_constructors_message(self, monkeypatch):
-        softmax_rows = synth._softmax_rows
-
-        def negative_entry(*args):
-            rows = softmax_rows(*args)
-            rows[0, 0] = -rows[0, 0] - 1e-3
-            return rows
-
-        monkeypatch.setattr(synth, "_softmax_rows", negative_entry)
+        refuse_blocks(monkeypatch)
         with pytest.raises(ValueError, match="^probs must be non-negative$"):
             generate(SynthSpec(seed=1, n_images=5))
+
+
+def refuse_blocks(monkeypatch):
+    """Make the first probability of every block negative, so the screen
+    refuses the block and ``Detection`` raises."""
+    softmax_rows = synth._softmax_rows
+
+    def negative_entry(*args):
+        rows = softmax_rows(*args)
+        rows[0, 0] = -rows[0, 0] - 1e-3
+        return rows
+
+    monkeypatch.setattr(synth, "_softmax_rows", negative_entry)
+
+
+#: Box noise about one image size: noisy copies leave the canvas on every
+#: side and some collapse, so the clip and the minimum extent both fire,
+#: which no spec of the golden grid makes them do more than once.
+WILD_SPEC = SynthSpec(seed=11, n_images=60, box_noise_std=60.0)
+#: Recorded with the per-detection generator that the blocked one replaced.
+WILD_DIGEST = "7657873a903c3a0afffe100fd5282be9bf4d7b6a993de324e5b0598c8c97798a"
+
+
+class TestBlockArithmetic:
+    """``generate`` computes boxes, noisy copies and confidences once per
+    block; the samples must not depend on where the blocks end."""
+
+    def test_clipped_and_expanded_boxes_match_golden_digest(self):
+        samples = generate(WILD_SPEC)
+        assert samples_digest(samples) == WILD_DIGEST
+        w, h = WILD_SPEC.image_width, WILD_SPEC.image_height
+        boxes = [d.box for s in samples for d in s.detections]
+        # A clipped corner sits exactly on a bound; an expanded side is 1 px.
+        clipped_x = sum(1 for b in boxes if {b.left, b.right} & {-w, 2 * w})
+        clipped_y = sum(1 for b in boxes if {b.top, b.bottom} & {-h, 2 * h})
+        expanded_x = sum(1 for b in boxes if abs(b.width - 1.0) < 1e-9)
+        expanded_y = sum(1 for b in boxes if abs(b.height - 1.0) < 1e-9)
+        assert (clipped_x, clipped_y, expanded_x, expanded_y) == (24, 39, 1, 1)
+
+    @pytest.mark.parametrize("cells", [1, 97, 1 << 30])
+    def test_block_size_does_not_change_the_samples(self, cells, monkeypatch):
+        # 1: every image is its own block; 1 << 30: the whole set is one.
+        monkeypatch.setattr(synth, "_BLOCK_CELLS", cells)
+        for name, spec in SPECS.items():
+            assert samples_digest(generate(spec)) == DIGESTS[name], name
+        assert samples_digest(generate(WILD_SPEC)) == WILD_DIGEST
+
+
+@pytest.fixture
+def collector():
+    """Restores the collector's setting after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollector:
+    """``generate`` pauses the cyclic collector while it builds blocks and
+    leaves it as the caller had it."""
+
+    def test_paused_while_blocks_are_built(self, monkeypatch, collector):
+        screen = synth._block_holds
+        states = []
+
+        def recorded(*block):
+            states.append(gc.isenabled())
+            return screen(*block)
+
+        monkeypatch.setattr(synth, "_block_holds", recorded)
+        gc.enable()
+        generate(SynthSpec(seed=1, n_images=200))
+        assert states and not any(states)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_caller_setting_restored(self, enabled, collector):
+        (gc.enable if enabled else gc.disable)()
+        generate(SynthSpec(seed=1, n_images=5))
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_caller_setting_restored_after_a_refused_block(self, enabled, monkeypatch, collector):
+        refuse_blocks(monkeypatch)
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(ValueError, match="^probs must be non-negative$"):
+            generate(SynthSpec(seed=1, n_images=5))
+        assert gc.isenabled() is enabled
 
 
 @st.composite
