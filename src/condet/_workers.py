@@ -4,9 +4,9 @@
 its records, and the dataset reader behind ``read_dataset_file``,
 ``load_dataset``, ``condet calibrate``, ``condet infer`` and ``condet
 evaluate`` decodes, checks and processes the image records of a dataset
-file through ``ordered_map``: ``condet calibrate``'s workers return each
-span's records as arrays, the others records, samples or per-image
-outputs. The results come back in item order whatever the worker count,
+file through ``ordered_map``: the workers of ``condet calibrate`` and
+``condet evaluate`` return each span's records as arrays, the others
+records, samples or ``infer``'s encoded predictions. The results come back in item order whatever the worker count,
 so callers get the same output from any count. The workers form a
 ``concurrent.futures`` process pool, which fails the map when one of them
 dies, where a ``multiprocessing.Pool`` would start a replacement and wait

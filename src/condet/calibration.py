@@ -14,7 +14,8 @@ order, which makes the running maximum exactly that supremum.
 
 Both steps run on one array kernel, ``_PrefixKernel``, built once per call
 from a ``_SampleTable``, the calibration set as arrays (``condet calibrate``
-reads its dataset file straight into one):
+reads its dataset file straight into one; ``evaluate`` scores a test set's
+table with the same array code):
 
 * **Prefix matchings.** A confidence threshold always keeps a prefix of an
   image's detections (they are stored by descending confidence). All ground
@@ -530,7 +531,9 @@ def _gather_probs(probs, dets: np.ndarray, classes=None) -> np.ndarray:
     if isinstance(probs, np.ndarray):
         return probs[dets] if classes is None else probs[dets, classes]
     if classes is None:
-        return np.array([probs[d] for d in dets.tolist()], dtype=float)
+        k = len(probs[dets[0]]) if len(dets) else 0
+        rows = chain.from_iterable(map(probs.__getitem__, dets.tolist()))
+        return np.fromiter(rows, dtype=float, count=len(dets) * k).reshape(len(dets), k)
     return np.fromiter(map(getitem, map(probs.__getitem__, dets.tolist()), classes.tolist()),
                        dtype=float, count=len(dets))
 
@@ -575,7 +578,8 @@ def _prefix_matches(
 
     A running argmin over the first k columns that moves only on a strict
     ``<``, which is ``match()``'s lowest-index tie-break; columns past an
-    image's last detection are +inf.
+    image's last detection are +inf, and so are NaN distances past the
+    first column.
     """
     kind = spec.kind
     width = int(n_det.max())
@@ -593,6 +597,12 @@ def _prefix_matches(
             lac[valid] = 1.0 - gather(d[valid], np.broadcast_to(labels[g, None], d.shape)[valid])
         with np.errstate(divide="ignore", invalid="ignore"):
             dist = _pair_distances(kind, spec.tau, gt_box[:, g, None], det_box[:, d], lac)
+        if kind in ("giou", "mix"):
+            # A NaN distance (of overflowing coordinates) never takes a
+            # column, as in match(); one in column 0 keeps the running
+            # minimum NaN, so no later column moves. The other kinds give
+            # no NaN.
+            valid &= (cols == 0) | ~np.isnan(dist)
         dist = np.where(valid, dist, math.inf)
         moved = np.ones(dist.shape, dtype=bool)
         moved[:, 1:] = dist[:, 1:] < np.minimum.accumulate(dist, axis=1)[:, :-1]
@@ -600,6 +610,16 @@ def _prefix_matches(
         at, col = np.nonzero(moved)
         moves[gt_img[lo + at] * width + col] = True
     return best, moves
+
+
+def _check_giou_areas(gt_box, gt_img, det_box, det_img, n_gt, n_det) -> None:
+    """GIoU divides by areas: raise ``ValueError`` unless each ground truth
+    (of image ``gt_img``) and each detection (of image ``det_img``) in an
+    image with boxes of the other kind (``n_det``, ``n_gt`` per image) has a
+    positive area, as ``giou_distance`` would."""
+    for box, others in ((gt_box, n_det[gt_img]), (det_box, n_gt[det_img])):
+        if (((box[2] - box[0]) * (box[3] - box[1]) <= 0.0) & (others > 0)).any():
+            raise ValueError("giou_distance requires boxes with positive area")
 
 
 def _sweep_rows(req: np.ndarray, n_det: np.ndarray, det_img: np.ndarray, det_start: np.ndarray):
@@ -640,7 +660,8 @@ def _sweep_rows(req: np.ndarray, n_det: np.ndarray, det_img: np.ndarray, det_sta
 
 @dataclass(frozen=True, eq=False)
 class _SampleTable:
-    """A calibration set as arrays: what the kernel reads of its samples.
+    """A calibration or test set as arrays: what the kernel and
+    ``evaluate`` read of its samples.
 
     Image ``i``'s ground truths are entries ``gt_start[i]:gt_start[i + 1]``
     of ``gt_box`` (``(4, m)`` left, top, right and bottom coordinates) and
@@ -668,13 +689,18 @@ class _SampleTable:
         return len(self.image_ids)
 
     @classmethod
-    def from_samples(cls, samples: Sequence[ImageSample]) -> "_SampleTable":
-        """The table of ``samples``, which are valid by construction; raises
-        ``ValueError`` when the images' probability vectors differ in length."""
+    def from_samples(cls, samples: Sequence[ImageSample],
+                     prefixes: Optional[Sequence[int]] = None) -> "_SampleTable":
+        """The table of ``samples``, which are valid by construction, keeping
+        the first ``prefixes[i]`` detections of sample ``i`` (all of them
+        when ``prefixes`` is None); raises ``ValueError`` when the images'
+        probability vectors differ in length, kept detections or not."""
         samples = tuple(samples)
+        if prefixes is None:
+            prefixes = [len(s.detections) for s in samples]
         n_gt = np.array([len(s.ground_truths) for s in samples], dtype=np.int64)
-        n_det = np.array([len(s.detections) for s in samples], dtype=np.int64)
-        dets = [d for s in samples for d in s.detections]
+        n_det = np.array(prefixes, dtype=np.int64)
+        dets = [d for s, k in zip(samples, prefixes) for d in s.detections[:k]]
         lengths = {len(s.detections[0].probs) for s in samples if s.detections}
         if len(lengths) > 1:
             raise ValueError("all probability vectors must have the same length")
@@ -743,12 +769,8 @@ class _PrefixKernel:
         det_img = np.repeat(np.arange(n), n_det)
         gt_box, labels, det_box, req = table.gt_box, table.labels, table.det_box, table.req
         gather = partial(_gather_probs, table.probs)
-        # GIoU divides by areas: a box in an image with boxes of the other
-        # kind needs a positive one.
         if config.match_spec.kind == "giou":
-            for box, others in ((gt_box, n_det[gt_img]), (det_box, n_gt[det_img])):
-                if (((box[2] - box[0]) * (box[3] - box[1]) <= 0.0) & (others > 0)).any():
-                    raise ValueError("giou_distance requires boxes with positive area")
+            _check_giou_areas(gt_box, gt_img, det_box, det_img, n_gt, n_det)
         if config.lambda_loc_bounds is None:
             bounds = _loc_bounds(
                 np.concatenate((gt_box, det_box), axis=1), config.predset_spec.localization_kind
@@ -831,8 +853,24 @@ class _PrefixKernel:
 
     def reach(self, v: int) -> "_Reach":
         """The states reached at visit ``v`` (``visit_at``): each image's
-        states entered at or before ``v``."""
-        return _Reach(self, self._visit <= v)
+        states entered at or before ``v``, with their entries and the
+        distinct pairs these point at, compacted."""
+        reached = self._visit <= v
+        pair = self._pair[np.repeat(reached, self._count)]
+        used = np.zeros(len(self._cutoff), dtype=bool)
+        used[pair] = True
+        ids = np.flatnonzero(used)
+        return _Reach(
+            self.config,
+            np.flatnonzero(self._visit[reached] < 0),
+            np.where(self._n_gt[self._img[reached]] > 0, 1.0, 0.0),
+            self._count[reached],
+            (np.cumsum(used) - 1)[pair],
+            self._gt.take(ids, axis=1),
+            self._det.take(ids, axis=1),
+            self._cutoff[ids],
+            *(None if table is None else table[ids] for table in (self._loc_req, self._gt_area)),
+        )
 
     def running_max(self, values: np.ndarray) -> np.ndarray:
         """Each state's value in ``values`` maximized over its image's states
@@ -855,47 +893,46 @@ class _PrefixKernel:
 
     def conf_losses(self, v: int) -> np.ndarray:
         """Each image's confidence loss at visit ``v``."""
-        k = self.prefix_lengths(v)
-        n_gt = self._n_gt
-        if self.config.loss_spec.confidence_kind == "box_count_threshold":
-            return np.where(k >= n_gt, 0.0, 1.0)
-        return np.maximum(0, n_gt - k) / np.maximum(n_gt, 1)
+        return _conf_losses(self.config.loss_spec.confidence_kind, self.prefix_lengths(v), self._n_gt)
+
+
+def _conf_losses(kind: str, k: np.ndarray, n_gt: np.ndarray) -> np.ndarray:
+    """``conf_loss`` of each image with ``n_gt`` ground truths and ``k``
+    selected detections."""
+    if kind == "box_count_threshold":
+        return np.where(k >= n_gt, 0.0, 1.0)
+    return np.maximum(0, n_gt - k) / np.maximum(n_gt, 1)
 
 
 class _Reach:
-    """The states ``reached`` marks (``_PrefixKernel.reach``), image by image
-    and each image's in visit order, with their entries and the distinct
-    pairs these point at, compacted for scoring.
+    """States to score, image by image, with their entries and the pairs
+    these point at: the states one confidence parameter reaches
+    (``_PrefixKernel.reach``, each image's in visit order), or one state per
+    image at its selected prefix for ``evaluate``.
 
     Image ``i``'s states start at ``starts[i]``. A state without entries has
     the loss ``base``: 1 for an image with ground truths, as the state then
-    has no detection, else 0. The states with entries are at ``scored``;
-    the ``j``-th has ``n_gt[j]`` entries from ``entry_start[j]`` on. Entry
-    ``e`` points at pair ``pair[e]``, which holds the ground-truth and
-    matched-detection coordinates (``gt``, ``det``), class cutoff, covering
-    margin (``loc_req``, None for the pixelwise loss) and ground-truth area
+    has no detection, else 0. State ``s`` has ``count[s]`` entries, one per
+    ground truth, in state then ground-truth order; the states with entries
+    are at ``scored``, and the ``j``-th has ``n_gt[j]`` entries from
+    ``entry_start[j]`` on. Entry ``e`` points at pair ``pair[e]``, which
+    holds the ground-truth and matched-detection coordinates (``gt``,
+    ``det``), class cutoff, covering margin (``loc_req``, None for the
+    pixelwise loss and when no search needs it) and ground-truth area
     (``gt_area``, pixelwise only). The loss methods return each state's loss
     at one second-step parameter; ``maxima`` takes each image's largest.
     """
 
-    def __init__(self, kernel: _PrefixKernel, reached: np.ndarray) -> None:
-        self.config = kernel.config
-        self.starts = np.flatnonzero(kernel._visit[reached] < 0)
-        self.base = np.where(kernel._n_gt[kernel._img[reached]] > 0, 1.0, 0.0)
-        count = kernel._count[reached]
+    def __init__(self, config: CalibrationConfig, starts: np.ndarray, base: np.ndarray,
+                 count: np.ndarray, pair: np.ndarray, gt: np.ndarray, det: np.ndarray,
+                 cutoff: np.ndarray, loc_req: Optional[np.ndarray],
+                 gt_area: Optional[np.ndarray]) -> None:
+        self.config, self.starts, self.base = config, starts, base
         self.scored = np.flatnonzero(count)
         self.n_gt = count[self.scored]
         self.entry_start = np.cumsum(self.n_gt) - self.n_gt
-        pair = kernel._pair[np.repeat(reached, kernel._count)]
-        used = np.zeros(len(kernel._cutoff), dtype=bool)
-        used[pair] = True
-        ids = np.flatnonzero(used)
-        self.pair = (np.cumsum(used) - 1)[pair]
-        self.gt, self.det = kernel._gt.take(ids, axis=1), kernel._det.take(ids, axis=1)
-        self.cutoff = kernel._cutoff[ids]
-        self.loc_req, self.gt_area = (
-            None if table is None else table[ids] for table in (kernel._loc_req, kernel._gt_area)
-        )
+        self.pair, self.gt, self.det, self.cutoff = pair, gt, det, cutoff
+        self.loc_req, self.gt_area = loc_req, gt_area
 
     def maxima(self, losses: np.ndarray) -> np.ndarray:
         return np.maximum.reduceat(losses, self.starts)

@@ -40,7 +40,6 @@ from .dataio import (
     _load_json,
     _load_table,
     _map_image_records,
-    _sample,
     _write_json,
     _write_lines,
     config_digest,
@@ -51,7 +50,7 @@ from .dataio import (
     save_result,
     write_dataset_file,
 )
-from .inference_metrics import _image_outcome, _report, infer
+from .inference_metrics import _evaluate_table, infer
 from .losses import AGGREGATION_KINDS, CONF_LOSS_KINDS, LOC_LOSS_KINDS
 from .matching import MATCH_KINDS
 from .predsets import CLS_SET_KINDS, LOC_SET_KINDS
@@ -233,16 +232,9 @@ def cmd_infer(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sample_outcomes(images, result) -> list:
-    """The ``evaluate`` outcome of each image record, its samples built first."""
-    threshold = result.config.prefilter_threshold
-    return [_image_outcome(_sample(rec, threshold), result) for rec in images]
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     result = load_result(args.result)
-    _, _, outcomes = _map_image_records(args.dataset, _sample_outcomes, result)
-    report = _report(outcomes)
+    report = _evaluate_table(_load_table(args.dataset, result.config.prefilter_threshold), result)
     _print_aligned(
         [
             ("n_test", str(report.n_test)),

@@ -649,17 +649,17 @@ def _map_image_records(path: PathLike, work: Callable, *args) -> tuple[int, list
     those of ``json.load``, the header checks, ``_image`` over the records
     and then ``work`` over the images, in file order, whatever the layout
     and the number of workers. ``work`` must be a module-level function.
-    ``_load_table`` reads ``condet calibrate``'s file through the same
-    spans into arrays instead.
+    ``_load_table`` reads the files of ``condet calibrate`` and ``condet
+    evaluate`` through the same spans into arrays instead.
     """
     num_classes, class_names, spans = _map_spans(path, _span_outcome, work, args)
     return num_classes, class_names, [value for values in spans for value in values]
 
 
 def _load_table(path: PathLike, prefilter_threshold: float) -> _SampleTable:
-    """The calibration set of the native dataset file ``path`` as one
-    ``_SampleTable``, with the errors of ``load_dataset``, for ``condet
-    calibrate``.
+    """The images of the native dataset file ``path`` as one
+    ``_SampleTable``, with the errors of ``load_dataset``: the calibration
+    set of ``condet calibrate`` and the test set of ``condet evaluate``.
 
     Each worker of ``_map_spans`` builds its span's table from the decoded
     JSON lists (``_table_outcome``) and returns arrays; no ``Detection`` or
@@ -760,8 +760,8 @@ def load_dataset(path: PathLike, prefilter_threshold: float = 1e-3) -> list[Imag
     records (``_map_image_records``), with the results and errors of
     ``read_dataset_file`` followed by dropping the detections below the
     floor, and every one is a validated ``ImageSample``. ``condet
-    calibrate`` reads its file with the same errors into arrays instead
-    (``_load_table``), building no samples.
+    calibrate`` and ``condet evaluate`` read their files with the same
+    errors into arrays instead (``_load_table``), building no samples.
     """
     return _map_image_records(path, _samples, prefilter_threshold)[2]
 

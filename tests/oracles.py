@@ -6,16 +6,18 @@ supremum is taken by brute force over an explicit point set, and the infima
 are located by scanning a fixed grid or, for the second step's step-function
 losses, every point where a loss can change. They exist solely to
 cross-check ``seqcrc_step1`` / ``seqcrc_step2``; ``check_against_oracles``
-makes that comparison.
+makes that comparison. ``evaluate_oracle`` scores a test split image by
+image, building every prediction set, to cross-check ``evaluate``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from dataclasses import astuple
 from functools import lru_cache
 
-from condet import InfeasibleRiskError, contains, match, seqcrc_step1, seqcrc_step2
+from condet import EvaluationReport, InfeasibleRiskError, area, contains, match, seqcrc_step1, seqcrc_step2
 from condet.calibration import CalibrationConfig
 from condet.losses import cls_loss, conf_loss, loc_loss
 from condet.predsets import (
@@ -331,3 +333,60 @@ def check_against_oracles(samples, config: CalibrationConfig, trial) -> int:
             assert got == oracle, (trial, task, got, oracle)
         checked += 1
     return checked
+
+
+def _mean(values) -> float:
+    return math.fsum(values) / len(values) if values else math.nan
+
+
+def evaluate_oracle(samples, result) -> EvaluationReport:
+    """``evaluate``'s report, image by image through the public functions:
+    each image's selection, matching, margined boxes and label sets are
+    built, its three losses taken from them (``pure_image_losses``), its
+    stretches summed box by box and its set sizes counted from the sets.
+    Every mean over images is ``math.fsum`` over their count."""
+    if not samples:
+        raise ValueError("empty test set")
+    lam_cnf, lam_loc, lam_cls = result.lambda_cnf_plus, result.lambda_loc_plus, result.lambda_cls_plus
+    kinds = result.config.predset_spec
+    rows = []
+    for sample in samples:
+        sel = select_confident(sample, lam_cnf)
+        boxes = [sample.detections[k].box for k in sel]
+        stretches = [
+            math.sqrt(area(apply_margin(box, lam_loc, kinds.localization_kind)) / area(box))
+            for box in boxes
+            if not area(box) <= 0.0
+        ]
+        sizes = [len(build_class_set(sample.detections[k].probs, lam_cls, kinds.classification_kind))
+                 for k in sel]
+        cnf, loc, cls = pure_image_losses(sample, lam_cnf, lam_loc, lam_cls, result.config)
+        rows.append((
+            cnf, loc, cls, len(sel),
+            sum(stretches) / len(stretches) if stretches else None,
+            sum(sizes) / len(sizes) if sizes else None,
+            len(sel) - len(stretches),
+        ))
+    cnf, loc, cls, counts, stretches, sizes, skipped = zip(*rows)
+    return EvaluationReport(
+        cnf_risk=_mean(cnf),
+        loc_risk=_mean(loc),
+        cls_risk=_mean(cls),
+        global_risk=_mean(list(map(max, loc, cls))),
+        cnf_set_size=_mean(counts),
+        loc_set_size=_mean([s for s in stretches if s is not None]),
+        cls_set_size=_mean([s for s in sizes if s is not None]),
+        n_test=len(rows),
+        n_images_without_selection=counts.count(0),
+        n_zero_area_boxes_skipped=sum(skipped),
+    )
+
+
+def same_report(got: EvaluationReport, want: EvaluationReport) -> bool:
+    """Whether the two reports hold the same values of the same types in
+    every field, NaN equal to NaN."""
+    pairs = list(zip(astuple(got), astuple(want)))
+    return all(
+        type(a) is type(b) and (a == b or (math.isnan(a) and math.isnan(b)))
+        for a, b in pairs
+    )

@@ -23,6 +23,7 @@ from condet import (
     SynthSpec,
     calibrate,
     crc_calibrate,
+    evaluate,
     generate,
     seqcrc_step1,
     seqcrc_step2,
@@ -562,6 +563,19 @@ class TestCalibrate:
         ]
         with pytest.raises(ValueError, match="^all probability vectors must have the same length$"):
             calibrate(samples, basic_config(alpha_cnf=0.1, alpha_loc=0.9, alpha_cls=0.9))
+
+    @pytest.mark.parametrize("confidence", [0.8, 0.1])
+    def test_evaluate_refuses_vector_lengths_that_differ_across_images(self, confidence):
+        # As calibrate does, whether or not the detections are selected.
+        gt = BoundingBox(10, 10, 30, 30)
+        samples = [
+            ImageSample("i0", ((gt, 0),), (covering_detection(gt, 0.8, k=2),)),
+            ImageSample("i1", ((gt, 0),), (covering_detection(gt, confidence, k=3),)),
+        ]
+        config = basic_config(alpha_cnf=0.1, alpha_loc=0.9, alpha_cls=0.9)
+        result = CalibrationResult(0.5, 0.5, 0.0, 0.5, config, 10, {})
+        with pytest.raises(ValueError, match="^all probability vectors must have the same length$"):
+            evaluate(samples, result)
 
     def test_data_bounds_of_an_overflowing_span_refused(self):
         # Each coordinate is finite; their span is not.

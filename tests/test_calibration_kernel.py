@@ -388,6 +388,30 @@ def test_rows_of_one_matching_share_their_entries():
     assert len(kernel._cutoff) == 5_651
 
 
+@pytest.mark.parametrize("kind", ["mix", "giou"])
+def test_nan_distances_never_take_a_column(kind):
+    # An overflowing Hausdorff distance times mix's 0 weight, and GIoU's
+    # inf / inf, are NaN: match() never takes such a column, nor loses a
+    # NaN first column to a later one.
+    if kind == "mix":
+        gt = BoundingBox(-1e308, 0.0, 10.0, 10.0)
+        boxes = [BoundingBox(0, 0, 10, 10), BoundingBox(1e308, 0, 1e308, 10), BoundingBox(0, 0, 10, 10)]
+    else:
+        gt = BoundingBox(0.0, 0.0, 10.0, 10.0)
+        boxes = [BoundingBox(20, 20, 30, 30), BoundingBox(-1e308, -1e308, 1e308, 1e308),
+                 BoundingBox(0, 0, 10, 10)]
+    probs = [(0.6, 0.4, 0.0), (0.5, 0.5, 0.0), (0.1, 0.9, 0.0)]
+    for order in ([0, 1, 2], [1, 0, 2], [1, 2, 0]):
+        dets = tuple(Detection(boxes[j], probs[j], 0.9 - 0.1 * n) for n, j in enumerate(order))
+        sample = ImageSample("a", ((gt, 1),), dets)
+        config = replace(config_for(kind), match_spec=MatchDistanceSpec(kind, tau=1.0))
+        with np.errstate(over="ignore", invalid="ignore"):  # as the entry points run it
+            kernel = _PrefixKernel(_SampleTable.from_samples([sample]), config)
+        preds = [(d.box, d.probs) for d in sample.detections]
+        for k in range(1, 4):
+            assert kernel.assignment(0, k) == match(sample.ground_truths, preds[:k], config.match_spec), (order, k)
+
+
 def test_single_image_without_detections():
     sample = ImageSample("only", ((BoundingBox(0, 0, 2, 2), 1),), ())
     kernel = _PrefixKernel(_SampleTable.from_samples([sample]), config_for("hausdorff"))

@@ -33,7 +33,7 @@ from condet import (
 )
 from condet import _workers, dataio
 from condet.calibration import _SampleTable
-from condet.cli import _sample_outcomes, main as cli_main
+from condet.cli import main as cli_main
 from condet.dataio import (
     _chunks,
     DatasetFile,
@@ -743,8 +743,24 @@ class TestParallelRead:
         assert kind is SchemaVersionError
         assert message == f"{path}: unsupported dataset schema version 2 (expected 1)"
 
+    @staticmethod
+    def evaluate_command(monkeypatch, capsys, result_path, path, whole=False):
+        """``condet evaluate``'s exit code and error output on the dataset
+        file ``path``, and whether it loaded that file whole; with
+        ``whole``, it is never read line by line."""
+        loads, load_json = [], dataio._load_json
+        with monkeypatch.context() as patch:
+            patch.setattr(dataio, "_load_json", lambda p: loads.append(str(p)) or load_json(p))
+            if whole:
+                patch.setattr(dataio, "_record_lines", lambda p: None)
+            code = cli_main(["evaluate", "--result", str(result_path), "--dataset", str(path)])
+        return (code, capsys.readouterr().err), str(path) in loads
+
     @pytest.mark.parametrize("cpus", [1, 2, 4])
-    def test_bad_record_comes_before_an_earlier_work_error(self, written, tmp_path, monkeypatch, cpus):
+    def test_bad_record_comes_before_an_earlier_work_error(self, written, tmp_path, monkeypatch, capsys, cpus):
+        # condet evaluate reads and checks every record before it scores
+        # one, so a bad record is named ahead of the GIoU error of an
+        # earlier image.
         monkeypatch.setattr(_workers, "_available_cpus", lambda: cpus)
         config = CalibrationConfig(
             0.02, 0.1, 0.1,
@@ -753,20 +769,20 @@ class TestParallelRead:
             match_spec=MatchDistanceSpec("giou"),
             lambda_loc_bounds=(0.0, 3.0),
         )
-        result = CalibrationResult(0.7, 0.6, 0.25, 0.9, config, 100, {})
-        map_records = dataio._map_image_records
+        result_path = tmp_path / "result.json"
+        save_result(CalibrationResult(0.7, 0.6, 0.25, 0.9, config, 100, {}), result_path)
         path = self.edited(written, tmp_path, [(0, edit_record(zero_area))])
-        got, loaded_whole = self.read(monkeypatch, map_records, path, _sample_outcomes, result)
-        assert got == (ValueError, "giou_distance requires boxes with positive area")
+        got, loaded_whole = self.evaluate_command(monkeypatch, capsys, result_path, path)
+        assert got == (1, 'error code=1 kind=data detail="giou_distance requires boxes with positive area"\n')
         assert not loaded_whole
         path = self.edited(written, tmp_path, [(0, edit_record(zero_area)), (3, edit_record(bad_probs))])
         start = self.spans(path)[3][0]
         image_id = json.loads(writer_lines(path)[1][start].removesuffix(","))["image_id"]
-        got, loaded_whole = self.read(monkeypatch, map_records, path, _sample_outcomes, result)
-        assert got == (DataFormatError, f"{path}: image {image_id!r} detection #0: "
-                                        "probs sum to 5.000000, expected 1 within 1e-4")
+        got, loaded_whole = self.evaluate_command(monkeypatch, capsys, result_path, path)
+        assert got == (1, f'error code=1 kind=data detail="{path}: image {image_id!r} detection #0: '
+                          'probs sum to 5.000000, expected 1 within 1e-4"\n')
         assert not loaded_whole
-        assert self.read(monkeypatch, map_records, path, _sample_outcomes, result, whole=True)[0] == got
+        assert self.evaluate_command(monkeypatch, capsys, result_path, path, whole=True)[0] == got
         assert multiprocessing.active_children() == []
 
 
