@@ -14,7 +14,8 @@ order, which makes the running maximum exactly that supremum.
 
 Both steps run on one array kernel, ``_PrefixKernel``, built once per call
 from a ``_SampleTable``, the calibration set as arrays (``condet calibrate``
-reads its dataset file straight into one; ``evaluate`` scores a test set's
+reads its dataset file straight into one, and each Monte Carlo trial builds
+its tables from the generator's arrays; ``evaluate`` scores a test set's
 table with the same array code):
 
 * **Prefix matchings.** A confidence threshold always keeps a prefix of an
@@ -669,7 +670,8 @@ class _SampleTable:
     of ``det_box``, ``req`` (``1 - confidence``) and ``probs``, prefiltered
     and in the order ``ImageSample`` keeps them (a stable sort by descending
     confidence). ``probs`` is an ``(n_det, k)`` float64 matrix for ``k``
-    classes in a table read from a dataset file, and one probability vector
+    classes in a table built from arrays (``from_arrays``: a dataset file
+    read in bulk, a Monte Carlo trial's draws), and one probability vector
     per detection in a table of samples (``from_samples``): a matrix built
     from the vectors would cost as much as a whole ``calibrate`` on
     ``dense``, while the kernel reads only the rows of the pairs it scores.
@@ -714,6 +716,46 @@ class _SampleTable:
             req=1.0 - np.array([d.confidence for d in dets], dtype=float),
             probs=[d.probs for d in dets],
         )
+
+    @classmethod
+    def from_arrays(cls, image_ids: Sequence[str], n_gt: np.ndarray, gt_box: np.ndarray,
+                    labels: Sequence[int], n_det: np.ndarray, det_box: np.ndarray,
+                    confidence: np.ndarray, probs: np.ndarray, floor: float) -> "_SampleTable":
+        """The table of valid images given as arrays, without the detections
+        whose confidence is below ``floor``.
+
+        Image ``i`` has the next ``n_gt[i]`` rows of ``gt_box`` (``(m, 4)``
+        corner rows) and ``labels``, and the next ``n_det[i]`` rows of
+        ``det_box``, ``confidence`` and ``probs`` (``(d, k)``), in any
+        order: the kept ones are put in ``ImageSample``'s order, by image,
+        then a stable sort by descending confidence."""
+        det_img = np.repeat(np.arange(len(image_ids)), n_det)
+        kept = np.flatnonzero(confidence >= floor)
+        kept = kept[np.lexsort((-confidence[kept], det_img[kept]))]
+        n_kept = np.bincount(det_img[kept], minlength=len(image_ids))
+        return cls(
+            image_ids=tuple(image_ids),
+            gt_start=np.concatenate(([0], np.cumsum(n_gt))),
+            det_start=np.concatenate(([0], np.cumsum(n_kept))),
+            gt_box=gt_box.T,
+            labels=np.array(labels, dtype=np.int64),
+            det_box=det_box[kept].T,
+            req=1.0 - confidence[kept],
+            probs=probs[kept],
+        )
+
+    def split(self, i: int) -> tuple["_SampleTable", "_SampleTable"]:
+        """The tables of the first ``i`` images and of the rest."""
+        g, d = self.gt_start[i], self.det_start[i]
+        head = _SampleTable(
+            self.image_ids[:i], self.gt_start[: i + 1], self.det_start[: i + 1], self.gt_box[:, :g],
+            self.labels[:g], self.det_box[:, :d], self.req[:d], self.probs[:d],
+        )
+        tail = _SampleTable(
+            self.image_ids[i:], self.gt_start[i:] - g, self.det_start[i:] - d, self.gt_box[:, g:],
+            self.labels[g:], self.det_box[:, d:], self.req[d:], self.probs[d:],
+        )
+        return head, tail
 
     @classmethod
     def concat(cls, tables: Sequence["_SampleTable"]) -> "_SampleTable":

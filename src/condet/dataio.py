@@ -482,21 +482,10 @@ def _span_table(raws: list, num_classes: int, prefilter_threshold: float) -> _Sa
         and _block_holds(np.concatenate((gt_box, det_box)), labels, confidence, probs)
     ):
         return None
-    det_img = np.repeat(np.arange(len(raws)), np.array([*map(len, det_lists)], dtype=np.int64))
-    kept = np.flatnonzero(confidence >= prefilter_threshold)
-    # ImageSample's order: by image, then a stable sort by descending confidence.
-    kept = kept[np.lexsort((-confidence[kept], det_img[kept]))]
-    n_gt = np.array([*map(len, gt_lists)], dtype=np.int64)
-    n_det = np.bincount(det_img[kept], minlength=len(raws))
-    return _SampleTable(
-        image_ids=tuple(ids),
-        gt_start=np.concatenate(([0], np.cumsum(n_gt))),
-        det_start=np.concatenate(([0], np.cumsum(n_det))),
-        gt_box=gt_box.T,
-        labels=np.array(labels, dtype=np.int64),
-        det_box=det_box[kept].T,
-        req=1.0 - confidence[kept],
-        probs=probs[kept],
+    return _SampleTable.from_arrays(
+        ids, np.array([*map(len, gt_lists)], dtype=np.int64), gt_box, labels,
+        np.array([*map(len, det_lists)], dtype=np.int64), det_box, confidence, probs,
+        prefilter_threshold,
     )
 
 

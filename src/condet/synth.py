@@ -25,21 +25,29 @@ exponential stays a ``math.exp`` call per confidence, because ``np.exp``
 need not round as libm does. Overflow in these passes (a steep confidence
 coupling) gives the infinities the per-value arithmetic gave, silently.
 
+The draws come from one block stream, ``_blocks``: each block holds its
+images' ids and counts, ground-truth rows and labels, detection boxes,
+confidences and softmax matrix as arrays, with the verdict of the bulk form
+of the validity rule, ``losses._block_holds``, on its probability matrix and
+every box, label and confidence. ``generate`` builds samples from each
+block: a block that passes through the private constructors
+``Detection._trusted`` and ``ImageSample._trusted``, which store what the
+checked constructors would and check nothing again; a block that fails
+through the checked constructors, so any error is theirs.
+
 The cyclic garbage collector is paused while ``generate`` builds its
 samples, which hold no reference cycles; the collector ran on the
 allocations alone, for about a fifth of a large call. It is re-enabled
 afterwards only if the caller had it enabled.
 
-Each block is checked at once by the bulk form of the validity rule,
-``losses._block_holds``: its probability matrix and every box, label and
-confidence of its images. A block that passes is built through the private
-constructors ``Detection._trusted`` and ``ImageSample._trusted``, which store
-what the checked constructors would and check nothing again; a block that
-fails is built through the checked constructors, so any error is theirs.
-
 ``monte_carlo_validate`` repeatedly draws calibration/test splits from the
 same distribution, calibrates, and averages the test risks across trials:
-the across-trial mean of each risk must stay below its target level. The
+the across-trial mean of each risk must stay below its target level. A
+trial builds no samples: it turns each block into a ``_SampleTable``, the
+arrays that calibration and evaluation read, straight from the block's
+arrays (a block that fails the screen goes through the checked
+constructors first), under the same collector pause. The results are the
+bits that ``calibrate`` and ``evaluate`` give on ``generate``'s samples. The
 trials run side by side in worker processes.
 """
 
@@ -49,14 +57,14 @@ import gc
 import math
 from dataclasses import asdict, dataclass, replace
 from itertools import compress, starmap
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from ._workers import ordered_map
-from .calibration import CalibrationConfig, InfeasibleRiskError, calibrate
+from .calibration import CalibrationConfig, InfeasibleRiskError, _calibrate, _SampleTable
 from .geometry import BoundingBox
-from .inference_metrics import evaluate
+from .inference_metrics import _evaluate_table
 from .losses import Detection, ImageSample, _block_holds
 
 __all__ = [
@@ -236,16 +244,46 @@ def generate(spec: SynthSpec) -> list[ImageSample]:
     caller's setting on return or error: a caller that had it disabled
     keeps it disabled.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _generate(spec)
-    finally:
-        if enabled:
+    with _CollectorPaused():
+        return [sample for block in _blocks(spec) for sample in _block_samples(spec, block)]
+
+
+class _CollectorPaused:
+    """A context that pauses the cyclic garbage collector and re-enables it
+    on exit only if it was enabled.
+
+    Its exit allocates nothing after re-enabling, so the collection that
+    the paused allocations made due runs at the caller's next allocation,
+    outside the paused call. A ``contextlib`` generator would raise
+    ``StopIteration`` after re-enabling and so run it inside, over every
+    sample that ``generate`` has just built."""
+
+    def __enter__(self) -> None:
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc) -> None:
+        if self.enabled:
             gc.enable()
 
 
-def _generate(spec: SynthSpec) -> list[ImageSample]:
+class _Block(NamedTuple):
+    """A block of drawn images as arrays. Each image's detection rows are
+    its objects' copies, then its false positives."""
+
+    image_ids: list[str]
+    counts: np.ndarray  # (n, 2): each image's objects and false positives
+    is_obj: np.ndarray  # whether each detection row copies a ground truth
+    gt_box: np.ndarray  # (m, 4) corner rows
+    gt_labels: list[int]
+    det_box: np.ndarray  # (d, 4) corner rows
+    confidences: np.ndarray
+    probs: np.ndarray  # (d, k) softmax rows
+    holds: bool  # whether the block passed ``losses._block_holds``
+
+
+def _blocks(spec: SynthSpec) -> Iterator[_Block]:
+    """``generate``'s draws, a block at a time (see ``generate``)."""
     rng = np.random.default_rng(spec.seed)
     k = spec.num_classes
     noisy = spec.box_noise_std > 0.0
@@ -255,18 +293,10 @@ def _generate(spec: SynthSpec) -> list[ImageSample]:
     uniforms = np.zeros((64, 4))
     normals = np.zeros((64, 4))
     class_noise = np.zeros((64, k))
-    r = 0  # rows in use
-    gt_labels: list[int] = []
-    labels: list[int] = []  # class of each row
-    fp_uniforms: list[float] = []  # error level of each false positive
-    conf_normals: list[float] = []  # confidence noise of each row
-    pending: list[tuple[str, int, int]] = []  # (image id, objects, false positives)
-    samples = []
 
-    def flush() -> None:
-        nonlocal r
-        counts = np.array([(n_obj, n_fp) for _, n_obj, n_fp in pending]).ravel()
-        is_obj = np.repeat(np.tile([True, False], len(pending)), counts)
+    def block() -> _Block:
+        counts = np.array(pending)
+        is_obj = np.repeat(np.tile([True, False], len(pending)), counts.ravel())
         with np.errstate(over="ignore", invalid="ignore"):
             boxes = _boxes(spec, uniforms[:r])
             gt_rows = boxes[is_obj]
@@ -276,25 +306,16 @@ def _generate(spec: SynthSpec) -> list[ImageSample]:
                 boxes[is_obj], err[is_obj] = _noisy_copies(spec, gt_rows, normals[:r][is_obj])
             confidences = _confidences(spec, err, np.array(conf_normals) if noisy else None)
         weights = _softmax_rows(spec, class_noise[:r], labels)
-        trusted = _block_holds(np.concatenate((gt_rows, boxes)), gt_labels, confidences, weights)
-        detection = Detection._trusted if trusted else Detection
-        sample = ImageSample._trusted if trusted else ImageSample
-        det_boxes = list(starmap(BoundingBox, boxes.tolist()))
-        # A noiseless detection shares its ground truth's box.
-        gt_boxes = (list(starmap(BoundingBox, gt_rows.tolist())) if noisy
-                    else list(compress(det_boxes, is_obj.tolist())))
-        gts = list(zip(gt_boxes, gt_labels))
-        probs, confs = weights.tolist(), confidences.tolist()
-        g = d = 0
-        for image_id, n_obj, n_fp in pending:
-            e = d + n_obj + n_fp
-            detections = list(map(detection, det_boxes[d:e], probs[d:e], confs[d:e]))
-            samples.append(sample(image_id, gts[g : g + n_obj], detections))
-            g, d = g + n_obj, e
-        for pile in (gt_labels, labels, fp_uniforms, conf_normals, pending):
-            pile.clear()
-        r = 0
+        holds = _block_holds(np.concatenate((gt_rows, boxes)), gt_labels, confidences, weights)
+        return _Block(image_ids, counts, is_obj, gt_rows, gt_labels, boxes, confidences, weights, holds)
 
+    r = 0  # rows in use
+    gt_labels: list[int] = []
+    labels: list[int] = []  # class of each row
+    fp_uniforms: list[float] = []  # error level of each false positive
+    conf_normals: list[float] = []  # confidence noise of each row
+    image_ids: list[str] = []
+    pending: list[tuple[int, int]] = []  # (objects, false positives) of each image
     for i in range(spec.n_images):
         n_obj = int(rng.integers(spec.objects_min, spec.objects_max + 1))
         if r + n_obj > len(uniforms):
@@ -327,12 +348,53 @@ def _generate(spec: SynthSpec) -> list[ImageSample]:
             if noisy:
                 conf_normals.append(rng.standard_normal())
             r += 1
-        pending.append((f"synth-{spec.seed}-{i:05d}", n_obj, n_fp))
+        image_ids.append(f"synth-{spec.seed}-{i:05d}")
+        pending.append((n_obj, n_fp))
         if r * k >= _BLOCK_CELLS:
-            flush()
+            yield block()
+            gt_labels, labels, fp_uniforms, conf_normals, image_ids, pending = [], [], [], [], [], []
+            r = 0
     if pending:
-        flush()
+        yield block()
+
+
+def _block_samples(spec: SynthSpec, block: _Block) -> list[ImageSample]:
+    """The samples of ``block``: built unchecked when it passed the screen,
+    else through the checked constructors, whose errors propagate."""
+    detection = Detection._trusted if block.holds else Detection
+    sample = ImageSample._trusted if block.holds else ImageSample
+    det_boxes = list(starmap(BoundingBox, block.det_box.tolist()))
+    # A noiseless detection shares its ground truth's box.
+    gt_boxes = (list(starmap(BoundingBox, block.gt_box.tolist())) if spec.box_noise_std > 0.0
+                else list(compress(det_boxes, block.is_obj.tolist())))
+    gts = list(zip(gt_boxes, block.gt_labels))
+    probs, confs = block.probs.tolist(), block.confidences.tolist()
+    samples = []
+    g = d = 0
+    for image_id, (n_obj, n_fp) in zip(block.image_ids, block.counts.tolist()):
+        e = d + n_obj + n_fp
+        detections = list(map(detection, det_boxes[d:e], probs[d:e], confs[d:e]))
+        samples.append(sample(image_id, gts[g : g + n_obj], detections))
+        g, d = g + n_obj, e
     return samples
+
+
+def _block_table(spec: SynthSpec, block: _Block, floor: float) -> _SampleTable:
+    """The ``_SampleTable`` of ``block`` without the detections below
+    ``floor``, built from its arrays. A block that failed the screen is built
+    into samples first, so the checked constructors raise their errors."""
+    if block.holds:
+        n_obj, n_fp = block.counts.T
+        return _SampleTable.from_arrays(
+            block.image_ids, n_obj, block.gt_box, block.gt_labels, n_obj + n_fp, block.det_box,
+            block.confidences, block.probs, floor,
+        )
+    # A sample's detections are sorted by descending confidence, so the kept
+    # ones are a prefix.
+    samples = _block_samples(spec, block)
+    prefixes = [sum(d.confidence >= floor for d in s.detections) for s in samples]
+    table = _SampleTable.from_samples(samples, prefixes)
+    return replace(table, probs=np.array(table.probs, dtype=float).reshape(-1, spec.num_classes))
 
 
 # --------------------------------------------------------------------------
@@ -381,25 +443,25 @@ def _run_trial(
     spec: SynthSpec, config: CalibrationConfig, n_cal: int, n_test: int, trial: tuple[int, int]
 ) -> tuple[float, float, float, float]:
     """One Monte Carlo trial: ``trial`` is its index and sub-seed. Draws
-    ``n_cal + n_test`` images, drops the detections below
-    ``config.prefilter_threshold`` (as the file commands do on read),
-    calibrates on the first ``n_cal`` and returns the test risks. A pure
-    function of its arguments, so it gives the same bits in any process."""
+    ``n_cal + n_test`` images as tables, not samples: each of ``generate``'s
+    blocks becomes a ``_SampleTable`` without the detections below
+    ``config.prefilter_threshold`` (as the file commands drop them on read).
+    The joined table is split at image ``n_cal`` (a block may straddle the
+    split); the trial calibrates on the first part and returns the test
+    risks of the rest, as ``calibrate`` and ``evaluate`` would give them on
+    the samples. A pure function of its arguments, so it gives the same bits
+    in any process."""
     t, trial_seed = trial
+    trial_spec = replace(spec, seed=trial_seed, n_images=n_cal + n_test)
     floor = config.prefilter_threshold
-    # Detections come sorted by descending confidence: an image has one
-    # below the floor exactly when its last one is.
-    samples = [
-        replace(s, detections=tuple(d for d in s.detections if d.confidence >= floor))
-        if s.detections and s.detections[-1].confidence < floor
-        else s
-        for s in generate(replace(spec, seed=trial_seed, n_images=n_cal + n_test))
-    ]
+    with _CollectorPaused():
+        tables = [_block_table(trial_spec, block, floor) for block in _blocks(trial_spec)]
+    cal, test = _SampleTable.concat(tables).split(n_cal)
     try:
-        result = calibrate(samples[:n_cal], config)
+        result = _calibrate(cal, config)
     except InfeasibleRiskError as exc:
         raise InfeasibleRiskError(f"trial {t}: {exc}") from exc
-    report = evaluate(samples[n_cal:], result)
+    report = _evaluate_table(test, result)
     return (report.cnf_risk, report.loc_risk, report.cls_risk, report.global_risk)
 
 

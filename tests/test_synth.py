@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import re
 from dataclasses import replace
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from condet import (
 )
 from condet import _workers, synth
 from condet.synth import format_report_table, report_to_dict
-from test_synth_golden import DIGESTS, SPECS, samples_digest
+from test_synth_golden import DIGESTS, MC_CONFIG, MC_PER_TRIAL_RISKS, MC_SPEC, SPECS, samples_digest
 
 
 class TestGenerate:
@@ -219,6 +220,37 @@ class TestCollector:
             generate(SynthSpec(seed=1, n_images=5))
         assert gc.isenabled() is enabled
 
+    def test_paused_while_a_trial_builds_its_tables(self, monkeypatch, collector):
+        monkeypatch.setattr(_workers, "_available_cpus", lambda: 1)
+        screen = synth._block_holds
+        states = []
+
+        def recorded(*block):
+            states.append(gc.isenabled())
+            return screen(*block)
+
+        monkeypatch.setattr(synth, "_block_holds", recorded)
+        gc.enable()
+        monte_carlo_validate(SynthSpec(seed=1), quick_config(), 2, n_cal=20, n_test=20)
+        assert states and not any(states)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_caller_setting_restored_after_in_process_trials(self, enabled, monkeypatch, collector):
+        monkeypatch.setattr(_workers, "_available_cpus", lambda: 1)
+        (gc.enable if enabled else gc.disable)()
+        monte_carlo_validate(SynthSpec(seed=1), quick_config(), 2, n_cal=20, n_test=20)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_caller_setting_restored_after_a_trial_refuses_a_block(self, enabled, monkeypatch, collector):
+        monkeypatch.setattr(_workers, "_available_cpus", lambda: 1)
+        refuse_blocks(monkeypatch)
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(ValueError, match="^probs must be non-negative$"):
+            monte_carlo_validate(SynthSpec(seed=1), quick_config(), 2, n_cal=20, n_test=20)
+        assert gc.isenabled() is enabled
+
 
 @st.composite
 def synth_specs(draw):
@@ -396,13 +428,23 @@ class TestMonteCarlo:
         assert {d.confidence for s in samples for d in s.detections} == {0.01}
 
 
+def trial_seeds(spec, trials):
+    """The sub-seeds of ``monte_carlo_validate``'s trials."""
+    return [int(child.generate_state(1)[0]) for child in np.random.SeedSequence(spec.seed).spawn(trials)]
+
+
 def serial_trials(spec, config, trials, n_cal, n_test):
     """``monte_carlo_validate``'s trials replayed one after another in this
-    process: each trial's risks, or the ``InfeasibleRiskError`` it raised."""
+    process through the public objects: ``generate``, the prefilter at
+    ``config.prefilter_threshold``, ``calibrate`` and ``evaluate``. Each
+    trial's risks, or the ``InfeasibleRiskError`` it raised."""
+    floor = config.prefilter_threshold
     out = []
-    for child in np.random.SeedSequence(spec.seed).spawn(trials):
-        trial_spec = replace(spec, seed=int(child.generate_state(1)[0]), n_images=n_cal + n_test)
-        samples = generate(trial_spec)
+    for seed in trial_seeds(spec, trials):
+        samples = [
+            replace(s, detections=tuple(d for d in s.detections if d.confidence >= floor))
+            for s in generate(replace(spec, seed=seed, n_images=n_cal + n_test))
+        ]
         try:
             result = calibrate(samples[:n_cal], config)
         except InfeasibleRiskError as exc:
@@ -458,3 +500,102 @@ class TestParallelTrials:
             monte_carlo_validate(spec, config, 5, n_cal=20, n_test=5)
         assert str(info.value) == f"trial 0: {serial[0]}"
         assert multiprocessing.active_children() == []
+
+
+def assert_trials_replayed(spec, config, trials, n_cal, n_test):
+    """``monte_carlo_validate`` gives ``serial_trials``' risks, or the first
+    infeasible trial's error with its index."""
+    serial = serial_trials(spec, config, trials, n_cal, n_test)
+    infeasible = [t for t, row in enumerate(serial) if isinstance(row, InfeasibleRiskError)]
+    if infeasible:
+        with pytest.raises(InfeasibleRiskError) as info:
+            monte_carlo_validate(spec, config, trials, n_cal, n_test)
+        assert str(info.value) == f"trial {infeasible[0]}: {serial[infeasible[0]]}"
+    else:
+        assert monte_carlo_validate(spec, config, trials, n_cal, n_test).per_trial_risks == tuple(serial)
+
+
+def split_points(spec):
+    """``n_cal`` values of at least 5 for trial 0 of ``spec``: the end of a
+    block of its draws, and a split inside a block."""
+    trial_spec = replace(spec, seed=trial_seeds(spec, 1)[0], n_images=10**6)
+    ends = accumulate(len(block.image_ids) for block in synth._blocks(trial_spec))
+    boundary = inside = None
+    start = 0
+    for end in ends:
+        if boundary is None and end >= 5:
+            boundary = end
+        if inside is None and max(start, 4) + 1 < end:
+            inside = max(start, 4) + 1
+        if boundary and inside:
+            return {"boundary": boundary, "inside": inside}
+        start = end
+
+
+#: The differential grid's specs: the Monte Carlo spec, a dense 80-class
+#: one, noiseless copies (a detection shares its ground truth's box), 1000
+#: classes (about one image per block) and images whose only detection is
+#: the forced false positive.
+TRIAL_SPECS = {
+    name: SPECS[key] if key else MC_SPEC
+    for name, key in (("mc", None), ("dense-like", "dense"), ("noiseless", "noiseless"),
+                      ("many-classes", "many-classes"), ("forced-false-positive", "forced-false-positive"))
+}
+
+
+@pytest.mark.workers
+class TestTrialTables:
+    """Each trial calibrates and evaluates tables built from ``generate``'s
+    blocks; its risks and errors are those of the public objects."""
+
+    @pytest.mark.parametrize("name", sorted(TRIAL_SPECS))
+    @pytest.mark.parametrize("floor", [1e-3, 0.3, 0.5])
+    @pytest.mark.parametrize("split, n_test", [("boundary", 6), ("inside", 1), ("inside", 6)])
+    def test_trials_replay_through_samples(self, name, floor, split, n_test):
+        spec = TRIAL_SPECS[name]
+        n_cal = split_points(spec)[split]
+        assert_trials_replayed(spec, quick_config(prefilter_threshold=floor), 2, n_cal, n_test)
+
+    def test_infeasible_trials_report_the_replayed_error(self):
+        spec = SynthSpec(seed=4, objects_min=1, objects_max=2)
+        config = quick_config(lambda_loc_bounds=(0.0, 3.0), prefilter_threshold=0.3)
+        assert any(isinstance(row, InfeasibleRiskError) for row in serial_trials(spec, config, 5, 20, 5))
+        assert_trials_replayed(spec, config, 5, 20, 5)
+
+
+def forbidden(*args):
+    raise AssertionError("a per-value object was built")
+
+
+class Forbidden:
+    """A stand-in for the classes a screened trial must not build."""
+
+    __init__ = forbidden
+    _trusted = staticmethod(forbidden)
+
+
+class TestTrialScreen:
+    """A trial's blocks go through the same screen as ``generate``'s."""
+
+    def test_checked_path_gives_the_golden_risks(self, monkeypatch):
+        monkeypatch.setattr(_workers, "_available_cpus", lambda: 1)
+        monkeypatch.setattr(synth, "_block_holds", lambda *block: False)
+        report = monte_carlo_validate(MC_SPEC, MC_CONFIG, trials=3, n_cal=500, n_test=500)
+        got = tuple(tuple(float.hex(r) for r in row) for row in report.per_trial_risks)
+        assert got == MC_PER_TRIAL_RISKS
+
+    @pytest.mark.parametrize("name", ["mc", "noiseless"])
+    def test_checked_path_drops_the_detections_below_the_floor(self, name, monkeypatch):
+        monkeypatch.setattr(_workers, "_available_cpus", lambda: 1)
+        monkeypatch.setattr(synth, "_block_holds", lambda *block: False)
+        assert_trials_replayed(TRIAL_SPECS[name], quick_config(prefilter_threshold=0.5), 2, 20, 6)
+
+    def test_screened_trials_build_no_objects(self, monkeypatch):
+        monkeypatch.setattr(_workers, "_available_cpus", lambda: 1)
+        spec = SynthSpec(seed=5, n_images=1, box_noise_std=0.0)
+        expected = monte_carlo_validate(spec, quick_config(), 3, n_cal=30, n_test=30)
+        for name in ("Detection", "ImageSample", "BoundingBox"):
+            monkeypatch.setattr(synth, name, Forbidden)
+        with pytest.raises(AssertionError, match="per-value object"):
+            generate(spec)
+        assert monte_carlo_validate(spec, quick_config(), 3, n_cal=30, n_test=30) == expected
