@@ -4,13 +4,16 @@
 its records, and the dataset reader behind ``read_dataset_file``,
 ``load_dataset``, ``condet calibrate``, ``condet infer`` and ``condet
 evaluate`` decodes, checks and processes the image records of a dataset
-file through ``ordered_map``: the workers of ``condet calibrate`` and
-``condet evaluate`` return each span's records as arrays, the others
-records, samples or ``infer``'s encoded predictions. The results come back in item order whatever the worker count,
-so callers get the same output from any count. The workers form a
-``concurrent.futures`` process pool, which fails the map when one of them
-dies, where a ``multiprocessing.Pool`` would start a replacement and wait
-forever for the lost result.
+file through ``ordered_map``. The reader's workers read each span of
+records into arrays for the three commands: those of ``condet calibrate``
+and ``condet evaluate`` return the arrays, and those of ``condet infer``
+return the span's encoded predictions, built from them. The workers of
+``read_dataset_file`` and ``load_dataset`` return records and samples. The
+results come back in item order whatever the worker count, so callers get
+the same output from any count. The workers form a ``concurrent.futures``
+process pool, which fails the map when one of them dies, where a
+``multiprocessing.Pool`` would start a replacement and wait forever for the
+lost result.
 """
 
 from __future__ import annotations

@@ -661,20 +661,26 @@ def _sweep_rows(req: np.ndarray, n_det: np.ndarray, det_img: np.ndarray, det_sta
 
 @dataclass(frozen=True, eq=False)
 class _SampleTable:
-    """A calibration or test set as arrays: what the kernel and
-    ``evaluate`` read of its samples.
+    """A calibration or test set as arrays: what the kernel, ``evaluate``
+    and ``infer`` read of its samples.
 
     Image ``i``'s ground truths are entries ``gt_start[i]:gt_start[i + 1]``
     of ``gt_box`` (``(4, m)`` left, top, right and bottom coordinates) and
     ``labels``; its detections are entries ``det_start[i]:det_start[i + 1]``
-    of ``det_box``, ``req`` (``1 - confidence``) and ``probs``, prefiltered
-    and in the order ``ImageSample`` keeps them (a stable sort by descending
-    confidence). ``probs`` is an ``(n_det, k)`` float64 matrix for ``k``
-    classes in a table built from arrays (``from_arrays``: a dataset file
-    read in bulk, a Monte Carlo trial's draws), and one probability vector
-    per detection in a table of samples (``from_samples``): a matrix built
-    from the vectors would cost as much as a whole ``calibrate`` on
-    ``dense``, while the kernel reads only the rows of the pairs it scores.
+    of ``det_box``, ``req`` (``1 - confidence``), ``pos`` and ``probs``,
+    prefiltered and in the order ``ImageSample`` keeps them (a stable sort by
+    descending confidence). ``pos`` is each detection's position in its
+    image's input list, counted before the prefilter: in the file's
+    detection list for a table read from a file, which ``condet infer``
+    writes as each selection's ``index``, and in the sample's detections for
+    a table of samples. ``probs`` is an ``(n_det, k)`` float64 matrix for
+    ``k`` classes in a table built from arrays (``from_arrays``: a dataset
+    file read in bulk, a Monte Carlo trial's draws; ``from_images``, the
+    checked objects of a span or block that failed the bulk check), and one
+    probability vector per detection in a table of samples
+    (``from_samples``): a matrix built from the vectors would cost as much
+    as a whole ``calibrate`` on ``dense``, while the kernel reads only the
+    rows of the pairs it scores.
     """
 
     image_ids: tuple[str, ...]
@@ -684,6 +690,7 @@ class _SampleTable:
     labels: np.ndarray
     det_box: np.ndarray
     req: np.ndarray
+    pos: np.ndarray
     probs: object
 
     @property
@@ -714,6 +721,7 @@ class _SampleTable:
             labels=np.array([label for s in samples for _, label in s.ground_truths], dtype=np.int64),
             det_box=_coords([d.box for d in dets]),
             req=1.0 - np.array([d.confidence for d in dets], dtype=float),
+            pos=np.arange(len(dets)) - np.repeat(np.cumsum(n_det) - n_det, n_det),
             probs=[d.probs for d in dets],
         )
 
@@ -728,11 +736,13 @@ class _SampleTable:
         corner rows) and ``labels``, and the next ``n_det[i]`` rows of
         ``det_box``, ``confidence`` and ``probs`` (``(d, k)``), in any
         order: the kept ones are put in ``ImageSample``'s order, by image,
-        then a stable sort by descending confidence."""
+        then a stable sort by descending confidence. A detection's position
+        is its row among its image's."""
         det_img = np.repeat(np.arange(len(image_ids)), n_det)
         kept = np.flatnonzero(confidence >= floor)
         kept = kept[np.lexsort((-confidence[kept], det_img[kept]))]
-        n_kept = np.bincount(det_img[kept], minlength=len(image_ids))
+        kept_img = det_img[kept]
+        n_kept = np.bincount(kept_img, minlength=len(image_ids))
         return cls(
             image_ids=tuple(image_ids),
             gt_start=np.concatenate(([0], np.cumsum(n_gt))),
@@ -741,7 +751,26 @@ class _SampleTable:
             labels=np.array(labels, dtype=np.int64),
             det_box=det_box[kept].T,
             req=1.0 - confidence[kept],
+            pos=kept - (np.cumsum(n_det) - n_det)[kept_img],
             probs=probs[kept],
+        )
+
+    @classmethod
+    def from_images(cls, images: Sequence, num_classes: int, floor: float) -> "_SampleTable":
+        """``from_arrays`` of checked images: ``ImageSample``s, or a file's
+        records as ``read_dataset_file`` parses them, each with an
+        ``image_id``, ``ground_truths`` and ``detections`` of
+        ``num_classes`` probabilities. A detection's position is its place
+        in its image's ``detections``."""
+        gts = [gt for image in images for gt in image.ground_truths]
+        dets = [d for image in images for d in image.detections]
+        return cls.from_arrays(
+            [image.image_id for image in images],
+            np.array([len(image.ground_truths) for image in images], dtype=np.int64),
+            _coords([box for box, _ in gts]).T, [label for _, label in gts],
+            np.array([len(image.detections) for image in images], dtype=np.int64),
+            _coords([d.box for d in dets]).T, np.array([d.confidence for d in dets], dtype=float),
+            np.array([d.probs for d in dets], dtype=float).reshape(-1, num_classes), floor,
         )
 
     def split(self, i: int) -> tuple["_SampleTable", "_SampleTable"]:
@@ -749,11 +778,11 @@ class _SampleTable:
         g, d = self.gt_start[i], self.det_start[i]
         head = _SampleTable(
             self.image_ids[:i], self.gt_start[: i + 1], self.det_start[: i + 1], self.gt_box[:, :g],
-            self.labels[:g], self.det_box[:, :d], self.req[:d], self.probs[:d],
+            self.labels[:g], self.det_box[:, :d], self.req[:d], self.pos[:d], self.probs[:d],
         )
         tail = _SampleTable(
             self.image_ids[i:], self.gt_start[i:] - g, self.det_start[i:] - d, self.gt_box[:, g:],
-            self.labels[g:], self.det_box[:, d:], self.req[d:], self.probs[d:],
+            self.labels[g:], self.det_box[:, d:], self.req[d:], self.pos[d:], self.probs[d:],
         )
         return head, tail
 
@@ -773,6 +802,7 @@ class _SampleTable:
             labels=np.concatenate([t.labels for t in tables]),
             det_box=np.concatenate([t.det_box for t in tables], axis=1),
             req=np.concatenate([t.req for t in tables]),
+            pos=np.concatenate([t.pos for t in tables]),
             probs=np.concatenate([t.probs for t in tables]),
         )
 

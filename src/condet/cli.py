@@ -25,6 +25,8 @@ import os
 import sys
 from dataclasses import asdict, replace
 
+import numpy as np
+
 from . import __version__
 from .calibration import (
     CalibrationConfig,
@@ -36,10 +38,9 @@ from .dataio import (
     DataFormatError,
     DigestMismatchError,
     _from_json,
-    _kept_positions,
     _load_json,
     _load_table,
-    _map_image_records,
+    _map_tables,
     _write_json,
     _write_lines,
     config_digest,
@@ -50,7 +51,7 @@ from .dataio import (
     save_result,
     write_dataset_file,
 )
-from .inference_metrics import _evaluate_table, infer
+from .inference_metrics import _evaluate_table, _infer_table
 from .losses import AGGREGATION_KINDS, CONF_LOSS_KINDS, LOC_LOSS_KINDS
 from .matching import MATCH_KINDS
 from .predsets import CLS_SET_KINDS, LOC_SET_KINDS
@@ -181,28 +182,24 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _prediction(rec, result) -> dict:
-    """The ``infer`` output entry of one image record."""
-    # Selections in file order, each with its position in the file.
-    kept = _kept_positions(rec, result.config.prefilter_threshold)
-    pred = infer([rec.detections[j] for j in kept], result, image_id=rec.image_id)
-    return {
-        "image_id": pred.image_id,
-        "selected": [
-            {
-                "index": kept[sel.index],
-                "box": list(sel.box.as_tuple()),
-                "margined_box": list(sel.margined_box.as_tuple()),
-                "class_set": sorted(sel.class_labels),
-            }
-            for sel in pred.selected
-        ],
-    }
+def _runs(items: list, counts: np.ndarray) -> list[list]:
+    """``items`` cut into consecutive runs of ``counts`` items."""
+    ends = np.cumsum(counts).tolist()
+    return [items[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
-def _encoded_predictions(images, result) -> list[str]:
-    """Each image's ``infer`` output entry, encoded as JSON on one line."""
-    return [json.dumps(_prediction(rec, result)) for rec in images]
+def _prediction_lines(table, result) -> list[str]:
+    """Each image's ``infer`` output entry for the ``_SampleTable``
+    ``table``, encoded as JSON on one line: its selections in file order,
+    each with its position in the file's detection list."""
+    counts, index, box, margined, sets = _infer_table(table, result)
+    class_sets = _runs(np.nonzero(sets)[1].tolist(), np.count_nonzero(sets, axis=1))
+    selected = [
+        {"index": i, "box": b, "margined_box": m, "class_set": c}
+        for i, b, m, c in zip(index.tolist(), box.T.tolist(), margined.T.tolist(), class_sets)
+    ]
+    return [json.dumps({"image_id": image_id, "selected": sel})
+            for image_id, sel in zip(table.image_ids, _runs(selected, counts))]
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
@@ -219,7 +216,9 @@ def cmd_infer(args: argparse.Namespace) -> int:
             )
     # Every span has returned before the file is opened: a failing run
     # leaves --out untouched.
-    _, _, entries = _map_image_records(args.dataset, _encoded_predictions, result)
+    floor = result.config.prefilter_threshold
+    _, _, spans = _map_tables(args.dataset, floor, _prediction_lines, result)
+    entries = [entry for lines in spans for entry in lines]
     head = _output(
         result.config,
         lambda_cnf_plus=result.lambda_cnf_plus,

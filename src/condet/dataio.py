@@ -91,7 +91,9 @@ class DatasetFile:
     probability-vector lengths (the detections checked themselves), and
     raises ``DataFormatError``, a ``ValueError``, with the reader's message
     naming the image and the record but no file. ``ImageRecord``, which the
-    reader builds for every image, checks nothing.
+    reader builds for every image, checks nothing, and the reader, which has
+    checked each record as it parsed it, builds its ``DatasetFile`` with
+    ``_trusted``.
     """
 
     num_classes: int
@@ -107,6 +109,17 @@ class DatasetFile:
                 _extent(getattr(rec, key), key, image)
             _parse_records(_check_ground_truth, rec.ground_truths, k, image, "ground truth")
             _parse_records(_check_probs_length, rec.detections, k, image, "detection")
+
+    @classmethod
+    def _trusted(cls, num_classes: int, class_names: tuple[str, ...],
+                 images: tuple[ImageRecord, ...]) -> "DatasetFile":
+        """``DatasetFile(num_classes, class_names, images)`` built without
+        checking, for a header and records that the reader checked."""
+        dataset = object.__new__(cls)
+        object.__setattr__(dataset, "num_classes", num_classes)
+        object.__setattr__(dataset, "class_names", class_names)
+        object.__setattr__(dataset, "images", images)
+        return dataset
 
 
 def _require(condition: bool, message: str) -> None:
@@ -375,8 +388,7 @@ def read_dataset_file(path: PathLike) -> DatasetFile:
     """
     # ``list`` keeps each span's records as they are.
     num_classes, class_names, images = _map_image_records(path, list)
-    return DatasetFile(num_classes=num_classes, class_names=_class_names(num_classes, class_names),
-                       images=tuple(images))
+    return DatasetFile._trusted(num_classes, _class_names(num_classes, class_names), tuple(images))
 
 
 #: Probability cells per chunk of records that one worker encodes, and per
@@ -427,8 +439,14 @@ def _span_outcome(raws: list, first: int, num_classes: int, path: PathLike, work
         images = [_image(rec, n, num_classes, path) for n, rec in enumerate(raws, first)]
     except DataFormatError as exc:
         return _RECORD_ERROR, exc
+    return _work_outcome(work, images, args)
+
+
+def _work_outcome(work: Callable, value, args: tuple) -> tuple[int, object]:
+    """``(_VALUES, work(value, *args))``, or ``(_WORK_ERROR, error)`` when
+    ``work`` raises."""
     try:
-        return _VALUES, work(images, *args)
+        return _VALUES, work(value, *args)
     except Exception as exc:  # raised by the caller once every span has returned
         return _WORK_ERROR, exc
 
@@ -448,7 +466,7 @@ def _span_table(raws: list, num_classes: int, prefilter_threshold: float) -> _Sa
     lists; None unless every record passes a bulk check.
 
     The check accepts nothing that ``_image`` refuses, but it may refuse a
-    valid record, which ``_table_outcome`` then reads through ``_image``.
+    valid record, which ``_table_outcome`` then parses with ``_image``.
     Here it checks the JSON types and the extents: every number must be a
     float by type (image ids strings), each probability vector must have
     ``num_classes`` entries, and extents must be finite and >= 0. The
@@ -489,22 +507,22 @@ def _span_table(raws: list, num_classes: int, prefilter_threshold: float) -> _Sa
     )
 
 
-def _table_outcome(raws: list, first: int, num_classes: int, path: PathLike,
-                   prefilter_threshold: float) -> tuple[int, object]:
+def _table_outcome(raws: list, first: int, num_classes: int, path: PathLike, prefilter_threshold: float,
+                   work: Callable | None = None, args: tuple = ()) -> tuple[int, object]:
     """``(_VALUES, table)``, the ``_SampleTable`` of the raw records
-    ``raws`` numbered from ``first``, or the error outcome of the first bad
-    one. Records that fail ``_span_table``'s bulk check are read as
-    ``load_dataset`` reads them, so the rule of ``losses.py`` names the bad
-    record with its own message; the table is built from their samples."""
+    ``raws`` numbered from ``first``, or ``work(table, *args)`` in its place
+    when ``work`` is given; else the error outcome of the first bad record,
+    or of ``work``. Records that fail ``_span_table``'s bulk check are
+    parsed as ``read_dataset_file`` parses them, so the constructors name the
+    bad record with their own message, and the table is built from the
+    parsed records (``_SampleTable.from_images``), positions and all."""
     table = _span_table(raws, num_classes, prefilter_threshold)
-    if table is not None:
-        return _VALUES, table
-    kind, samples = _span_outcome(raws, first, num_classes, path, _samples, (prefilter_threshold,))
-    if kind != _VALUES:
-        return kind, samples
-    table = _SampleTable.from_samples(samples)
-    probs = np.array(table.probs, dtype=float).reshape(-1, num_classes)
-    return _VALUES, replace(table, probs=probs)
+    if table is None:
+        kind, images = _span_outcome(raws, first, num_classes, path, list, ())
+        if kind != _VALUES:
+            return kind, images
+        table = _SampleTable.from_images(images, num_classes, prefilter_threshold)
+    return (_VALUES, table) if work is None else _work_outcome(work, table, args)
 
 
 def _parse_span(records: list, num_classes: int, path: PathLike, outcome: Callable, args: tuple,
@@ -638,22 +656,33 @@ def _map_image_records(path: PathLike, work: Callable, *args) -> tuple[int, list
     those of ``json.load``, the header checks, ``_image`` over the records
     and then ``work`` over the images, in file order, whatever the layout
     and the number of workers. ``work`` must be a module-level function.
-    ``_load_table`` reads the files of ``condet calibrate`` and ``condet
-    evaluate`` through the same spans into arrays instead.
+    ``_map_tables`` reads the same spans into arrays instead.
     """
     num_classes, class_names, spans = _map_spans(path, _span_outcome, work, args)
     return num_classes, class_names, [value for values in spans for value in values]
 
 
+def _map_tables(path: PathLike, prefilter_threshold: float, work: Callable,
+                *args) -> tuple[int, list | None, list]:
+    """``num_classes``, the class names as given (``_check_header``), and
+    the value of ``work(table, *args)`` for the ``_SampleTable`` of each
+    span of the native dataset file ``path``, without the detections below
+    ``prefilter_threshold``, in file order.
+
+    Each worker of ``_map_spans`` builds its span's table from the decoded
+    JSON lists (``_table_outcome``) and runs ``work`` on it; no
+    ``Detection`` or ``ImageSample`` is built for a span that passes the
+    bulk check. The errors are those of ``load_dataset``, then the first of
+    ``work``, in file order. ``work`` must be a module-level function.
+    """
+    return _map_spans(path, _table_outcome, prefilter_threshold, work, args)
+
+
 def _load_table(path: PathLike, prefilter_threshold: float) -> _SampleTable:
     """The images of the native dataset file ``path`` as one
     ``_SampleTable``, with the errors of ``load_dataset``: the calibration
-    set of ``condet calibrate`` and the test set of ``condet evaluate``.
-
-    Each worker of ``_map_spans`` builds its span's table from the decoded
-    JSON lists (``_table_outcome``) and returns arrays; no ``Detection`` or
-    ``ImageSample`` is built for a span that passes the bulk check.
-    """
+    set of ``condet calibrate`` and the test set of ``condet evaluate``,
+    read as ``_map_tables`` reads it, each span's table returned whole."""
     num_classes, _, tables = _map_spans(path, _table_outcome, prefilter_threshold)
     return _SampleTable.concat(tables or [_span_table([], num_classes, prefilter_threshold)])
 
@@ -727,19 +756,11 @@ def write_dataset_file(dataset: DatasetFile, path: PathLike) -> None:
         _write_lines(path, head, texts)
 
 
-def _kept_positions(rec: ImageRecord, prefilter_threshold: float) -> list[int]:
-    """Positions in ``rec.detections`` of the detections at or above the floor."""
-    return [j for j, d in enumerate(rec.detections) if d.confidence >= prefilter_threshold]
-
-
-def _sample(rec: ImageRecord, prefilter_threshold: float) -> ImageSample:
-    """``rec`` as a sample, without the detections below the floor."""
-    kept = tuple(rec.detections[j] for j in _kept_positions(rec, prefilter_threshold))
-    return ImageSample(image_id=rec.image_id, ground_truths=rec.ground_truths, detections=kept)
-
-
 def _samples(images: Sequence[ImageRecord], prefilter_threshold: float) -> list[ImageSample]:
-    return [_sample(rec, prefilter_threshold) for rec in images]
+    """The records ``images`` as samples, without the detections below the floor."""
+    return [ImageSample(rec.image_id, rec.ground_truths,
+                        tuple(d for d in rec.detections if d.confidence >= prefilter_threshold))
+            for rec in images]
 
 
 def load_dataset(path: PathLike, prefilter_threshold: float = 1e-3) -> list[ImageSample]:
@@ -749,8 +770,9 @@ def load_dataset(path: PathLike, prefilter_threshold: float = 1e-3) -> list[Imag
     records (``_map_image_records``), with the results and errors of
     ``read_dataset_file`` followed by dropping the detections below the
     floor, and every one is a validated ``ImageSample``. ``condet
-    calibrate`` and ``condet evaluate`` read their files with the same
-    errors into arrays instead (``_load_table``), building no samples.
+    calibrate``, ``condet evaluate`` and ``condet infer`` read their files
+    with the same errors into arrays instead (``_map_tables``), building no
+    samples.
     """
     return _map_image_records(path, _samples, prefilter_threshold)[2]
 

@@ -2,13 +2,18 @@
 
 Inference only uses the conservative parameters: the confidence threshold
 selects detections, each selected box is margined, and each selected
-probability vector becomes a label set (``infer``, through
-``_prediction_sets``). Evaluation scores those sets on held-out images
-without building them: ``_evaluate_table`` reads the test split as a
+probability vector becomes a label set. The public ``infer`` builds one
+image's sets detection by detection (``_prediction_sets``); ``condet infer``
+builds every image's of a ``_SampleTable`` in array passes instead
+(``_infer_table``), each selection's ``index`` being its detection's
+recorded position in the file. Evaluation scores those sets on held-out
+images without building them: ``_evaluate_table`` reads the test split as a
 ``_SampleTable`` and computes the raw task losses in array passes with the
 calibration kernel's code, the same floats as the scalar functions of
 ``matching``, ``predsets`` and ``losses`` give, and reports risks (mean
-losses) and set sizes. ``evaluate`` and ``condet evaluate`` share it.
+losses) and set sizes. ``evaluate`` and ``condet evaluate`` share it. A
+label set has one array definition, ``_class_sets``, whose sizes
+``_set_sizes`` counts without building the sets.
 """
 
 from __future__ import annotations
@@ -147,10 +152,10 @@ def _set_sizes(probs: np.ndarray, lam: float, kind: str) -> np.ndarray:
     """The size of ``build_class_set(row, lam, kind)`` for each row of the
     float64 matrix ``probs``, counted without building a set.
 
-    LAC counts the classes with ``lam >= 1 - p``. APS keeps the classes in
-    descending order until their sequential sum exceeds ``lam``, so its size
-    is one more than the count of the sums that do not, at most the class
-    count; equal probabilities give the same sums in any order.
+    LAC counts the classes of ``_class_sets``' mask. APS keeps the classes
+    in descending order until their sequential sum exceeds ``lam``, so its
+    size is one more than the count of the sums that do not, at most the
+    class count; equal probabilities give the same sums in any order.
     """
     k = probs.shape[1]
     out = np.full(len(probs), k)
@@ -160,11 +165,51 @@ def _set_sizes(probs: np.ndarray, lam: float, kind: str) -> np.ndarray:
     for lo in range(0, len(probs), step):
         block = probs[lo : lo + step]
         if kind == "lac":
-            out[lo : lo + step] = np.count_nonzero(lam >= 1.0 - block, axis=1)
+            out[lo : lo + step] = np.count_nonzero(_class_sets(block, lam, kind), axis=1)
         else:
             sums = np.cumsum(np.sort(block, axis=1)[:, ::-1], axis=1)
             out[lo : lo + step] = np.minimum(np.count_nonzero(sums <= lam, axis=1) + 1, k)
     return out
+
+
+def _class_sets(probs: np.ndarray, lam: float, kind: str) -> np.ndarray:
+    """``build_class_set(row, lam, kind)`` of each row of the float64 matrix
+    ``probs``, as a boolean mask over the classes.
+
+    LAC keeps the classes with ``lam >= 1 - p``. APS keeps the first
+    ``_set_sizes`` classes of the stable descending order, which breaks ties
+    by ascending class index as ``cls_set_aps`` does.
+    """
+    if kind == "lac":
+        return lam >= 1.0 - probs
+    order = np.argsort(-probs, axis=1, kind="stable")
+    mask = np.empty(probs.shape, dtype=bool)
+    kept = np.arange(probs.shape[1]) < _set_sizes(probs, lam, kind)[:, None]
+    np.put_along_axis(mask, order, kept, axis=1)
+    return mask
+
+
+def _infer_table(table: _SampleTable, result: CalibrationResult) -> tuple[np.ndarray, ...]:
+    """The prediction sets of the images of ``table`` at the result's
+    conservative parameters, as ``_prediction_sets`` builds them for each
+    image's detections in position order.
+
+    Returns each image's count of selections (``lambda_cnf_plus >= 1 -
+    confidence``) and, for the selections image by image and each image's
+    in position order: their positions, boxes and margined boxes (``(4,
+    s)`` coordinates) and their label sets as an ``(s, k)`` mask
+    (``_class_sets``).
+    """
+    images = np.repeat(np.arange(table.n), np.diff(table.det_start))
+    sel = np.flatnonzero(result.lambda_cnf_plus >= table.req)
+    sel = sel[np.lexsort((table.pos[sel], images[sel]))]
+    box = table.det_box[:, sel]
+    with np.errstate(over="ignore", invalid="ignore"):
+        margined = np.array(_margined(box, result.lambda_loc_plus,
+                                      result.config.predset_spec.localization_kind))
+    sets = _class_sets(_gather_probs(table.probs, sel), result.lambda_cls_plus,
+                       result.config.predset_spec.classification_kind)
+    return np.bincount(images[sel], minlength=table.n), table.pos[sel], box, margined, sets
 
 
 def _evaluate_table(table: _SampleTable, result: CalibrationResult) -> EvaluationReport:

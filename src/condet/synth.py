@@ -389,12 +389,7 @@ def _block_table(spec: SynthSpec, block: _Block, floor: float) -> _SampleTable:
             block.image_ids, n_obj, block.gt_box, block.gt_labels, n_obj + n_fp, block.det_box,
             block.confidences, block.probs, floor,
         )
-    # A sample's detections are sorted by descending confidence, so the kept
-    # ones are a prefix.
-    samples = _block_samples(spec, block)
-    prefixes = [sum(d.confidence >= floor for d in s.detections) for s in samples]
-    table = _SampleTable.from_samples(samples, prefixes)
-    return replace(table, probs=np.array(table.probs, dtype=float).reshape(-1, spec.num_classes))
+    return _SampleTable.from_images(_block_samples(spec, block), spec.num_classes, floor)
 
 
 # --------------------------------------------------------------------------

@@ -641,8 +641,8 @@ REPORT_SHA256 = "b39aeb64ee4ca08f34cfe9859f84499ade78b63537d877ffedf51b207114d4a
 
 
 #: Runs ``condet.cli.main`` on its arguments over two workers whose
-#: per-span work (``infer``'s, and ``calibrate``'s table building) kills its
-#: own process.
+#: per-span work (the table building of every command, and ``infer``'s
+#: prediction lines) kills its own process.
 KILL_WORKER_SCRIPT = """
 import os, signal, sys
 from condet import _workers, cli, dataio
@@ -652,7 +652,7 @@ def kill(*args):
 
 if __name__ == "__main__":
     _workers._available_cpus = lambda: 2
-    cli._encoded_predictions = dataio._span_table = kill
+    cli._prediction_lines = dataio._span_table = kill
     sys.exit(cli.main(sys.argv[1:]))
 """
 

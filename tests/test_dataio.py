@@ -391,6 +391,24 @@ class TestDatasetFile:
         path = write_payload(tmp_path, payload)
         assert outcome(read_dataset_file, path) == (DataFormatError, f"{path}: {message}")
 
+    def test_reader_builds_the_checked_constructors_dataset(self, tmp_path, monkeypatch):
+        # The reader checks each record as it parses it, and builds its
+        # DatasetFile without checking it again; the checked constructor
+        # gives an equal value, and a bad record keeps its message.
+        path = tmp_path / "data.json"
+        samples_to_dataset_file(generate(SynthSpec(seed=3, n_images=30, num_classes=5)), 5, path)
+        checked = []
+        monkeypatch.setattr(DatasetFile, "__post_init__",
+                            lambda self, init=DatasetFile.__post_init__: checked.append(self) or init(self))
+        dataset = read_dataset_file(path)
+        assert checked == [] and len(dataset.images) == 30
+        assert dataset == DatasetFile(dataset.num_classes, dataset.class_names, dataset.images)
+        payload = two_image_payload()
+        payload["images"][0]["ground_truths"][0]["class_id"] = 5
+        path = write_payload(tmp_path, payload)
+        assert outcome(read_dataset_file, path) == (
+            DataFormatError, f"{path}: image 'a' ground truth #0: class_id 5 is not an integer in [0, 3)")
+
     def test_holds_what_the_reader_reads(self, tmp_path):
         payload = two_image_payload()
         dataset = held_dataset(payload)
@@ -895,9 +913,10 @@ class TestReaderTable:
         assert outcome(reader_table, path, 1e-3) == outcome(samples_table, path, 1e-3)
         assert multiprocessing.active_children() == []
 
-    def test_integer_span_builds_samples_and_the_others_none(self, tmp_path, monkeypatch):
+    def test_integer_span_builds_checked_detections_and_the_others_none(self, tmp_path, monkeypatch):
         # A constructor spy: only the span whose record holds an integer is
-        # read through Detection and ImageSample.
+        # parsed through the checked Detection, and no span builds an
+        # ImageSample.
         monkeypatch.setattr(dataio, "_CHUNK_CHARS", 8192)
         monkeypatch.setattr(_workers, "_available_cpus", lambda: 1)
         path = tmp_path / "data.json"
@@ -914,7 +933,9 @@ class TestReaderTable:
         lines[start] = edit_record(lambda rec: rec.update(width=64))(lines[start])
         path.write_text(join_lines(header, lines), encoding="utf-8")
         table = reader_table(path, 1e-3)
-        assert sum(isinstance(obj, ImageSample) for obj in built) == stop - start
+        n_dets = sum(len(json.loads(line.removesuffix(","))["detections"]) for line in lines[start:stop])
+        assert n_dets and sum(isinstance(obj, Detection) for obj in built) == n_dets
+        assert not any(isinstance(obj, ImageSample) for obj in built)
         built.clear()
         assert table == samples_table(path, 1e-3)
 
