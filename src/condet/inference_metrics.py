@@ -11,9 +11,12 @@ images without building them: ``_evaluate_table`` reads the test split as a
 ``_SampleTable`` and computes the raw task losses in array passes with the
 calibration kernel's code, the same floats as the scalar functions of
 ``matching``, ``predsets`` and ``losses`` give, and reports risks (mean
-losses) and set sizes. ``evaluate`` and ``condet evaluate`` share it. A
-label set has one array definition, ``_class_sets``, whose sizes
-``_set_sizes`` counts without building the sets.
+losses) and set sizes. ``evaluate`` and ``condet evaluate`` share it. The
+label sets, their sizes and the calibration cutoffs all read one rule in
+``calibration``: a class is in a set when ``lambda_cls`` is at least its
+cutoff, ``1 - p`` for LAC and its rank's entry of the APS rank table
+(``_aps_cutoffs``). ``_set_sizes`` counts the cutoffs at or below
+``lambda_cls``, and ``_class_sets`` builds the masks of those sizes.
 """
 
 from __future__ import annotations
@@ -27,16 +30,17 @@ from typing import Sequence
 import numpy as np
 
 from .calibration import (
-    _BLOCK_CELLS,
     CalibrationResult,
     _check_giou_areas,
     _class_cutoffs,
+    _class_sets,
     _conf_losses,
     _gather_probs,
     _margined,
     _prefix_matches,
     _Reach,
     _SampleTable,
+    _set_sizes,
 )
 from .geometry import BoundingBox
 from .losses import Detection, ImageSample
@@ -146,47 +150,6 @@ def infer(
 def _mean(values: Sequence[float]) -> float:
     """The exactly rounded mean of ``values``; NaN when there are none."""
     return math.fsum(values) / len(values) if values else math.nan
-
-
-def _set_sizes(probs: np.ndarray, lam: float, kind: str) -> np.ndarray:
-    """The size of ``build_class_set(row, lam, kind)`` for each row of the
-    float64 matrix ``probs``, counted without building a set.
-
-    LAC counts the classes of ``_class_sets``' mask. APS keeps the classes
-    in descending order until their sequential sum exceeds ``lam``, so its
-    size is one more than the count of the sums that do not, at most the
-    class count; equal probabilities give the same sums in any order.
-    """
-    k = probs.shape[1]
-    out = np.full(len(probs), k)
-    if kind == "aps" and lam >= 1.0:
-        return out
-    step = max(1, _BLOCK_CELLS // max(k, 1))
-    for lo in range(0, len(probs), step):
-        block = probs[lo : lo + step]
-        if kind == "lac":
-            out[lo : lo + step] = np.count_nonzero(_class_sets(block, lam, kind), axis=1)
-        else:
-            sums = np.cumsum(np.sort(block, axis=1)[:, ::-1], axis=1)
-            out[lo : lo + step] = np.minimum(np.count_nonzero(sums <= lam, axis=1) + 1, k)
-    return out
-
-
-def _class_sets(probs: np.ndarray, lam: float, kind: str) -> np.ndarray:
-    """``build_class_set(row, lam, kind)`` of each row of the float64 matrix
-    ``probs``, as a boolean mask over the classes.
-
-    LAC keeps the classes with ``lam >= 1 - p``. APS keeps the first
-    ``_set_sizes`` classes of the stable descending order, which breaks ties
-    by ascending class index as ``cls_set_aps`` does.
-    """
-    if kind == "lac":
-        return lam >= 1.0 - probs
-    order = np.argsort(-probs, axis=1, kind="stable")
-    mask = np.empty(probs.shape, dtype=bool)
-    kept = np.arange(probs.shape[1]) < _set_sizes(probs, lam, kind)[:, None]
-    np.put_along_axis(mask, order, kept, axis=1)
-    return mask
 
 
 def _infer_table(table: _SampleTable, result: CalibrationResult) -> tuple[np.ndarray, ...]:

@@ -8,9 +8,11 @@ where exactness is not asserted.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from condet import BoundingBox, Detection, ImageSample, calibrate
 from condet.dataio import DatasetFile, ImageRecord, write_dataset_file
@@ -58,6 +60,18 @@ def random_sample(
     )
     dets = tuple(random_detection(rng, k, span) for _ in range(n_det))
     return ImageSample(image_id=image_id, ground_truths=gts, detections=dets)
+
+
+@st.composite
+def tied_probs(draw, k: int):
+    """Probability vectors of ``k`` classes heavy in ties: repeated values
+    and zeros, some nudged up by an ulp, so that sums ahead of a class can
+    round above 1 and an APS cutoff is capped."""
+    weights = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k).filter(any))
+    vector = [w / sum(weights) for w in weights]
+    for j in draw(st.lists(st.integers(0, k - 1), max_size=3)):
+        vector[j] = math.nextafter(vector[j], 2.0)
+    return tuple(vector)
 
 
 def calibration_outcome(samples, config):

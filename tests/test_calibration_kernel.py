@@ -33,9 +33,16 @@ from condet.calibration import _monotonized, _PrefixKernel, _SampleTable, _sweep
 from condet.matching import MATCH_KINDS
 from condet.losses import CONF_LOSS_KINDS, loc_loss
 from condet.predsets import apply_margin, class_miss_cutoff, margin_to_cover, select_confident
+from helpers import tied_probs
 from oracles import pure_image_losses
 
 K = 3
+
+
+def examples(n: int) -> settings:
+    """Settings that run ``n`` examples, or the loaded profile's count when
+    it is larger (the ``ci`` profile's 1000), with no deadline."""
+    return settings(max_examples=max(n, settings().max_examples), deadline=None)
 
 
 @st.composite
@@ -60,17 +67,6 @@ def float_boxes(draw):
 def probs(draw):
     weights = draw(st.lists(st.integers(0, 3), min_size=K, max_size=K).filter(any))
     return tuple(w / sum(weights) for w in weights)
-
-
-@st.composite
-def tied_probs(draw):
-    """Probability vectors heavy in ties: repeated values and zeros, some
-    nudged up by an ulp, so that sums ahead of a class can round above 1."""
-    weights = draw(st.lists(st.integers(0, 2), min_size=K, max_size=K).filter(any))
-    vector = [w / sum(weights) for w in weights]
-    for j in draw(st.lists(st.integers(0, K - 1), max_size=3)):
-        vector[j] = math.nextafter(vector[j], 2.0)
-    return tuple(vector)
 
 
 @st.composite
@@ -109,7 +105,7 @@ def config_for(kind, loc_loss="boxwise", loc_set="additive", cls_set="lac", agg=
     )
 
 
-@settings(max_examples=150, deadline=None)
+@examples(150)
 @given(datasets(), st.sampled_from(MATCH_KINDS))
 def test_prefix_assignment_equals_match(samples, kind):
     kernel = _PrefixKernel(_SampleTable.from_samples(samples), config_for(kind))
@@ -125,7 +121,7 @@ def sweep_points(kernel):
     return list(enumerate([1.0, *kernel.visit_lams], start=-1))
 
 
-@settings(max_examples=100, deadline=None)
+@examples(100)
 @given(datasets(), st.sampled_from(MATCH_KINDS))
 def test_states_list_each_images_runs_in_visit_order(samples, kind):
     # Walking the sweep's points with the set-based functions, the runs of
@@ -146,7 +142,7 @@ def test_states_list_each_images_runs_in_visit_order(samples, kind):
     assert list(zip(kernel._img.tolist(), kernel._k.tolist(), kernel._visit.tolist())) == want
 
 
-@settings(max_examples=150, deadline=None)
+@examples(150)
 @given(
     datasets(),
     st.sampled_from(MATCH_KINDS),
@@ -183,7 +179,7 @@ def test_state_losses_equal_set_based_losses(samples, kind, loc_loss, loc_set, c
         assert conf == [pure_image_losses(sample, p, lam_loc, lam_cls, config)[0] for sample in samples]
 
 
-@settings(max_examples=150, deadline=None)
+@examples(150)
 @given(
     datasets(box=float_boxes()),
     st.sampled_from(MATCH_KINDS),
@@ -220,8 +216,8 @@ def test_loc_losses_equal_set_path_at_requirements(samples, kind, loc_loss_kind,
         assert got == want, lam
 
 
-@settings(max_examples=150, deadline=None)
-@given(datasets(vector=tied_probs()), st.sampled_from(MATCH_KINDS), st.sampled_from(["lac", "aps"]))
+@examples(150)
+@given(datasets(vector=tied_probs(K)), st.sampled_from(MATCH_KINDS), st.sampled_from(["lac", "aps"]))
 # Two classes at 0.5 + 1 ulp sum to just above 1 ahead of the zero-probability
 # label, so the APS cutoff is capped; the second detection ties the label
 # with a lower-index class.
@@ -280,7 +276,7 @@ def test_each_prefix_reads_the_state_of_its_matching(samples, kind):
     assert kernel._count[scored].tolist() == [len(samples[kernel._img[s]].ground_truths) for s in scored]
 
 
-@settings(max_examples=150, deadline=None)
+@examples(150)
 @given(
     datasets(),
     st.sampled_from(MATCH_KINDS),
@@ -313,7 +309,7 @@ def test_losses_of_a_reach_are_the_full_losses_of_its_states(samples, kind, loc_
             ]
 
 
-@settings(max_examples=150, deadline=None)
+@examples(150)
 @given(
     datasets(),
     st.sampled_from(MATCH_KINDS),
@@ -352,7 +348,7 @@ def _match_raises(samples):
     return False
 
 
-@settings(max_examples=200, deadline=None)
+@examples(200)
 @given(datasets(min_extent=0))
 def test_giou_zero_area_raises_exactly_when_matching_would(samples):
     # calibrate matches every image under its full prefix first, so it fails

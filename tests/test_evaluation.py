@@ -41,7 +41,7 @@ from condet.inference_metrics import _evaluate_table
 from condet.losses import AGGREGATION_KINDS, CONF_LOSS_KINDS, LOC_LOSS_KINDS
 from condet.matching import MATCH_KINDS
 from condet.predsets import CLS_SET_KINDS, LOC_SET_KINDS
-from helpers import random_float_box, random_int_box, random_probs
+from helpers import random_float_box, random_int_box, random_probs, tied_probs
 from oracles import evaluate_oracle, same_report
 
 
@@ -275,7 +275,8 @@ class TestEdges:
 
 @st.composite
 def splits(draw):
-    """A small test split on a 6-pixel lattice, with its result."""
+    """A small test split on a 6-pixel lattice, with probabilities that
+    tie (some nudged by an ulp, ``tied_probs``), and its result."""
     k = draw(st.integers(1, 4))
     coord = st.integers(0, 6).map(float)
 
@@ -284,6 +285,8 @@ def splits(draw):
         return BoundingBox(left, top, left + draw(st.integers(0, 4)), top + draw(st.integers(0, 4)))
 
     def probs():
+        if draw(st.booleans()):
+            return draw(tied_probs(k))
         weights = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
         return tuple(w / sum(weights) for w in weights)
 

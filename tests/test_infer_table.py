@@ -39,6 +39,7 @@ from condet.cli import _output, main
 from condet.dataio import ImageRecord, load_result, read_dataset_file
 from condet.inference_metrics import _infer_table
 from condet.predsets import CLS_SET_KINDS, LOC_SET_KINDS
+from helpers import tied_probs
 from test_evaluation import lattice_sample, make_result
 
 
@@ -198,7 +199,8 @@ class TestEdges:
 @st.composite
 def images_and_results(draw):
     """A few images on a 6-pixel lattice, with detections in any order,
-    probabilities that tie, confidences that repeat, and a result."""
+    probabilities that tie (some nudged by an ulp, ``tied_probs``),
+    confidences that repeat, and a result."""
     k = draw(st.integers(1, 4))
     coord = st.integers(0, 6).map(float)
 
@@ -207,6 +209,8 @@ def images_and_results(draw):
         return BoundingBox(left, top, left + draw(st.integers(0, 4)), top + draw(st.integers(0, 4)))
 
     def probs():
+        if draw(st.booleans()):
+            return draw(tied_probs(k))
         weights = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
         return tuple(w / sum(weights) for w in weights)
 
