@@ -4,10 +4,13 @@
 its records, and the dataset reader behind ``read_dataset_file``,
 ``load_dataset``, ``condet calibrate``, ``condet infer`` and ``condet
 evaluate`` decodes, checks and processes the image records of a dataset
-file through ``ordered_map``. The reader's workers read each span of
-records into arrays for the three commands: those of ``condet calibrate``
-and ``condet evaluate`` return the arrays, and those of ``condet infer``
-return the span's encoded predictions, built from them. The workers of
+file through ``ordered_map``. The reader's parent scans the file for span
+boundaries and hands each worker a byte span, which the worker reads from
+the file itself, so only offsets pass to it and the file's text is never
+held in the parent. The reader's workers read each span of records into
+arrays for the three commands: those of ``condet calibrate`` and ``condet
+evaluate`` return the arrays, and those of ``condet infer`` return the
+span's encoded predictions, built from them. The workers of
 ``read_dataset_file`` and ``load_dataset`` return records and samples. The
 results come back in item order whatever the worker count, so callers get
 the same output from any count. The workers form a ``concurrent.futures``

@@ -541,17 +541,18 @@ def _gather_probs(probs, dets: np.ndarray, classes=None) -> np.ndarray:
                        dtype=float, count=len(dets))
 
 
-def _aps_cutoffs(rows: np.ndarray) -> np.ndarray:
-    """The APS rank table of the float64 matrix ``rows``: entry ``r`` of a
-    row is ``predsets.class_miss_cutoff`` of the class at rank ``r`` of the
-    row's descending order, the sequential sum of the ``r`` largest values
-    (0 for ``r = 0``), capped at 1. Equal values give equal sums in any
-    order, so the rows are sorted by value alone, with no argsort. A
-    probability row's largest value is positive, so the sums are those that
-    ``class_miss_cutoff`` accumulates from 0."""
-    out = np.empty(rows.shape)
+def _aps_cutoffs(ordered: np.ndarray) -> np.ndarray:
+    """The APS rank table of the rows of a float64 matrix, given as
+    ``ordered``, each row sorted ascending (``np.sort(rows, axis=1)``):
+    entry ``r`` of a row is ``predsets.class_miss_cutoff`` of the class at
+    rank ``r`` of the row's descending order, the sequential sum of the
+    ``r`` largest values (0 for ``r = 0``), capped at 1. Equal values give
+    equal sums in any order, so the rows are sorted by value alone, with no
+    argsort. A probability row's largest value is positive, so the sums are
+    those that ``class_miss_cutoff`` accumulates from 0."""
+    out = np.empty(ordered.shape)
     out[:, 0] = 0.0
-    np.cumsum(np.sort(rows, axis=1)[:, :0:-1], axis=1, out=out[:, 1:])
+    np.cumsum(ordered[:, :0:-1], axis=1, out=out[:, 1:])
     return np.minimum(out, 1.0, out=out)
 
 
@@ -571,7 +572,8 @@ def _class_cutoffs(gather, k: int, dets: np.ndarray, labels: np.ndarray, kind: s
         label = labels[lo : lo + step, None]
         own = np.take_along_axis(rows, label, axis=1)
         rank = np.count_nonzero((rows > own) | ((rows == own) & (cols < label)), axis=1)
-        out[lo : lo + step] = np.take_along_axis(_aps_cutoffs(rows), rank[:, None], axis=1)[:, 0]
+        table = _aps_cutoffs(np.sort(rows, axis=1))
+        out[lo : lo + step] = np.take_along_axis(table, rank[:, None], axis=1)[:, 0]
     return out
 
 
@@ -583,7 +585,7 @@ def _set_sizes(probs: np.ndarray, lam: float, kind: str) -> np.ndarray:
     step = max(1, _BLOCK_CELLS // max(probs.shape[1], 1))
     for lo in range(0, len(probs), step):
         block = probs[lo : lo + step]
-        cutoffs = 1.0 - block if kind == "lac" else _aps_cutoffs(block)
+        cutoffs = 1.0 - block if kind == "lac" else _aps_cutoffs(np.sort(block, axis=1))
         out[lo : lo + step] = np.count_nonzero(cutoffs <= lam, axis=1)
     return out
 
@@ -595,15 +597,24 @@ def _class_sets(probs: np.ndarray, lam: float, kind: str) -> np.ndarray:
     LAC keeps the classes with ``1 - p <= lam``. APS keeps a row's first
     ``_set_sizes`` classes in ``cls_set_aps``'s order: those above its
     size-th largest value ``v``, then the classes equal to ``v`` by
-    ascending index until the size is reached.
+    ascending index until the size is reached. One sort of each row gives
+    both the size, from the rank table (``_aps_cutoffs``), and ``v``; the
+    rows go in blocks, as in ``_set_sizes``.
     """
     if kind == "lac":
         return 1.0 - probs <= lam
-    size = _set_sizes(probs, lam, kind)[:, None]
-    v = np.take_along_axis(np.sort(probs, axis=1), probs.shape[1] - size, axis=1)
-    above, tied = probs > v, probs == v
-    room = size - np.count_nonzero(above, axis=1)[:, None]
-    return above | (tied & (np.cumsum(tied, axis=1) <= room))
+    out = np.empty(probs.shape, dtype=bool)
+    k = probs.shape[1]
+    step = max(1, _BLOCK_CELLS // max(k, 1))
+    for lo in range(0, len(probs), step):
+        block = probs[lo : lo + step]
+        ordered = np.sort(block, axis=1)
+        size = np.count_nonzero(_aps_cutoffs(ordered) <= lam, axis=1)[:, None]
+        v = np.take_along_axis(ordered, k - size, axis=1)
+        above, tied = block > v, block == v
+        room = size - np.count_nonzero(above, axis=1)[:, None]
+        out[lo : lo + step] = above | (tied & (np.cumsum(tied, axis=1) <= room))
+    return out
 
 
 def _prefix_matches(

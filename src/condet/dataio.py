@@ -12,6 +12,8 @@ import hashlib
 import json
 import logging
 import math
+import os
+import stat
 from contextlib import closing
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from itertools import chain
@@ -395,8 +397,16 @@ def read_dataset_file(path: PathLike) -> DatasetFile:
 #: span of the loaded records of a whole document that one worker parses.
 _CHUNK_CELLS = 1 << 16
 
-#: Characters of record lines per chunk that one worker decodes.
-_CHUNK_CHARS = 1 << 20
+#: Bytes of record lines per span that one worker reads and decodes.
+_CHUNK_BYTES = 1 << 20
+
+#: Bytes per read of the scan that cuts a file into spans (``_scan_spans``).
+_BLOCK_BYTES = 1 << 20
+
+#: Bytes that the scan reads back from a file's last byte that is not
+#: whitespace to find the ``]}`` line; a file whose ``]}`` line has more
+#: whitespace before it is loaded whole.
+_TAIL_BYTES = 64
 
 
 def _chunks(weights: Sequence[int], limit: int = _CHUNK_CELLS) -> list[tuple[int, int]]:
@@ -428,6 +438,7 @@ _LINE_ERROR, _RECORD_ERROR, _WORK_ERROR, _VALUES = range(4)
 #: JSON's whitespace. ``str.strip()`` would also remove characters such as
 #: form feed and no-break space, which JSON rejects around a value.
 _JSON_WHITESPACE = " \t\r\n"
+_JSON_WHITESPACE_BYTES = _JSON_WHITESPACE.encode()
 
 
 def _span_outcome(raws: list, first: int, num_classes: int, path: PathLike, work: Callable,
@@ -532,19 +543,33 @@ def _parse_span(records: list, num_classes: int, path: PathLike, outcome: Callab
     return outcome(records[start:stop], start, num_classes, path, *args)
 
 
-def _decode_span(lines: list[str], num_classes: int, path: PathLike, outcome: Callable, args: tuple,
-                 span: tuple[int, int]) -> tuple[int, object]:
-    """``outcome`` of the record lines ``lines[start:stop]``, each decoded
-    on its own; ``(_LINE_ERROR, None)`` when one does not decode.
+def _decode_span(path: PathLike, key: tuple, num_classes: int, outcome: Callable, args: tuple,
+                 span: tuple[int, int, int, bool]) -> tuple[int, object]:
+    """``outcome`` of the record lines of the span ``(offset, length, first,
+    last)`` of the file ``path`` (``_scan_spans``), each decoded on its own
+    and numbered from ``first``; ``(_LINE_ERROR, None)`` when the file is no
+    longer the one scanned (its ``_file_key`` is not ``key``), the span is
+    not UTF-8 or one of its lines does not decode.
 
-    Each line holds one JSON value, followed by a comma unless it is the
-    last line; JSON whitespace may surround the value and the comma.
+    This worker opens the file and reads the span's bytes alone. Each line
+    holds one JSON value, followed by a comma unless it is the last line of
+    the ``last`` span; JSON whitespace may surround the value and the comma.
     """
-    start, stop = span
+    offset, length, first, last = span
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        data = fh.read(length)
+        if _file_key(fh) != key:
+            return _LINE_ERROR, None
+    try:
+        # The span ends with its last line's "\n".
+        lines = data.decode("utf-8").split("\n")[:-1]
+    except UnicodeDecodeError:
+        return _LINE_ERROR, None
     raws = []
-    for n in range(start, stop):
-        line = lines[n].strip(_JSON_WHITESPACE)
-        if n + 1 < len(lines):
+    for n, line in enumerate(lines, 1):
+        line = line.strip(_JSON_WHITESPACE)
+        if not (last and n == len(lines)):
             if not line.endswith(","):
                 return _LINE_ERROR, None
             line = line[:-1]
@@ -552,7 +577,7 @@ def _decode_span(lines: list[str], num_classes: int, path: PathLike, outcome: Ca
             raws.append(json.loads(line))
         except (ValueError, RecursionError):
             return _LINE_ERROR, None
-    return outcome(raws, start, num_classes, path, *args)
+    return outcome(raws, first, num_classes, path, *args)
 
 
 def _collect(outcomes: Iterator[tuple[int, object]]) -> list | None:
@@ -571,48 +596,112 @@ def _collect(outcomes: Iterator[tuple[int, object]]) -> list | None:
     return [value for _, value in done]
 
 
-def _record_lines(path: PathLike) -> tuple[dict, list[str]] | None:
-    """The header and the record lines of ``path`` in the writer's layout,
-    or None for any other layout and for bytes that are not UTF-8.
+def _file_key(fh) -> tuple[int, int, int, int]:
+    """The device, inode, size and modification time of the open file
+    ``fh``. A reader that finds the key it scanned takes the file to be the
+    one it scanned: a file replaced since has a new inode, and one rewritten
+    in place a new size or modification time, to the resolution of the file
+    system's clock."""
+    st = os.fstat(fh.fileno())
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
-    The layout holds when the first line followed by ``]}`` is a JSON
-    object whose last key is ``images`` holding ``[]``, and the last line
-    that is not blank is ``]}``. The record lines are those in between.
-    """
-    try:
-        lines = Path(path).read_bytes().decode("utf-8").split("\n")
-    except UnicodeDecodeError:
-        return None
-    last = len(lines) - 1
-    while last > 0 and not lines[last].strip(_JSON_WHITESPACE):
-        last -= 1
-    if lines[last].strip(_JSON_WHITESPACE) != "]}":
+
+def _writer_head(line: bytes) -> dict | None:
+    """The header of a file whose first line, with its ``\\n``, is
+    ``line``: the JSON object of the line followed by ``]}``, when that
+    object's last key is ``images`` holding ``[]``; else None."""
+    # Only a line that opens that array can leave it empty; the check spares
+    # parsing a whole document written on one line.
+    if not (line.endswith(b"\n") and line.rstrip(_JSON_WHITESPACE_BYTES).endswith(b"[")):
         return None
     try:
-        head = json.loads(lines[0] + "]}")
-    except (ValueError, RecursionError):
+        head = json.loads(line[:-1].decode("utf-8") + "]}")
+    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
         return None
     # Text that ends with "]}" and decodes is an object; its last key holds
     # that array unless the key is repeated.
     if list(head)[-1:] != ["images"] or head["images"] != []:
         return None
-    return head, lines[1:last]
+    return head
+
+
+def _scan_spans(path: PathLike, limit: int) -> tuple[dict, tuple, list] | None:
+    """The header of ``path``, the file's key (``_file_key``) and the spans
+    of its record lines when it is in the writer's layout; else None.
+
+    The layout holds when the first line followed by ``]}`` is a JSON
+    object whose last key is ``images`` holding ``[]`` (``_writer_head``),
+    and the last line that is not blank is ``]}``. The record lines are
+    those in between. A span ``(offset, length, first, last)`` is the bytes
+    of whole record lines from ``offset``, closed at the first line end
+    ``limit`` or more bytes on; ``first`` is the number of its first record
+    line, and ``last`` marks the span that holds the last record line.
+
+    The scan reads the file once, in blocks of ``_BLOCK_BYTES``, and holds
+    one block and the header line at a time; it reads back up to
+    ``_TAIL_BYTES`` before the last byte that is not whitespace to find the
+    ``]}`` line, and takes a file whose ``]}`` line does not fit in them for
+    another layout. A ``\\n`` byte is never part of a longer UTF-8
+    character, so every span is UTF-8 when the file is; ``_decode_span``
+    decodes and checks each one. A file that is not a regular file, such as
+    a pipe, is left unopened: only the whole-document read can read it.
+    """
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return None
+    with open(path, "rb") as fh:
+        key = _file_key(fh)
+        header = fh.readline()
+        head = _writer_head(header)
+        if head is None:
+            return None
+        # The (offset, first record line) of each span closed so far, and of
+        # the open one; ``pos`` is the block's offset, ``lines`` counts the
+        # line ends seen.
+        starts, start, first = [], len(header), 0
+        pos, lines = len(header), 0
+        end = None  # the end of the last byte that is not JSON whitespace
+        while block := fh.read(_BLOCK_BYTES):
+            at = block.find(b"\n")
+            while at >= 0:
+                lines += 1
+                if pos + at + 1 - start >= limit:
+                    starts.append((start, first))
+                    start, first = pos + at + 1, lines
+                at = block.find(b"\n", at + 1)
+            if kept := len(block.rstrip(_JSON_WHITESPACE_BYTES)):
+                end = pos + kept
+            pos += len(block)
+        starts.append((start, first))
+        if end is None:
+            return None
+        at = max(end - _TAIL_BYTES, len(header))
+        fh.seek(at)
+        tail = fh.read(end - at)
+        if not tail.endswith(b"]}") or _file_key(fh) != key:
+            return None
+        body = tail[:-2].rstrip(b" \t\r")
+        close = at + len(body)  # the offset of the "]}" line
+        if not (body.endswith(b"\n") or close == len(header)):
+            return None
+    starts = [(offset, first) for offset, first in starts if offset < close]
+    stops = [offset for offset, _ in starts[1:]] + [close]
+    return head, key, [(offset, stop - offset, first, stop == close)
+                       for (offset, first), stop in zip(starts, stops)]
 
 
 def _decode_records(path: PathLike, outcome: Callable, args: tuple) -> tuple | None:
     """``_map_spans`` over the record lines of ``path``, or None when the
-    file is not in the writer's layout, its header fails a check, or a
-    record line does not decode on its own."""
-    layout = _record_lines(path)
-    if layout is None:
+    file is not in the writer's layout, its header fails a check, or a span
+    of record lines does not decode on its own."""
+    scan = _scan_spans(path, _CHUNK_BYTES)
+    if scan is None:
         return None
-    head, lines = layout
+    head, key, spans = scan
     try:
         num_classes, class_names, _ = _check_header(head, path)
     except DataFormatError:
         return None  # a record line that is not JSON would come first
-    spans = _chunks([len(line) for line in lines], _CHUNK_CHARS)
-    values = _collect(ordered_map(_decode_span, (lines, num_classes, path, outcome, args), spans))
+    values = _collect(ordered_map(_decode_span, (path, key, num_classes, outcome, args), spans))
     return None if values is None else (num_classes, class_names, values)
 
 
@@ -622,13 +711,15 @@ def _map_spans(path: PathLike, outcome: Callable, *args) -> tuple[int, list | No
     contiguous span of the raw image records of the native dataset file
     ``path``, in file order.
 
-    A file in the writer's layout (``_record_lines``) is read as bytes and
-    decoded as UTF-8 in this process; worker processes (``ordered_map``),
-    which inherit its lines, decode spans of about ``_CHUNK_CHARS``
-    characters line by line and run ``outcome`` on their records. A file in
-    any other layout, one whose header fails a check, and one with a record
-    line that does not decode on its own are loaded whole by ``json.load``
-    here instead; workers then run ``outcome`` on spans of about
+    A file in the writer's layout (``_scan_spans``) is scanned once in this
+    process, which holds a block of it at a time and cuts its record lines
+    into spans of about ``_CHUNK_BYTES`` bytes; each worker process
+    (``ordered_map``) reads its own span from the file, decodes it line by
+    line and runs ``outcome`` on its records. A file in any other layout,
+    one whose header fails a check, one with a span that is not UTF-8 or a
+    record line that does not decode on its own, and one replaced or
+    rewritten during the read are loaded whole by ``json.load`` here
+    instead; workers then run ``outcome`` on spans of about
     ``_CHUNK_CELLS`` probabilities of the loaded records.
 
     ``outcome`` returns ``(_VALUES, value)`` or an error outcome,

@@ -16,7 +16,8 @@ label sets, their sizes and the calibration cutoffs all read one rule in
 ``calibration``: a class is in a set when ``lambda_cls`` is at least its
 cutoff, ``1 - p`` for LAC and its rank's entry of the APS rank table
 (``_aps_cutoffs``). ``_set_sizes`` counts the cutoffs at or below
-``lambda_cls``, and ``_class_sets`` builds the masks of those sizes.
+``lambda_cls``, and ``_class_sets`` counts them in the same way and builds
+the masks of those sizes, from one sort of each row.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from condet import BoundingBox, Detection, ImageSample, calibrate
+from condet import dataio
 from condet.dataio import DatasetFile, ImageRecord, write_dataset_file
 from oracles import exact_sum
 
@@ -123,6 +124,16 @@ def samples_to_dataset(samples, num_classes: int, size: float = 100.0) -> Datase
 
 def samples_to_dataset_file(samples, num_classes: int, path, size: float = 100.0) -> None:
     write_dataset_file(samples_to_dataset(samples, num_classes, size), path)
+
+
+def record_spans(path, limit: int) -> list[tuple[int, int]]:
+    """The spans of record lines into which the reader's scan
+    (``dataio._scan_spans``) cuts the file ``path``, in the writer's layout,
+    at ``limit`` bytes, as ``(start, stop)`` record numbers."""
+    data = Path(path).read_bytes()
+    _, _, spans = dataio._scan_spans(path, limit)
+    return [(first, first + data.count(b"\n", offset, offset + length))
+            for offset, length, first, _ in spans]
 
 
 def one_value_per_line(path, key: str) -> tuple[dict, list]:

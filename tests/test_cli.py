@@ -28,7 +28,7 @@ from condet import (
 from condet.cli import main
 from condet.dataio import _chunks, config_to_dict, write_dataset_file
 from condet.losses import Detection, ImageSample
-from helpers import one_value_per_line, samples_to_dataset, samples_to_dataset_file
+from helpers import one_value_per_line, record_spans, samples_to_dataset, samples_to_dataset_file
 from test_formats_golden import CLI_CASES, COCO_SPEC, GOLDEN, N_CAL, run_cli, sha
 
 
@@ -836,7 +836,7 @@ class TestParallelCommands:
     @pytest.mark.parametrize("cpus", [None, 1, 2, 4, "daemonic"])
     def test_calibrate_outputs_equal_the_golden_bytes(self, golden_calibration, tmp_path, monkeypatch, cpus):
         # Spans of 128 KiB cut the 1.9 MB file into several.
-        monkeypatch.setattr(dataio, "_CHUNK_CHARS", 1 << 17)
+        monkeypatch.setattr(dataio, "_CHUNK_BYTES", 1 << 17)
         cal, flags = golden_calibration
         out = tmp_path / "result.json"
         argv = [str(a) for a in ["calibrate", "--dataset", cal, "--out", out, *flags]]
@@ -916,10 +916,10 @@ class TestBadValueCommands:
              "gt-infinite-box", "gt-reversed-box", "gt-class-id"],
     )
     def test_bad_value_exit_1(self, files, tmp_path, capsys, monkeypatch, command, kind, field, value, message):
-        monkeypatch.setattr(dataio, "_CHUNK_CHARS", 2048)
+        monkeypatch.setattr(dataio, "_CHUNK_BYTES", 2048)
         result, dataset = files
         header, *lines = dataset.read_text().split("\n")
-        assert len(_chunks([len(line) for line in lines], dataio._CHUNK_CHARS)) > 2
+        assert len(record_spans(dataset, dataio._CHUNK_BYTES)) > 2
         n = max(i for i, line in enumerate(lines) if '"ground_truths": [{' in line and '"detections": [{' in line)
         rec = json.loads(lines[n].removesuffix(","))
         rec[kind][0][field] = value

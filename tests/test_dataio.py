@@ -2,8 +2,11 @@ import hashlib
 import json
 import math
 import multiprocessing
+import os
 import re
 import tempfile
+import threading
+import tracemalloc
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -46,7 +49,7 @@ from condet.dataio import (
     write_dataset_file,
 )
 from condet.losses import Detection, ImageSample
-from helpers import one_value_per_line, samples_to_dataset, samples_to_dataset_file
+from helpers import one_value_per_line, record_spans, samples_to_dataset, samples_to_dataset_file
 
 
 def two_image_payload():
@@ -681,7 +684,7 @@ class TestParallelRead:
     @pytest.fixture(autouse=True)
     def small_spans(self, monkeypatch):
         # 8 KiB spans cut the 40-record file below into several.
-        monkeypatch.setattr(dataio, "_CHUNK_CHARS", 8192)
+        monkeypatch.setattr(dataio, "_CHUNK_BYTES", 8192)
 
     @pytest.fixture(scope="class")
     def written(self, tmp_path_factory):
@@ -693,8 +696,7 @@ class TestParallelRead:
     @staticmethod
     def spans(path):
         """The spans of record lines the reader hands to its workers."""
-        _, lines = writer_lines(path)
-        return _chunks([len(line) for line in lines], dataio._CHUNK_CHARS)
+        return record_spans(path, dataio._CHUNK_BYTES)
 
     @staticmethod
     def read(monkeypatch, fn, *args, whole=False):
@@ -704,7 +706,7 @@ class TestParallelRead:
         with monkeypatch.context() as patch:
             patch.setattr(dataio, "_load_json", lambda path: loads.append(path) or load_json(path))
             if whole:
-                patch.setattr(dataio, "_record_lines", lambda path: None)
+                patch.setattr(dataio, "_scan_spans", lambda path, limit: None)
             return outcome(fn, *args), bool(loads)
 
     def edited(self, path, tmp_path, edits, header=lambda h: h):
@@ -770,7 +772,7 @@ class TestParallelRead:
         with monkeypatch.context() as patch:
             patch.setattr(dataio, "_load_json", lambda p: loads.append(str(p)) or load_json(p))
             if whole:
-                patch.setattr(dataio, "_record_lines", lambda p: None)
+                patch.setattr(dataio, "_scan_spans", lambda p, limit: None)
             code = cli_main(["evaluate", "--result", str(result_path), "--dataset", str(path)])
         return (code, capsys.readouterr().err), str(path) in loads
 
@@ -802,6 +804,270 @@ class TestParallelRead:
         assert not loaded_whole
         assert self.evaluate_command(monkeypatch, capsys, result_path, path, whole=True)[0] == got
         assert multiprocessing.active_children() == []
+
+
+def record_offset(data, n):
+    """The byte offset of record line ``n`` of the writer's layout ``data``."""
+    at = 0
+    for _ in range(n + 1):
+        at = data.index(b"\n", at) + 1
+    return at
+
+
+def at_record(n, edit):
+    """A variant made by ``edit(data, offset)``, with ``offset`` that of
+    record line ``n``."""
+    def apply(path):
+        data = path.read_bytes()
+        return edit(data, record_offset(data, n))
+    return apply
+
+
+def multibyte_ids(header, lines):
+    # Two-, three- and four-byte UTF-8 characters, written as they are.
+    return header, [ln.replace('"image_id": "', f'"image_id": "ä图\U0001f600{n}-', 1)
+                    for n, ln in enumerate(lines)]
+
+
+def blank_line_among_records(header, lines):
+    lines[7:7] = [""]
+    return header, lines
+
+
+#: The reader's edge cases: how each file is made from the writer's output,
+#: and whether its spans are read in workers (else it is loaded whole).
+SCAN_CASES = {
+    "crlf": (LAYOUTS["crlf"][0], True),
+    "blank-lines-after-close": (lambda path: path.read_bytes() + b"\n \t\r\n\n  \t", True),
+    "blank-line-among-records": (with_lines(blank_line_among_records), False),
+    "no-records": (with_lines(lambda h, ls: (h, [])), True),
+    "multibyte-image-ids": (with_lines(multibyte_ids), True),
+    "invalid-utf8-in-record": (
+        at_record(25, lambda data, at: data[:at + 14] + b"\xff" + data[at + 14:]), False),
+    "last-key-not-images": LAYOUTS["last-key-not-images"],
+    "truncated-mid-record": (at_record(25, lambda data, at: data[:at + 100]), False),
+    "one-line-document": (lambda path: (json.dumps(json.loads(path.read_text())) + "\n").encode(), False),
+}
+
+
+@pytest.mark.workers
+class TestSpanScan:
+    """The writer's layout is read in spans of bytes that the workers read
+    from the file themselves (``dataio._scan_spans``): every edge case
+    reads as the whole document does, at any span limit and worker count."""
+
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("scan") / "data.json"
+        spec = SynthSpec(seed=6, n_images=40, num_classes=10, false_positive_rate=3.0)
+        samples_to_dataset_file(generate(spec), 10, path)
+        return path
+
+    def test_spans_tile_the_record_lines(self, written):
+        data = written.read_bytes()
+        header, lines = writer_lines(written)
+        for limit in (1, 256, 8192, 1 << 20):
+            head, _, spans = dataio._scan_spans(written, limit)
+            assert head == json.loads(header + "]}")
+            assert spans[0][0] == len(header) + 1
+            assert sum(length for _, length, _, _ in spans) == len(data) - len(header) - len("\n]}\n")
+            for (offset, length, first, last), nxt in zip(spans, spans[1:] + [None]):
+                body = data[offset : offset + length]
+                assert body.decode().split("\n")[:-1] == lines[first : first + body.count(b"\n")]
+                assert last == (nxt is None)
+                if nxt is not None:
+                    assert nxt[0] == offset + length and nxt[2] == first + body.count(b"\n")
+                    # Closed at the first line end that reaches the limit.
+                    assert length >= limit and body.rfind(b"\n", 0, -1) + 1 < limit
+        # A limit below one record line gives one span per line.
+        assert min(map(len, lines)) > 256
+        assert len(dataio._scan_spans(written, 256)[2]) == len(lines)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("limit", [256, 8192, 1 << 20])
+    @pytest.mark.parametrize("case", list(SCAN_CASES))
+    def test_edge_case_reads_as_the_whole_document(self, written, tmp_path, monkeypatch, case, limit, cpus):
+        monkeypatch.setattr(dataio, "_CHUNK_BYTES", limit)
+        monkeypatch.setattr(_workers, "_available_cpus", lambda: cpus)
+        make, by_spans = SCAN_CASES[case]
+        path = tmp_path / "case.json"
+        path.write_bytes(make(written))
+        for fn in (read_dataset_file, load_dataset, reader_table):
+            args = (path, 1e-3) if fn is reader_table else (path,)
+            got, loaded_whole = TestParallelRead.read(monkeypatch, fn, *args)
+            expected, _ = TestParallelRead.read(monkeypatch, fn, *args, whole=True)
+            assert got == expected
+            assert loaded_whole == (not by_spans)
+        read = outcome(read_dataset_file, path)
+        if case == "invalid-utf8-in-record":
+            assert read[0] is DataFormatError and read[1].startswith(f"{path}: not valid UTF-8: ")
+        elif case == "truncated-mid-record":
+            assert read[0] is DataFormatError and read[1].startswith(f"{path}: not valid JSON: ")
+        elif case != "last-key-not-images":
+            assert len(read.images) == (0 if case == "no-records" else 40)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("command", ["calibrate", "evaluate"])
+    def test_invalid_utf8_exits_1(self, written, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.setattr(dataio, "_CHUNK_BYTES", 8192)
+        path = tmp_path / "case.json"
+        path.write_bytes(SCAN_CASES["invalid-utf8-in-record"][0](written))
+        result = tmp_path / "result.json"
+        save_result(CalibrationResult(0.7, 0.6, 4.0, 0.9, CalibrationConfig(0.1, 0.5, 0.5), 24, {}), result)
+        argv = {"calibrate": ["calibrate", "--dataset", str(path), "--out", str(tmp_path / "out.json")],
+                "evaluate": ["evaluate", "--result", str(result), "--dataset", str(path)]}[command]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f'error code=1 kind=data detail="{path}: not valid UTF-8: ')
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("when", ["after-scan", "mid-read"])
+    @pytest.mark.parametrize("new", ["other-records", "same-size-and-time"])
+    def test_file_replaced_during_the_read_reads_as_the_new_file(self, written, tmp_path, monkeypatch,
+                                                                 new, when, cpus):
+        # The file is replaced after the scan, or by the worker of span 3
+        # before it reads, when spans 0-2 may have read the old file. The
+        # read gives the new file's whole result, never a mix of the two.
+        monkeypatch.setattr(dataio, "_CHUNK_BYTES", 8192)
+        monkeypatch.setattr(_workers, "_available_cpus", lambda: cpus)
+        path, staged = tmp_path / "data.json", tmp_path / "staged.json"
+        if new == "other-records":
+            spec = SynthSpec(seed=11, n_images=30, num_classes=10, false_positive_rate=3.0)
+            samples_to_dataset_file(generate(spec), 10, staged)
+            replacement = staged.read_bytes()
+        else:
+            # The first record's image id changes, in span 0: only the
+            # inode tells the files apart.
+            replacement = written.read_bytes().replace(b'"synth-6-00000"', b'"synth-6-99999"', 1)
+        spans = dataio._scan_spans(written, 8192)[2]
+        assert len(spans) >= 5
+        scan, decode = dataio._scan_spans, dataio._decode_span
+
+        def replace(p):
+            if staged.exists():
+                os.replace(staged, p)
+
+        def scanned(p, limit):
+            found = scan(p, limit)
+            if when == "after-scan":
+                replace(p)
+            return found
+
+        def decoded(p, key, *args):
+            if when == "mid-read" and args[-1][2] == spans[3][2]:
+                replace(p)
+            return decode(p, key, *args)
+
+        for fn, args in ((read_dataset_file, ()), (load_dataset, ()), (reader_table, (1e-3,))):
+            path.write_bytes(replacement)
+            expected = outcome(fn, path, *args)
+            path.write_bytes(written.read_bytes())
+            assert outcome(fn, path, *args) != expected
+            staged.write_bytes(replacement)
+            st = path.stat()
+            os.utime(staged, ns=(st.st_atime_ns, st.st_mtime_ns))
+            with monkeypatch.context() as patch:
+                patch.setattr(dataio, "_scan_spans", scanned)
+                patch.setattr(dataio, "_decode_span", decoded)
+                assert outcome(fn, path, *args) == expected
+            assert not staged.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_one_line_document_is_parsed_once(self, written, tmp_path, monkeypatch):
+        # Its first line is the whole document, which the scan does not
+        # parse as a header.
+        path = tmp_path / "one-line.json"
+        path.write_bytes(SCAN_CASES["one-line-document"][0](written))
+        parsed, loads = [], json.loads
+        monkeypatch.setattr(json, "loads", lambda text, **kw: parsed.append(len(text)) or loads(text, **kw))
+        read_dataset_file(path)
+        assert parsed == [path.stat().st_size]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_a_pipe_is_read_whole(self, written, tmp_path, monkeypatch):
+        # A pipe can be read once: the scan leaves it unopened. One worker,
+        # so that no process forks while the writing thread runs.
+        monkeypatch.setattr(_workers, "_available_cpus", lambda: 1)
+        fifo = tmp_path / "pipe.json"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(written.read_bytes(),))
+        writer.start()
+        try:
+            got, loaded_whole = TestParallelRead.read(monkeypatch, read_dataset_file, fifo)
+        finally:
+            writer.join()
+        assert loaded_whole and got == read_dataset_file(written)
+
+    def test_one_worker_holds_less_than_the_file(self, tmp_path, monkeypatch):
+        # Neither the file's bytes nor its text is held whole: the peak is
+        # the tables (twice, while they are joined), one block of the scan
+        # and one span's lines and records.
+        monkeypatch.setattr(_workers, "_available_cpus", lambda: 1)
+        monkeypatch.setattr(dataio, "_CHUNK_BYTES", 1 << 16)
+        monkeypatch.setattr(dataio, "_BLOCK_BYTES", 1 << 16)
+        path = tmp_path / "data.json"
+        spec = SynthSpec(seed=6, n_images=1000, num_classes=10, false_positive_rate=3.0)
+        samples_to_dataset_file(generate(spec), 10, path)
+        size = path.stat().st_size
+        assert len(dataio._scan_spans(path, dataio._CHUNK_BYTES)[2]) >= 20
+        tracemalloc.start()
+        try:
+            table = dataio._load_table(path, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table.image_ids) == 1000
+        assert peak < size
+
+    # 200 examples, or the loaded profile's count when it is larger.
+    @settings(max_examples=max(200, settings().max_examples), deadline=None)
+    @given(st.data())
+    def test_scan_matches_the_line_split_of_the_whole_file(self, data):
+        # The scan, at any block size and span limit, against splitting the
+        # whole file's bytes at "\n": the same layout decision and the same
+        # record lines, cut into spans by the limit.
+        ws = st.text(" \t\r", max_size=3)
+        value = st.sampled_from(['{"a": 1}', "[]", '"é\U0001f600"', "1.5", "{", "", "x"])
+        line = st.builds(lambda a, v, b, c: a + v + b + c, ws, value, ws, st.sampled_from([",", ""]))
+        header = data.draw(st.sampled_from([
+            '{"schema_version": 1, "images": [', '{"images": [], "x": [', '{"images": [ \r', "[",
+            '{"é": 1, "images": [']))
+        lines = data.draw(st.lists(line, max_size=12))
+        close = data.draw(st.sampled_from(["]}", " ]} \r", "]", "]}x", "\t]}"]))
+        after = data.draw(st.lists(ws, max_size=3))
+        text = "\n".join([header, *lines, close, *after])
+        raw = text.encode("utf-8")
+        if data.draw(st.booleans()):
+            raw = raw.replace(b"\xc3\xa9", b"\xe9")  # not UTF-8
+        limit = data.draw(st.integers(1, 40))
+        block = data.draw(st.integers(1, 50))
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataio, "_BLOCK_BYTES", block)
+            path = Path(tmp) / "data.json"
+            path.write_bytes(raw)
+            scan = dataio._scan_spans(path, limit)
+        parts = raw.split(b"\n")
+        last = len(parts) - 1
+        while last > 0 and not parts[last].strip(b" \t\r\n"):
+            last -= 1
+        try:
+            head = json.loads(parts[0].decode("utf-8") + "]}")
+            layout = last > 0 and parts[last].strip(b" \t\r\n") == b"]}" and list(head)[-1] == "images"
+        except ValueError:
+            layout = False
+        assert (scan is not None) == layout
+        if scan is None:
+            return
+        record_lines = parts[1:last]
+        spans = scan[2]
+        assert [ln for offset, length, _, _ in spans for ln in raw[offset : offset + length].split(b"\n")[:-1]] == record_lines
+        firsts = [first for _, _, first, _ in spans]
+        counts = [raw.count(b"\n", offset, offset + length) for offset, length, _, _ in spans]
+        assert firsts == [sum(counts[:k]) for k in range(len(spans))]
+        assert [last for *_, last in spans] == [False] * (len(spans) - 1) + [True] * bool(spans)
+        for offset, length, _, _ in spans[:-1]:
+            assert length >= limit and raw.rfind(b"\n", offset, offset + length - 1) - offset + 1 < limit
 
 
 def table_bits(table):
@@ -891,7 +1157,7 @@ class TestReaderTable:
         head = {"schema_version": 1, "num_classes": k, "class_names": [], "images": []}
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
             # Spans of a record or two, so a file has several.
-            patch.setattr(dataio, "_CHUNK_CHARS", 256)
+            patch.setattr(dataio, "_CHUNK_BYTES", 256)
             patch.setattr(dataio, "_CHUNK_CELLS", 8)
             patch.setattr(_workers, "_available_cpus", lambda: cpus)
             path = Path(tmp) / "data.json"
@@ -904,7 +1170,7 @@ class TestReaderTable:
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("layout", list(LAYOUTS))
     def test_every_layout_reads_as_the_samples(self, tmp_path, monkeypatch, cpus, layout):
-        monkeypatch.setattr(dataio, "_CHUNK_CHARS", 8192)
+        monkeypatch.setattr(dataio, "_CHUNK_BYTES", 8192)
         monkeypatch.setattr(_workers, "_available_cpus", lambda: cpus)
         written = tmp_path / "data.json"
         samples_to_dataset_file(generate(SynthSpec(seed=6, n_images=40, num_classes=10)), 10, written)
@@ -917,7 +1183,7 @@ class TestReaderTable:
         # A constructor spy: only the span whose record holds an integer is
         # parsed through the checked Detection, and no span builds an
         # ImageSample.
-        monkeypatch.setattr(dataio, "_CHUNK_CHARS", 8192)
+        monkeypatch.setattr(dataio, "_CHUNK_BYTES", 8192)
         monkeypatch.setattr(_workers, "_available_cpus", lambda: 1)
         path = tmp_path / "data.json"
         samples_to_dataset_file(generate(SynthSpec(seed=6, n_images=40, num_classes=10)), 10, path)
@@ -1356,7 +1622,7 @@ class TestOneValidityRule:
 
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     def test_error_rank_across_spans(self, written, tmp_path, monkeypatch, cpus):
-        monkeypatch.setattr(dataio, "_CHUNK_CHARS", 8192)
+        monkeypatch.setattr(dataio, "_CHUNK_BYTES", 8192)
         monkeypatch.setattr(_workers, "_available_cpus", lambda: cpus)
         integers = edit_record(lambda rec: rec.update(width=64, height=48))
         # A span the bulk check refuses, read through the rule, then a bad

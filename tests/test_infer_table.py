@@ -39,7 +39,7 @@ from condet.cli import _output, main
 from condet.dataio import ImageRecord, load_result, read_dataset_file
 from condet.inference_metrics import _infer_table
 from condet.predsets import CLS_SET_KINDS, LOC_SET_KINDS
-from helpers import tied_probs
+from helpers import record_spans, tied_probs
 from test_evaluation import lattice_sample, make_result
 
 
@@ -259,8 +259,8 @@ def public_infer_file(path, result_path, out) -> None:
     dataio._write_lines(out, head, entries)
 
 
-#: Characters of record lines per span in the command tests.
-SPAN_CHARS = 4096
+#: Bytes of record lines per span in the command tests.
+SPAN_BYTES = 4096
 
 
 @pytest.mark.workers
@@ -285,8 +285,7 @@ class TestInferCommand:
         path = root / "test.json"
         head = {"schema_version": 1, "num_classes": 6, "class_names": [], "images": []}
         dataio._write_lines(path, head, records)
-        lines = dataio._record_lines(path)[1]
-        for start, _ in dataio._chunks([len(line) for line in lines], SPAN_CHARS)[1::2]:
+        for start, _ in record_spans(path, SPAN_BYTES)[1::2]:
             records[start] = records[start].replace('"width": 64.0', '"width": 64  ', 1)
         dataio._write_lines(path, head, records)
         results = []
@@ -299,13 +298,12 @@ class TestInferCommand:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_mixed_spans_write_the_public_infer_bytes(self, files, tmp_path, monkeypatch, cpus):
-        monkeypatch.setattr(dataio, "_CHUNK_CHARS", SPAN_CHARS)
+        monkeypatch.setattr(dataio, "_CHUNK_BYTES", SPAN_BYTES)
         monkeypatch.setattr(_workers, "_available_cpus", lambda: cpus)
         path, results = files
         # The spans alternate between passing and failing the bulk check.
-        lines = dataio._record_lines(path)[1]
-        raws = [json.loads(line.removesuffix(",")) for line in lines]
-        spans = dataio._chunks([len(line) for line in lines], SPAN_CHARS)
+        raws = json.loads(path.read_text())["images"]
+        spans = record_spans(path, SPAN_BYTES)
         bulk = [dataio._span_table(raws[start:stop], 6, 1e-3) is not None for start, stop in spans]
         assert len(bulk) >= 5 and all(bulk[::2]) and not any(bulk[1::2])
         for result_path in results:
